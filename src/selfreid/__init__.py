@@ -21,20 +21,20 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import EvalReport, RetrievalSet, average_precision, diagnostics, evaluate
-from .linalg import cosine, l2_normalize, normalize_rows, pairwise_similarity, softmax_row
+from .linalg import l2_normalize, normalize_rows, softmax_rows
 from .losses import (
     ConsistencyDistributions,
     LossBreakdown,
     LossWeights,
     Temperatures,
     consistency_distributions,
-    cross_camera_loss,
+    cross_camera_loss_batch,
     hard_instance_loss,
     proxy_agnostic_loss,
     soft_consistency_loss,
     total_loss,
 )
-from .proxies import CameraProxy, ClusterProxy, ProxyMemory, build_proxies, nearest_negative_proxies
+from .proxies import ProxyMemory, build_proxies
 from .rerank import (
     OUTLIER,
     ClusterAssignment,

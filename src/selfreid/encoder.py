@@ -11,6 +11,7 @@ the exponential-moving-average twin used to produce stable targets and
 the final inference model.
 """
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ from .errors import (
 PARAM_FIELDS = ("w1", "b1", "w2", "b2")
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_KEYS = ("version", "activation", "scalars") + tuple(
+    f"{prefix}_{f}" for prefix in ("online", "momentum", "opt_m", "opt_v")
+    for f in PARAM_FIELDS)
 
 
 @dataclass
@@ -33,7 +37,8 @@ class EncoderParams:
 
     activation is "tanh" for training; "identity" turns the hidden layer
     into a pass-through, which makes hand-checkable configurations
-    possible in tests.
+    possible in tests. Gradients and the Adam moments use the same
+    container, with one array per weight; their activation is unused.
     """
 
     w1: np.ndarray  # (d_in, hidden)
@@ -58,16 +63,6 @@ class EncoderParams:
 
 
 @dataclass
-class EncoderGrads:
-    """Per-parameter gradients, same shapes as EncoderParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
 class EncoderPair:
     """Online encoder plus its EMA ("momentum") twin.
 
@@ -85,8 +80,8 @@ class EncoderPair:
 class OptimizerState:
     """Adam moments plus schedule settings (decoupled weight decay)."""
 
-    m: EncoderGrads
-    v: EncoderGrads
+    m: EncoderParams
+    v: EncoderParams
     step: int = 0
     base_lr: float = 0.00035
     warmup_epochs: int = 10
@@ -121,7 +116,7 @@ def init_pair(d_in: int, hidden: int, d_out: int, rng: np.random.Generator,
 def init_optimizer(params: EncoderParams, base_lr: float = 0.00035,
                    warmup_epochs: int = 10,
                    weight_decay: float = 0.0005) -> OptimizerState:
-    zeros = lambda: EncoderGrads(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
+    zeros = lambda: EncoderParams(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
     return OptimizerState(m=zeros(), v=zeros(), base_lr=base_lr,
                           warmup_epochs=warmup_epochs, weight_decay=weight_decay)
 
@@ -176,7 +171,7 @@ def normalize_rows_vjp(raw: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def backward(params: EncoderParams, batch: np.ndarray,
-             output_gradient: np.ndarray) -> EncoderGrads:
+             output_gradient: np.ndarray) -> EncoderParams:
     """Gradient of sum(output * output_gradient) w.r.t. the parameters.
 
     output_gradient is dLoss/d(normalized embeddings); the normalization
@@ -197,7 +192,7 @@ def backward(params: EncoderParams, batch: np.ndarray,
     g_z1 = g_a1 * _activate_grad(z1, params.activation)
     g_w1 = batch.T @ g_z1
     g_b1 = g_z1.sum(axis=0)
-    return EncoderGrads(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    return EncoderParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
 def ema_update(pair: EncoderPair) -> EncoderPair:
@@ -222,7 +217,7 @@ def effective_lr(state: OptimizerState, epoch: int) -> float:
 
 
 def optimizer_step(state: OptimizerState, params: EncoderParams,
-                   grads: EncoderGrads, epoch: int) -> None:
+                   grads: EncoderParams, epoch: int) -> None:
     """One adaptive-moment update of the online parameters, in place."""
     for f in PARAM_FIELDS:
         if not np.all(np.isfinite(getattr(grads, f))):
@@ -247,12 +242,10 @@ def optimizer_step(state: OptimizerState, params: EncoderParams,
 def save_checkpoint(path, pair: EncoderPair, opt: OptimizerState) -> None:
     """Dump EncoderPair + OptimizerState; round trip is bit-exact."""
     arrays = {"version": np.array(CHECKPOINT_VERSION)}
-    for side, p in (("online", pair.online), ("momentum", pair.momentum)):
+    for prefix, p in (("online", pair.online), ("momentum", pair.momentum),
+                      ("opt_m", opt.m), ("opt_v", opt.v)):
         for f in PARAM_FIELDS:
-            arrays[f"{side}_{f}"] = getattr(p, f)
-    for accum, g in (("m", opt.m), ("v", opt.v)):
-        for f in PARAM_FIELDS:
-            arrays[f"opt_{accum}_{f}"] = getattr(g, f)
+            arrays[f"{prefix}_{f}"] = getattr(p, f)
     arrays["scalars"] = np.array([
         pair.alpha, opt.step, opt.base_lr, opt.warmup_epochs,
         opt.weight_decay, opt.beta1, opt.beta2, opt.eps,
@@ -262,25 +255,33 @@ def save_checkpoint(path, pair: EncoderPair, opt: OptimizerState) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
-    with np.load(path, allow_pickle=False) as data:
+    """Inverse of save_checkpoint; an unreadable or incomplete file is a SelfReidError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise SelfReidError(f"{path}: not a checkpoint file ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise SelfReidError(f"{path}: not a checkpoint file (holds a single array)")
+    with data:
+        missing = [key for key in CHECKPOINT_KEYS if key not in data.files]
+        if missing:
+            raise SelfReidError(f"{path}: checkpoint is missing {', '.join(missing)}")
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
-            raise SelfReidError(f"unsupported checkpoint version {version}")
+            raise SelfReidError(f"{path}: unsupported checkpoint version {version}")
         activation = str(data["activation"])
 
-        def params(side):
+        def params(prefix):
             return EncoderParams(
-                *(data[f"{side}_{f}"].copy() for f in PARAM_FIELDS),
+                *(data[f"{prefix}_{f}"].copy() for f in PARAM_FIELDS),
                 activation=activation)
-
-        def grads(accum):
-            return EncoderGrads(*(data[f"opt_{accum}_{f}"].copy() for f in PARAM_FIELDS))
 
         scal = data["scalars"]
         pair = EncoderPair(online=params("online"), momentum=params("momentum"),
                            alpha=float(scal[0]))
         opt = OptimizerState(
-            m=grads("m"), v=grads("v"), step=int(scal[1]), base_lr=float(scal[2]),
-            warmup_epochs=int(scal[3]), weight_decay=float(scal[4]),
-            beta1=float(scal[5]), beta2=float(scal[6]), eps=float(scal[7]))
+            m=params("opt_m"), v=params("opt_v"), step=int(scal[1]),
+            base_lr=float(scal[2]), warmup_epochs=int(scal[3]),
+            weight_decay=float(scal[4]), beta1=float(scal[5]),
+            beta2=float(scal[6]), eps=float(scal[7]))
     return pair, opt

@@ -1,13 +1,13 @@
 """Vector and matrix primitives shared by the whole pipeline.
 
 All representations live on the unit sphere: vectors are L2-normalized
-immediately after creation so that dot products and cosine similarities
-coincide. Everything is float64.
+immediately after creation so that plain dot products (`a @ b.T`) are
+cosine similarities. Everything is float64.
 """
 
 import numpy as np
 
-from .errors import DegenerateVector, DimensionMismatch, InvalidTemperature
+from .errors import DegenerateVector, InvalidTemperature
 
 # Norm below this is treated as a zero vector.
 ZERO_NORM_TOL = 1e-300
@@ -31,47 +31,12 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit vectors (== cosine similarity)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
-def pairwise_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity matrix between two stacks of unit vectors.
-
-    Rows of `a` and `b` must already be unit-normalized; entry (i, j) is
-    then cosine(a[i], b[j]).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
-    return a @ b.T
-
-
-def softmax_row(sims: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature-scaled softmax of a similarity vector.
+def softmax_rows(sims: np.ndarray, temperature: float) -> np.ndarray:
+    """Temperature-scaled softmax of each row of a similarity matrix.
 
     Uses max-subtraction: temperatures as low as 0.07 push logits to
     +/-14, where naive exponentiation starts losing precision.
     """
-    if temperature <= 0:
-        raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.size == 0:
-        raise DimensionMismatch("empty similarity vector")
-    logits = sims / temperature
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
-def softmax_rows(sims: np.ndarray, temperature: float) -> np.ndarray:
-    """Row-wise softmax_row over a similarity matrix."""
     if temperature <= 0:
         raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
     sims = np.asarray(sims, dtype=np.float64)

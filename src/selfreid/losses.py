@@ -6,9 +6,11 @@ contrastive loss that mines the least similar positive in the batch,
 and a soft consistency loss that penalizes divergence between the
 similarity distributions of augmented and clean views.
 
-Gradients are taken w.r.t. the online representations only; momentum
-representations, proxies and target distributions are constants. The
-trainer feeds these gradients back through the encoder.
+Every loss takes the whole batch and is computed as array operations;
+the literal per-anchor forms they are checked against live in
+tests/oracles.py. Gradients are taken w.r.t. the online representations
+only; momentum representations, proxies and target distributions are
+constants. The trainer feeds these gradients back through the encoder.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from .errors import (
     SelfReidError,
 )
 from .linalg import softmax_rows
-from .proxies import AWARE, ProxyMemory, nearest_negative_indices
+from .proxies import AWARE, ProxyMemory
 
 
 @dataclass
@@ -102,61 +104,53 @@ def proxy_agnostic_loss(feats: np.ndarray, labels: np.ndarray,
     return value, grads
 
 
-def cross_camera_loss(feat: np.ndarray, camera: int, cluster: int,
-                      memory: ProxyMemory, tau: float, n_neg: int):
-    """Cross-camera proxy loss for a single anchor representation.
-
-    Each positive is a proxy of the anchor's cluster under a different
-    camera; the denominator adds the n_neg camera proxies of other
-    clusters nearest to the anchor. Anchors whose cluster lives in a
-    single camera contribute zero, with zero gradient.
-    """
-    if memory.mode != AWARE:
-        raise ModeMismatch("cross-camera loss needs an aware memory")
-    return _cross_camera_single(feat, camera, cluster, memory, tau, n_neg)
-
-
-def _cross_camera_single(feat, camera, cluster, memory, tau, n_neg):
-    feat = np.asarray(feat, dtype=np.float64)
-    pos_rows = np.flatnonzero((memory.camera_cluster_ids == cluster)
-                              & (memory.camera_ids != camera))
-    if pos_rows.size == 0:
-        return 0.0, np.zeros_like(feat)
-    neg_rows = nearest_negative_indices(memory, feat, cluster, n_neg)
-    negatives = memory.camera_vectors[neg_rows]
-    neg_logits = negatives @ feat / tau
-
-    value = 0.0
-    grad = np.zeros_like(feat)
-    for row in pos_rows:
-        positive = memory.camera_vectors[row]
-        logits = np.concatenate(([positive @ feat / tau], neg_logits))
-        logits -= logits.max()
-        e = np.exp(logits)
-        probs = e / e.sum()
-        value += -np.log(probs[0])
-        stacked = np.vstack((positive[None, :], negatives))
-        grad += (probs @ stacked - positive) / tau
-    k = pos_rows.size
-    return float(value / k), grad / k
-
-
 def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
                             labels: np.ndarray, memory: ProxyMemory,
                             tau: float, n_neg: int):
-    """Batch mean of the per-anchor cross-camera loss."""
+    """Batch mean of the per-anchor cross-camera proxy loss.
+
+    Each positive of anchor i is a camera proxy of its own cluster under
+    another camera; the denominator of every positive adds the n_neg
+    camera proxies of other clusters most similar to the anchor (ties
+    keep table order). Anchor i averages its k_i positive terms, so each
+    (anchor, positive) pair weighs 1 / (k_i * N). Anchors whose cluster
+    lives in a single camera contribute zero, with zero gradient.
+    """
     if memory.mode != AWARE:
         raise ModeMismatch("cross-camera loss needs an aware memory")
+    if n_neg < 1:
+        raise SelfReidError(f"n_neg must be >= 1, got {n_neg}")
     feats = np.asarray(feats, dtype=np.float64)
+    cameras = np.asarray(cameras, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     n = feats.shape[0]
-    value = 0.0
-    grads = np.zeros_like(feats)
-    for i in range(n):
-        v, g = _cross_camera_single(feats[i], int(cameras[i]), int(labels[i]),
-                                    memory, tau, n_neg)
-        value += v
-        grads[i] = g
-    return value / n, grads / n
+    proxies = memory.camera_vectors
+    sims = feats @ proxies.T
+    own = memory.camera_cluster_ids[None, :] == labels[:, None]
+    positive = own & (memory.camera_ids[None, :] != cameras[:, None])
+
+    # Own-cluster proxies sort last; they fill the slots only when fewer
+    # than n_neg candidates exist, and drop out of the softmax as -inf.
+    neg = np.argsort(np.where(own, np.inf, -sims), axis=1, kind="stable")[:, :n_neg]
+    neg_logits = np.where(np.take_along_axis(own, neg, axis=1), -np.inf,
+                          np.take_along_axis(sims, neg, axis=1) / tau)
+
+    rows, cols = np.nonzero(positive)
+    logits = np.concatenate((sims[rows, cols][:, None] / tau, neg_logits[rows]), axis=1)
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    probs = e / e.sum(axis=1, keepdims=True)
+    weight = 1.0 / (positive.sum(axis=1)[rows] * n)
+    value = float(np.sum(weight * -np.log(probs[:, 0])))
+
+    # d(-log p0)/d(feat) = (sum_j p_j v_j - v_pos) / tau, gathered per
+    # proxy row before one product with the proxy table.
+    coef = np.zeros_like(sims)
+    coef[rows, cols] = weight * (probs[:, 0] - 1.0)
+    neg_coef = np.zeros(neg.shape)
+    np.add.at(neg_coef, rows, weight[:, None] * probs[:, 1:])
+    coef[np.arange(n)[:, None], neg] += neg_coef  # indices are unique per row
+    return value, coef @ proxies / tau
 
 
 def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,

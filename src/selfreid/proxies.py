@@ -4,13 +4,15 @@ Proxies are the normalized means of the momentum representations of a
 cluster's members. They are rebuilt once per epoch and treated as
 constants within it. The camera-aware variant additionally keeps one
 proxy per (cluster, camera) pair, enabling cross-camera attraction.
+ProxyMemory holds plain arrays, one row per proxy; the losses index
+them directly, whole batches at a time.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModeMismatch, NoClustersFound, SelfReidError
+from .errors import NoClustersFound, SelfReidError
 from .linalg import l2_normalize
 from .rerank import OUTLIER, ClusterAssignment
 
@@ -19,49 +21,17 @@ AWARE = "aware"
 
 
 @dataclass
-class ClusterProxy:
-    cluster_id: int
-    vector: np.ndarray
-    member_count: int
-
-
-@dataclass
-class CameraProxy:
-    cluster_id: int
-    camera_id: int
-    vector: np.ndarray
-    member_count: int
-
-
-@dataclass
 class ProxyMemory:
     """Per-epoch proxy tables; camera tables exist only in aware mode."""
 
     mode: str
-    cluster_vectors: np.ndarray  # (n_clusters, d), unit rows
-    cluster_counts: np.ndarray   # (n_clusters,)
+    cluster_vectors: np.ndarray  # (clusters, d), unit rows
+    cluster_counts: np.ndarray   # (clusters,)
     epoch: int
     camera_cluster_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     camera_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     camera_vectors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     camera_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-    @property
-    def n_clusters(self) -> int:
-        return self.cluster_vectors.shape[0]
-
-    def cluster_proxy(self, cluster_id: int) -> ClusterProxy:
-        return ClusterProxy(cluster_id, self.cluster_vectors[cluster_id],
-                            int(self.cluster_counts[cluster_id]))
-
-    def camera_proxies_of(self, cluster_id: int) -> list[CameraProxy]:
-        if self.mode != AWARE:
-            raise ModeMismatch("camera proxies exist only in aware mode")
-        out = []
-        for i in np.flatnonzero(self.camera_cluster_ids == cluster_id):
-            out.append(CameraProxy(cluster_id, int(self.camera_ids[i]),
-                                   self.camera_vectors[i], int(self.camera_counts[i])))
-        return out
 
 
 def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
@@ -107,31 +77,3 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
     memory.camera_vectors = np.array(cam_vec)
     memory.camera_counts = np.array(cam_count, dtype=np.int64)
     return memory
-
-
-def nearest_negative_proxies(memory: ProxyMemory, anchor: np.ndarray,
-                             own_cluster: int, n_neg: int) -> list[CameraProxy]:
-    """Camera proxies of other clusters, most similar to the anchor first.
-
-    Returns at most n_neg proxies; fewer when the memory is small. Ties
-    keep table order, so the result is deterministic.
-    """
-    idx = nearest_negative_indices(memory, anchor, own_cluster, n_neg)
-    return [CameraProxy(int(memory.camera_cluster_ids[i]), int(memory.camera_ids[i]),
-                        memory.camera_vectors[i], int(memory.camera_counts[i]))
-            for i in idx]
-
-
-def nearest_negative_indices(memory: ProxyMemory, anchor: np.ndarray,
-                             own_cluster: int, n_neg: int) -> np.ndarray:
-    """Row indices into the camera-proxy table for the top negatives."""
-    if memory.mode != AWARE:
-        raise ModeMismatch("negative camera proxies exist only in aware mode")
-    if n_neg < 1:
-        raise SelfReidError(f"n_neg must be >= 1, got {n_neg}")
-    candidates = np.flatnonzero(memory.camera_cluster_ids != own_cluster)
-    if candidates.size == 0:
-        return candidates
-    sims = memory.camera_vectors[candidates] @ np.asarray(anchor, dtype=np.float64)
-    top = np.argsort(-sims, kind="stable")[:n_neg]
-    return candidates[top]

@@ -43,7 +43,7 @@ from .losses import (
     soft_consistency_loss,
     total_loss,
 )
-from .proxies import AWARE, ProxyMemory, build_proxies
+from .proxies import AGNOSTIC, AWARE, ProxyMemory, build_proxies
 from .rerank import ClusterAssignment, ClusterConfig, generate_pseudo_labels
 from .sampling import (
     BatchSpec,
@@ -103,8 +103,19 @@ class TrainConfig:
         self.weights.validate()
         self.cluster.validate()
         self.perturbation.validate()
+        if self.memory_mode not in (AWARE, AGNOSTIC):
+            raise SelfReidError(f"unknown memory_mode {self.memory_mode!r}")
+        if self.n_neg < 1:
+            raise SelfReidError(f"need n_neg >= 1, got {self.n_neg}")
+        if self.hidden_dim < 1 or self.out_dim < 1:
+            raise SelfReidError(f"need hidden_dim >= 1 and out_dim >= 1, got "
+                                f"({self.hidden_dim}, {self.out_dim})")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
         if self.labels_mode not in ("pseudo", "oracle"):
             raise SelfReidError(f"unknown labels_mode {self.labels_mode!r}")
+        if self.hard_negatives not in ("all", "hardest"):
+            raise SelfReidError(f"unknown hard_negatives {self.hard_negatives!r}")
         if self.consistency_variant not in CONSISTENCY_VARIANTS:
             raise SelfReidError(f"unknown consistency_variant {self.consistency_variant!r}")
 

@@ -39,6 +39,51 @@ def scalar_cosine(a, b) -> float:
     return sum(float(x) * float(y) for x, y in zip(a, b))
 
 
+def softmax_row(sims, temperature: float) -> np.ndarray:
+    """Temperature-scaled softmax of one similarity vector, element by element."""
+    logits = [float(s) / temperature for s in sims]
+    top = max(logits)
+    e = [math.exp(v - top) for v in logits]
+    total = sum(e)
+    return np.array([v / total for v in e])
+
+
+def cross_camera_oracle(feats, cameras, labels, memory, tau: float, n_neg: int):
+    """Per-anchor cross-camera proxy loss, one softmax per positive.
+
+    Positives of an anchor are its cluster's camera proxies under other
+    cameras, in table order. Negatives are the n_neg proxies of other
+    clusters, sorted by (-similarity, row). Returns the batch mean of the
+    anchors' positive-averaged losses and its gradient.
+    """
+    vectors = memory.camera_vectors
+    rows = range(len(memory.camera_ids))
+    n = len(labels)
+    value = 0.0
+    grads = np.zeros((n, vectors.shape[1]))
+    for i in range(n):
+        feat = feats[i]
+        positives = [r for r in rows if memory.camera_cluster_ids[r] == labels[i]
+                     and memory.camera_ids[r] != cameras[i]]
+        if not positives:
+            continue
+        ranked = sorted((-scalar_cosine(vectors[r], feat), r) for r in rows
+                        if memory.camera_cluster_ids[r] != labels[i])
+        negatives = [r for _, r in ranked[:n_neg]]
+        anchor_value = 0.0
+        anchor_grad = np.zeros(vectors.shape[1])
+        for p in positives:
+            members = [p] + negatives
+            probs = softmax_row([scalar_cosine(vectors[r], feat) for r in members], tau)
+            anchor_value -= math.log(probs[0])
+            for prob, r in zip(probs, members):
+                anchor_grad += prob * vectors[r] / tau
+            anchor_grad -= vectors[p] / tau
+        value += anchor_value / len(positives)
+        grads[i] = anchor_grad / len(positives)
+    return value / n, grads / n
+
+
 def scalar_forward(params, batch: np.ndarray) -> np.ndarray:
     """Per-neuron scalar re-implementation of the encoder forward pass."""
     n = batch.shape[0]

@@ -3,7 +3,6 @@ import pytest
 
 from selfreid.encoder import (
     PARAM_FIELDS,
-    EncoderGrads,
     EncoderParams,
     backward,
     effective_lr,
@@ -17,7 +16,12 @@ from selfreid.encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from selfreid.errors import DimensionMismatch, InvalidMomentum, NonFiniteGradient
+from selfreid.errors import (
+    DimensionMismatch,
+    InvalidMomentum,
+    NonFiniteGradient,
+    SelfReidError,
+)
 
 from oracles import finite_difference, max_rel_err, scalar_forward
 
@@ -163,7 +167,7 @@ def test_optimizer_zero_gradients_zero_decay_is_noop():
     params = small_params(8)
     state = init_optimizer(params, weight_decay=0.0)
     before = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
-    zeros = EncoderGrads(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
+    zeros = EncoderParams(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
     optimizer_step(state, params, zeros, epoch=3)
     for f in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(params, f), before[f])
@@ -173,7 +177,7 @@ def test_optimizer_moves_against_gradient():
     params = small_params(9)
     state = init_optimizer(params, base_lr=0.01, warmup_epochs=0, weight_decay=0.0)
     before = params.w1.copy()
-    ones = EncoderGrads(*(np.ones_like(getattr(params, f)) for f in PARAM_FIELDS))
+    ones = EncoderParams(*(np.ones_like(getattr(params, f)) for f in PARAM_FIELDS))
     optimizer_step(state, params, ones, epoch=0)
     assert np.all(params.w1 < before)
 
@@ -181,7 +185,7 @@ def test_optimizer_moves_against_gradient():
 def test_optimizer_rejects_non_finite():
     params = small_params(10)
     state = init_optimizer(params)
-    bad = EncoderGrads(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
+    bad = EncoderParams(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
     bad.w2[0, 0] = np.nan
     with pytest.raises(NonFiniteGradient):
         optimizer_step(state, params, bad, epoch=0)
@@ -192,7 +196,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     pair = init_pair(6, 5, 4, rng, alpha=0.97)
     state = init_optimizer(pair.online, base_lr=0.002, warmup_epochs=7,
                            weight_decay=0.001)
-    grads = EncoderGrads(*(rng.normal(size=getattr(pair.online, f).shape)
+    grads = EncoderParams(*(rng.normal(size=getattr(pair.online, f).shape)
                            for f in PARAM_FIELDS))
     optimizer_step(state, pair.online, grads, epoch=2)
     ema_update(pair)
@@ -212,3 +216,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
                                       getattr(pair.momentum, f))
         np.testing.assert_array_equal(getattr(state2.m, f), getattr(state.m, f))
         np.testing.assert_array_equal(getattr(state2.v, f), getattr(state.v, f))
+
+
+@pytest.mark.parametrize("name, content", [
+    ("text.npz", b"epoch = 3\n"),
+    ("empty.npz", b""),
+    ("truncated.npz", b"PK\x03\x04"),
+])
+def test_load_checkpoint_rejects_non_checkpoint_files(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(SelfReidError, match="not a checkpoint file"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_single_array_and_missing_keys(tmp_path):
+    single = tmp_path / "single.npy"
+    np.save(single, np.zeros(3))
+    with pytest.raises(SelfReidError, match="single array"):
+        load_checkpoint(single)
+    partial = tmp_path / "partial.npz"
+    np.savez(partial, version=np.array(1))
+    with pytest.raises(SelfReidError, match="missing activation, scalars, online_w1"):
+        load_checkpoint(partial)

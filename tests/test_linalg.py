@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from selfreid.errors import DegenerateVector, DimensionMismatch, InvalidTemperature
-from selfreid.linalg import (
-    cosine,
-    l2_normalize,
-    normalize_rows,
-    pairwise_similarity,
-    softmax_row,
-    softmax_rows,
-)
+from selfreid.errors import DegenerateVector, InvalidTemperature
+from selfreid.linalg import l2_normalize, normalize_rows, softmax_rows
 
-from oracles import scalar_cosine
+from oracles import softmax_row
 
 
 def test_l2_normalize_345_triangle():
@@ -33,70 +26,27 @@ def test_normalize_rows_unit_norms():
     np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-9)
 
 
-def test_cosine_basic_angles():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    assert cosine([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_pairwise_similarity_orthonormal_rows():
-    eye = np.eye(2)
-    np.testing.assert_allclose(pairwise_similarity(eye, eye), np.eye(2))
-
-
-def test_pairwise_similarity_repeated_row():
-    row = l2_normalize(np.arange(1.0, 9.0))
-    tiled = np.tile(row, (3, 1))
-    np.testing.assert_allclose(pairwise_similarity(row[None, :], tiled),
-                               np.ones((1, 3)), atol=1e-12)
-
-
-def test_pairwise_similarity_matches_scalar_oracle():
-    rng = np.random.default_rng(7)
-    a = normalize_rows(rng.normal(size=(5, 8)))
-    b = normalize_rows(rng.normal(size=(7, 8)))
-    sims = pairwise_similarity(a, b)
-    for i in range(5):
-        for j in range(7):
-            assert sims[i, j] == pytest.approx(scalar_cosine(a[i], b[j]), abs=1e-12)
-
-
-def test_pairwise_similarity_mismatch():
-    with pytest.raises(DimensionMismatch):
-        pairwise_similarity(np.ones((2, 3)), np.ones((2, 4)))
-
-
-def test_pairwise_self_similarity_symmetric_unit_diagonal():
-    rng = np.random.default_rng(3)
-    a = normalize_rows(rng.normal(size=(12, 6)))
-    sims = pairwise_similarity(a, a)
-    np.testing.assert_allclose(sims, sims.T, atol=1e-12)
-    np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-9)
+def softmax_one(sims, tau):
+    return softmax_rows(np.asarray(sims, dtype=np.float64)[None, :], tau)[0]
 
 
 def test_softmax_uniform_on_equal_logits():
-    np.testing.assert_allclose(softmax_row(np.zeros(3), 1.0), np.full(3, 1 / 3))
+    np.testing.assert_allclose(softmax_one(np.zeros(3), 1.0), np.full(3, 1 / 3))
 
 
 def test_softmax_two_entry_value():
     expected = np.array([np.e**2 / (np.e**2 + 1), 1 / (np.e**2 + 1)])
-    np.testing.assert_allclose(softmax_row(np.array([1.0, 0.0]), 0.5), expected,
-                               atol=1e-12)
-    assert softmax_row(np.array([1.0, 0.0]), 0.5)[0] == pytest.approx(0.8808, abs=1e-4)
+    np.testing.assert_allclose(softmax_one([1.0, 0.0], 0.5), expected, atol=1e-12)
+    assert softmax_one([1.0, 0.0], 0.5)[0] == pytest.approx(0.8808, abs=1e-4)
 
 
 def test_softmax_single_entry():
-    np.testing.assert_allclose(softmax_row(np.array([4.2]), 0.07), [1.0])
+    np.testing.assert_allclose(softmax_one([4.2], 0.07), [1.0])
 
 
 def test_softmax_temperature_validation():
     with pytest.raises(InvalidTemperature):
-        softmax_row(np.array([1.0, 2.0]), 0.0)
+        softmax_rows(np.array([[1.0, 2.0]]), 0.0)
     with pytest.raises(InvalidTemperature):
         softmax_rows(np.ones((2, 2)), -1.0)
 
@@ -105,13 +55,13 @@ def test_softmax_temperature_validation():
 def test_softmax_sums_to_one_randomized(tau):
     rng = np.random.default_rng(int(tau * 1000))
     for _ in range(2500):
-        probs = softmax_row(rng.normal(size=rng.integers(1, 12)), tau)
+        probs = softmax_one(rng.normal(size=rng.integers(1, 12)), tau)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs > 0)
 
 
 def test_softmax_duplicated_logits_share_probability():
-    probs = softmax_row(np.array([0.3, 1.7, 0.3, -0.2, 1.7]), 0.4)
+    probs = softmax_one([0.3, 1.7, 0.3, -0.2, 1.7], 0.4)
     assert probs[0] == pytest.approx(probs[2], abs=1e-15)
     assert probs[1] == pytest.approx(probs[4], abs=1e-15)
 

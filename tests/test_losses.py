@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
-from selfreid.errors import ModeMismatch, NoNegatives, NonFiniteLoss, ProxyNotFound
+from selfreid.errors import (
+    ModeMismatch,
+    NoNegatives,
+    NonFiniteLoss,
+    ProxyNotFound,
+    SelfReidError,
+)
 from selfreid.linalg import normalize_rows
 from selfreid.losses import (
     LossWeights,
     Temperatures,
     consistency_distributions,
-    cross_camera_loss,
     cross_camera_loss_batch,
     hard_instance_loss,
     kl_value,
@@ -21,7 +26,7 @@ from selfreid.losses import (
 from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
 from selfreid.rerank import ClusterAssignment
 
-from oracles import finite_difference, max_rel_err
+from oracles import cross_camera_oracle, finite_difference, max_rel_err
 
 
 def unit(v):
@@ -86,10 +91,15 @@ def test_cross_single_camera_cluster_contributes_zero():
     assignment = ClusterAssignment(labels=np.array([0, 0, 1, 1]), cluster_count=2)
     cameras = np.array([0, 0, 0, 1])  # cluster 0 lives in camera 0 only
     memory = build_proxies(bank, assignment, cameras, AWARE)
-    value, grad = cross_camera_loss(bank[0], camera=0, cluster=0, memory=memory,
-                                    tau=0.07, n_neg=50)
+    value, grads = cross_camera_loss_batch(bank[:2], cameras[:2], [0, 0], memory,
+                                           tau=0.07, n_neg=50)
     assert value == 0.0
-    np.testing.assert_array_equal(grad, 0.0)
+    np.testing.assert_array_equal(grads, 0.0)
+    # in a mixed batch the single-camera anchor's gradient row stays zero
+    _, grads = cross_camera_loss_batch(bank[[0, 2]], [0, 0], [0, 1], memory,
+                                       tau=0.07, n_neg=50)
+    np.testing.assert_array_equal(grads[0], 0.0)
+    assert np.any(grads[1] != 0.0)
 
 
 def test_cross_pinned_value():
@@ -98,8 +108,8 @@ def test_cross_pinned_value():
     assignment = ClusterAssignment(labels=np.array([0, 0, 1]), cluster_count=2)
     cameras = np.array([0, 1, 0])
     memory = build_proxies(bank, assignment, cameras, AWARE)
-    value, _ = cross_camera_loss(e1, camera=0, cluster=0, memory=memory,
-                                 tau=0.07, n_neg=50)
+    value, _ = cross_camera_loss_batch(e1[None, :], [0], [0], memory,
+                                       tau=0.07, n_neg=50)
     assert value == pytest.approx(math.log1p(math.exp(-1 / 0.07)), rel=1e-9)
     assert value < 1e-6  # ~6e-7
 
@@ -108,9 +118,91 @@ def test_cross_agnostic_memory_rejected():
     rng = np.random.default_rng(2)
     memory = make_memory(rng, mode=AGNOSTIC)
     with pytest.raises(ModeMismatch):
-        cross_camera_loss(unit(rng.normal(size=6)), 0, 0, memory, 0.07, 5)
-    with pytest.raises(ModeMismatch):
         cross_camera_loss_batch(np.eye(6)[:2], [0, 1], [0, 1], memory, 0.07, 5)
+
+
+@pytest.mark.parametrize("n_neg", [0, -1])
+def test_cross_n_neg_below_one_rejected(n_neg):
+    rng = np.random.default_rng(3)
+    memory = make_memory(rng)
+    with pytest.raises(SelfReidError, match="n_neg"):
+        cross_camera_loss_batch(np.eye(6)[:2], [0, 1], [0, 1], memory, 0.07, n_neg)
+
+
+def assert_matches_oracle(feats, cameras, labels, memory, tau, n_neg):
+    value, grads = cross_camera_loss_batch(feats, cameras, labels, memory, tau, n_neg)
+    ref_value, ref_grads = cross_camera_oracle(feats, cameras, labels, memory,
+                                               tau, n_neg)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
+    assert max_rel_err(grads, ref_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cross_matches_per_anchor_oracle(seed):
+    # random table sizes, ragged camera coverage and n_neg both below and
+    # above the number of other-cluster proxies
+    rng = np.random.default_rng(600 + seed)
+    n_clusters = int(rng.integers(2, 8))
+    n_cams = int(rng.integers(1, 5))
+    d = int(rng.integers(2, 9))
+    labels = np.repeat(np.arange(n_clusters), 6)
+    cameras = rng.integers(0, n_cams, size=labels.size)
+    bank = normalize_rows(rng.normal(size=(labels.size, d)))
+    memory = build_proxies(bank, ClusterAssignment(labels, n_clusters), cameras, AWARE)
+    feats = normalize_rows(rng.normal(size=(12, d)))
+    batch_labels = rng.integers(0, n_clusters, size=12)
+    batch_cameras = rng.integers(0, n_cams, size=12)
+    n_neg = int(rng.integers(1, 2 * memory.camera_ids.size))
+    assert_matches_oracle(feats, batch_cameras, batch_labels, memory,
+                          tau=0.07, n_neg=n_neg)
+
+
+def test_cross_fewer_candidates_than_n_neg():
+    rng = np.random.default_rng(4)
+    memory = make_memory(rng, n_clusters=3, n_cams=2)  # 4 other-cluster proxies
+    feats, labels = random_batch(rng, n_labels=3, per_label=2)
+    cameras = np.array([0, 1, 0, 1, 0, 1])
+    assert_matches_oracle(feats, cameras, labels, memory, tau=0.07, n_neg=50)
+    every = cross_camera_loss_batch(feats, cameras, labels, memory, 0.07, 4)
+    clamped = cross_camera_loss_batch(feats, cameras, labels, memory, 0.07, 50)
+    assert clamped[0] == every[0]
+    np.testing.assert_array_equal(clamped[1], every[1])
+
+
+def test_cross_tied_proxies_break_by_table_order():
+    # the anchor e1 is equally similar to both proxies of cluster 1 (mirror
+    # images); with n_neg = 1 only the earlier table row may be the negative
+    c, s = math.cos(1.0), math.sin(1.0)
+    e1 = np.array([1.0, 0.0])
+    bank = np.array([e1, e1, [c, s], [c, -s], [-1.0, 0.0]])
+    labels = np.array([0, 0, 1, 1, 2])
+    cameras = np.array([0, 1, 0, 1, 0])
+    memory = build_proxies(bank, ClusterAssignment(labels, 3), cameras, AWARE)
+    first = int(np.flatnonzero(memory.camera_cluster_ids == 1)[0])
+    value, grads = cross_camera_loss_batch(e1[None, :], [0], [0], memory,
+                                           tau=0.07, n_neg=1)
+    assert_matches_oracle(e1[None, :], [0], [0], memory, tau=0.07, n_neg=1)
+    # recompute with the first tied row as the only negative
+    negative = memory.camera_vectors[first]
+    positive = e1
+    logits = np.array([positive @ e1, negative @ e1]) / 0.07
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    assert value == pytest.approx(-math.log(probs[0]), rel=1e-12)
+    expected = (probs[0] * positive + probs[1] * negative - positive) / 0.07
+    np.testing.assert_allclose(grads[0], expected, rtol=1e-12, atol=1e-15)
+
+
+def test_cross_single_cluster_memory_has_no_negatives():
+    rng = np.random.default_rng(5)
+    memory = make_memory(rng, n_clusters=1, n_cams=3)
+    feats = normalize_rows(rng.normal(size=(4, 6)))
+    value, grads = cross_camera_loss_batch(feats, [0, 1, 2, 0], [0, 0, 0, 0],
+                                           memory, tau=0.07, n_neg=5)
+    assert value == 0.0
+    np.testing.assert_array_equal(grads, 0.0)
+    assert_matches_oracle(feats, [0, 1, 2, 0], [0, 0, 0, 0], memory,
+                          tau=0.07, n_neg=5)
 
 
 @pytest.mark.parametrize("seed", range(10))

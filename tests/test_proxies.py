@@ -3,13 +3,11 @@ import pytest
 
 from selfreid.errors import ModeMismatch, NoClustersFound
 from selfreid.linalg import l2_normalize, normalize_rows
-from selfreid.proxies import (
-    AGNOSTIC,
-    AWARE,
-    build_proxies,
-    nearest_negative_proxies,
-)
+from selfreid.losses import cross_camera_loss_batch
+from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
 from selfreid.rerank import OUTLIER, ClusterAssignment
+
+from oracles import cross_camera_oracle, max_rel_err
 
 
 def make_assignment(labels):
@@ -99,7 +97,7 @@ def test_cluster_proxy_is_count_weighted_camera_mean():
                                l2_normalize(weighted / 10), atol=1e-12)
 
 
-# --- nearest negatives -------------------------------------------------------
+# --- nearest negatives, as the cross-camera loss selects them ----------------
 
 def aware_memory(rng, n_clusters=8, n_cams=5, d=6):
     labels = np.repeat(np.arange(n_clusters), n_cams)
@@ -108,13 +106,23 @@ def aware_memory(rng, n_clusters=8, n_cams=5, d=6):
     return build_proxies(bank, make_assignment(labels), cameras, AWARE)
 
 
+def loss_with_negatives(anchor, positive, negatives, tau):
+    """One-positive cross-camera loss against an explicit negative list."""
+    logits = np.array([positive @ anchor] + [v @ anchor for v in negatives]) / tau
+    return float(np.log(np.sum(np.exp(logits - logits[0]))))
+
+
 def test_nearest_negatives_clamped_when_few():
     rng = np.random.default_rng(6)
     memory = aware_memory(rng, n_clusters=2, n_cams=2)
-    anchor = memory.camera_vectors[0]
-    out = nearest_negative_proxies(memory, anchor, own_cluster=0, n_neg=50)
-    assert len(out) == 2  # only cluster 1's two camera proxies qualify
-    assert all(p.cluster_id == 1 for p in out)
+    anchor = memory.camera_vectors[0]  # cluster 0, camera 0
+    value, _ = cross_camera_loss_batch(anchor[None, :], [0], [0], memory,
+                                       tau=0.07, n_neg=50)
+    # only cluster 1's two camera proxies qualify as negatives
+    others = memory.camera_vectors[memory.camera_cluster_ids == 1]
+    assert len(others) == 2
+    expected = loss_with_negatives(anchor, memory.camera_vectors[1], others, 0.07)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_nearest_negatives_identical_proxy_ranks_first():
@@ -122,27 +130,26 @@ def test_nearest_negatives_identical_proxy_ranks_first():
     memory = aware_memory(rng, n_clusters=4, n_cams=3)
     target_row = np.flatnonzero(memory.camera_cluster_ids == 2)[0]
     anchor = memory.camera_vectors[target_row]
-    out = nearest_negative_proxies(memory, anchor, own_cluster=0, n_neg=3)
-    assert out[0].cluster_id == 2
-    np.testing.assert_allclose(out[0].vector, anchor, atol=1e-12)
+    value, _ = cross_camera_loss_batch(anchor[None, :], [0], [0], memory,
+                                       tau=0.07, n_neg=1)
+    positives = memory.camera_vectors[(memory.camera_cluster_ids == 0)
+                                      & (memory.camera_ids != 0)]
+    expected = np.mean([loss_with_negatives(anchor, p, [anchor], 0.07)
+                        for p in positives])
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_nearest_negatives_match_full_sort_oracle():
     rng = np.random.default_rng(8)
     memory = aware_memory(rng, n_clusters=8, n_cams=5)
-    anchor = normalize_rows(rng.normal(size=(1, 6)))[0]
-    out = nearest_negative_proxies(memory, anchor, own_cluster=3, n_neg=5)
-
-    scored = []
-    for i in range(len(memory.camera_ids)):
-        if memory.camera_cluster_ids[i] == 3:
-            continue
-        scored.append((-float(memory.camera_vectors[i] @ anchor), i))
-    scored.sort()
-    expected_rows = [i for _, i in scored[:5]]
-    got_vectors = np.array([p.vector for p in out])
-    np.testing.assert_allclose(got_vectors, memory.camera_vectors[expected_rows],
-                               atol=1e-15)
+    anchors = normalize_rows(rng.normal(size=(4, 6)))
+    cameras, labels = [0, 1, 2, 4], [3, 3, 0, 7]
+    value, grads = cross_camera_loss_batch(anchors, cameras, labels, memory,
+                                           tau=0.07, n_neg=5)
+    ref_value, ref_grads = cross_camera_oracle(anchors, cameras, labels, memory,
+                                               tau=0.07, n_neg=5)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert max_rel_err(grads, ref_grads) <= 1e-12
 
 
 def test_nearest_negatives_agnostic_mode_rejected():
@@ -151,4 +158,4 @@ def test_nearest_negatives_agnostic_mode_rejected():
     memory = build_proxies(bank, make_assignment([0, 0, 1, 1]),
                            np.zeros(4, int), AGNOSTIC)
     with pytest.raises(ModeMismatch):
-        nearest_negative_proxies(memory, bank[0], 0, 5)
+        cross_camera_loss_batch(bank[:1], [0], [0], memory, tau=0.07, n_neg=5)
