@@ -20,7 +20,7 @@ from .encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from .evaluation import EvalReport, RetrievalSet, average_precision, diagnostics, evaluate
+from .evaluation import EvalReport, RetrievalSet, average_precision, evaluate
 from .linalg import l2_normalize, normalize_rows, softmax_rows
 from .losses import (
     ConsistencyDistributions,

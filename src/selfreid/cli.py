@@ -4,6 +4,10 @@ Subcommands: generate (synthetic dataset files), train (checkpoints +
 metrics CSV + manifest), eval (retrieval metrics for a checkpoint),
 ablate (loss-term grid in both memory modes) and sweep-eps (cluster
 counts across DBSCAN thresholds on a fixed bank).
+
+train takes one --<key> flag per config key (reporting.config_fields,
+with '_' written '-'). A run's config is the TrainConfig defaults,
+overridden in turn by --from-manifest, --config and the flags.
 """
 
 import argparse
@@ -16,45 +20,48 @@ from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .encoder import init_pair, load_checkpoint
 from .errors import SelfReidError
-from .evaluation import diagnostics
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from .trainer import TrainConfig, evaluate_encoder, extract_bank, train
 
 EPS_GRID = (0.45, 0.5, 0.55, 0.6)
 
+# variant -> loss weights that differ from the defaults
 ABLATION_VARIANTS = (
-    ("baseline", 0.0, 0.0),
-    ("+hard", None, 0.0),
-    ("+soft", 0.0, None),
-    ("+hard+soft", None, None),
+    ("baseline", {"lambda_hard": 0.0, "lambda_soft": 0.0}),
+    ("+hard", {"lambda_soft": 0.0}),
+    ("+soft", {"lambda_hard": 0.0}),
+    ("+hard+soft", {}),
 )
+
+
+# Manifest keys that are not config keys: the run's dataset files.
+MANIFEST_PATHS = ("data", "query", "gallery")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = reporting.config_to_dict(TrainConfig())
-    for key, (ftype, help_text) in reporting.CONFIG_SCHEMA.items():
-        default = reporting.default_seed() if key == "seed" else defaults[key]
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=ftype,
-                            default=None, metavar=ftype.__name__.upper(),
-                            help=f"{help_text} (default: {default})")
+    for key, _, f in reporting.config_fields():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=f.type,
+                            default=None, metavar=f.type.__name__.upper(),
+                            help=f"{f.metadata['help']} (default: {defaults[key]})")
+
+
+def _given_flags(args) -> dict:
+    """Config values given on the command line; absent flags are None."""
+    return {key: getattr(args, key) for key, _, _ in reporting.config_fields()
+            if getattr(args, key, None) is not None}
 
 
 def _resolve_config(args, manifest: dict | None) -> TrainConfig:
-    values = reporting.config_to_dict(TrainConfig())
-    values["seed"] = reporting.default_seed()
+    values = {}
     if manifest:
-        values.update({k: v for k, v in manifest.items()
-                       if k in reporting.CONFIG_SCHEMA})
+        values.update(reporting.config_values(
+            {k: v for k, v in manifest.items() if k not in MANIFEST_PATHS},
+            args.from_manifest))
     if args.config:
-        file_values = reporting.read_keyvalue(args.config)
-        unknown = set(file_values) - set(reporting.CONFIG_SCHEMA)
-        if unknown:
-            raise SelfReidError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-        values.update(file_values)
-    for key in reporting.CONFIG_SCHEMA:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+        values.update(reporting.config_values(reporting.read_keyvalue(args.config),
+                                              args.config))
+    values.update(_given_flags(args))
     return reporting.config_from_dict(values)
 
 
@@ -102,7 +109,6 @@ def cmd_train(args) -> int:
                           checkpoint_dir=out_dir if config.checkpoint_every else None)
     reporting.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), reports)
 
-    cluster_curve, kl_curve = diagnostics(reports)
     final = reports[-1]
     print(f"finished {config.epochs} epochs: {final.cluster_count} clusters, "
           f"{final.outlier_count} outliers, mean total loss "
@@ -111,7 +117,7 @@ def cmd_train(args) -> int:
         ev = final.evaluation
         print(f"momentum-encoder retrieval: mAP {ev.mean_ap:.4f} "
               f"R1 {ev.rank1:.4f} R5 {ev.rank5:.4f} R10 {ev.rank10:.4f}")
-    print(f"cluster counts {cluster_curve[:, 1].astype(int).tolist()}")
+    print(f"cluster counts {[r.cluster_count for r in reports]}")
     return 0
 
 
@@ -139,20 +145,11 @@ def cmd_ablate(args) -> int:
     dataset = load_dataset(args.data)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
-    base = TrainConfig()
-    epochs = args.epochs if args.epochs is not None else base.epochs
-    iters = args.iterations if args.iterations is not None else base.iterations
-    seed = args.seed if args.seed is not None else reporting.default_seed()
-
     rows = []
     for mode in ("aware", "agnostic"):
-        for name, lam_h, lam_s in ABLATION_VARIANTS:
-            config = reporting.config_from_dict({
-                "epochs": epochs, "iterations": iters, "seed": seed,
-                "memory_mode": mode,
-                "lambda_hard": base.weights.hard if lam_h is None else lam_h,
-                "lambda_soft": base.weights.soft if lam_s is None else lam_s,
-            })
+        for name, weights in ABLATION_VARIANTS:
+            config = reporting.config_from_dict(
+                {**_given_flags(args), "memory_mode": mode, **weights})
             pair, reports = train(config, dataset)
             ev = evaluate_encoder(pair, query, gallery)
             rows.append((mode, name, ev.mean_ap, ev.rank1,
@@ -168,7 +165,18 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_eps(args) -> int:
+    try:
+        eps_grid = [float(e) for e in args.eps_grid.split(",")]
+    except ValueError:
+        raise SelfReidError(f"--eps-grid needs comma-separated numbers, "
+                            f"got {args.eps_grid!r}") from None
     dataset = load_dataset(args.data)
+    k1 = min(args.k1, len(dataset) - 1)
+    k2 = min(args.k2, len(dataset) - 1)
+    configs = [ClusterConfig(k1=k1, k2=k2, eps=eps, min_samples=args.min_samples)
+               for eps in eps_grid]
+    for config in configs:  # fail before building the O(n^3) distance matrix
+        config.validate()
     if args.checkpoint:
         pair, _ = load_checkpoint(args.checkpoint)
     else:
@@ -176,15 +184,11 @@ def cmd_sweep_eps(args) -> int:
         rng = np.random.default_rng([args.seed, 0])
         pair = init_pair(dataset.dim, base.hidden_dim, base.out_dim, rng)
     bank = extract_bank(pair, dataset.features)
-    k1 = min(args.k1, len(dataset) - 1)
-    k2 = min(args.k2, len(dataset) - 1)
     dist = jaccard_distance_matrix(bank, k1, k2)
 
-    eps_grid = [float(e) for e in args.eps_grid.split(",")]
     print("eps,n_clusters,n_outliers")
     assignments = []
-    for eps in eps_grid:
-        config = ClusterConfig(k1=k1, k2=k2, eps=eps, min_samples=args.min_samples)
+    for eps, config in zip(eps_grid, configs):
         assignment = dbscan(dist, config)
         assignments.append((eps, assignment))
         print(f"{eps},{assignment.cluster_count},{assignment.outlier_count}")

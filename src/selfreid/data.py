@@ -182,11 +182,19 @@ def load_dataset(path) -> EmbeddingDataset:
             rows.append(vector)
     if not rows:
         raise EmptyDataset(f"{path}: no records")
-    if "dim" in header and int(header["dim"][0]) != len(rows[0]):
-        raise ParseError(f"{path}: header dim {header['dim'][0]} != "
+    declared = {}
+    for key in ("dim", "count"):
+        if key in header:
+            try:
+                declared[key] = int(header[key][0])
+            except ValueError:
+                raise ParseError(f"{path}: header {key} {header[key][0]!r} is not "
+                                 f"an integer") from None
+    if declared.get("dim", len(rows[0])) != len(rows[0]):
+        raise ParseError(f"{path}: header dim {declared['dim']} != "
                          f"record dim {len(rows[0])}")
-    if "count" in header and int(header["count"][0]) != len(rows):
-        raise ParseError(f"{path}: header count {header['count'][0]} != "
+    if declared.get("count", len(rows)) != len(rows):
+        raise ParseError(f"{path}: header count {declared['count']} != "
                          f"{len(rows)} records")
     dataset = EmbeddingDataset(
         sample_ids=np.array(ids, dtype=np.int64),

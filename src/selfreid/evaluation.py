@@ -33,9 +33,6 @@ class EvalReport:
     rank10: float
     excluded_queries: int
 
-    def rank(self, k: int) -> float:
-        return {1: self.rank1, 5: self.rank5, 10: self.rank10}[k]
-
 
 def average_precision(ranked_relevance) -> float:
     """AP of a ranked boolean relevance list: mean of precision-at-hit."""
@@ -79,11 +76,3 @@ def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     return EvalReport(mean_ap=float(np.mean(aps)), rank1=float(cmc[0]),
                       rank5=float(cmc[1]), rank10=float(cmc[2]),
                       excluded_queries=excluded)
-
-
-def diagnostics(reports):
-    """Plottable (epoch, cluster_count) and (epoch, mean_kl) tables."""
-    cluster_curve = np.array([(r.epoch, r.cluster_count) for r in reports],
-                             dtype=np.float64)
-    kl_curve = np.array([(r.epoch, r.mean_kl) for r in reports], dtype=np.float64)
-    return cluster_curve, kl_curve

@@ -13,7 +13,7 @@ only; momentum representations, proxies and target distributions are
 constants. The trainer feeds these gradients back through the encoder.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,11 @@ from .proxies import AWARE, ProxyMemory
 
 @dataclass
 class Temperatures:
-    agnostic: float = 0.5
-    cross: float = 0.07
-    hard: float = 0.1
-    soft: float = 0.4
+    agnostic: float = field(default=0.5,
+                            metadata={"help": "cluster-proxy softmax temperature"})
+    cross: float = field(default=0.07, metadata={"help": "cross-camera proxy temperature"})
+    hard: float = field(default=0.1, metadata={"help": "hard-instance temperature"})
+    soft: float = field(default=0.4, metadata={"help": "consistency temperature"})
 
     def validate(self) -> None:
         for name in ("agnostic", "cross", "hard", "soft"):
@@ -46,8 +47,8 @@ class Temperatures:
 class LossWeights:
     """Weights of the two instance terms; zero disables a term."""
 
-    hard: float = 1.0
-    soft: float = 10.0
+    hard: float = field(default=1.0, metadata={"help": "hard-instance loss weight"})
+    soft: float = field(default=10.0, metadata={"help": "consistency loss weight"})
 
     def validate(self) -> None:
         if self.hard < 0 or self.soft < 0:

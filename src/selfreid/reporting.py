@@ -5,136 +5,74 @@ blank lines ignored). A manifest is just a config dict extended with
 the run's file paths, so re-running from a manifest reproduces the
 metrics CSV byte for byte: floats are serialized with repr, which
 round-trips float64 exactly.
+
+The flat config keys, their types, defaults and help text are read off
+the TrainConfig dataclass fields by config_fields(); nothing here lists
+them again.
 """
 
+import dataclasses
+import functools
 import os
 
 from .errors import ParseError
-from .losses import LossWeights, Temperatures
-from .rerank import ClusterConfig
-from .sampling import BatchSpec, PerturbationConfig
 from .trainer import EpochReport, TrainConfig
-
-SEED_ENV_VAR = "SELFREID_SEED"
 
 METRICS_COLUMNS = ("epoch", "n_clusters", "n_outliers", "L_agnostic", "L_cross",
                    "L_h_ins", "L_s_ins", "L_total", "mean_KL", "mAP",
                    "rank1", "rank5", "rank10")
 
-# key -> (type, short description); order defines file and --help order.
-CONFIG_SCHEMA = {
-    "epochs": (int, "training epochs"),
-    "iterations": (int, "iterations per epoch"),
-    "n_identities": (int, "pseudo identities per batch"),
-    "n_instances": (int, "instances per identity"),
-    "tau_agnostic": (float, "cluster-proxy softmax temperature"),
-    "tau_cross": (float, "cross-camera proxy temperature"),
-    "tau_hard": (float, "hard-instance temperature"),
-    "tau_soft": (float, "consistency temperature"),
-    "lambda_hard": (float, "hard-instance loss weight"),
-    "lambda_soft": (float, "consistency loss weight"),
-    "k1": (int, "reciprocal neighborhood size"),
-    "k2": (int, "local query expansion size"),
-    "eps": (float, "DBSCAN distance threshold"),
-    "min_samples": (int, "DBSCAN minimum cluster size"),
-    "noise_sigma": (float, "augmentation noise scale"),
-    "dropout": (float, "augmentation dropout fraction"),
-    "restyle_prob": (float, "augmentation camera-restyle probability"),
-    "restyle_scale": (float, "augmentation camera-restyle offset scale"),
-    "alpha": (float, "EMA momentum coefficient"),
-    "base_lr": (float, "optimizer learning rate"),
-    "warmup_epochs": (int, "linear warmup epochs"),
-    "weight_decay": (float, "decoupled weight decay"),
-    "memory_mode": (str, "proxy memory mode: aware | agnostic"),
-    "n_neg": (int, "nearest negative proxies in the cross-camera loss"),
-    "hidden_dim": (int, "encoder hidden width"),
-    "out_dim": (int, "embedding dimension"),
-    "seed": (int, "master seed"),
-    "labels_mode": (str, "pseudo | oracle (ground-truth labels)"),
-    "hard_negatives": (str, "denominator variant: all | hardest"),
-    "consistency_variant": (str, "kl_clean | mse | strong_strong"),
-    "checkpoint_every": (int, "checkpoint interval in epochs (0 = off)"),
-    "eval_every": (int, "evaluation interval in epochs (0 = final only)"),
-}
+
+def config_fields(cls=TrainConfig, prefix="", path=()):
+    """Yield (flat key, attribute path, leaf field) for every config leaf.
+
+    Walks the dataclass fields in declaration order. A field whose type
+    is a dataclass is a group: its leaves are flattened under the group's
+    metadata "prefix" (none by default).
+    """
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from config_fields(f.type, prefix + f.metadata.get("prefix", ""),
+                                     path + (f.name,))
+        else:
+            yield prefix + f.name, path + (f.name,), f
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "epochs": cfg.epochs,
-        "iterations": cfg.iterations,
-        "n_identities": cfg.batch.n_identities,
-        "n_instances": cfg.batch.n_instances,
-        "tau_agnostic": cfg.temperatures.agnostic,
-        "tau_cross": cfg.temperatures.cross,
-        "tau_hard": cfg.temperatures.hard,
-        "tau_soft": cfg.temperatures.soft,
-        "lambda_hard": cfg.weights.hard,
-        "lambda_soft": cfg.weights.soft,
-        "k1": cfg.cluster.k1,
-        "k2": cfg.cluster.k2,
-        "eps": cfg.cluster.eps,
-        "min_samples": cfg.cluster.min_samples,
-        "noise_sigma": cfg.perturbation.noise_sigma,
-        "dropout": cfg.perturbation.dropout,
-        "restyle_prob": cfg.perturbation.restyle_prob,
-        "restyle_scale": cfg.perturbation.restyle_scale,
-        "alpha": cfg.alpha,
-        "base_lr": cfg.base_lr,
-        "warmup_epochs": cfg.warmup_epochs,
-        "weight_decay": cfg.weight_decay,
-        "memory_mode": cfg.memory_mode,
-        "n_neg": cfg.n_neg,
-        "hidden_dim": cfg.hidden_dim,
-        "out_dim": cfg.out_dim,
-        "seed": cfg.seed,
-        "labels_mode": cfg.labels_mode,
-        "hard_negatives": cfg.hard_negatives,
-        "consistency_variant": cfg.consistency_variant,
-        "checkpoint_every": cfg.checkpoint_every,
-        "eval_every": cfg.eval_every,
-    }
+    return {key: functools.reduce(getattr, path, cfg) for key, path, _ in config_fields()}
+
+
+def config_values(values: dict, source: str = "") -> dict:
+    """Check the keys of `values` and convert each value to its field type.
+
+    Values go through their text form, so "2.0" (or 2.0) for an int key is
+    rejected rather than truncated. Errors name `source`, the file the
+    values were read from, when given.
+    """
+    where = f"{source}: " if source else ""
+    types = {key: f.type for key, _, f in config_fields()}
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ParseError(f"{where}unknown config keys: {unknown}")
+    typed = {}
+    for key, value in values.items():
+        try:
+            typed[key] = types[key](str(value))
+        except ValueError:
+            raise ParseError(f"{where}config key {key}: expected {types[key].__name__}, "
+                             f"got {value!r}") from None
+    return typed
 
 
 def config_from_dict(values: dict) -> TrainConfig:
-    unknown = set(values) - set(CONFIG_SCHEMA)
-    if unknown:
-        raise ParseError(f"unknown config keys: {sorted(unknown)}")
-    d = {k: CONFIG_SCHEMA[k][0](values[k]) for k in values}
-    base = config_to_dict(TrainConfig())
-    base.update(d)
-    cfg = TrainConfig(
-        epochs=base["epochs"],
-        iterations=base["iterations"],
-        batch=BatchSpec(base["n_identities"], base["n_instances"]),
-        temperatures=Temperatures(base["tau_agnostic"], base["tau_cross"],
-                                  base["tau_hard"], base["tau_soft"]),
-        weights=LossWeights(base["lambda_hard"], base["lambda_soft"]),
-        cluster=ClusterConfig(base["k1"], base["k2"], base["eps"],
-                              base["min_samples"]),
-        perturbation=PerturbationConfig(base["noise_sigma"], base["dropout"],
-                                        base["restyle_prob"], base["restyle_scale"]),
-        alpha=base["alpha"],
-        base_lr=base["base_lr"],
-        warmup_epochs=base["warmup_epochs"],
-        weight_decay=base["weight_decay"],
-        memory_mode=base["memory_mode"],
-        n_neg=base["n_neg"],
-        hidden_dim=base["hidden_dim"],
-        out_dim=base["out_dim"],
-        seed=base["seed"],
-        labels_mode=base["labels_mode"],
-        hard_negatives=base["hard_negatives"],
-        consistency_variant=base["consistency_variant"],
-        checkpoint_every=base["checkpoint_every"],
-        eval_every=base["eval_every"],
-    )
+    """A validated TrainConfig: the defaults overridden by `values`."""
+    typed = config_values(values)
+    cfg = TrainConfig()
+    for key, path, _ in config_fields():
+        if key in typed:
+            setattr(functools.reduce(getattr, path[:-1], cfg), path[-1], typed[key])
     cfg.validate()
     return cfg
-
-
-def default_seed() -> int:
-    """Built-in default seed, overridable via the environment."""
-    return int(os.environ.get(SEED_ENV_VAR, TrainConfig().seed))
 
 
 def _format_value(value) -> str:

@@ -8,7 +8,7 @@ from training for the epoch.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -22,10 +22,10 @@ OUTLIER = -1
 class ClusterConfig:
     """Neighborhood sizes for re-ranking and DBSCAN thresholds."""
 
-    k1: int = 30
-    k2: int = 6
-    eps: float = 0.55
-    min_samples: int = 4
+    k1: int = field(default=30, metadata={"help": "reciprocal neighborhood size"})
+    k2: int = field(default=6, metadata={"help": "local query expansion size"})
+    eps: float = field(default=0.55, metadata={"help": "DBSCAN distance threshold"})
+    min_samples: int = field(default=4, metadata={"help": "DBSCAN minimum cluster size"})
 
     def validate(self) -> None:
         if not (self.k1 >= self.k2 >= 1):

@@ -7,7 +7,7 @@ re-drawn camera-style offset. The encoder re-normalizes afterwards, so
 perturbed rows are intentionally left unnormalized.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,8 @@ class BatchSpec:
     positive, and the instance loss needs at least one negative identity.
     """
 
-    n_identities: int = 8
-    n_instances: int = 4
+    n_identities: int = field(default=8, metadata={"help": "pseudo identities per batch"})
+    n_instances: int = field(default=4, metadata={"help": "instances per identity"})
 
     def validate(self) -> None:
         if self.n_identities < 2 or self.n_instances < 2:
@@ -46,10 +46,12 @@ class IdentityBatch:
 
 @dataclass
 class PerturbationConfig:
-    noise_sigma: float = 0.1
-    dropout: float = 0.15
-    restyle_prob: float = 0.5
-    restyle_scale: float = 1.0
+    noise_sigma: float = field(default=0.1, metadata={"help": "augmentation noise scale"})
+    dropout: float = field(default=0.15, metadata={"help": "augmentation dropout fraction"})
+    restyle_prob: float = field(
+        default=0.5, metadata={"help": "augmentation camera-restyle probability"})
+    restyle_scale: float = field(
+        default=1.0, metadata={"help": "augmentation camera-restyle offset scale"})
 
     def validate(self) -> None:
         if self.noise_sigma < 0:

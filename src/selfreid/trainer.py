@@ -73,27 +73,44 @@ CONSISTENCY_VARIANTS = {
 
 @dataclass
 class TrainConfig:
-    epochs: int = 20
-    iterations: int = 50
+    """Every run setting, grouped by the stage that reads it.
+
+    The fields are the single source of the flat config keys used by
+    config files, manifests and `selfreid train` flags (see reporting):
+    each leaf field's metadata["help"] is its --help text, and a group
+    field's metadata["prefix"] is prepended to its leaves' names (so
+    temperatures.cross is tau_cross). Keys follow declaration order.
+    """
+
+    epochs: int = field(default=20, metadata={"help": "training epochs"})
+    iterations: int = field(default=50, metadata={"help": "iterations per epoch"})
     batch: BatchSpec = field(default_factory=BatchSpec)
-    temperatures: Temperatures = field(default_factory=Temperatures)
-    weights: LossWeights = field(default_factory=LossWeights)
+    temperatures: Temperatures = field(default_factory=Temperatures,
+                                       metadata={"prefix": "tau_"})
+    weights: LossWeights = field(default_factory=LossWeights, metadata={"prefix": "lambda_"})
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
-    alpha: float = 0.999
-    base_lr: float = 0.00035
-    warmup_epochs: int = 10
-    weight_decay: float = 0.0005
-    memory_mode: str = AWARE
-    n_neg: int = 50
-    hidden_dim: int = 128
-    out_dim: int = 32
-    seed: int = 0
-    labels_mode: str = "pseudo"      # "pseudo" | "oracle"
-    hard_negatives: str = "all"      # "all" | "hardest"
-    consistency_variant: str = "kl_clean"
-    checkpoint_every: int = 0
-    eval_every: int = 0
+    alpha: float = field(default=0.999, metadata={"help": "EMA momentum coefficient"})
+    base_lr: float = field(default=0.00035, metadata={"help": "optimizer learning rate"})
+    warmup_epochs: int = field(default=10, metadata={"help": "linear warmup epochs"})
+    weight_decay: float = field(default=0.0005, metadata={"help": "decoupled weight decay"})
+    memory_mode: str = field(default=AWARE,
+                             metadata={"help": "proxy memory mode: aware | agnostic"})
+    n_neg: int = field(default=50, metadata={
+        "help": "nearest negative proxies in the cross-camera loss"})
+    hidden_dim: int = field(default=128, metadata={"help": "encoder hidden width"})
+    out_dim: int = field(default=32, metadata={"help": "embedding dimension"})
+    seed: int = field(default=0, metadata={"help": "master seed"})
+    labels_mode: str = field(default="pseudo",
+                             metadata={"help": "pseudo | oracle (ground-truth labels)"})
+    hard_negatives: str = field(default="all",
+                                metadata={"help": "denominator variant: all | hardest"})
+    consistency_variant: str = field(default="kl_clean",
+                                     metadata={"help": "kl_clean | mse | strong_strong"})
+    checkpoint_every: int = field(default=0, metadata={
+        "help": "checkpoint interval in epochs (0 = off)"})
+    eval_every: int = field(default=0, metadata={
+        "help": "evaluation interval in epochs (0 = final only)"})
 
     def validate(self) -> None:
         if self.epochs < 1 or self.iterations < 0:

@@ -4,6 +4,7 @@ import pytest
 from selfreid import cli
 from selfreid.data import SyntheticSpec, generate_synthetic, save_dataset
 from selfreid.encoder import init_optimizer, init_pair, save_checkpoint
+from selfreid.reporting import METRICS_COLUMNS
 
 
 @pytest.fixture
@@ -17,6 +18,25 @@ def eval_files(tmp_path):
     paths["checkpoint"] = str(tmp_path / "ckpt.npz")
     save_checkpoint(paths["checkpoint"], pair, init_optimizer(pair.online))
     return paths
+
+
+@pytest.fixture
+def train_files(tmp_path):
+    splits = generate_synthetic(SyntheticSpec(n_identities=10, samples_per_cell=4, dim=16))
+    paths = {}
+    for name, split in zip(("data", "query", "gallery"), splits):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        save_dataset(split, paths[name])
+    return paths
+
+
+TINY_RUN = ["--epochs", "2", "--iterations", "3", "--k1", "8", "--k2", "3",
+            "--n-identities", "4"]
+
+
+def run_train(paths, out_dir, *flags):
+    return cli.main(["train", "--data", paths["data"], "--query", paths["query"],
+                     "--gallery", paths["gallery"], "--out-dir", str(out_dir), *flags])
 
 
 def run_eval(paths, checkpoint):
@@ -43,3 +63,47 @@ def test_eval_rejects_non_checkpoint_file(eval_files, capsys):
     assert run_eval(eval_files, eval_files["query"]) == 1
     err = capsys.readouterr().err
     assert eval_files["query"] in err and "not a checkpoint file" in err
+
+
+def test_train_from_manifest_is_byte_identical(train_files, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_train(train_files, first, *TINY_RUN) == 0
+    assert cli.main(["train", "--from-manifest", str(first / "manifest.txt"),
+                     "--out-dir", str(second)]) == 0
+    for name in ("metrics.csv", "manifest.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    final_row = (first / "metrics.csv").read_text().splitlines()[-1].split(",")
+    assert final_row[METRICS_COLUMNS.index("mAP")]
+
+
+def test_train_bad_config_value(train_files, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("iterations = 3\nepochs = 2.0\n")
+    assert run_train(train_files, tmp_path / "run", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "epochs" in err and "'2.0'" in err
+
+
+def test_train_manifest_with_foreign_key(train_files, tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"data = {train_files['data']}\nepochs = 1\nnote = hi\n")
+    assert cli.main(["train", "--from-manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "note" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps-grid", "a,b"], "--eps-grid"),
+    (["--eps-grid", "0.5,1.5"], "eps"),
+    (["--k2", "0"], "k2"),
+    (["--min-samples", "0"], "min_samples"),
+])
+def test_sweep_eps_rejects_bad_input_before_reranking(train_files, monkeypatch, capsys,
+                                                       flags, message):
+    def never(*args):
+        raise AssertionError("distance matrix built before the input was checked")
+
+    monkeypatch.setattr(cli, "jaccard_distance_matrix", never)
+    assert cli.main(["sweep-eps", "--data", train_files["data"], *flags]) == 1
+    assert message in capsys.readouterr().err

@@ -130,3 +130,11 @@ def test_header_count_mismatch_rejected(tmp_path):
     path.write_text("# count 3\n0 1 0 0.5\n1 1 0 0.25\n")
     with pytest.raises(ParseError, match="count"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("header", ["# dim sixteen", "# count 2.0"])
+def test_header_non_integer_rejected(tmp_path, header):
+    path = tmp_path / "header.txt"
+    path.write_text(f"{header}\n0 1 0 0.5\n1 1 0 0.25\n")
+    with pytest.raises(ParseError, match=f"header.txt: header {header.split()[1]} "):
+        load_dataset(path)

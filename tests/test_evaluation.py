@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from selfreid.errors import EmptyEvaluation, NoRelevantItems
-from selfreid.evaluation import RetrievalSet, average_precision, diagnostics, evaluate
+from selfreid.evaluation import RetrievalSet, average_precision, evaluate
 from selfreid.linalg import normalize_rows
-from selfreid.trainer import EpochReport
 
 from oracles import evaluation_oracle
 
@@ -121,23 +120,3 @@ def test_rank_k_monotone():
                       RetrievalSet(g_emb, g_ids, np.ones(40, int)))
     assert report.rank1 <= report.rank5 <= report.rank10 <= 1.0
 
-
-def make_report(epoch, clusters, kl):
-    return EpochReport(epoch=epoch, cluster_count=clusters, outlier_count=0,
-                       mean_agnostic=0, mean_cross=0, mean_hard=0, mean_soft=0,
-                       mean_total=0, mean_kl=kl, wall_time=0.0)
-
-
-def test_diagnostics_tables():
-    reports = [make_report(0, 30, 0.5), make_report(1, 25, 0.4),
-               make_report(2, 21, 0.35)]
-    clusters, kl = diagnostics(reports)
-    np.testing.assert_array_equal(clusters[:, 0], [0, 1, 2])
-    np.testing.assert_array_equal(clusters[:, 1], [30, 25, 21])
-    np.testing.assert_allclose(kl[:, 1], [0.5, 0.4, 0.35])
-
-
-def test_diagnostics_single_epoch():
-    clusters, kl = diagnostics([make_report(0, 10, 0.2)])
-    assert clusters.shape == (1, 2)
-    assert kl.shape == (1, 2)
