@@ -39,8 +39,9 @@ class Temperatures:
 
     def validate(self) -> None:
         for name in ("agnostic", "cross", "hard", "soft"):
-            if getattr(self, name) <= 0:
-                raise SelfReidError(f"temperature {name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0):
+                raise SelfReidError(f"temperature tau_{name} must be > 0, got {value}")
 
 
 @dataclass
@@ -51,8 +52,10 @@ class LossWeights:
     soft: float = field(default=10.0, metadata={"help": "consistency loss weight"})
 
     def validate(self) -> None:
-        if self.hard < 0 or self.soft < 0:
-            raise SelfReidError("loss weights must be >= 0")
+        for name in ("hard", "soft"):
+            value = getattr(self, name)
+            if not (value >= 0):
+                raise SelfReidError(f"loss weight lambda_{name} must be >= 0, got {value}")
 
 
 @dataclass

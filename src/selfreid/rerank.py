@@ -51,9 +51,6 @@ class ClusterAssignment:
     def outlier_count(self) -> int:
         return int(np.sum(self.labels == OUTLIER))
 
-    def inlier_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels != OUTLIER)
-
     def members_of(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster_id)
 

@@ -32,10 +32,6 @@ class BatchSpec:
                 f"need n_identities >= 2 and n_instances >= 2, got "
                 f"({self.n_identities}, {self.n_instances})")
 
-    @property
-    def size(self) -> int:
-        return self.n_identities * self.n_instances
-
 
 @dataclass
 class IdentityBatch:
@@ -54,12 +50,14 @@ class PerturbationConfig:
         default=1.0, metadata={"help": "augmentation camera-restyle offset scale"})
 
     def validate(self) -> None:
-        if self.noise_sigma < 0:
+        if not (self.noise_sigma >= 0):
             raise SelfReidError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.dropout < 1.0):
             raise SelfReidError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (0.0 <= self.restyle_prob <= 1.0):
             raise SelfReidError(f"restyle_prob must be in [0, 1], got {self.restyle_prob}")
+        if not (self.restyle_scale >= 0):
+            raise SelfReidError(f"restyle_scale must be >= 0, got {self.restyle_scale}")
 
     @property
     def is_identity(self) -> bool:
@@ -82,16 +80,11 @@ def sample_pk_batch(assignment: ClusterAssignment, cameras: np.ndarray,
             f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
-    indices = []
-    labels = []
-    for label in chosen:
-        members = assignment.members_of(int(label))
-        replace = members.size < spec.n_instances
-        picks = rng.choice(members, size=spec.n_instances, replace=replace)
-        indices.extend(int(i) for i in picks)
-        labels.extend([int(label)] * spec.n_instances)
-    indices = np.array(indices, dtype=np.int64)
-    return IdentityBatch(indices=indices, labels=np.array(labels, dtype=np.int64),
+    members = [assignment.members_of(int(label)) for label in chosen]
+    indices = np.concatenate([
+        rng.choice(m, size=spec.n_instances, replace=m.size < spec.n_instances)
+        for m in members])
+    return IdentityBatch(indices=indices, labels=np.repeat(chosen, spec.n_instances),
                          cameras=cameras[indices])
 
 
@@ -137,11 +130,11 @@ def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
             n_cams = len(camera_offsets)
             # shift each selected row to a uniformly drawn other camera
             targets = rng.integers(0, n_cams - 1, size=n)
-            for i in np.flatnonzero(restyle):
-                own = int(cameras[i])
-                other = int(targets[i]) + (targets[i] >= own)
-                out[i] += config.restyle_scale * (camera_offsets[other]
-                                                  - camera_offsets[own])
+            rows = np.flatnonzero(restyle)
+            own = np.asarray(cameras, dtype=np.int64)[rows]
+            other = targets[rows] + (targets[rows] >= own)
+            out[rows] += config.restyle_scale * (camera_offsets[other]
+                                                 - camera_offsets[own])
         else:
             directions = rng.normal(size=(n, d))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)

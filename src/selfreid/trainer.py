@@ -23,6 +23,7 @@ from .encoder import (
     EncoderPair,
     OptimizerState,
     backward,
+    effective_lr,
     ema_update,
     forward,
     init_optimizer,
@@ -129,6 +130,9 @@ class TrainConfig:
                                 f"({self.hidden_dim}, {self.out_dim})")
         if not 0.0 <= self.alpha <= 1.0:
             raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
+        for name in ("base_lr", "weight_decay", "warmup_epochs"):
+            if not (getattr(self, name) >= 0):
+                raise SelfReidError(f"need {name} >= 0, got {getattr(self, name)}")
         if self.labels_mode not in ("pseudo", "oracle"):
             raise SelfReidError(f"unknown labels_mode {self.labels_mode!r}")
         if self.hard_negatives not in ("all", "hardest"):
@@ -169,7 +173,7 @@ class TrainState:
 
 def extract_bank(pair: EncoderPair, features: np.ndarray) -> np.ndarray:
     """Momentum-encoder representations of all samples, dataset order."""
-    return forward(pair.momentum, features)
+    return forward(pair.momentum, features).out
 
 
 def oracle_assignment(dataset: EmbeddingDataset) -> ClusterAssignment:
@@ -190,9 +194,10 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
                         cameras=batch.cameras,
                         camera_offsets=state.camera_offsets)
 
-    feats = forward(state.pair.online, perturbed)
-    momentum_aug = forward(state.pair.momentum, perturbed)
-    momentum_clean = forward(state.pair.momentum, raw)
+    online = forward(state.pair.online, perturbed)
+    feats = online.out
+    momentum_aug = forward(state.pair.momentum, perturbed).out
+    momentum_clean = forward(state.pair.momentum, raw).out
 
     agnostic = proxy_agnostic_loss(feats, batch.labels,
                                    state.memory.cluster_vectors,
@@ -211,9 +216,11 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
     soft = soft_consistency_loss(dists, divergence=divergence)
     breakdown = total_loss(agnostic, cross, hard, soft, cfg.weights)
 
-    grads = backward(state.pair.online, perturbed, breakdown.grads)
-    optimizer_step(state.opt, state.pair.online, grads, state.epoch)
-    ema_update(state.pair)
+    grads = backward(state.pair.online, online, breakdown.grads)
+    optimizer_step(state.opt, state.pair.online, grads,
+                   effective_lr(cfg.base_lr, cfg.warmup_epochs, state.epoch),
+                   cfg.weight_decay)
+    ema_update(state.pair, cfg.alpha)
     state.iteration += 1
     return breakdown, kl_value(dists)
 
@@ -221,9 +228,9 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
 def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
                      gallery: EmbeddingDataset) -> EvalReport:
     """Retrieval metrics of the momentum encoder (the inference model)."""
-    q = RetrievalSet(forward(pair.momentum, query.features),
+    q = RetrievalSet(forward(pair.momentum, query.features).out,
                      query.identities, query.cameras)
-    g = RetrievalSet(forward(pair.momentum, gallery.features),
+    g = RetrievalSet(forward(pair.momentum, gallery.features).out,
                      gallery.identities, gallery.cameras)
     return evaluate(q, g)
 
@@ -241,11 +248,8 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
     config.validate()
     dataset.validate()
     rng = np.random.default_rng([config.seed, _SEED_INIT])
-    pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng,
-                     alpha=config.alpha)
-    opt = init_optimizer(pair.online, base_lr=config.base_lr,
-                         warmup_epochs=config.warmup_epochs,
-                         weight_decay=config.weight_decay)
+    pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng)
+    opt = init_optimizer(pair.online)
     state = TrainState(config=config, dataset=dataset, pair=pair, opt=opt,
                        camera_offsets=estimate_camera_offsets(dataset.features,
                                                               dataset.cameras))

@@ -96,7 +96,7 @@ def scalar_forward(params, batch: np.ndarray) -> np.ndarray:
             z = float(params.b1[j])
             for i in range(batch.shape[1]):
                 z += float(batch[r, i]) * float(params.w1[i, j])
-            a1.append(math.tanh(z) if params.activation == "tanh" else z)
+            a1.append(math.tanh(z))
         z2 = []
         for k in range(d_out):
             z = float(params.b2[k])
@@ -248,3 +248,17 @@ def evaluation_oracle(q_emb, q_ids, q_cams, g_emb, g_ids, g_cams, ranks=(1, 5, 1
     mean_ap = sum(aps) / len(aps)
     cmc = [sum(h[i] for h in hits) / len(hits) for i in range(len(ranks))]
     return mean_ap, cmc, excluded
+
+
+def write_version_1_checkpoint(path, d_in=6, hidden=5, d_out=4):
+    """A checkpoint in the version-1 layout: the four weight tables plus
+    `activation` and the 8-value `scalars` array (alpha, step, base_lr,
+    warmup_epochs, weight_decay, beta1, beta2, eps)."""
+    shapes = {"w1": (d_in, hidden), "b1": (hidden,), "w2": (hidden, d_out), "b2": (d_out,)}
+    tables = {f"{table}_{f}": np.zeros(shape)
+              for table in ("online", "momentum", "opt_m", "opt_v")
+              for f, shape in shapes.items()}
+    np.savez(path, version=np.array(1), activation=np.array("tanh"),
+             scalars=np.array([0.999, 0, 0.00035, 10, 0.0005, 0.9, 0.999, 1e-8]),
+             **tables)
+    return path

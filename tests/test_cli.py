@@ -6,6 +6,8 @@ from selfreid.data import SyntheticSpec, generate_synthetic, save_dataset
 from selfreid.encoder import init_optimizer, init_pair, save_checkpoint
 from selfreid.reporting import METRICS_COLUMNS
 
+from oracles import write_version_1_checkpoint
+
 
 @pytest.fixture
 def eval_files(tmp_path):
@@ -57,6 +59,13 @@ def test_eval_checkpoint_missing_key(eval_files, tmp_path, capsys):
     assert run_eval(eval_files, broken) == 1
     err = capsys.readouterr().err
     assert broken in err and "missing momentum_w1" in err
+
+
+def test_eval_rejects_version_1_checkpoint(eval_files, tmp_path, capsys):
+    old = str(write_version_1_checkpoint(tmp_path / "v1.npz", d_in=8, hidden=6))
+    assert run_eval(eval_files, old) == 1
+    err = capsys.readouterr().err
+    assert old in err and "checkpoint version 1" in err
 
 
 def test_eval_rejects_non_checkpoint_file(eval_files, capsys):

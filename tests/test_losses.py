@@ -357,7 +357,7 @@ def test_consistency_p_equals_q_without_perturbation():
     rng = np.random.default_rng(5)
     params = init_params(5, 4, 3, rng)
     batch = rng.normal(size=(6, 5))
-    out = forward(params, batch)  # same weights, same inputs for all roles
+    out = forward(params, batch).out  # same weights, same inputs for all roles
     dists = consistency_distributions(out, out, out, tau=0.4)
     np.testing.assert_allclose(dists.p, dists.q, atol=1e-9)
     value, grads = soft_consistency_loss(dists)
@@ -537,12 +537,13 @@ def test_encoder_loss_composition_gradients(seed):
                                                0.07, 4))
         return out
 
-    for loss_index in range(len(losses(forward(params, batch)))):
+    fwd = forward(params, batch)
+    for loss_index in range(len(losses(fwd.out))):
         def objective(_):
-            return losses(forward(params, batch))[loss_index][0]
+            return losses(forward(params, batch).out)[loss_index][0]
 
-        _, grad_f = losses(forward(params, batch))[loss_index]
-        analytic = backward(params, batch, grad_f)
+        _, grad_f = losses(fwd.out)[loss_index]
+        analytic = backward(params, fwd, grad_f)
         for fname in PARAM_FIELDS:
             fd = finite_difference(objective, getattr(params, fname))
             assert max_rel_err(getattr(analytic, fname), fd) < 1e-4, \

@@ -4,11 +4,24 @@ import numpy as np
 import pytest
 
 from selfreid.data import SyntheticSpec, generate_synthetic
+from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import SelfReidError, TrainingAborted
-from selfreid.rerank import ClusterConfig
+from selfreid.linalg import normalize_rows
+from selfreid.losses import (
+    consistency_distributions,
+    cross_camera_loss_batch,
+    hard_instance_loss,
+    proxy_agnostic_loss,
+    soft_consistency_loss,
+    total_loss,
+)
+from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
+from selfreid.rerank import ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
 from selfreid.sampling import BatchSpec
-from selfreid.trainer import MAX_FAILED_EPOCHS, TrainConfig, train
+from selfreid.trainer import CONSISTENCY_VARIANTS, MAX_FAILED_EPOCHS, TrainConfig, train
+
+from oracles import finite_difference, max_rel_err
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +85,68 @@ def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
     ("out_dim", 0),
     ("alpha", -0.1),
     ("alpha", 1.5),
+    ("alpha", float("nan")),
+    ("tau_agnostic", float("nan")),
+    ("tau_cross", float("nan")),
+    ("tau_hard", float("nan")),
+    ("tau_soft", float("nan")),
+    ("lambda_hard", float("nan")),
+    ("lambda_soft", float("nan")),
+    ("base_lr", float("nan")),
+    ("base_lr", -1.0),
+    ("weight_decay", float("nan")),
+    ("weight_decay", -0.1),
+    ("restyle_scale", float("nan")),
+    ("restyle_scale", -1.0),
+    ("noise_sigma", float("nan")),
+    ("warmup_epochs", -1),
 ])
 def test_config_rejects_invalid_field(key, value):
     with pytest.raises(SelfReidError, match=key):
         config_from_dict({key: value})
+
+
+def test_warmup_epochs_zero_is_valid():
+    assert config_from_dict({"warmup_epochs": 0}).warmup_epochs == 0
+
+
+@pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
+def test_step_gradient_matches_finite_differences(mode):
+    """The loss a training step minimises, assembled as train_iteration does
+    it, backpropagated through the online encoder, against finite
+    differences of its total; momentum outputs and proxies held fixed."""
+    cfg = TrainConfig(memory_mode=mode)
+    rng = np.random.default_rng(7)
+    params = init_params(5, 4, 3, rng)
+    batch = rng.normal(size=(8, 5))
+    labels = np.repeat(np.arange(4), 2)
+    cameras = rng.integers(0, 3, size=8)
+    bank_labels = np.repeat(np.arange(5), 3)
+    memory = build_proxies(normalize_rows(rng.normal(size=(15, 3))),
+                           ClusterAssignment(bank_labels, 5), np.tile(np.arange(3), 5), mode)
+    momentum_aug = normalize_rows(rng.normal(size=(8, 3)))
+    momentum_clean = normalize_rows(rng.normal(size=(8, 3)))
+    tau = cfg.temperatures
+    targets, divergence = CONSISTENCY_VARIANTS[cfg.consistency_variant]
+
+    def step_loss(feats):
+        agnostic = proxy_agnostic_loss(feats, labels, memory.cluster_vectors, tau.agnostic)
+        if mode == AWARE:
+            cross = cross_camera_loss_batch(feats, cameras, labels, memory, tau.cross,
+                                            cfg.n_neg)
+        else:
+            cross = (0.0, np.zeros_like(feats))
+        hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard, cfg.hard_negatives)
+        dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft,
+                                          targets=targets)
+        return total_loss(agnostic, cross, hard,
+                          soft_consistency_loss(dists, divergence=divergence), cfg.weights)
+
+    fwd = forward(params, batch)
+    breakdown = step_loss(fwd.out)
+    assert (breakdown.cross != 0.0) == (mode == AWARE)
+    analytic = backward(params, fwd, breakdown.grads)
+    for name in PARAM_FIELDS:
+        fd = finite_difference(lambda _: step_loss(forward(params, batch).out).total,
+                               getattr(params, name))
+        assert max_rel_err(getattr(analytic, name), fd) < 1e-5, name
