@@ -175,7 +175,7 @@ def cmd_sweep_eps(args) -> int:
     k2 = min(args.k2, len(dataset) - 1)
     configs = [ClusterConfig(k1=k1, k2=k2, eps=eps, min_samples=args.min_samples)
                for eps in eps_grid]
-    for config in configs:  # fail before building the O(n^3) distance matrix
+    for config in configs:  # fail before building the n x n distance matrix
         config.validate()
     if args.checkpoint:
         pair, _ = load_checkpoint(args.checkpoint)

@@ -212,11 +212,20 @@ def save_checkpoint(path, pair: EncoderPair, opt: OptimizerState) -> None:
              **arrays)
 
 
+def _integer(path, data, key) -> int:
+    """A checkpoint's integer scalar `key`; anything else is a SelfReidError."""
+    value = data[key]
+    if value.shape != () or value.dtype.kind not in "iu":
+        raise SelfReidError(f"{path}: checkpoint {key} must be an integer, "
+                            f"got {value.tolist()!r}")
+    return int(value)
+
+
 def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
     """Read a version-2 checkpoint (keys as in save_checkpoint).
 
-    An unreadable file, another checkpoint version or a missing key is a
-    SelfReidError naming the path.
+    An unreadable file, another checkpoint version, a version or step that
+    is not an integer, or a missing key is a SelfReidError naming the path.
     """
     with open(path, "rb") as fh:
         try:
@@ -226,7 +235,8 @@ def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise SelfReidError(f"{path}: not a checkpoint file (holds a single array)")
         with data:
-            version = int(data["version"]) if "version" in data.files else CHECKPOINT_VERSION
+            version = (_integer(path, data, "version") if "version" in data.files
+                       else CHECKPOINT_VERSION)
             if version != CHECKPOINT_VERSION:
                 raise SelfReidError(
                     f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}; "
@@ -241,5 +251,5 @@ def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
 
             pair = EncoderPair(online=params("online"), momentum=params("momentum"))
             opt = OptimizerState(m=params("opt_m"), v=params("opt_v"),
-                                 step=int(data["step"]))
+                                 step=_integer(path, data, "step"))
     return pair, opt

@@ -5,13 +5,19 @@ expanded reciprocal-neighbor weight vectors, computed on the momentum
 representations. DBSCAN then runs directly on that precomputed matrix;
 samples that no cluster reaches are marked as outliers and excluded
 from training for the epoch.
+
+Neighbor lists, reciprocal and expanded sets and the weight vectors are
+sparse, with O(n) entries for fixed k1 and k2, so re-ranking and DBSCAN
+take O(n^2) time and memory. The Jaccard distances are still returned
+as a dense n x n matrix, which `dbscan`, `selfreid sweep-eps --dump` and
+the tests read.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InsufficientSamples, InvalidDistanceMatrix, SelfReidError
 
@@ -55,27 +61,47 @@ class ClusterAssignment:
         return np.flatnonzero(self.labels == cluster_id)
 
 
-def _reciprocal_membership(order: np.ndarray, k: int) -> np.ndarray:
-    """Boolean matrix R[p, q] = q in kNN(p, k) and p in kNN(q, k).
+def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest columns in (distance, index) order, as (n, k).
 
-    Neighbor lists include the point itself: its self-distance is zero,
-    so it always ranks first.
+    Equal to `np.argsort(dist, axis=1, kind="stable")[:, :k]` without the
+    full sort: every entry at or below the row's k-th smallest value is a
+    candidate (so ties at the boundary are all kept), and the candidates
+    are sorted by (row, distance, column).
     """
-    n = order.shape[0]
-    nbr = np.zeros((n, n), dtype=bool)
-    nbr[np.arange(n)[:, None], order[:, :k]] = True
-    return nbr & nbr.T
+    n = dist.shape[0]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(dist <= kth[:, None])
+    by_row = np.lexsort((cols, dist[rows, cols], rows))
+    rows, cols = rows[by_row], cols[by_row]
+    starts = np.searchsorted(rows, np.arange(n))
+    rank = np.arange(len(rows)) - starts[rows]
+    return cols[rank < k].reshape(n, k)
+
+
+def _indicator(columns: np.ndarray) -> csr_array:
+    """n x n 0/1 matrix with ones at (p, columns[p, i]), stored in that order."""
+    n, k = columns.shape
+    indptr = np.arange(0, columns.size + 1, k)
+    return csr_array((np.ones(columns.size), columns.ravel(), indptr), shape=(n, n))
 
 
 def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
     """k-reciprocal Jaccard distance matrix over unit-norm feature rows.
 
-    Steps: (1) original distance = 1 - cosine; (2) reciprocal sets at k1;
-    (3) expansion by half-size reciprocal sets of candidates whose set
-    overlaps the anchor's by at least two thirds; (4) weight vectors
-    exp(-distance) on the expanded set; (5) local query expansion over
-    each sample's k2 nearest neighbors; (6) pairwise Jaccard distance of
-    the weight vectors.
+    Steps: (1) original distance = 1 - cosine; (2) reciprocal sets at k1,
+    R = N * N^T for the k1-nearest-neighbor indicator N; (3) expansion by
+    the half-size reciprocal sets H of candidates whose set overlaps the
+    anchor's by at least two thirds; (4) weight vectors exp(-distance) on
+    the expanded set; (5) local query expansion, averaging the weight
+    vectors of each sample's k2 nearest neighbors; (6) pairwise Jaccard
+    distance 1 - sum(min) / sum(max) of the weight vectors.
+
+    Steps 2-5 use sparse matrices with O(n * k1) entries. Step 6 walks the
+    weight vectors column by column (an inverted index) and adds
+    min(v_p, v_q) for every pair of rows sharing the column, so pairs with
+    no common support stay at distance 1. The result is dense because
+    `dbscan` and the callers of this function read the whole matrix.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -84,76 +110,102 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
     if k1 >= n or k2 >= n:
         raise InsufficientSamples(f"k1={k1}, k2={k2} must be < n={n}")
 
-    dist = 1.0 - features @ features.T
+    dist = features @ features.T
+    np.subtract(1.0, dist, out=dist)
     np.fill_diagonal(dist, 0.0)
-    order = np.argsort(dist, axis=1, kind="stable")
+    # Neighbor lists include the point itself: its self-distance is zero,
+    # so only exact duplicates with a lower index rank before it. The
+    # k1 // 2 and k2 lists are prefixes of the k1 list.
+    order = _nearest_neighbors(dist, k1)
 
-    recip_full = _reciprocal_membership(order, k1)
-    recip_half = _reciprocal_membership(order, max(k1 // 2, 1))
+    full = _indicator(order)
+    recip_full = full.multiply(full.T)
+    half = _indicator(order[:, :max(k1 // 2, 1)])
+    recip_half = half.multiply(half.T)
 
     # Expanded sets: adopt a candidate's half-size reciprocal set when it
     # overlaps the anchor's full set by >= 2/3. Counts are small integers,
     # exact in float64, so the comparison is exact.
-    full_f = recip_full.astype(np.float64)
-    half_f = recip_half.astype(np.float64)
-    half_sizes = recip_half.sum(axis=1)
-    overlap = full_f @ half_f.T  # overlap[p, q] = |full(p) & half(q)|
-    adopt = recip_full & (3.0 * overlap >= 2.0 * half_sizes[None, :])
-    expanded = recip_full | ((adopt.astype(np.float64) @ half_f) > 0.0)
+    half_sizes = np.diff(recip_half.indptr)
+    overlap = (recip_full @ recip_half.T).multiply(recip_full).tocoo()
+    adopted = 3.0 * overlap.data >= 2.0 * half_sizes[overlap.col]
+    adopt = csr_array((np.ones(int(adopted.sum())),
+                       (overlap.row[adopted], overlap.col[adopted])), shape=(n, n))
+    expanded = recip_full + adopt @ recip_half
+    expanded.sum_duplicates()  # one weight per (row, column)
 
-    weights = np.where(expanded, np.exp(-dist), 0.0)
+    rows = np.repeat(np.arange(n), np.diff(expanded.indptr))
+    weights = csr_array((np.exp(-dist[rows, expanded.indices]), expanded.indices,
+                         expanded.indptr), shape=(n, n))
+    del dist  # frees n x n floats before min_sum is allocated
 
     # Local query expansion: average each weight vector over the sample's
-    # k2 nearest neighbors (self included).
-    weights = weights[order[:, :k2]].mean(axis=1)
+    # k2 nearest neighbors (self included), summed in neighbor order.
+    weights = (_indicator(order[:, :k2]) @ weights).tocsc()
+    weights.data /= k2
+    row_sums = np.bincount(weights.indices, weights.data, minlength=n)
 
-    # Jaccard via sum-min/sum-max; min(a,b) = (a + b - |a - b|) / 2.
-    row_sums = weights.sum(axis=1)
-    l1 = cdist(weights, weights, metric="cityblock")
-    total = row_sums[:, None] + row_sums[None, :]
-    min_sum = 0.5 * (total - l1)
-    max_sum = 0.5 * (total + l1)
-    jaccard = 1.0 - min_sum / max_sum
+    # Inverted index: the rows holding a column are the pairs that share
+    # it. Going column by column bounds the temporaries by one column's
+    # pairs; all columns together hold ~10^7 pairs at n = 1920.
+    min_sum = np.zeros((n, n))
+    flat = min_sum.ravel()
+    for col in range(n):
+        span = slice(weights.indptr[col], weights.indptr[col + 1])
+        members = weights.indices[span].astype(np.int64)
+        values = weights.data[span]
+        pairs = (members[:, None] * n + members).ravel()
+        flat[pairs] += np.minimum.outer(values, values).ravel()
+
+    max_sum = row_sums[:, None] + row_sums[None, :]
+    max_sum -= min_sum
+    jaccard = np.divide(min_sum, max_sum, out=min_sum)
+    np.subtract(1.0, jaccard, out=jaccard)
     np.fill_diagonal(jaccard, 0.0)
-    return np.clip(jaccard, 0.0, 1.0)
+    return np.clip(jaccard, 0.0, 1.0, out=jaccard)
 
 
 def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     """DBSCAN over a precomputed distance matrix.
 
     Core points have at least min_samples points (themselves included)
-    within eps. Points are visited in index order; border points attach
-    to the first core cluster that reaches them, which makes the output
-    deterministic.
+    within eps. Clusters are the connected components of the core points
+    joined by within-eps links, numbered by their lowest core index. Each
+    border point takes the lowest cluster id among the core points within
+    eps of it, so the output does not depend on a visiting order.
     """
     config.validate()
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     if dist.ndim != 2 or dist.shape[1] != n:
         raise InvalidDistanceMatrix(f"expected square matrix, got {dist.shape}")
-    if not np.allclose(dist, dist.T, atol=1e-12) or np.any(np.abs(np.diag(dist)) > 1e-12):
+    # An exactly symmetric matrix, such as jaccard_distance_matrix returns,
+    # skips the slower tolerance check.
+    symmetric = np.array_equal(dist, dist.T) or np.allclose(dist, dist.T, atol=1e-12)
+    if not symmetric or np.any(np.abs(np.diag(dist)) > 1e-12):
         raise InvalidDistanceMatrix("matrix must be symmetric with zero diagonal")
 
-    within = dist <= config.eps
-    core = within.sum(axis=1) >= config.min_samples
-
+    rows, cols = np.nonzero(dist <= config.eps)  # sorted by row
+    core = np.bincount(rows, minlength=n) >= config.min_samples
+    cores = np.flatnonzero(core)
+    links = core[rows] & core[cols]
+    graph = csr_array((np.ones(int(links.sum())), (rows[links], cols[links])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    # Number the core components by first appearance, i.e. lowest core index.
+    component = component[cores]
+    _, first = np.unique(component, return_index=True)
+    cluster_count = len(first)
+    renumber = np.empty(n, dtype=np.int64)
+    renumber[component[np.sort(first)]] = np.arange(cluster_count)
     labels = np.full(n, OUTLIER, dtype=np.int64)
-    cluster_id = 0
-    for start in range(n):
-        if not core[start] or labels[start] != OUTLIER:
-            continue
-        labels[start] = cluster_id
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for q in np.flatnonzero(within[p]):
-                if labels[q] != OUTLIER:
-                    continue
-                labels[q] = cluster_id
-                if core[q]:
-                    queue.append(q)
-        cluster_id += 1
-    return ClusterAssignment(labels=labels, cluster_count=cluster_id)
+    labels[cores] = renumber[component]
+
+    border = ~core[rows] & core[cols]
+    rows, cols = rows[border], cols[border]
+    if len(rows):
+        reached, starts = np.unique(rows, return_index=True)
+        labels[reached] = np.minimum.reduceat(labels[cols], starts)
+    return ClusterAssignment(labels=labels, cluster_count=cluster_count)
 
 
 def generate_pseudo_labels(momentum_bank: np.ndarray,

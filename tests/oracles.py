@@ -1,13 +1,18 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately slow and literal: python sets, dicts
-and per-element loops, no shared code with the package internals.
+and per-element loops, no shared code with the package internals. The
+exception is `dense_jaccard`, dense array code that is fast enough for
+a few hundred samples.
 """
 
 import math
 from collections import defaultdict
 
 import numpy as np
+from scipy.spatial.distance import cdist
+
+from selfreid.errors import InsufficientSamples
 
 
 def max_rel_err(actual: np.ndarray, reference: np.ndarray) -> float:
@@ -154,6 +159,72 @@ def jaccard_oracle(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
                           for q in keys)
             jaccard[i, j] = 1.0 - min_sum / max_sum
     return jaccard
+
+
+def _reciprocal_membership(order: np.ndarray, k: int) -> np.ndarray:
+    """Boolean matrix R[p, q] = q in kNN(p, k) and p in kNN(q, k).
+
+    Neighbor lists include the point itself: its self-distance is zero,
+    so it always ranks first.
+    """
+    n = order.shape[0]
+    nbr = np.zeros((n, n), dtype=bool)
+    nbr[np.arange(n)[:, None], order[:, :k]] = True
+    return nbr & nbr.T
+
+
+def dense_jaccard(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    """Dense k-reciprocal Jaccard distance matrix in O(n^3): n x n indicator
+    products, an n x k2 x n expansion and `cdist` over the weight rows. It
+    checks the sparse `jaccard_distance_matrix` on banks too large for
+    `jaccard_oracle`.
+
+    Steps: (1) original distance = 1 - cosine; (2) reciprocal sets at k1;
+    (3) expansion by half-size reciprocal sets of candidates whose set
+    overlaps the anchor's by at least two thirds; (4) weight vectors
+    exp(-distance) on the expanded set; (5) local query expansion over
+    each sample's k2 nearest neighbors; (6) pairwise Jaccard distance of
+    the weight vectors.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    if n < 2:
+        raise InsufficientSamples(f"need at least 2 samples, got {n}")
+    if k1 >= n or k2 >= n:
+        raise InsufficientSamples(f"k1={k1}, k2={k2} must be < n={n}")
+
+    dist = 1.0 - features @ features.T
+    np.fill_diagonal(dist, 0.0)
+    order = np.argsort(dist, axis=1, kind="stable")
+
+    recip_full = _reciprocal_membership(order, k1)
+    recip_half = _reciprocal_membership(order, max(k1 // 2, 1))
+
+    # Expanded sets: adopt a candidate's half-size reciprocal set when it
+    # overlaps the anchor's full set by >= 2/3. Counts are small integers,
+    # exact in float64, so the comparison is exact.
+    full_f = recip_full.astype(np.float64)
+    half_f = recip_half.astype(np.float64)
+    half_sizes = recip_half.sum(axis=1)
+    overlap = full_f @ half_f.T  # overlap[p, q] = |full(p) & half(q)|
+    adopt = recip_full & (3.0 * overlap >= 2.0 * half_sizes[None, :])
+    expanded = recip_full | ((adopt.astype(np.float64) @ half_f) > 0.0)
+
+    weights = np.where(expanded, np.exp(-dist), 0.0)
+
+    # Local query expansion: average each weight vector over the sample's
+    # k2 nearest neighbors (self included).
+    weights = weights[order[:, :k2]].mean(axis=1)
+
+    # Jaccard via sum-min/sum-max; min(a,b) = (a + b - |a - b|) / 2.
+    row_sums = weights.sum(axis=1)
+    l1 = cdist(weights, weights, metric="cityblock")
+    total = row_sums[:, None] + row_sums[None, :]
+    min_sum = 0.5 * (total - l1)
+    max_sum = 0.5 * (total + l1)
+    jaccard = 1.0 - min_sum / max_sum
+    np.fill_diagonal(jaccard, 0.0)
+    return np.clip(jaccard, 0.0, 1.0)
 
 
 def dbscan_oracle(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:

@@ -68,6 +68,14 @@ def test_eval_rejects_version_1_checkpoint(eval_files, tmp_path, capsys):
     assert old in err and "checkpoint version 1" in err
 
 
+def test_eval_rejects_non_integer_checkpoint_version(eval_files, tmp_path, capsys):
+    bad = str(tmp_path / "bad.npz")
+    np.savez(bad, version=np.array("two"))
+    assert run_eval(eval_files, bad) == 1
+    err = capsys.readouterr().err
+    assert bad in err and "version must be an integer, got 'two'" in err
+
+
 def test_eval_rejects_non_checkpoint_file(eval_files, capsys):
     assert run_eval(eval_files, eval_files["query"]) == 1
     err = capsys.readouterr().err

@@ -233,3 +233,20 @@ def test_load_checkpoint_rejects_version_1(tmp_path):
     with pytest.raises(SelfReidError, match="version 1") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and "--from-manifest" in str(info.value)
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("version", np.array("two"), "'two'"),
+    ("version", np.array([2, 2]), "[2, 2]"),
+    ("step", np.array(1.5), "1.5"),
+])
+def test_load_checkpoint_rejects_non_integer_version_and_step(tmp_path, key, value, shown):
+    pair = init_pair(6, 5, 4, np.random.default_rng(0))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, pair, init_optimizer(pair.online))
+    with np.load(path) as data:
+        arrays = {**{k: data[k] for k in data.files}, key: value}
+    np.savez(path, **arrays)
+    with pytest.raises(SelfReidError, match=f"checkpoint {key} must be an integer") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and shown in str(info.value)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfreid.errors import InsufficientSamples, InvalidDistanceMatrix
 from selfreid.linalg import normalize_rows
@@ -11,7 +15,7 @@ from selfreid.rerank import (
     jaccard_distance_matrix,
 )
 
-from oracles import dbscan_oracle, jaccard_oracle, partitions_equal
+from oracles import dbscan_oracle, dense_jaccard, jaccard_oracle, partitions_equal
 
 
 def unit_cloud(rng, n, d):
@@ -25,6 +29,22 @@ def blob_bank(rng, n_groups, per_group, d, spread=0.02):
     for c in centers:
         rows.extend(c + spread * rng.normal(size=(per_group, d)))
     return normalize_rows(np.array(rows))
+
+
+# Unit vectors with four entries of +-0.5 in 8 dimensions: every dot
+# product is a multiple of 0.25 and exact in floating point, so BLAS and
+# the oracle's Python sums give the same distances and the same ties.
+def dyadic_vectors():
+    rows = []
+    for support in itertools.combinations(range(8), 4):
+        for signs in itertools.product((0.5, -0.5), repeat=4):
+            row = np.zeros(8)
+            row[list(support)] = signs
+            rows.append(row)
+    return np.array(rows)
+
+
+DYADIC = dyadic_vectors()
 
 
 # --- jaccard ---------------------------------------------------------------
@@ -54,6 +74,41 @@ def test_jaccard_matches_set_algebra_oracle(seed):
     fast = jaccard_distance_matrix(feats, k1=6, k2=3)
     slow = jaccard_oracle(feats, k1=6, k2=3)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+@pytest.mark.parametrize("k1, k2", [(30, 6), (8, 3)])
+def test_jaccard_matches_dense_reference(k1, k2):
+    rng = np.random.default_rng(10)
+    feats = np.vstack([blob_bank(rng, 10, 20, 16, spread=0.1), unit_cloud(rng, 100, 16)])
+    fast = jaccard_distance_matrix(feats, k1, k2)
+    assert np.any((fast > 0.0) & (fast < 1.0))
+    np.testing.assert_allclose(fast, dense_jaccard(feats, k1, k2), rtol=0, atol=1e-12)
+
+
+def test_jaccard_ties_at_the_k1_boundary_match_oracle():
+    # duplicated rows in shuffled order: exact distance ties straddle the
+    # k1, k1 // 2 and k2 boundaries and break by index
+    rows = np.repeat([0, 1, 17, 300, 555, 1000], [5, 4, 3, 3, 2, 3])
+    feats = DYADIC[np.random.default_rng(11).permutation(rows)]
+    k1, k2 = 6, 3
+    ranked = np.sort(1.0 - feats @ feats.T, axis=1)
+    for k in (k1, k1 // 2, k2):
+        assert np.any(ranked[:, k - 1] == ranked[:, k])
+    np.testing.assert_allclose(jaccard_distance_matrix(feats, k1, k2),
+                               jaccard_oracle(feats, k1, k2), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_jaccard_property_matches_oracle(data):
+    n = data.draw(st.integers(6, 30), label="n")
+    pool = data.draw(st.integers(2, len(DYADIC)), label="pool")  # small: many duplicates
+    rows = data.draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n), label="rows")
+    k1 = data.draw(st.integers(1, n - 1), label="k1")
+    k2 = data.draw(st.integers(1, k1), label="k2")
+    feats = DYADIC[rows]
+    np.testing.assert_allclose(jaccard_distance_matrix(feats, k1, k2),
+                               jaccard_oracle(feats, k1, k2), rtol=0, atol=1e-12)
 
 
 def test_jaccard_symmetric_zero_diag_unit_range():
@@ -143,6 +198,46 @@ def test_dbscan_inliers_near_a_core_point():
     for i in np.flatnonzero(assignment.labels != OUTLIER):
         same = assignment.labels == assignment.labels[i]
         assert np.any(core & same & (dist[i] <= config.eps))
+
+
+def test_dbscan_border_point_takes_lowest_cluster_id():
+    # cores {1, 2, 3, 8} form cluster 0 and {4, 5, 6, 7} cluster 1; border
+    # point 0 is nearest to core 4 but also exactly eps from core 8
+    dist = np.full((9, 9), 0.9)
+    for group in ([1, 2, 3, 8], [4, 5, 6, 7]):
+        dist[np.ix_(group, group)] = 0.2
+    dist[0, 4] = dist[4, 0] = 0.1
+    dist[0, 8] = dist[8, 0] = 0.5
+    np.fill_diagonal(dist, 0.0)
+    assignment = dbscan(dist, ClusterConfig(eps=0.5, min_samples=4))
+    np.testing.assert_array_equal(assignment.labels, [0, 0, 0, 0, 1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, 0.5, 4))
+
+
+def test_dbscan_min_samples_one_makes_every_point_a_core():
+    dist = np.full((6, 6), 0.9)
+    dist[2, 3] = dist[3, 2] = 0.3
+    np.fill_diagonal(dist, 0.0)
+    assignment = dbscan(dist, ClusterConfig(eps=0.5, min_samples=1))
+    np.testing.assert_array_equal(assignment.labels, [0, 1, 2, 2, 3, 4])
+    assert assignment.cluster_count == 5
+    np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, 0.5, 1))
+
+
+@given(st.data())
+def test_dbscan_property_matches_oracle(data):
+    # points on a line at integer positions, 1/8 apart: distances are exact,
+    # many fall exactly on eps, and sparse stretches leave border points
+    # between dense runs
+    n = data.draw(st.integers(1, 25), label="n")
+    positions = np.array(data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n),
+                                   label="positions"))
+    dist = np.minimum(0.125 * np.abs(positions[:, None] - positions[None, :]), 0.875)
+    eps = data.draw(st.sampled_from([0.125, 0.25, 0.5]), label="eps")
+    min_samples = data.draw(st.integers(1, 6), label="min_samples")
+    assignment = dbscan(dist, ClusterConfig(eps=eps, min_samples=min_samples))
+    np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, eps, min_samples))
+    assert assignment.cluster_count == len(set(assignment.labels.tolist()) - {OUTLIER})
 
 
 def test_dbscan_rejects_asymmetric_matrix():
