@@ -11,6 +11,10 @@ is an adaptive-moment update with decoupled weight decay and `ema_update`
 the exponential-moving-average twin that gives stable targets and the
 final inference model; the run's settings for both come from TrainConfig.
 
+The four weight arrays of an `EncoderParams` are views into one flat
+buffer, so the optimizer, the EMA and the finite-gradient check each act
+on every weight in one array operation.
+
 A version-2 checkpoint is an .npz file with the keys version, step and
 {online, momentum, opt_m, opt_v}_{w1, b1, w2, b2}.
 """
@@ -40,21 +44,31 @@ CHECKPOINT_KEYS = ("version", "step") + tuple(
     f"{table}_{f}" for table in CHECKPOINT_TABLES for f in PARAM_FIELDS)
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class EncoderParams:
     """Weights of the two-layer perceptron.
 
-    Gradients and the Adam moments use the same container, with one
-    array per weight.
+    Gradients and the Adam moments use the same container. The
+    constructor copies the four arrays into one new buffer, `flat`, and
+    the fields become views into it: writing a field writes `flat`.
     """
 
-    w1: np.ndarray  # (d_in, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, d_out)
-    b2: np.ndarray  # (d_out,)
+    w1: np.ndarray    # (d_in, hidden)
+    b1: np.ndarray    # (hidden,)
+    w2: np.ndarray    # (hidden, d_out)
+    b2: np.ndarray    # (d_out,)
+    flat: np.ndarray  # every weight, fields in PARAM_FIELDS order
+
+    def __init__(self, w1, b1, w2, b2):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2)]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        start = 0
+        for f, a in zip(PARAM_FIELDS, arrays):
+            setattr(self, f, self.flat[start:start + a.size].reshape(a.shape))
+            start += a.size
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(*(getattr(self, f).copy() for f in PARAM_FIELDS))
+        return EncoderParams(*(getattr(self, f) for f in PARAM_FIELDS))
 
 
 @dataclass
@@ -164,12 +178,11 @@ def ema_update(pair: EncoderPair, alpha: float) -> None:
     if not (0.0 <= alpha <= 1.0):
         raise InvalidMomentum(f"alpha must be in [0, 1], got {alpha}")
     for f in PARAM_FIELDS:
-        mom = getattr(pair.momentum, f)
-        onl = getattr(pair.online, f)
-        if mom.shape != onl.shape:
+        if getattr(pair.momentum, f).shape != getattr(pair.online, f).shape:
             raise DimensionMismatch(f"parameter {f} shapes differ")
-        mom *= alpha
-        mom += (1.0 - alpha) * onl
+    mom = pair.momentum.flat
+    mom *= alpha
+    mom += (1.0 - alpha) * pair.online.flat
 
 
 def effective_lr(base_lr: float, warmup_epochs: int, epoch: int) -> float:
@@ -181,24 +194,29 @@ def effective_lr(base_lr: float, warmup_epochs: int, epoch: int) -> float:
 
 def optimizer_step(state: OptimizerState, params: EncoderParams,
                    grads: EncoderParams, lr: float, weight_decay: float) -> None:
-    """One adaptive-moment update of the online parameters, in place."""
-    for f in PARAM_FIELDS:
-        if not np.all(np.isfinite(getattr(grads, f))):
-            raise NonFiniteGradient(f"gradient {f} contains NaN/inf")
+    """One adaptive-moment update of the online parameters, in place.
+
+    p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), evaluated
+    in that order on the flat buffers.
+    """
+    if not np.all(np.isfinite(grads.flat)):
+        bad = next(f for f in PARAM_FIELDS if not np.all(np.isfinite(getattr(grads, f))))
+        raise NonFiniteGradient(f"gradient {bad} contains NaN/inf")
     state.step += 1
     t = state.step
-    for f in PARAM_FIELDS:
-        g = getattr(grads, f)
-        m = getattr(state.m, f)
-        v = getattr(state.v, f)
-        p = getattr(params, f)
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+    g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    update = m / (1.0 - BETA1 ** t)
+    denom = v / (1.0 - BETA2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    update += weight_decay * p
+    update *= lr
+    p -= update
 
 
 def save_checkpoint(path, pair: EncoderPair, opt: OptimizerState) -> None:
@@ -212,9 +230,18 @@ def save_checkpoint(path, pair: EncoderPair, opt: OptimizerState) -> None:
              **arrays)
 
 
+def _read(path, data, key) -> np.ndarray:
+    """Array `key` of an open checkpoint; an unreadable one (an object
+    array needs pickle, which stays off) is a SelfReidError."""
+    try:
+        return data[key]
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise SelfReidError(f"{path}: checkpoint {key} cannot be read ({exc})") from exc
+
+
 def _integer(path, data, key) -> int:
     """A checkpoint's integer scalar `key`; anything else is a SelfReidError."""
-    value = data[key]
+    value = _read(path, data, key)
     if value.shape != () or value.dtype.kind not in "iu":
         raise SelfReidError(f"{path}: checkpoint {key} must be an integer, "
                             f"got {value.tolist()!r}")
@@ -225,7 +252,10 @@ def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
     """Read a version-2 checkpoint (keys as in save_checkpoint).
 
     An unreadable file, another checkpoint version, a version or step that
-    is not an integer, or a missing key is a SelfReidError naming the path.
+    is not an integer, a missing or unreadable key, a weight table whose
+    shape does not fit online_w1 and online_w2 (w1 (d_in, hidden), b1
+    (hidden,), w2 (hidden, d_out), b2 (d_out,) in every table) or a value
+    that is not a finite number is a SelfReidError naming the path.
     """
     with open(path, "rb") as fh:
         try:
@@ -246,8 +276,29 @@ def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
             if missing:
                 raise SelfReidError(f"{path}: checkpoint is missing {', '.join(missing)}")
 
+            w1, w2 = _read(path, data, "online_w1"), _read(path, data, "online_w2")
+            if w1.ndim != 2 or w2.ndim != 2:
+                raise SelfReidError(f"{path}: checkpoint online_w1 and online_w2 must be "
+                                    f"matrices, got shapes {w1.shape} and {w2.shape}")
+            (d_in, hidden), d_out = w1.shape, w2.shape[1]
+            shapes = {"w1": (d_in, hidden), "b1": (hidden,), "w2": (hidden, d_out),
+                      "b2": (d_out,)}
+
             def params(table):
-                return EncoderParams(*(data[f"{table}_{f}"] for f in PARAM_FIELDS))
+                arrays = []
+                for f in PARAM_FIELDS:
+                    key = f"{table}_{f}"
+                    value = _read(path, data, key)
+                    if value.shape != shapes[f]:
+                        raise SelfReidError(
+                            f"{path}: checkpoint {key} has shape {value.shape}, expected "
+                            f"{shapes[f]} to fit online_w1 {w1.shape} and online_w2 "
+                            f"{w2.shape}")
+                    if value.dtype.kind not in "fiu" or not np.all(np.isfinite(value)):
+                        raise SelfReidError(
+                            f"{path}: checkpoint {key} must hold finite numbers")
+                    arrays.append(value)
+                return EncoderParams(*arrays)
 
             pair = EncoderPair(online=params("online"), momentum=params("momentum"))
             opt = OptimizerState(m=params("opt_m"), v=params("opt_v"),

@@ -133,27 +133,42 @@ def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
     own = memory.camera_cluster_ids[None, :] == labels[:, None]
     positive = own & (memory.camera_ids[None, :] != cameras[:, None])
 
-    # Own-cluster proxies sort last; they fill the slots only when fewer
-    # than n_neg candidates exist, and drop out of the softmax as -inf.
-    neg = np.argsort(np.where(own, np.inf, -sims), axis=1, kind="stable")[:, :n_neg]
-    neg_logits = np.where(np.take_along_axis(own, neg, axis=1), -np.inf,
-                          np.take_along_axis(sims, neg, axis=1) / tau)
+    # A row's negatives are its n_neg smallest keys -sim among other
+    # clusters' proxies: every key up to the n_neg-th, and of the keys
+    # tied with it only the first ones in table order. Own-cluster keys
+    # are +inf and never count.
+    keys = np.where(own, np.inf, -sims)
+    negative = ~own
+    if n_neg < keys.shape[1]:
+        kth = np.partition(keys, n_neg - 1, axis=1)[:, n_neg - 1:n_neg]
+        negative &= keys <= kth
+        surplus = negative.sum(axis=1, keepdims=True) - n_neg
+        if np.any(surplus > 0):
+            tied = negative & (keys == kth)
+            keep = tied.sum(axis=1, keepdims=True) - surplus
+            negative &= ~tied | (np.cumsum(tied, axis=1) <= keep)
 
+    logits = sims / tau
+    neg_max = np.max(np.where(negative, logits, -np.inf), axis=1)
+    neg_e = np.exp(np.where(negative, logits - neg_max[:, None], -np.inf))
+    neg_sum = neg_e.sum(axis=1)
+
+    # Each (anchor, positive) softmax is shifted by the larger of its
+    # positive logit and the row's largest negative logit.
     rows, cols = np.nonzero(positive)
-    logits = np.concatenate((sims[rows, cols][:, None] / tau, neg_logits[rows]), axis=1)
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=1, keepdims=True)
-    weight = 1.0 / (positive.sum(axis=1)[rows] * n)
-    value = float(np.sum(weight * -np.log(probs[:, 0])))
+    pos_logit = logits[rows, cols]
+    shift = np.maximum(pos_logit, neg_max[rows])
+    pos_e = np.exp(pos_logit - shift)
+    neg_scale = np.exp(neg_max[rows] - shift)
+    denom = pos_e + neg_scale * neg_sum[rows]
+    weight = 1.0 / (np.bincount(rows, minlength=n)[rows] * n)
+    value = float(np.sum(weight * (np.log(denom) + shift - pos_logit)))
 
-    # d(-log p0)/d(feat) = (sum_j p_j v_j - v_pos) / tau, gathered per
-    # proxy row before one product with the proxy table.
-    coef = np.zeros_like(sims)
-    coef[rows, cols] = weight * (probs[:, 0] - 1.0)
-    neg_coef = np.zeros(neg.shape)
-    np.add.at(neg_coef, rows, weight[:, None] * probs[:, 1:])
-    coef[np.arange(n)[:, None], neg] += neg_coef  # indices are unique per row
+    # d(-log p_pos)/d(feat) = (sum_j p_j v_j - v_pos) / tau per positive.
+    # A negative's probability is neg_e * neg_scale / denom, so its
+    # coefficient sums weight * neg_scale / denom over the row's positives.
+    coef = neg_e * np.bincount(rows, weight * neg_scale / denom, minlength=n)[:, None]
+    coef[rows, cols] = weight * (pos_e / denom - 1.0)
     return value, coef @ proxies / tau
 
 

@@ -14,6 +14,7 @@ the tests read.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -57,8 +58,18 @@ class ClusterAssignment:
     def outlier_count(self) -> int:
         return int(np.sum(self.labels == OUTLIER))
 
+    @cached_property
+    def _member_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample indices grouped by label (ascending within a cluster) and
+        each cluster's start among them; built once per assignment."""
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.searchsorted(self.labels[order], np.arange(self.cluster_count + 1))
+        return order, starts
+
     def members_of(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cluster_id)
+        """Ascending indices of the cluster's samples."""
+        order, starts = self._member_index
+        return order[starts[cluster_id]:starts[cluster_id + 1]]
 
 
 def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:

@@ -3,8 +3,11 @@
 Batches hold n_identities pseudo identities with n_instances samples
 each. The augmentation perturbs feature vectors directly: isotropic
 noise, coordinate dropout (the stand-in for erasing) and an occasional
-re-drawn camera-style offset. The encoder re-normalizes afterwards, so
-perturbed rows are intentionally left unnormalized.
+re-drawn camera-style offset. Dropout zeroes round(dropout * d)
+coordinates of every row: those whose keys in one uniform (n, d) draw
+are the row's smallest, so each row loses a uniformly random subset.
+The encoder re-normalizes afterwards, so perturbed rows are
+intentionally left unnormalized.
 """
 
 from dataclasses import dataclass, field
@@ -121,8 +124,10 @@ def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
         out += rng.normal(0.0, config.noise_sigma, size=(n, d))
     n_drop = int(round(config.dropout * d))
     if n_drop > 0:
-        for i in range(n):
-            out[i, rng.choice(d, size=n_drop, replace=False)] = 0.0
+        # each row drops the columns of its n_drop smallest uniform keys
+        keys = rng.random((n, d))
+        dropped = np.argpartition(keys, n_drop - 1, axis=1)[:, :n_drop]
+        np.put_along_axis(out, dropped, 0.0, axis=1)
     if config.restyle_prob > 0:
         restyle = rng.random(n) < config.restyle_prob
         if cameras is not None and camera_offsets is not None \

@@ -2,10 +2,11 @@
 
 Each epoch encodes the whole training set with the momentum encoder,
 re-clusters it into pseudo identities, rebuilds the proxy memory, then
-runs the iteration loop. Every iteration makes three encoder passes:
-online on perturbed features, momentum on the same perturbed features,
-and momentum on clean features; combines the losses; backpropagates
-into the online encoder; and EMA-updates the momentum twin.
+runs the iteration loop. Every iteration makes two encoder passes: the
+online encoder on perturbed features, and the momentum encoder once over
+the perturbed rows stacked on the clean ones (its output is split back
+into the two views); combines the losses; backpropagates into the
+online encoder; and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
 labels, proxies and batches within an epoch depend only on the
@@ -196,8 +197,8 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
 
     online = forward(state.pair.online, perturbed)
     feats = online.out
-    momentum_aug = forward(state.pair.momentum, perturbed).out
-    momentum_clean = forward(state.pair.momentum, raw).out
+    momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
+    momentum_aug, momentum_clean = momentum[:len(raw)], momentum[len(raw):]
 
     agnostic = proxy_agnostic_loss(feats, batch.labels,
                                    state.memory.cluster_vectors,
@@ -214,6 +215,8 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
     dists = consistency_distributions(feats, momentum_aug, momentum_clean,
                                       cfg.temperatures.soft, targets=targets)
     soft = soft_consistency_loss(dists, divergence=divergence)
+    # a "kl" loss value is kl_value(dists), computed by the same operations
+    kl = soft[0] if divergence == "kl" else kl_value(dists)
     breakdown = total_loss(agnostic, cross, hard, soft, cfg.weights)
 
     grads = backward(state.pair.online, online, breakdown.grads)
@@ -222,7 +225,7 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
                    cfg.weight_decay)
     ema_update(state.pair, cfg.alpha)
     state.iteration += 1
-    return breakdown, kl_value(dists)
+    return breakdown, kl
 
 
 def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,

@@ -2,8 +2,10 @@
 
 Everything here is deliberately slow and literal: python sets, dicts
 and per-element loops, no shared code with the package internals. The
-exception is `dense_jaccard`, dense array code that is fast enough for
-a few hundred samples.
+exceptions are `dense_jaccard`, dense array code that is fast enough for
+a few hundred samples, and `adam_oracle` and `ema_oracle`, the updates
+applied one weight array at a time, which the flat-buffer updates must
+match bit for bit.
 """
 
 import math
@@ -87,6 +89,33 @@ def cross_camera_oracle(feats, cameras, labels, memory, tau: float, n_neg: int):
         value += anchor_value / len(positives)
         grads[i] = anchor_grad / len(positives)
     return value / n, grads / n
+
+
+def adam_oracle(m, v, params, grads, step: int, lr: float, weight_decay: float,
+                beta1: float, beta2: float, eps: float) -> None:
+    """Adaptive-moment update, one weight array at a time, in place.
+
+    m, v, params and grads are EncoderParams-like objects; `step` is the
+    step number after this update. Same operations in the same order as
+    `optimizer_step`, on each field separately.
+    """
+    for f in ("w1", "b1", "w2", "b2"):
+        g, mf, vf, p = (getattr(x, f) for x in (grads, m, v, params))
+        mf *= beta1
+        mf += (1.0 - beta1) * g
+        vf *= beta2
+        vf += (1.0 - beta2) * g * g
+        m_hat = mf / (1.0 - beta1 ** step)
+        v_hat = vf / (1.0 - beta2 ** step)
+        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+
+
+def ema_oracle(momentum, online, alpha: float) -> None:
+    """momentum <- alpha * momentum + (1 - alpha) * online, field by field."""
+    for f in ("w1", "b1", "w2", "b2"):
+        mom = getattr(momentum, f)
+        mom *= alpha
+        mom += (1.0 - alpha) * getattr(online, f)
 
 
 def scalar_forward(params, batch: np.ndarray) -> np.ndarray:

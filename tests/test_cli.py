@@ -76,6 +76,21 @@ def test_eval_rejects_non_integer_checkpoint_version(eval_files, tmp_path, capsy
     assert bad in err and "version must be an integer, got 'two'" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("momentum_b1", np.full(6, np.nan), "momentum_b1 must hold finite numbers"),
+    ("online_w1", np.zeros((3, 3)), "online_w1 (3, 3)"),
+    ("opt_m_b2", np.array([None] * 4, dtype=object), "opt_m_b2 cannot be read"),
+])
+def test_eval_rejects_bad_weight_tables(eval_files, tmp_path, capsys, key, value, message):
+    with np.load(eval_files["checkpoint"]) as data:
+        arrays = {**{k: data[k] for k in data.files}, key: value}
+    bad = str(tmp_path / "bad.npz")
+    np.savez(bad, **arrays)
+    assert run_eval(eval_files, bad) == 1
+    err = capsys.readouterr().err
+    assert bad in err and message in err
+
+
 def test_eval_rejects_non_checkpoint_file(eval_files, capsys):
     assert run_eval(eval_files, eval_files["query"]) == 1
     err = capsys.readouterr().err

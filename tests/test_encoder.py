@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from selfreid.encoder import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     PARAM_FIELDS,
     EncoderParams,
     backward,
@@ -23,7 +28,14 @@ from selfreid.errors import (
     SelfReidError,
 )
 
-from oracles import finite_difference, max_rel_err, scalar_forward, write_version_1_checkpoint
+from oracles import (
+    adam_oracle,
+    ema_oracle,
+    finite_difference,
+    max_rel_err,
+    scalar_forward,
+    write_version_1_checkpoint,
+)
 
 
 def small_params(seed, d_in=6, hidden=5, d_out=4):
@@ -53,6 +65,15 @@ def test_forward_matches_scalar_oracle():
     batch = rng.normal(size=(7, 6))
     np.testing.assert_allclose(forward(params, batch).out, scalar_forward(params, batch),
                                atol=1e-12)
+
+
+def test_stacked_forward_matches_separate_passes():
+    params = small_params(12, d_in=64, hidden=128, d_out=32)
+    rng = np.random.default_rng(13)
+    perturbed, clean = rng.normal(size=(32, 64)), rng.normal(size=(32, 64))
+    stacked = forward(params, np.concatenate((perturbed, clean))).out
+    np.testing.assert_allclose(stacked[:32], forward(params, perturbed).out, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stacked[32:], forward(params, clean).out, rtol=0, atol=1e-15)
 
 
 def test_forward_dimension_mismatch():
@@ -123,6 +144,42 @@ def test_ema_update_frozen_and_copy_extremes():
     np.testing.assert_array_equal(pair.momentum.w1, pair.online.w1)
 
 
+def test_fields_are_views_of_the_flat_buffer():
+    params = small_params(14)
+    assert params.flat.size == sum(getattr(params, f).size for f in PARAM_FIELDS)
+    for f in PARAM_FIELDS:
+        assert np.shares_memory(getattr(params, f), params.flat)
+    params.b2[1] = 7.0
+    assert params.flat[params.w1.size + params.b1.size + params.w2.size + 1] == 7.0
+    copy = params.copy()
+    copy.flat[:] = 0.0
+    assert params.b2[1] == 7.0
+
+
+def unpacked(params):
+    """Separate copies of the four arrays, outside any flat buffer."""
+    return SimpleNamespace(**{f: getattr(params, f).copy() for f in PARAM_FIELDS})
+
+
+def test_flat_adam_and_ema_are_bit_equal_to_per_field_updates():
+    rng = np.random.default_rng(15)
+    pair = init_pair(6, 5, 4, rng)
+    state = init_optimizer(pair.online)
+    online, momentum = unpacked(pair.online), unpacked(pair.momentum)
+    m, v = unpacked(state.m), unpacked(state.v)
+    for step in range(1, 6):
+        grads = EncoderParams(*(rng.normal(size=getattr(pair.online, f).shape)
+                               for f in PARAM_FIELDS))
+        optimizer_step(state, pair.online, grads, lr=0.003, weight_decay=0.01)
+        adam_oracle(m, v, online, grads, step, 0.003, 0.01, BETA1, BETA2, ADAM_EPS)
+        ema_update(pair, 0.9)
+        ema_oracle(momentum, online, 0.9)
+        for f in PARAM_FIELDS:
+            for actual, expected in ((pair.online, online), (pair.momentum, momentum),
+                                     (state.m, m), (state.v, v)):
+                np.testing.assert_array_equal(getattr(actual, f), getattr(expected, f))
+
+
 def test_ema_update_invalid_alpha():
     pair = init_pair(3, 4, 2, np.random.default_rng(2))
     with pytest.raises(InvalidMomentum):
@@ -180,6 +237,19 @@ def test_optimizer_rejects_non_finite():
     bad.w2[0, 0] = np.nan
     with pytest.raises(NonFiniteGradient):
         optimizer_step(state, params, bad, lr=0.00035, weight_decay=0.0005)
+
+
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+def test_optimizer_names_the_non_finite_field(field):
+    params = small_params(16)
+    state = init_optimizer(params)
+    bad = EncoderParams(*(np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS))
+    getattr(bad, field).flat[-1] = np.inf
+    before = params.flat.copy()
+    with pytest.raises(NonFiniteGradient, match=f"gradient {field} "):
+        optimizer_step(state, params, bad, lr=0.00035, weight_decay=0.0005)
+    np.testing.assert_array_equal(params.flat, before)
+    assert state.step == 0
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -250,3 +320,30 @@ def test_load_checkpoint_rejects_non_integer_version_and_step(tmp_path, key, val
     with pytest.raises(SelfReidError, match=f"checkpoint {key} must be an integer") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and shown in str(info.value)
+
+
+def rewrite_checkpoint(path, **changes):
+    """Re-save a checkpoint with some arrays replaced."""
+    with np.load(path) as data:
+        arrays = {**{k: data[k] for k in data.files}, **changes}
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("version", np.array(None, dtype=object), "checkpoint version cannot be read"),
+    ("online_b1", np.array([None] * 5, dtype=object), "checkpoint online_b1 cannot be read"),
+    ("online_w1", np.zeros((3, 3)), "checkpoint online_b1 has shape (5,), expected (3,)"),
+    ("online_w2", np.zeros(4), "online_w1 and online_w2 must be matrices"),
+    ("opt_v_w2", np.zeros((4, 4)), "checkpoint opt_v_w2 has shape (4, 4), expected (5, 4)"),
+    ("momentum_b1", np.full(5, np.nan), "checkpoint momentum_b1 must hold finite numbers"),
+    ("opt_m_w1", np.full((6, 5), np.inf), "checkpoint opt_m_w1 must hold finite numbers"),
+    ("online_b2", np.array(["a"] * 4), "checkpoint online_b2 must hold finite numbers"),
+])
+def test_load_checkpoint_rejects_bad_tables(tmp_path, key, value, message):
+    pair = init_pair(6, 5, 4, np.random.default_rng(0))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, pair, init_optimizer(pair.online))
+    rewrite_checkpoint(path, **{key: value})
+    with pytest.raises(SelfReidError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and message in str(info.value)

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import (
@@ -23,7 +26,7 @@ from selfreid.losses import (
     soft_consistency_loss,
     total_loss,
 )
-from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
+from selfreid.proxies import AGNOSTIC, AWARE, ProxyMemory, build_proxies
 from selfreid.rerank import ClusterAssignment
 
 from oracles import cross_camera_oracle, finite_difference, max_rel_err
@@ -217,6 +220,82 @@ def test_cross_gradient_vs_finite_differences(seed):
         lambda f: cross_camera_loss_batch(f, cameras, labels, memory,
                                           tau=0.07, n_neg=6)[0], feats.copy())
     assert max_rel_err(analytic, fd) < 1e-4
+
+
+# Rows with entries in {-0.5, 0, 0.5}: every dot product is a multiple of
+# 0.25 and exact in floating point, so the loss and the oracle see the
+# same similarities and the same ties.
+GRID = np.array([v for v in itertools.product((-0.5, 0.0, 0.5), repeat=4) if any(v)])
+
+
+@st.composite
+def cross_cases(draw):
+    """A camera-proxy table and a batch built from few GRID rows.
+
+    Duplicated rows make exact ties at the n_neg boundary common; the
+    table may hold a single cluster, an anchor's cluster may have no
+    proxy under another camera (or none at all), and n_neg may exceed the
+    number of other-cluster proxies.
+    """
+    n_clusters = draw(st.integers(1, 4), label="clusters")
+    cells = sorted(draw(st.lists(st.tuples(st.integers(0, n_clusters - 1), st.integers(0, 2)),
+                                 min_size=1, max_size=12, unique=True), label="cells"))
+    pool = draw(st.integers(1, len(GRID)), label="pool")
+    rows = st.integers(0, pool - 1)
+    p = len(cells)
+    memory = ProxyMemory(
+        mode=AWARE, cluster_vectors=np.empty((0, 4)), cluster_counts=np.empty(0), epoch=0,
+        camera_cluster_ids=np.array([c for c, _ in cells]),
+        camera_ids=np.array([b for _, b in cells]),
+        camera_vectors=GRID[draw(st.lists(rows, min_size=p, max_size=p), label="proxies")],
+        camera_counts=np.ones(p, dtype=np.int64))
+    n = draw(st.integers(1, 6), label="anchors")
+    feats = GRID[draw(st.lists(rows, min_size=n, max_size=n), label="feats")]
+    labels = np.array(draw(st.lists(st.integers(0, n_clusters - 1), min_size=n, max_size=n)))
+    cameras = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    n_neg = draw(st.integers(1, p + 2), label="n_neg")
+    tau = draw(st.sampled_from([0.07, 0.5]), label="tau")
+    return feats, cameras, labels, memory, tau, n_neg
+
+
+def assert_near_oracle(feats, cameras, labels, memory, tau, n_neg):
+    """Loss and gradient within 1e-12 of the oracle, on the scale of their
+    terms: a log-probability of order one, and proxy rows over tau. (A
+    loss or gradient that cancels to near zero has no relative accuracy.)"""
+    value, grads = cross_camera_loss_batch(feats, cameras, labels, memory, tau, n_neg)
+    ref_value, ref_grads = cross_camera_oracle(feats, cameras, labels, memory, tau, n_neg)
+    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+    term = np.abs(memory.camera_vectors).max() / tau
+    assert np.abs(grads - ref_grads).max() <= 1e-12 * max(1.0, term)
+
+
+@settings(max_examples=200)
+@given(cross_cases())
+def test_cross_property_matches_oracle(case):
+    assert_near_oracle(*case)
+
+
+@settings(max_examples=60)
+@given(cross_cases(), st.integers(0, 2**32 - 1))
+def test_cross_property_gradient_matches_finite_differences(case, seed):
+    feats, cameras, labels, memory, tau, n_neg = case
+    # jitter off the grid; the negative sets must then stay put within
+    # the finite-difference step, unless the rows tied at the boundary
+    # are the same vector
+    feats = feats + 0.05 * np.random.default_rng(seed).normal(size=feats.shape)
+    sims = feats @ memory.camera_vectors.T
+    for i in range(len(labels)):
+        ranked = np.sort(sims[i, memory.camera_cluster_ids != labels[i]])[::-1]
+        if ranked.size > n_neg:
+            gap = ranked[n_neg - 1] - ranked[n_neg]
+            assume(gap == 0.0 or gap > 1e-3)
+    assert_near_oracle(feats, cameras, labels, memory, tau, n_neg)
+    _, analytic = cross_camera_loss_batch(feats, cameras, labels, memory, tau, n_neg)
+    fd = finite_difference(
+        lambda f: cross_camera_loss_batch(f, cameras, labels, memory, tau, n_neg)[0],
+        feats.copy())
+    term = np.abs(memory.camera_vectors).max() / tau
+    np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7 * term)
 
 
 # --- hard instance loss ---------------------------------------------------------

@@ -123,3 +123,32 @@ def test_perturb_config_validation():
         PerturbationConfig(dropout=1.0).validate()
     with pytest.raises(SelfReidError):
         PerturbationConfig(restyle_prob=1.5).validate()
+
+
+def test_member_index_equals_flatnonzero():
+    rng = np.random.default_rng(4)
+    labels = rng.integers(OUTLIER, 9, size=200)
+    assignment = ClusterAssignment(labels=labels, cluster_count=10)  # cluster 9 is empty
+    for cluster in range(assignment.cluster_count):
+        members = assignment.members_of(cluster)
+        np.testing.assert_array_equal(members, np.flatnonzero(labels == cluster))
+        assert members.dtype == np.flatnonzero(labels == cluster).dtype
+
+
+@pytest.mark.parametrize("d, dropout", [(64, 0.15), (40, 0.15), (7, 0.5), (5, 0.9)])
+def test_dropout_without_restyle_zeroes_rounded_count_per_row(d, dropout):
+    rng = np.random.default_rng(5)
+    feats = rng.uniform(0.5, 1.0, size=(50, d))  # strictly nonzero input
+    config = PerturbationConfig(noise_sigma=0.1, dropout=dropout, restyle_prob=0.0)
+    out = perturb(feats, config, rng_seed=(7, 1))
+    np.testing.assert_array_equal(np.sum(out == 0.0, axis=1), round(dropout * d))
+    np.testing.assert_array_equal(out, perturb(feats, config, rng_seed=(7, 1)))
+    assert not np.array_equal(out, perturb(feats, config, rng_seed=(7, 2)))
+
+
+def test_dropout_hits_every_coordinate_at_the_dropout_rate():
+    # 6 of 40 coordinates per row: each coordinate's rate should be 0.15
+    feats = np.ones((4000, 40))
+    out = perturb(feats, PerturbationConfig(0.0, 0.15, 0.0), rng_seed=8)
+    rate = np.mean(out == 0.0, axis=0)
+    assert np.abs(rate - 0.15).max() < 0.03  # about 5 standard errors

@@ -19,6 +19,7 @@ from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
 from selfreid.rerank import ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
 from selfreid.sampling import BatchSpec
+from selfreid import trainer
 from selfreid.trainer import CONSISTENCY_VARIANTS, MAX_FAILED_EPOCHS, TrainConfig, train
 
 from oracles import finite_difference, max_rel_err
@@ -39,10 +40,10 @@ def test_small_run_pinned(small_train):
     assert [r.skipped_iterations for r in reports] == [0, 0, 0]
     np.testing.assert_allclose(
         [r.mean_cross for r in reports],
-        [1.6934219891281088, 1.6389044210739627, 1.3166894338597501], rtol=1e-12)
+        [1.6877644371006855, 1.5962615099365673, 1.2331305216855177], rtol=1e-12)
     np.testing.assert_allclose(
         [r.mean_total for r in reports],
-        [10.336221603320622, 10.080364649819382, 9.354620872283485], rtol=1e-12)
+        [9.769929344995997, 9.675134066290067, 9.24366388847397], rtol=1e-12)
 
 
 def test_same_seed_gives_identical_reports(small_train):
@@ -50,6 +51,19 @@ def test_same_seed_gives_identical_reports(small_train):
     _, first = train(config, small_train)
     _, second = train(config, small_train)
     assert without_wall_time(first) == without_wall_time(second)
+
+
+@pytest.mark.parametrize("variant", sorted(CONSISTENCY_VARIANTS))
+def test_kl_diagnostic_reuses_the_kl_loss(small_train, monkeypatch, variant):
+    calls = []
+    kl_value = trainer.kl_value
+    monkeypatch.setattr(trainer, "kl_value", lambda dists: calls.append(1) or kl_value(dists))
+    _, reports = train(TrainConfig(epochs=1, iterations=3, consistency_variant=variant),
+                       small_train)
+    if CONSISTENCY_VARIANTS[variant][1] == "kl":
+        assert not calls and reports[0].mean_kl == reports[0].mean_soft
+    else:
+        assert len(calls) == 3 and reports[0].mean_kl != reports[0].mean_soft
 
 
 def test_all_outlier_epochs_abort(small_train):
