@@ -21,7 +21,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import EvalReport, RetrievalSet, average_precision, evaluate
-from .linalg import l2_normalize, normalize_rows, softmax_rows
+from .linalg import normalize_rows, softmax_rows
 from .losses import (
     ConsistencyDistributions,
     LossBreakdown,

@@ -21,7 +21,7 @@ from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .encoder import init_pair, load_checkpoint
 from .errors import SelfReidError
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
-from .trainer import TrainConfig, evaluate_encoder, extract_bank, train
+from .trainer import MEMORY_MODES, TrainConfig, evaluate_encoder, extract_bank, train
 
 EPS_GRID = (0.45, 0.5, 0.55, 0.6)
 
@@ -63,6 +63,15 @@ def _resolve_config(args, manifest: dict | None) -> TrainConfig:
                                               args.config))
     values.update(_given_flags(args))
     return reporting.config_from_dict(values)
+
+
+def _check_input_width(checkpoint_path, pair, *splits) -> None:
+    """Every (path, dataset) split must have the checkpoint's input width."""
+    width = pair.online.w1.shape[0]
+    for split_path, split in splits:
+        if split.dim != width:
+            raise SelfReidError(f"{checkpoint_path}: checkpoint takes {width}-d inputs, "
+                                f"but {split_path} has dim {split.dim}")
 
 
 def cmd_generate(args) -> int:
@@ -125,6 +134,7 @@ def cmd_eval(args) -> int:
     pair, _ = load_checkpoint(args.checkpoint)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
+    _check_input_width(args.checkpoint, pair, (args.query, query), (args.gallery, gallery))
     report = evaluate_encoder(pair, query, gallery)
     lines = [f"mAP = {report.mean_ap!r}",
              f"rank1 = {report.rank1!r}",
@@ -146,7 +156,7 @@ def cmd_ablate(args) -> int:
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
     rows = []
-    for mode in ("aware", "agnostic"):
+    for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:
             config = reporting.config_from_dict(
                 {**_given_flags(args), "memory_mode": mode, **weights})
@@ -179,6 +189,7 @@ def cmd_sweep_eps(args) -> int:
         config.validate()
     if args.checkpoint:
         pair, _ = load_checkpoint(args.checkpoint)
+        _check_input_width(args.checkpoint, pair, (args.data, dataset))
     else:
         base = TrainConfig()
         rng = np.random.default_rng([args.seed, 0])

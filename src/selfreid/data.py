@@ -101,32 +101,24 @@ def generate_synthetic(spec: SyntheticSpec):
     # camera style: a fixed offset direction per camera, norm sigma_camera
     offsets = spec.sigma_camera * _unit_rows(rng, spec.n_cameras, spec.dim)
 
-    next_id = 0
-
-    def draw_split(per_cell: int, noise_scale: float) -> EmbeddingDataset:
-        nonlocal next_id
-        ids, pids, cams, rows = [], [], [], []
-        for identity in range(spec.n_identities):
-            for camera in range(spec.n_cameras):
-                noise = rng.normal(0.0, noise_scale, size=(per_cell, spec.dim))
-                cell = centers[identity] + offsets[camera] + noise
-                for r in range(per_cell):
-                    ids.append(next_id)
-                    next_id += 1
-                    pids.append(identity)
-                    cams.append(camera)
-                    rows.append(cell[r])
+    def draw_split(per_cell: int, noise_scale: float, first_id: int) -> EmbeddingDataset:
+        # rows run identity-major, then camera, then sample within the cell
+        identities = np.repeat(np.arange(spec.n_identities, dtype=np.int64),
+                               spec.n_cameras * per_cell)
+        cameras = np.tile(np.repeat(np.arange(spec.n_cameras, dtype=np.int64), per_cell),
+                          spec.n_identities)
+        noise = rng.normal(0.0, noise_scale, size=(len(identities), spec.dim))
         return EmbeddingDataset(
-            sample_ids=np.array(ids, dtype=np.int64),
-            identities=np.array(pids, dtype=np.int64),
-            cameras=np.array(cams, dtype=np.int64),
-            features=np.array(rows, dtype=np.float64),
+            sample_ids=np.arange(first_id, first_id + len(identities), dtype=np.int64),
+            identities=identities,
+            cameras=cameras,
+            features=centers[identities] + offsets[cameras] + noise,
         )
 
-    train = draw_split(spec.samples_per_cell, spec.sigma_identity)
+    train = draw_split(spec.samples_per_cell, spec.sigma_identity, 0)
     eval_noise = spec.sigma_identity * spec.eval_noise_factor
-    query = draw_split(QUERY_PER_CELL, eval_noise)
-    gallery = draw_split(GALLERY_PER_CELL, eval_noise)
+    query = draw_split(QUERY_PER_CELL, eval_noise, len(train))
+    gallery = draw_split(GALLERY_PER_CELL, eval_noise, len(train) + len(query))
     return train, query, gallery
 
 

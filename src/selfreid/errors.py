@@ -49,10 +49,6 @@ class NoNegatives(SelfReidError):
     """Batch contains a single pseudo identity; no negatives exist."""
 
 
-class ModeMismatch(SelfReidError):
-    """Operation requires the other proxy-memory mode."""
-
-
 class ProxyNotFound(SelfReidError):
     """A batch label has no proxy in the memory."""
 

@@ -13,17 +13,8 @@ from .errors import DegenerateVector, InvalidTemperature
 ZERO_NORM_TOL = 1e-300
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit L2 norm, preserving direction."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm) or norm <= ZERO_NORM_TOL:
-        raise DegenerateVector(f"cannot normalize vector with norm {norm}")
-    return v / norm
-
-
 def normalize_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize of a feature matrix."""
+    """Scale each row of a feature matrix to unit L2 norm."""
     mat = np.asarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)) or np.any(norms <= ZERO_NORM_TOL):

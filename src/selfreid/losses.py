@@ -1,7 +1,7 @@
 """Training objectives, with values and analytic gradients.
 
 Four parts feed the total objective: a cluster-proxy softmax loss, a
-cross-camera proxy loss (camera-aware mode only), a hard-instance
+cross-camera loss over the per-camera proxies, a hard-instance
 contrastive loss that mines the least similar positive in the batch,
 and a soft consistency loss that penalizes divergence between the
 similarity distributions of augmented and clean views.
@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    ModeMismatch,
     NoNegatives,
     NonFiniteLoss,
     ProxyNotFound,
     SelfReidError,
 )
 from .linalg import softmax_rows
-from .proxies import AWARE, ProxyMemory
+from .proxies import ProxyMemory
 
 
 @dataclass
@@ -120,8 +119,6 @@ def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
     (anchor, positive) pair weighs 1 / (k_i * N). Anchors whose cluster
     lives in a single camera contribute zero, with zero gradient.
     """
-    if memory.mode != AWARE:
-        raise ModeMismatch("cross-camera loss needs an aware memory")
     if n_neg < 1:
         raise SelfReidError(f"n_neg must be >= 1, got {n_neg}")
     feats = np.asarray(feats, dtype=np.float64)

@@ -2,78 +2,77 @@
 
 Proxies are the normalized means of the momentum representations of a
 cluster's members. They are rebuilt once per epoch and treated as
-constants within it. The camera-aware variant additionally keeps one
-proxy per (cluster, camera) pair, enabling cross-camera attraction.
+constants within it. Besides one proxy per cluster, the memory always
+keeps one proxy per (cluster, camera) cell, which the cross-camera loss
+attracts across cameras; whether that loss runs is the trainer's choice.
 ProxyMemory holds plain arrays, one row per proxy; the losses index
 them directly, whole batches at a time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoClustersFound, SelfReidError
-from .linalg import l2_normalize
-from .rerank import OUTLIER, ClusterAssignment
-
-AGNOSTIC = "agnostic"
-AWARE = "aware"
+from .linalg import normalize_rows
+from .rerank import ClusterAssignment
 
 
 @dataclass
 class ProxyMemory:
-    """Per-epoch proxy tables; camera tables exist only in aware mode."""
+    """Per-epoch proxy tables.
 
-    mode: str
-    cluster_vectors: np.ndarray  # (clusters, d), unit rows
-    cluster_counts: np.ndarray   # (clusters,)
-    epoch: int
-    camera_cluster_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    camera_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    camera_vectors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    camera_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    Cluster rows are indexed by cluster id. Camera rows hold one proxy per
+    (cluster, camera) cell with members, ordered by cluster, then camera,
+    ascending; the camera counts of a cluster add up to its cluster count.
+    """
+
+    cluster_vectors: np.ndarray     # (clusters, d), unit rows
+    cluster_counts: np.ndarray      # (clusters,)
+    camera_cluster_ids: np.ndarray  # (cells,)
+    camera_ids: np.ndarray          # (cells,)
+    camera_vectors: np.ndarray      # (cells, d), unit rows
+    camera_counts: np.ndarray       # (cells,)
+
+
+def _normalized_means(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Unit-norm mean of each run rows[starts[i]:starts[i + 1]] (the last
+    run ends at the end of rows); every run must be non-empty."""
+    counts = np.diff(starts, append=len(rows))
+    return normalize_rows(np.add.reduceat(rows, starts, axis=0) / counts[:, None])
 
 
 def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
-                  cameras: np.ndarray, mode: str, epoch: int = 0) -> ProxyMemory:
-    """Average the momentum bank per cluster (and per camera in aware mode).
+                  cameras: np.ndarray) -> ProxyMemory:
+    """Average the momentum bank per cluster and per (cluster, camera) cell.
 
-    Outliers are excluded. Every mean is re-normalized onto the unit
-    sphere so that proxy similarities stay plain dot products.
+    Outliers are excluded. Members are summed in index order, and every
+    mean is re-normalized onto the unit sphere so that proxy similarities
+    stay plain dot products.
     """
-    if mode not in (AGNOSTIC, AWARE):
-        raise SelfReidError(f"unknown memory mode {mode!r}")
     bank = np.asarray(bank, dtype=np.float64)
     cameras = np.asarray(cameras, dtype=np.int64)
-    labels = assignment.labels
     if assignment.cluster_count == 0:
         raise NoClustersFound("clustering produced no inlier clusters")
+    order, starts = assignment.member_index
+    cluster_counts = np.diff(starts)
+    if np.any(cluster_counts == 0):
+        empty = np.flatnonzero(cluster_counts == 0).tolist()
+        raise SelfReidError(f"cluster ids {empty} of 0..{assignment.cluster_count - 1} "
+                            f"have no members")
+    members = order[starts[0]:starts[-1]]
+    cluster_vectors = _normalized_means(bank[members], starts[:-1] - starts[0])
 
-    k = assignment.cluster_count
-    d = bank.shape[1]
-    cluster_vectors = np.zeros((k, d))
-    cluster_counts = np.zeros(k, dtype=np.int64)
-    for a in range(k):
-        members = labels == a
-        cluster_counts[a] = members.sum()
-        cluster_vectors[a] = l2_normalize(bank[members].mean(axis=0))
-
-    memory = ProxyMemory(mode=mode, cluster_vectors=cluster_vectors,
-                         cluster_counts=cluster_counts, epoch=epoch)
-    if mode == AGNOSTIC:
-        return memory
-
-    cam_cluster, cam_id, cam_vec, cam_count = [], [], [], []
-    for a in range(k):
-        member_idx = np.flatnonzero(labels == a)
-        for b in np.unique(cameras[member_idx]):
-            cell = member_idx[cameras[member_idx] == b]
-            cam_cluster.append(a)
-            cam_id.append(int(b))
-            cam_vec.append(l2_normalize(bank[cell].mean(axis=0)))
-            cam_count.append(len(cell))
-    memory.camera_cluster_ids = np.array(cam_cluster, dtype=np.int64)
-    memory.camera_ids = np.array(cam_id, dtype=np.int64)
-    memory.camera_vectors = np.array(cam_vec)
-    memory.camera_counts = np.array(cam_count, dtype=np.int64)
-    return memory
+    # Stable: members keep index order inside each (cluster, camera) cell.
+    labels = np.asarray(assignment.labels, dtype=np.int64)
+    cells = members[np.lexsort((cameras[members], labels[members]))]
+    cell_labels, cell_cameras = labels[cells], cameras[cells]
+    new_cell = (np.diff(cell_labels) != 0) | (np.diff(cell_cameras) != 0)
+    cell_starts = np.concatenate(([0], np.flatnonzero(new_cell) + 1))
+    return ProxyMemory(
+        cluster_vectors=cluster_vectors,
+        cluster_counts=cluster_counts,
+        camera_cluster_ids=cell_labels[cell_starts],
+        camera_ids=cell_cameras[cell_starts],
+        camera_vectors=_normalized_means(bank[cells], cell_starts),
+        camera_counts=np.diff(cell_starts, append=len(cells)))

@@ -59,16 +59,20 @@ class ClusterAssignment:
         return int(np.sum(self.labels == OUTLIER))
 
     @cached_property
-    def _member_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample indices grouped by label (ascending within a cluster) and
-        each cluster's start among them; built once per assignment."""
+    def member_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): sample indices sorted by label, stably, and the
+        position of each cluster's first member in them, built once per
+        assignment. Outliers come first; cluster c's members, ascending,
+        are order[starts[c]:starts[c + 1]] for c in 0..cluster_count-1,
+        so the inliers are order[starts[0]:starts[-1]].
+        """
         order = np.argsort(self.labels, kind="stable")
         starts = np.searchsorted(self.labels[order], np.arange(self.cluster_count + 1))
         return order, starts
 
     def members_of(self, cluster_id: int) -> np.ndarray:
         """Ascending indices of the cluster's samples."""
-        order, starts = self._member_index
+        order, starts = self.member_index
         return order[starts[cluster_id]:starts[cluster_id + 1]]
 
 

@@ -62,10 +62,6 @@ class PerturbationConfig:
         if not (self.restyle_scale >= 0):
             raise SelfReidError(f"restyle_scale must be >= 0, got {self.restyle_scale}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.noise_sigma == 0 and self.dropout == 0 and self.restyle_prob == 0
-
 
 def sample_pk_batch(assignment: ClusterAssignment, cameras: np.ndarray,
                     spec: BatchSpec, rng_seed) -> IdentityBatch:
@@ -116,8 +112,6 @@ def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
     config.validate()
     features = np.asarray(features, dtype=np.float64)
     out = features.copy()
-    if config.is_identity:
-        return out
     n, d = out.shape
     rng = np.random.default_rng(rng_seed)
     if config.noise_sigma > 0:

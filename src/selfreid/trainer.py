@@ -45,7 +45,7 @@ from .losses import (
     soft_consistency_loss,
     total_loss,
 )
-from .proxies import AGNOSTIC, AWARE, ProxyMemory, build_proxies
+from .proxies import ProxyMemory, build_proxies
 from .rerank import ClusterAssignment, ClusterConfig, generate_pseudo_labels
 from .sampling import (
     BatchSpec,
@@ -64,6 +64,12 @@ _SEED_BATCH = 1
 _SEED_PERTURB = 2
 
 MAX_FAILED_EPOCHS = 3
+
+# Memory modes. Both build the same proxy memory; agnostic replaces the
+# cross-camera loss by zero, so only the cluster proxies are trained against.
+AWARE = "aware"
+AGNOSTIC = "agnostic"
+MEMORY_MODES = (AWARE, AGNOSTIC)
 
 CONSISTENCY_VARIANTS = {
     # variant -> (Q targets, divergence)
@@ -96,8 +102,8 @@ class TrainConfig:
     base_lr: float = field(default=0.00035, metadata={"help": "optimizer learning rate"})
     warmup_epochs: int = field(default=10, metadata={"help": "linear warmup epochs"})
     weight_decay: float = field(default=0.0005, metadata={"help": "decoupled weight decay"})
-    memory_mode: str = field(default=AWARE,
-                             metadata={"help": "proxy memory mode: aware | agnostic"})
+    memory_mode: str = field(default=AWARE, metadata={
+        "help": "aware | agnostic (agnostic drops the cross-camera loss)"})
     n_neg: int = field(default=50, metadata={
         "help": "nearest negative proxies in the cross-camera loss"})
     hidden_dim: int = field(default=128, metadata={"help": "encoder hidden width"})
@@ -122,7 +128,7 @@ class TrainConfig:
         self.weights.validate()
         self.cluster.validate()
         self.perturbation.validate()
-        if self.memory_mode not in (AWARE, AGNOSTIC):
+        if self.memory_mode not in MEMORY_MODES:
             raise SelfReidError(f"unknown memory_mode {self.memory_mode!r}")
         if self.n_neg < 1:
             raise SelfReidError(f"need n_neg >= 1, got {self.n_neg}")
@@ -286,8 +292,7 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
                 skipped_iterations=config.iterations))
             continue
         failed_epochs = 0
-        state.memory = build_proxies(bank, assignment, dataset.cameras,
-                                     config.memory_mode, epoch=epoch)
+        state.memory = build_proxies(bank, assignment, dataset.cameras)
 
         sums = np.zeros(6)  # agnostic, cross, hard, soft, total, kl
         ran = 0

@@ -91,6 +91,27 @@ def cross_camera_oracle(feats, cameras, labels, memory, tau: float, n_neg: int):
     return value / n, grads / n
 
 
+def proxies_oracle(bank, labels, cameras, cluster_count: int) -> dict:
+    """Proxy tables by one label scan per cluster and per (cluster, camera)
+    cell: normalized member means, cells by cluster, then camera. Returns
+    the ProxyMemory fields as a dict of arrays."""
+    bank = np.asarray(bank, dtype=np.float64)
+    tables = defaultdict(list)
+    for a in range(cluster_count):
+        members = np.flatnonzero(labels == a)
+        mean = bank[members].mean(axis=0)
+        tables["cluster_vectors"].append(mean / np.linalg.norm(mean))
+        tables["cluster_counts"].append(len(members))
+        for b in sorted(set(cameras[members].tolist())):
+            cell = [i for i in members if cameras[i] == b]
+            mean = bank[cell].mean(axis=0)
+            tables["camera_cluster_ids"].append(a)
+            tables["camera_ids"].append(b)
+            tables["camera_vectors"].append(mean / np.linalg.norm(mean))
+            tables["camera_counts"].append(len(cell))
+    return {key: np.array(values) for key, values in tables.items()}
+
+
 def adam_oracle(m, v, params, grads, step: int, lr: float, weight_decay: float,
                 beta1: float, beta2: float, eps: float) -> None:
     """Adaptive-moment update, one weight array at a time, in place.

@@ -97,6 +97,29 @@ def test_eval_rejects_non_checkpoint_file(eval_files, capsys):
     assert eval_files["query"] in err and "not a checkpoint file" in err
 
 
+def write_checkpoint(path, d_in):
+    pair = init_pair(d_in, 6, 4, np.random.default_rng(0))
+    save_checkpoint(path, pair, init_optimizer(pair.online))
+    return str(path)
+
+
+def test_eval_rejects_checkpoint_of_other_width(eval_files, tmp_path, capsys):
+    wide = write_checkpoint(tmp_path / "wide.npz", d_in=64)
+    assert run_eval(eval_files, wide) == 1
+    err = capsys.readouterr().err
+    assert wide in err and eval_files["query"] in err
+    assert "64-d inputs" in err and "dim 8" in err
+
+
+def test_sweep_eps_rejects_checkpoint_of_other_width(train_files, tmp_path, capsys):
+    narrow = write_checkpoint(tmp_path / "narrow.npz", d_in=8)
+    assert cli.main(["sweep-eps", "--data", train_files["data"],
+                     "--checkpoint", narrow]) == 1
+    err = capsys.readouterr().err
+    assert narrow in err and train_files["data"] in err
+    assert "8-d inputs" in err and "dim 16" in err
+
+
 def test_train_from_manifest_is_byte_identical(train_files, tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     assert run_train(train_files, first, *TINY_RUN) == 0

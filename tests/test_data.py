@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,22 @@ def test_generate_deterministic():
     a, _, _ = generate_synthetic(SyntheticSpec(seed=4))
     b, _, _ = generate_synthetic(SyntheticSpec(seed=4))
     np.testing.assert_array_equal(a.features, b.features)
+
+
+# sha256 of the files save_dataset writes for the default SyntheticSpec; any
+# change to the generator's random stream or to the file format shows here.
+DEFAULT_SPEC_SHA256 = {
+    "train": "fe77150187f5139f181c716620023ba827e34332421bbc20ef7fe7b272afe6de",
+    "query": "f655caf00a79dc6b4ce04bae48fa49ece7233a94e3635bfb84043317b8257676",
+    "gallery": "13abc4961e9237696c99fd868251a5e9f9b11358a46f9d4774c7398ea90a54de",
+}
+
+
+def test_default_spec_files_pinned(tmp_path):
+    for name, split in zip(DEFAULT_SPEC_SHA256, generate_synthetic(SyntheticSpec())):
+        path = tmp_path / f"{name}.txt"
+        save_dataset(split, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SPEC_SHA256[name], name
 
 
 def test_generate_warns_on_tiny_dim():

@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from selfreid.errors import DegenerateVector, InvalidTemperature
-from selfreid.linalg import l2_normalize, normalize_rows, softmax_rows
+from selfreid.linalg import normalize_rows, softmax_rows
 
 from oracles import softmax_row
 
 
 def test_l2_normalize_345_triangle():
-    np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+    np.testing.assert_allclose(normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-15)
 
 
 def test_l2_normalize_identity_case():
-    np.testing.assert_array_equal(l2_normalize([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(normalize_rows([[1.0, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
 
 def test_l2_normalize_zero_vector_raises():
     with pytest.raises(DegenerateVector):
-        l2_normalize([0.0, 0.0])
+        normalize_rows([[0.0, 0.0]])
 
 
 def test_normalize_rows_unit_norms():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import (
-    ModeMismatch,
     NoNegatives,
     NonFiniteLoss,
     ProxyNotFound,
@@ -26,7 +25,7 @@ from selfreid.losses import (
     soft_consistency_loss,
     total_loss,
 )
-from selfreid.proxies import AGNOSTIC, AWARE, ProxyMemory, build_proxies
+from selfreid.proxies import ProxyMemory, build_proxies
 from selfreid.rerank import ClusterAssignment
 
 from oracles import cross_camera_oracle, finite_difference, max_rel_err
@@ -43,12 +42,12 @@ def random_batch(rng, n_labels=4, per_label=3, d=6):
     return feats, labels
 
 
-def make_memory(rng, n_clusters=5, n_cams=3, d=6, mode=AWARE):
+def make_memory(rng, n_clusters=5, n_cams=3, d=6):
     labels = np.repeat(np.arange(n_clusters), n_cams)
     cameras = np.tile(np.arange(n_cams), n_clusters)
     bank = normalize_rows(rng.normal(size=(labels.size, d)))
     assignment = ClusterAssignment(labels=labels, cluster_count=n_clusters)
-    return build_proxies(bank, assignment, cameras, mode)
+    return build_proxies(bank, assignment, cameras)
 
 
 # --- proxy agnostic loss ------------------------------------------------------
@@ -93,7 +92,7 @@ def test_cross_single_camera_cluster_contributes_zero():
     bank = normalize_rows(rng.normal(size=(4, 6)))
     assignment = ClusterAssignment(labels=np.array([0, 0, 1, 1]), cluster_count=2)
     cameras = np.array([0, 0, 0, 1])  # cluster 0 lives in camera 0 only
-    memory = build_proxies(bank, assignment, cameras, AWARE)
+    memory = build_proxies(bank, assignment, cameras)
     value, grads = cross_camera_loss_batch(bank[:2], cameras[:2], [0, 0], memory,
                                            tau=0.07, n_neg=50)
     assert value == 0.0
@@ -110,18 +109,11 @@ def test_cross_pinned_value():
     bank = np.array([e1, e1, e2])
     assignment = ClusterAssignment(labels=np.array([0, 0, 1]), cluster_count=2)
     cameras = np.array([0, 1, 0])
-    memory = build_proxies(bank, assignment, cameras, AWARE)
+    memory = build_proxies(bank, assignment, cameras)
     value, _ = cross_camera_loss_batch(e1[None, :], [0], [0], memory,
                                        tau=0.07, n_neg=50)
     assert value == pytest.approx(math.log1p(math.exp(-1 / 0.07)), rel=1e-9)
     assert value < 1e-6  # ~6e-7
-
-
-def test_cross_agnostic_memory_rejected():
-    rng = np.random.default_rng(2)
-    memory = make_memory(rng, mode=AGNOSTIC)
-    with pytest.raises(ModeMismatch):
-        cross_camera_loss_batch(np.eye(6)[:2], [0, 1], [0, 1], memory, 0.07, 5)
 
 
 @pytest.mark.parametrize("n_neg", [0, -1])
@@ -151,7 +143,7 @@ def test_cross_matches_per_anchor_oracle(seed):
     labels = np.repeat(np.arange(n_clusters), 6)
     cameras = rng.integers(0, n_cams, size=labels.size)
     bank = normalize_rows(rng.normal(size=(labels.size, d)))
-    memory = build_proxies(bank, ClusterAssignment(labels, n_clusters), cameras, AWARE)
+    memory = build_proxies(bank, ClusterAssignment(labels, n_clusters), cameras)
     feats = normalize_rows(rng.normal(size=(12, d)))
     batch_labels = rng.integers(0, n_clusters, size=12)
     batch_cameras = rng.integers(0, n_cams, size=12)
@@ -180,7 +172,7 @@ def test_cross_tied_proxies_break_by_table_order():
     bank = np.array([e1, e1, [c, s], [c, -s], [-1.0, 0.0]])
     labels = np.array([0, 0, 1, 1, 2])
     cameras = np.array([0, 1, 0, 1, 0])
-    memory = build_proxies(bank, ClusterAssignment(labels, 3), cameras, AWARE)
+    memory = build_proxies(bank, ClusterAssignment(labels, 3), cameras)
     first = int(np.flatnonzero(memory.camera_cluster_ids == 1)[0])
     value, grads = cross_camera_loss_batch(e1[None, :], [0], [0], memory,
                                            tau=0.07, n_neg=1)
@@ -244,7 +236,7 @@ def cross_cases(draw):
     rows = st.integers(0, pool - 1)
     p = len(cells)
     memory = ProxyMemory(
-        mode=AWARE, cluster_vectors=np.empty((0, 4)), cluster_counts=np.empty(0), epoch=0,
+        cluster_vectors=np.empty((0, 4)), cluster_counts=np.empty(0),
         camera_cluster_ids=np.array([c for c, _ in cells]),
         camera_ids=np.array([b for _, b in cells]),
         camera_vectors=GRID[draw(st.lists(rows, min_size=p, max_size=p), label="proxies")],
@@ -600,8 +592,7 @@ def test_encoder_loss_composition_gradients(seed):
     batch = rng.normal(size=(8, 5))
     labels = np.repeat(np.arange(4), 2)
     cameras = rng.integers(0, 3, size=8)
-    memory = make_memory(rng, n_clusters=5, n_cams=3, d=3,
-                         mode=AWARE if seed % 2 else AGNOSTIC)
+    memory = make_memory(rng, n_clusters=5, n_cams=3, d=3)
     proxies = memory.cluster_vectors
     m_aug = normalize_rows(rng.normal(size=(8, 3)))
     m_clean = normalize_rows(rng.normal(size=(8, 3)))
@@ -611,7 +602,7 @@ def test_encoder_loss_composition_gradients(seed):
                hard_instance_loss(f, m_aug, labels, 0.1),
                soft_consistency_loss(
                    consistency_distributions(f, m_aug, m_clean, 0.4))]
-        if memory.mode == AWARE:
+        if seed % 2:  # odd seeds add the cross-camera loss
             out.append(cross_camera_loss_batch(f, cameras, labels, memory,
                                                0.07, 4))
         return out

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from selfreid.errors import ModeMismatch, NoClustersFound
-from selfreid.linalg import l2_normalize, normalize_rows
+from selfreid.errors import NoClustersFound, SelfReidError
+from selfreid.linalg import normalize_rows
 from selfreid.losses import cross_camera_loss_batch
-from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
+from selfreid.proxies import build_proxies
 from selfreid.rerank import OUTLIER, ClusterAssignment
 
-from oracles import cross_camera_oracle, max_rel_err
+from oracles import cross_camera_oracle, max_rel_err, proxies_oracle
 
 
 def make_assignment(labels):
@@ -18,7 +20,7 @@ def make_assignment(labels):
 
 def test_two_member_cluster_proxy():
     bank = np.array([[1.0, 0.0], [0.0, 1.0]])
-    memory = build_proxies(bank, make_assignment([0, 0]), np.array([0, 0]), AGNOSTIC)
+    memory = build_proxies(bank, make_assignment([0, 0]), np.array([0, 0]))
     np.testing.assert_allclose(memory.cluster_vectors[0],
                                [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
 
@@ -27,7 +29,7 @@ def test_singleton_camera_proxy_equals_member():
     rng = np.random.default_rng(0)
     bank = normalize_rows(rng.normal(size=(3, 5)))
     memory = build_proxies(bank, make_assignment([0, 0, 0]),
-                           np.array([0, 0, 1]), AWARE)
+                           np.array([0, 0, 1]))
     lone = [i for i in range(len(memory.camera_ids)) if memory.camera_ids[i] == 1]
     np.testing.assert_allclose(memory.camera_vectors[lone[0]], bank[2], atol=1e-12)
 
@@ -37,7 +39,7 @@ def test_camera_counts_partition_cluster_counts():
     labels = np.repeat([0, 1, 2], 8)
     cameras = np.tile([0, 0, 0, 0, 1, 1, 1, 1], 3)
     bank = normalize_rows(rng.normal(size=(24, 6)))
-    memory = build_proxies(bank, make_assignment(labels), cameras, AWARE)
+    memory = build_proxies(bank, make_assignment(labels), cameras)
     for a in range(3):
         rows = memory.camera_cluster_ids == a
         assert memory.camera_counts[rows].sum() == memory.cluster_counts[a]
@@ -47,23 +49,23 @@ def test_outliers_are_excluded():
     rng = np.random.default_rng(2)
     bank = normalize_rows(rng.normal(size=(6, 4)))
     labels = np.array([0, 0, 0, OUTLIER, OUTLIER, 0])
-    memory = build_proxies(bank, make_assignment(labels), np.zeros(6, int), AGNOSTIC)
+    memory = build_proxies(bank, make_assignment(labels), np.zeros(6, int))
     assert memory.cluster_counts[0] == 4
-    expected = l2_normalize(bank[[0, 1, 2, 5]].mean(axis=0))
+    expected = normalize_rows(bank[[0, 1, 2, 5]].mean(axis=0)[None, :])[0]
     np.testing.assert_allclose(memory.cluster_vectors[0], expected, atol=1e-12)
 
 
 def test_no_clusters_raises():
     bank = np.eye(3)
     with pytest.raises(NoClustersFound):
-        build_proxies(bank, make_assignment([OUTLIER] * 3), np.zeros(3, int), AWARE)
+        build_proxies(bank, make_assignment([OUTLIER] * 3), np.zeros(3, int))
 
 
 def test_one_member_cluster_proxy_is_member():
     rng = np.random.default_rng(3)
     bank = normalize_rows(rng.normal(size=(5, 8)))
     labels = np.array([0, 1, 1, 1, 1])
-    memory = build_proxies(bank, make_assignment(labels), np.zeros(5, int), AGNOSTIC)
+    memory = build_proxies(bank, make_assignment(labels), np.zeros(5, int))
     np.testing.assert_allclose(memory.cluster_vectors[0], bank[0], atol=1e-12)
 
 
@@ -72,10 +74,10 @@ def test_proxies_order_independent():
     bank = normalize_rows(rng.normal(size=(12, 6)))
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 2])
     cameras = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
-    base = build_proxies(bank, make_assignment(labels), cameras, AWARE)
+    base = build_proxies(bank, make_assignment(labels), cameras)
     perm = rng.permutation(12)
     permuted = build_proxies(bank[perm], make_assignment(labels[perm]),
-                             cameras[perm], AWARE)
+                             cameras[perm])
     np.testing.assert_allclose(base.cluster_vectors, permuted.cluster_vectors,
                                atol=1e-12)
     np.testing.assert_array_equal(base.cluster_counts, permuted.cluster_counts)
@@ -88,13 +90,51 @@ def test_cluster_proxy_is_count_weighted_camera_mean():
     bank = normalize_rows(rng.normal(size=(10, 7)))
     labels = np.zeros(10, dtype=np.int64)
     cameras = np.array([0] * 3 + [1] * 5 + [2] * 2)
-    memory = build_proxies(bank, make_assignment(labels), cameras, AWARE)
+    memory = build_proxies(bank, make_assignment(labels), cameras)
     weighted = np.zeros(7)
     for b, size in ((0, 3), (1, 5), (2, 2)):
         cell_mean = bank[cameras == b].mean(axis=0)
         weighted += size * cell_mean
     np.testing.assert_allclose(memory.cluster_vectors[0],
-                               l2_normalize(weighted / 10), atol=1e-12)
+                               normalize_rows(weighted[None, :] / 10)[0], atol=1e-12)
+
+
+def test_cluster_without_members_rejected():
+    # cluster 1 of 0..2 has no members; rejected before any mean is taken
+    bank = normalize_rows(np.random.default_rng(6).normal(size=(4, 3)))
+    assignment = ClusterAssignment(labels=np.array([0, 2, OUTLIER, 0]), cluster_count=3)
+    with pytest.raises(SelfReidError, match=r"cluster ids \[1\]"):
+        build_proxies(bank, assignment, np.zeros(4, int))
+
+
+@st.composite
+def clustered_banks(draw):
+    """A bank with labels covering 0..k-1 plus outliers, and camera ids.
+
+    Small sizes make single-member cells, clusters seen by one camera and
+    cameras missing from some clusters common; k may be 1.
+    """
+    k = draw(st.integers(1, 5), label="clusters")
+    extra = draw(st.lists(st.integers(OUTLIER, k - 1), max_size=25), label="extra labels")
+    labels = np.array(draw(st.permutations(list(range(k)) + extra)), dtype=np.int64)
+    n = len(labels)
+    cameras = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                       dtype=np.int64)
+    seed = draw(st.integers(0, 2**32 - 1), label="bank seed")
+    bank = normalize_rows(np.random.default_rng(seed).normal(size=(n, 5)))
+    return bank, ClusterAssignment(labels=labels, cluster_count=k), cameras
+
+
+@given(clustered_banks())
+def test_build_proxies_matches_loop_oracle(case):
+    bank, assignment, cameras = case
+    memory = build_proxies(bank, assignment, cameras)
+    expected = proxies_oracle(bank, assignment.labels, cameras, assignment.cluster_count)
+    for name in ("cluster_counts", "camera_cluster_ids", "camera_ids", "camera_counts"):
+        np.testing.assert_array_equal(getattr(memory, name), expected[name], err_msg=name)
+    for name in ("cluster_vectors", "camera_vectors"):
+        np.testing.assert_allclose(getattr(memory, name), expected[name], rtol=0,
+                                   atol=1e-14, err_msg=name)
 
 
 # --- nearest negatives, as the cross-camera loss selects them ----------------
@@ -103,7 +143,7 @@ def aware_memory(rng, n_clusters=8, n_cams=5, d=6):
     labels = np.repeat(np.arange(n_clusters), n_cams)
     cameras = np.tile(np.arange(n_cams), n_clusters)
     bank = normalize_rows(rng.normal(size=(n_clusters * n_cams, d)))
-    return build_proxies(bank, make_assignment(labels), cameras, AWARE)
+    return build_proxies(bank, make_assignment(labels), cameras)
 
 
 def loss_with_negatives(anchor, positive, negatives, tau):
@@ -151,11 +191,3 @@ def test_nearest_negatives_match_full_sort_oracle():
     assert value == pytest.approx(ref_value, rel=1e-12)
     assert max_rel_err(grads, ref_grads) <= 1e-12
 
-
-def test_nearest_negatives_agnostic_mode_rejected():
-    rng = np.random.default_rng(9)
-    bank = normalize_rows(rng.normal(size=(4, 6)))
-    memory = build_proxies(bank, make_assignment([0, 0, 1, 1]),
-                           np.zeros(4, int), AGNOSTIC)
-    with pytest.raises(ModeMismatch):
-        cross_camera_loss_batch(bank[:1], [0], [0], memory, tau=0.07, n_neg=5)

@@ -15,12 +15,19 @@ from selfreid.losses import (
     soft_consistency_loss,
     total_loss,
 )
-from selfreid.proxies import AGNOSTIC, AWARE, build_proxies
+from selfreid.proxies import build_proxies
 from selfreid.rerank import ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
 from selfreid.sampling import BatchSpec
 from selfreid import trainer
-from selfreid.trainer import CONSISTENCY_VARIANTS, MAX_FAILED_EPOCHS, TrainConfig, train
+from selfreid.trainer import (
+    AGNOSTIC,
+    AWARE,
+    CONSISTENCY_VARIANTS,
+    MAX_FAILED_EPOCHS,
+    TrainConfig,
+    train,
+)
 
 from oracles import finite_difference, max_rel_err
 
@@ -137,7 +144,7 @@ def test_step_gradient_matches_finite_differences(mode):
     cameras = rng.integers(0, 3, size=8)
     bank_labels = np.repeat(np.arange(5), 3)
     memory = build_proxies(normalize_rows(rng.normal(size=(15, 3))),
-                           ClusterAssignment(bank_labels, 5), np.tile(np.arange(3), 5), mode)
+                           ClusterAssignment(bank_labels, 5), np.tile(np.arange(3), 5))
     momentum_aug = normalize_rows(rng.normal(size=(8, 3)))
     momentum_clean = normalize_rows(rng.normal(size=(8, 3)))
     tau = cfg.temperatures
