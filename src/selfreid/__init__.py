@@ -20,6 +20,7 @@ from .encoder import (
     optimizer_step,
     save_checkpoint,
 )
+from .errors import SelfReidError
 from .evaluation import EvalReport, RetrievalSet, average_precision, evaluate
 from .linalg import normalize_rows, softmax_rows
 from .losses import (

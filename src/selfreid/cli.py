@@ -20,6 +20,7 @@ from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .encoder import init_pair, load_checkpoint
 from .errors import SelfReidError
+from .evaluation import require_known_identities
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from .trainer import MEMORY_MODES, TrainConfig, evaluate_encoder, extract_bank, train
 
@@ -74,6 +75,13 @@ def _check_input_width(checkpoint_path, pair, *splits) -> None:
                                 f"but {split_path} has dim {split.dim}")
 
 
+def _check_known_identities(*splits) -> None:
+    """Every given (path, dataset) evaluation split must have known identities."""
+    for split_path, split in splits:
+        if split is not None:
+            require_known_identities(split.identities, split_path)
+
+
 def cmd_generate(args) -> int:
     spec = SyntheticSpec(
         n_identities=args.ids, n_cameras=args.cameras,
@@ -102,6 +110,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset(data_path)
     query = load_dataset(query_path) if query_path else None
     gallery = load_dataset(gallery_path) if gallery_path else None
+    _check_known_identities((query_path, query), (gallery_path, gallery))
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -135,6 +144,7 @@ def cmd_eval(args) -> int:
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
     _check_input_width(args.checkpoint, pair, (args.query, query), (args.gallery, gallery))
+    _check_known_identities((args.query, query), (args.gallery, gallery))
     report = evaluate_encoder(pair, query, gallery)
     lines = [f"mAP = {report.mean_ap!r}",
              f"rank1 = {report.rank1!r}",
@@ -155,6 +165,7 @@ def cmd_ablate(args) -> int:
     dataset = load_dataset(args.data)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
+    _check_known_identities((args.query, query), (args.gallery, gallery))
     rows = []
     for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:

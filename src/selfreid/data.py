@@ -8,7 +8,8 @@ the trainer never reads them otherwise.
 
 Files are line-oriented text with a header block, one record per line:
 ``sample_id identity|? camera v0 v1 ... v{d-1}``. Floats are written
-with repr, so a save/load round trip is bit-exact.
+with repr, so a save/load round trip is bit-exact. The header is
+optional, but a ``# format`` line must read ``selfreid-embeddings v1``.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigWarning, DuplicateId, EmptyDataset, ParseError, SelfReidError
+from .errors import SelfReidError
 
 FORMAT_NAME = "selfreid-embeddings"
 FORMAT_VERSION = 1
@@ -68,15 +69,17 @@ class EmbeddingDataset:
     def n_cameras(self) -> int:
         return int(self.cameras.max()) + 1 if len(self) else 0
 
-    def validate(self) -> None:
+    def validate(self, where: str = "") -> None:
+        """Check the records; `where` (say "path: ") prefixes each message."""
         n = len(self)
         if n == 0:
-            raise EmptyDataset("dataset holds no records")
+            raise SelfReidError(f"{where}dataset holds no records")
         if len(np.unique(self.sample_ids)) != n:
-            raise DuplicateId("sample ids are not unique")
+            raise SelfReidError(f"{where}sample ids are not unique")
         cams = np.unique(self.cameras)
         if cams[0] != 0 or cams[-1] != len(cams) - 1:
-            raise SelfReidError("camera ids must be dense 0..C-1")
+            raise SelfReidError(f"{where}camera ids must be dense 0..C-1, got {len(cams)} "
+                                f"distinct ids from {cams[0]} to {cams[-1]}")
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -95,7 +98,7 @@ def generate_synthetic(spec: SyntheticSpec):
     spec.validate()
     if spec.dim < 8:
         warnings.warn(f"dim={spec.dim} is too small to separate identities reliably",
-                      ConfigWarning, stacklevel=2)
+                      UserWarning, stacklevel=2)
     rng = np.random.default_rng([spec.seed, 0x5EED])
     centers = spec.dispersion * _unit_rows(rng, spec.n_identities, spec.dim)
     # camera style: a fixed offset direction per camera, norm sigma_camera
@@ -148,51 +151,54 @@ def load_dataset(path) -> EmbeddingDataset:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
+                if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
+                    raise SelfReidError(f"{path}:{lineno}: header {line!r} is not "
+                                        f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
                 if len(parts) >= 2:
                     header[parts[0]] = parts[1:]
                 continue
             fields = line.split()
             if len(fields) < 4:
-                raise ParseError(f"{path}:{lineno}: record needs id, identity, "
-                                 f"camera and features")
+                raise SelfReidError(f"{path}:{lineno}: record needs id, identity, "
+                                    f"camera and features")
             try:
                 sample_id = int(fields[0])
                 identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
                 camera = int(fields[2])
                 vector = [float(v) for v in fields[3:]]
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                raise SelfReidError(f"{path}:{lineno}: {exc}") from exc
             if rows and len(vector) != len(rows[0]):
-                raise ParseError(f"{path}:{lineno}: dimension {len(vector)} != "
-                                 f"{len(rows[0])} from earlier records")
+                raise SelfReidError(f"{path}:{lineno}: dimension {len(vector)} != "
+                                    f"{len(rows[0])} from earlier records")
             if sample_id in seen:
-                raise DuplicateId(f"{path}:{lineno}: repeated sample id {sample_id}")
+                raise SelfReidError(f"{path}:{lineno}: repeated sample id {sample_id}")
             seen.add(sample_id)
             ids.append(sample_id)
             pids.append(identity)
             cams.append(camera)
             rows.append(vector)
     if not rows:
-        raise EmptyDataset(f"{path}: no records")
+        raise SelfReidError(f"{path}: no records")
     declared = {}
     for key in ("dim", "count"):
         if key in header:
             try:
                 declared[key] = int(header[key][0])
             except ValueError:
-                raise ParseError(f"{path}: header {key} {header[key][0]!r} is not "
-                                 f"an integer") from None
+                raise SelfReidError(f"{path}: header {key} {header[key][0]!r} is not "
+                                    f"an integer") from None
     if declared.get("dim", len(rows[0])) != len(rows[0]):
-        raise ParseError(f"{path}: header dim {declared['dim']} != "
-                         f"record dim {len(rows[0])}")
+        raise SelfReidError(f"{path}: header dim {declared['dim']} != "
+                            f"record dim {len(rows[0])}")
     if declared.get("count", len(rows)) != len(rows):
-        raise ParseError(f"{path}: header count {declared['count']} != "
-                         f"{len(rows)} records")
+        raise SelfReidError(f"{path}: header count {declared['count']} != "
+                            f"{len(rows)} records")
     dataset = EmbeddingDataset(
         sample_ids=np.array(ids, dtype=np.int64),
         identities=np.array(pids, dtype=np.int64),
         cameras=np.array(cams, dtype=np.int64),
         features=np.array(rows, dtype=np.float64),
     )
-    dataset.validate()
+    dataset.validate(f"{path}: ")
     return dataset

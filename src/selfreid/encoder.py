@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidMomentum,
-    NonFiniteGradient,
-    SelfReidError,
-)
+from .errors import SelfReidError
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2")
 
@@ -134,8 +129,7 @@ def forward(params: EncoderParams, batch: np.ndarray) -> ForwardPass:
     batch = np.asarray(batch, dtype=np.float64)
     d_in = params.w1.shape[0]
     if batch.ndim != 2 or batch.shape[1] != d_in:
-        raise DimensionMismatch(
-            f"batch shape {batch.shape}, encoder expects (*, {d_in})")
+        raise SelfReidError(f"batch shape {batch.shape}, encoder expects (*, {d_in})")
     if not np.all(np.isfinite(batch)):
         raise SelfReidError("non-finite values in encoder input")
     hidden = np.tanh(batch @ params.w1 + params.b1)
@@ -164,7 +158,7 @@ def backward(params: EncoderParams, fwd: ForwardPass,
     """
     output_gradient = np.asarray(output_gradient, dtype=np.float64)
     if output_gradient.shape != fwd.out.shape:
-        raise DimensionMismatch(
+        raise SelfReidError(
             f"output_gradient shape {output_gradient.shape} != {fwd.out.shape}")
 
     g_raw = normalize_rows_vjp(fwd.out, fwd.norms, output_gradient)
@@ -176,10 +170,10 @@ def backward(params: EncoderParams, fwd: ForwardPass,
 def ema_update(pair: EncoderPair, alpha: float) -> None:
     """In-place EMA: momentum <- alpha * momentum + (1 - alpha) * online."""
     if not (0.0 <= alpha <= 1.0):
-        raise InvalidMomentum(f"alpha must be in [0, 1], got {alpha}")
+        raise SelfReidError(f"alpha must be in [0, 1], got {alpha}")
     for f in PARAM_FIELDS:
         if getattr(pair.momentum, f).shape != getattr(pair.online, f).shape:
-            raise DimensionMismatch(f"parameter {f} shapes differ")
+            raise SelfReidError(f"parameter {f} shapes differ")
     mom = pair.momentum.flat
     mom *= alpha
     mom += (1.0 - alpha) * pair.online.flat
@@ -201,7 +195,7 @@ def optimizer_step(state: OptimizerState, params: EncoderParams,
     """
     if not np.all(np.isfinite(grads.flat)):
         bad = next(f for f in PARAM_FIELDS if not np.all(np.isfinite(getattr(grads, f))))
-        raise NonFiniteGradient(f"gradient {bad} contains NaN/inf")
+        raise SelfReidError(f"gradient {bad} contains NaN/inf")
     state.step += 1
     t = state.step
     g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat

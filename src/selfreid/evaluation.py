@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEvaluation, NoRelevantItems
+from .data import UNKNOWN_IDENTITY
+from .errors import SelfReidError
 
 RANKS = (1, 5, 10)
 
@@ -39,18 +40,29 @@ def average_precision(ranked_relevance) -> float:
     rel = np.asarray(ranked_relevance, dtype=bool)
     total = int(rel.sum())
     if total == 0:
-        raise NoRelevantItems("no relevant item in ranking")
+        raise SelfReidError("no relevant item in ranking")
     hits = np.cumsum(rel)
     positions = np.flatnonzero(rel) + 1
     return float(np.sum(hits[positions - 1] / positions) / total)
+
+
+def require_known_identities(identities: np.ndarray, where: str) -> None:
+    """Reject unknown ("?") identities, which cannot tell a match from a miss."""
+    unknown = int(np.sum(identities == UNKNOWN_IDENTITY))
+    if unknown:
+        raise SelfReidError(f"{where}: {unknown} of {len(identities)} records have unknown "
+                            f"identity ?; evaluation needs known identities")
 
 
 def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     """mAP and CMC over all valid queries.
 
     Queries whose true matches all share their camera are excluded from
-    the averages and counted in excluded_queries.
+    the averages and counted in excluded_queries. Every identity must be
+    known.
     """
+    require_known_identities(queries.identities, "query")
+    require_known_identities(gallery.identities, "gallery")
     sims = queries.embeddings @ gallery.embeddings.T
     n_q = sims.shape[0]
     aps, cmc_hits = [], []
@@ -71,7 +83,7 @@ def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
         first_hit = int(np.argmax(relevance))
         cmc_hits.append([first_hit < k for k in RANKS])
     if not aps:
-        raise EmptyEvaluation("no query kept a valid cross-camera match")
+        raise SelfReidError("no query kept a valid cross-camera match")
     cmc = np.mean(np.array(cmc_hits, dtype=float), axis=0)
     return EvalReport(mean_ap=float(np.mean(aps)), rank1=float(cmc[0]),
                       rank5=float(cmc[1]), rank10=float(cmc[2]),

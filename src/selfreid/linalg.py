@@ -7,7 +7,7 @@ cosine similarities. Everything is float64.
 
 import numpy as np
 
-from .errors import DegenerateVector, InvalidTemperature
+from .errors import SelfReidError
 
 # Norm below this is treated as a zero vector.
 ZERO_NORM_TOL = 1e-300
@@ -18,7 +18,7 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)) or np.any(norms <= ZERO_NORM_TOL):
-        raise DegenerateVector("matrix contains a zero or non-finite row")
+        raise SelfReidError("matrix contains a zero or non-finite row")
     return mat / norms
 
 
@@ -29,7 +29,7 @@ def softmax_rows(sims: np.ndarray, temperature: float) -> np.ndarray:
     +/-14, where naive exponentiation starts losing precision.
     """
     if temperature <= 0:
-        raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
+        raise SelfReidError(f"temperature must be > 0, got {temperature}")
     sims = np.asarray(sims, dtype=np.float64)
     logits = sims / temperature
     logits = logits - logits.max(axis=1, keepdims=True)

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoNegatives,
-    NonFiniteLoss,
-    ProxyNotFound,
-    SelfReidError,
-)
+from .errors import SelfReidError
 from .linalg import softmax_rows
 from .proxies import ProxyMemory
 
@@ -97,7 +91,7 @@ def proxy_agnostic_loss(feats: np.ndarray, labels: np.ndarray,
     n_proxies = proxy_vectors.shape[0]
     if np.any(labels < 0) or np.any(labels >= n_proxies):
         missing = labels[(labels < 0) | (labels >= n_proxies)]
-        raise ProxyNotFound(f"labels {sorted(set(missing.tolist()))} have no proxy")
+        raise SelfReidError(f"labels {sorted(set(missing.tolist()))} have no proxy")
 
     sims = feats @ proxy_vectors.T
     probs = softmax_rows(sims, tau)
@@ -187,7 +181,7 @@ def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,
     n = feats.shape[0]
     same = labels[:, None] == labels[None, :]
     if same.all():
-        raise NoNegatives("batch holds a single pseudo identity")
+        raise SelfReidError("batch holds a single pseudo identity")
 
     sims = feats @ momentum.T
     mined = np.argmin(np.where(same, sims, np.inf), axis=1)
@@ -226,7 +220,7 @@ def consistency_distributions(feats: np.ndarray, momentum_aug: np.ndarray,
     momentum_aug = np.asarray(momentum_aug, dtype=np.float64)
     momentum_clean = np.asarray(momentum_clean, dtype=np.float64)
     if not (feats.shape == momentum_aug.shape == momentum_clean.shape):
-        raise DimensionMismatch("augmented and clean batches must align")
+        raise SelfReidError("augmented and clean batches must align")
     if targets not in ("clean", "strong"):
         raise SelfReidError(f"unknown targets variant {targets!r}")
     p = softmax_rows(feats @ momentum_aug.T, tau)
@@ -274,7 +268,7 @@ def total_loss(agnostic, cross, hard, soft, weights: LossWeights) -> LossBreakdo
     parts = {"agnostic": agnostic, "cross": cross, "hard": hard, "soft": soft}
     for name, (value, _) in parts.items():
         if not np.isfinite(value):
-            raise NonFiniteLoss(f"component {name} is {value}")
+            raise SelfReidError(f"component {name} is {value}")
     proxy_value = agnostic[0] + 0.5 * cross[0]
     total_value = proxy_value + weights.hard * hard[0] + weights.soft * soft[0]
     grads = (agnostic[1] + 0.5 * cross[1]

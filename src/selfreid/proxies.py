@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoClustersFound, SelfReidError
+from .errors import SelfReidError
 from .linalg import normalize_rows
 from .rerank import ClusterAssignment
 
@@ -53,7 +53,7 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
     bank = np.asarray(bank, dtype=np.float64)
     cameras = np.asarray(cameras, dtype=np.int64)
     if assignment.cluster_count == 0:
-        raise NoClustersFound("clustering produced no inlier clusters")
+        raise SelfReidError("clustering produced no inlier clusters")
     order, starts = assignment.member_index
     cluster_counts = np.diff(starts)
     if np.any(cluster_counts == 0):

@@ -15,7 +15,7 @@ import dataclasses
 import functools
 import os
 
-from .errors import ParseError
+from .errors import SelfReidError
 from .trainer import EpochReport, TrainConfig
 
 METRICS_COLUMNS = ("epoch", "n_clusters", "n_outliers", "L_agnostic", "L_cross",
@@ -53,14 +53,14 @@ def config_values(values: dict, source: str = "") -> dict:
     types = {key: f.type for key, _, f in config_fields()}
     unknown = sorted(set(values) - set(types))
     if unknown:
-        raise ParseError(f"{where}unknown config keys: {unknown}")
+        raise SelfReidError(f"{where}unknown config keys: {unknown}")
     typed = {}
     for key, value in values.items():
         try:
             typed[key] = types[key](str(value))
         except ValueError:
-            raise ParseError(f"{where}config key {key}: expected {types[key].__name__}, "
-                             f"got {value!r}") from None
+            raise SelfReidError(f"{where}config key {key}: expected {types[key].__name__}, "
+                                f"got {value!r}") from None
     return typed
 
 
@@ -95,7 +95,7 @@ def read_keyvalue(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
+                raise SelfReidError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
             values[key.strip()] = raw.strip()
     return values

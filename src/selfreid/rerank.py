@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InsufficientSamples, InvalidDistanceMatrix, SelfReidError
+from .errors import SelfReidError
 
 OUTLIER = -1
 
@@ -121,9 +121,9 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if n < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {n}")
+        raise SelfReidError(f"need at least 2 samples, got {n}")
     if k1 >= n or k2 >= n:
-        raise InsufficientSamples(f"k1={k1}, k2={k2} must be < n={n}")
+        raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n}")
 
     dist = features @ features.T
     np.subtract(1.0, dist, out=dist)
@@ -193,12 +193,12 @@ def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     if dist.ndim != 2 or dist.shape[1] != n:
-        raise InvalidDistanceMatrix(f"expected square matrix, got {dist.shape}")
+        raise SelfReidError(f"expected square matrix, got {dist.shape}")
     # An exactly symmetric matrix, such as jaccard_distance_matrix returns,
     # skips the slower tolerance check.
     symmetric = np.array_equal(dist, dist.T) or np.allclose(dist, dist.T, atol=1e-12)
     if not symmetric or np.any(np.abs(np.diag(dist)) > 1e-12):
-        raise InvalidDistanceMatrix("matrix must be symmetric with zero diagonal")
+        raise SelfReidError("matrix must be symmetric with zero diagonal")
 
     rows, cols = np.nonzero(dist <= config.eps)  # sorted by row
     core = np.bincount(rows, minlength=n) >= config.min_samples

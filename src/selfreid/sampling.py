@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientClusters, SelfReidError
+from .errors import SelfReidError
 from .rerank import ClusterAssignment
 
 
@@ -75,7 +75,7 @@ def sample_pk_batch(assignment: ClusterAssignment, cameras: np.ndarray,
     spec.validate()
     cameras = np.asarray(cameras, dtype=np.int64)
     if assignment.cluster_count < spec.n_identities:
-        raise InsufficientClusters(
+        raise SelfReidError(
             f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)

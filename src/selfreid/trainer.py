@@ -32,7 +32,7 @@ from .encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from .errors import SelfReidError, TrainingAborted
+from .errors import SelfReidError
 from .evaluation import EvalReport, RetrievalSet, evaluate
 from .losses import (
     LossWeights,
@@ -276,33 +276,22 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
         else:
             assignment = generate_pseudo_labels(bank, config.cluster)
 
-        if assignment.cluster_count == 0:
-            failed_epochs += 1
+        failed_epochs = failed_epochs + 1 if assignment.cluster_count == 0 else 0
+        sums = np.zeros(6)  # agnostic, cross, hard, soft, total, kl
+        ran = 0
+        if failed_epochs:
             log.warning("epoch %d: clustering found no inliers (%d consecutive)",
                         epoch, failed_epochs)
             if failed_epochs > MAX_FAILED_EPOCHS:
-                raise TrainingAborted(
+                raise SelfReidError(
                     f"no clusters for {failed_epochs} consecutive epochs; "
                     f"check eps/min_samples against the data scale")
-            reports.append(EpochReport(
-                epoch=epoch, cluster_count=0, outlier_count=len(dataset),
-                mean_agnostic=0.0, mean_cross=0.0, mean_hard=0.0, mean_soft=0.0,
-                mean_total=0.0, mean_kl=0.0,
-                wall_time=time.perf_counter() - start,
-                skipped_iterations=config.iterations))
-            continue
-        failed_epochs = 0
-        state.memory = build_proxies(bank, assignment, dataset.cameras)
-
-        sums = np.zeros(6)  # agnostic, cross, hard, soft, total, kl
-        ran = 0
-        skipped = 0
-        if assignment.cluster_count < config.batch.n_identities:
+        elif assignment.cluster_count < config.batch.n_identities:
             log.warning("epoch %d: %d clusters < %d identities per batch; "
                         "skipping iterations", epoch, assignment.cluster_count,
                         config.batch.n_identities)
-            skipped = config.iterations
         else:
+            state.memory = build_proxies(bank, assignment, dataset.cameras)
             for _ in range(config.iterations):
                 batch = sample_pk_batch(
                     assignment, dataset.cameras, config.batch,
@@ -318,7 +307,8 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
             outlier_count=assignment.outlier_count,
             mean_agnostic=means[0], mean_cross=means[1], mean_hard=means[2],
             mean_soft=means[3], mean_total=means[4], mean_kl=means[5],
-            wall_time=time.perf_counter() - start, skipped_iterations=skipped)
+            wall_time=time.perf_counter() - start,
+            skipped_iterations=config.iterations - ran)
 
         last_epoch = epoch == config.epochs - 1
         if query is not None and gallery is not None:

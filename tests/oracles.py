@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from selfreid.errors import InsufficientSamples
+from selfreid.errors import SelfReidError
 
 
 def max_rel_err(actual: np.ndarray, reference: np.ndarray) -> float:
@@ -239,9 +239,9 @@ def dense_jaccard(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if n < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {n}")
+        raise SelfReidError(f"need at least 2 samples, got {n}")
     if k1 >= n or k2 >= n:
-        raise InsufficientSamples(f"k1={k1}, k2={k2} must be < n={n}")
+        raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n}")
 
     dist = 1.0 - features @ features.T
     np.fill_diagonal(dist, 0.0)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from selfreid import cli
-from selfreid.data import SyntheticSpec, generate_synthetic, save_dataset
+from selfreid.data import (
+    UNKNOWN_IDENTITY,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from selfreid.encoder import init_optimizer, init_pair, save_checkpoint
 from selfreid.reporting import METRICS_COLUMNS
 
@@ -118,6 +124,39 @@ def test_sweep_eps_rejects_checkpoint_of_other_width(train_files, tmp_path, caps
     err = capsys.readouterr().err
     assert narrow in err and train_files["data"] in err
     assert "8-d inputs" in err and "dim 16" in err
+
+
+def mark_unknown(path, rows):
+    """Rewrite the file at `path` with identity ? on the given rows."""
+    split = load_dataset(path)
+    split.identities[rows] = UNKNOWN_IDENTITY
+    save_dataset(split, path)
+
+
+def test_eval_rejects_unknown_query_identities(eval_files, capsys):
+    mark_unknown(eval_files["query"], slice(None))
+    assert run_eval(eval_files, eval_files["checkpoint"]) == 1
+    err = capsys.readouterr().err
+    assert (f"{eval_files['query']}: 16 of 16 records have unknown identity ?; "
+            f"evaluation needs known identities") in err
+
+
+def test_train_rejects_unknown_gallery_identities(train_files, tmp_path, capsys):
+    mark_unknown(train_files["gallery"], [0, 3, 5])
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, *TINY_RUN) == 1
+    assert f"{train_files['gallery']}: 3 of 80 records have unknown identity ?" in \
+        capsys.readouterr().err
+    assert not (out_dir / "manifest.txt").exists()
+
+
+def test_ablate_rejects_unknown_query_identities(train_files, monkeypatch, capsys):
+    mark_unknown(train_files["query"], [1])
+    monkeypatch.setattr(cli, "train", None)  # fails if a variant starts training
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
+                     "--gallery", train_files["gallery"]]) == 1
+    assert f"{train_files['query']}: 1 of 40 records have unknown identity ?" in \
+        capsys.readouterr().err
 
 
 def test_train_from_manifest_is_byte_identical(train_files, tmp_path):

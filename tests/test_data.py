@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from selfreid.data import (
     load_dataset,
     save_dataset,
 )
-from selfreid.errors import ConfigWarning, DuplicateId, EmptyDataset, ParseError
+from selfreid.errors import SelfReidError
 
 
 def test_generate_counts():
@@ -59,7 +60,7 @@ def test_default_spec_files_pinned(tmp_path):
 
 
 def test_generate_warns_on_tiny_dim():
-    with pytest.warns(ConfigWarning):
+    with pytest.warns(UserWarning, match="dim=4 is too small to separate identities reliably"):
         generate_synthetic(SyntheticSpec(dim=4, seed=0))
 
 
@@ -106,28 +107,45 @@ def test_unknown_identity_round_trip(tmp_path):
 def test_mixed_dimensions_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 0 0.5 0.5\n1 1 0 0.5 0.5 0.5\n")
-    with pytest.raises(ParseError, match="bad.txt:2"):
+    with pytest.raises(SelfReidError, match="bad.txt:2: dimension 3 != 2 from earlier records"):
         load_dataset(path)
 
 
 def test_malformed_line_has_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 0 0.5 0.5\n1 one 0 0.5 0.5\n")
-    with pytest.raises(ParseError, match=":2"):
+    with pytest.raises(SelfReidError, match=re.escape("bad.txt:2: invalid literal for int()")):
         load_dataset(path)
 
 
 def test_duplicate_sample_id_rejected(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("7 1 0 0.5 0.5\n7 2 1 0.1 0.2\n")
-    with pytest.raises(DuplicateId):
+    with pytest.raises(SelfReidError, match="dup.txt:2: repeated sample id 7"):
         load_dataset(path)
 
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(SelfReidError, match="empty.txt: no records"):
+        load_dataset(path)
+
+
+def test_sparse_camera_ids_rejected_with_path(tmp_path):
+    path = tmp_path / "cams.txt"
+    path.write_text("0 1 1 0.5 0.5\n1 1 2 0.5 0.25\n")
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}: camera ids must be dense 0..C-1, got 2 distinct ids from 1 to 2")):
+        load_dataset(path)
+
+
+def test_foreign_format_header_rejected(tmp_path):
+    path = tmp_path / "fmt.txt"
+    path.write_text("# format something-else v9\n0 1 0 0.5 0.5\n")
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}:1: header '# format something-else v9' is not "
+            f"'# format selfreid-embeddings v1'")):
         load_dataset(path)
 
 
@@ -146,7 +164,7 @@ def test_header_is_self_describing(tmp_path):
 def test_header_count_mismatch_rejected(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("# count 3\n0 1 0 0.5\n1 1 0 0.25\n")
-    with pytest.raises(ParseError, match="count"):
+    with pytest.raises(SelfReidError, match="short.txt: header count 3 != 2 records"):
         load_dataset(path)
 
 
@@ -154,5 +172,6 @@ def test_header_count_mismatch_rejected(tmp_path):
 def test_header_non_integer_rejected(tmp_path, header):
     path = tmp_path / "header.txt"
     path.write_text(f"{header}\n0 1 0 0.5\n1 1 0 0.25\n")
-    with pytest.raises(ParseError, match=f"header.txt: header {header.split()[1]} "):
+    with pytest.raises(SelfReidError,
+                       match=f"header.txt: header {header.split()[1]} .* is not an integer"):
         load_dataset(path)

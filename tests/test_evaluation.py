@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from selfreid.errors import EmptyEvaluation, NoRelevantItems
+from selfreid.errors import SelfReidError
 from selfreid.evaluation import RetrievalSet, average_precision, evaluate
 from selfreid.linalg import normalize_rows
 
@@ -24,7 +26,7 @@ def test_ap_all_relevant_any_order():
 
 
 def test_ap_requires_a_relevant_item():
-    with pytest.raises(NoRelevantItems):
+    with pytest.raises(SelfReidError, match="no relevant item in ranking"):
         average_precision([False, False])
 
 
@@ -79,13 +81,28 @@ def test_evaluate_matches_exhaustive_oracle():
     assert report.excluded_queries == excluded
 
 
+def test_unknown_identities_rejected():
+    emb = normalize_rows(np.random.default_rng(3).normal(size=(2, 5)))
+    known = RetrievalSet(emb, np.array([1, 2]), np.array([0, 1]))
+    partly = RetrievalSet(emb, np.array([-1, 2]), np.array([0, 1]))
+    unknown = RetrievalSet(emb, np.array([-1, -1]), np.array([0, 1]))
+    with pytest.raises(SelfReidError, match=re.escape(
+            "query: 1 of 2 records have unknown identity ?; evaluation needs known identities")):
+        evaluate(partly, known)
+    with pytest.raises(SelfReidError, match="gallery: 1 of 2 records have unknown identity"):
+        evaluate(known, partly)
+    # all-unknown sets would otherwise score a perfect mAP: -1 matches -1
+    with pytest.raises(SelfReidError, match="query: 2 of 2 records"):
+        evaluate(unknown, unknown)
+
+
 def test_same_camera_matches_are_excluded():
     rng = np.random.default_rng(2)
     emb = normalize_rows(rng.normal(size=(3, 5)))
     queries = RetrievalSet(emb[:1], np.array([7]), np.array([0]))
     # only matches share the query's camera -> query excluded
     gallery = RetrievalSet(emb, np.array([7, 7, 8]), np.array([0, 0, 1]))
-    with pytest.raises(EmptyEvaluation):
+    with pytest.raises(SelfReidError, match="no query kept a valid cross-camera match"):
         evaluate(queries, gallery)
 
 

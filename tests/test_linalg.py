@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selfreid.errors import DegenerateVector, InvalidTemperature
+from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows, softmax_rows
 
 from oracles import softmax_row
@@ -16,7 +16,7 @@ def test_l2_normalize_identity_case():
 
 
 def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(DegenerateVector):
+    with pytest.raises(SelfReidError, match="matrix contains a zero or non-finite row"):
         normalize_rows([[0.0, 0.0]])
 
 
@@ -45,9 +45,9 @@ def test_softmax_single_entry():
 
 
 def test_softmax_temperature_validation():
-    with pytest.raises(InvalidTemperature):
+    with pytest.raises(SelfReidError, match="temperature must be > 0, got 0.0"):
         softmax_rows(np.array([[1.0, 2.0]]), 0.0)
-    with pytest.raises(InvalidTemperature):
+    with pytest.raises(SelfReidError, match="temperature must be > 0, got -1.0"):
         softmax_rows(np.ones((2, 2)), -1.0)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
-from selfreid.errors import (
-    NoNegatives,
-    NonFiniteLoss,
-    ProxyNotFound,
-    SelfReidError,
-)
+from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.losses import (
     LossWeights,
@@ -27,6 +23,7 @@ from selfreid.losses import (
 )
 from selfreid.proxies import ProxyMemory, build_proxies
 from selfreid.rerank import ClusterAssignment
+from selfreid.trainer import CONSISTENCY_VARIANTS
 
 from oracles import cross_camera_oracle, finite_difference, max_rel_err
 
@@ -70,7 +67,7 @@ def test_agnostic_identical_proxies_gives_log_count():
 
 
 def test_agnostic_missing_proxy():
-    with pytest.raises(ProxyNotFound):
+    with pytest.raises(SelfReidError, match=re.escape("labels [2] have no proxy")):
         proxy_agnostic_loss(np.eye(2), [2], np.eye(2), tau=0.5)
 
 
@@ -364,7 +361,7 @@ def test_hard_loss_variants_match_scalar_oracle(variant):
 def test_hard_loss_single_identity_rejected():
     rng = np.random.default_rng(4)
     feats = normalize_rows(rng.normal(size=(4, 5)))
-    with pytest.raises(NoNegatives):
+    with pytest.raises(SelfReidError, match="batch holds a single pseudo identity"):
         hard_instance_loss(feats, feats, np.zeros(4, int), tau=0.1)
 
 
@@ -523,6 +520,81 @@ def test_argmax_is_temperature_invariant():
         np.testing.assert_array_equal(sa.argmax(axis=1), sb.argmax(axis=1))
 
 
+# --- gradient properties -------------------------------------------------------
+
+@st.composite
+def batch_cases(draw):
+    """A batch of 2-6 anchors in two or three pseudo identities.
+
+    The anchors and both momentum views are GRID rows drawn from a small
+    pool, so tied similarities are common; the anchors, which the
+    gradient is taken against, are then jittered off the grid.
+    """
+    n = draw(st.integers(2, 6), label="anchors")
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                           .filter(lambda ls: len(set(ls)) > 1), label="labels"))
+    pool = draw(st.integers(1, len(GRID)), label="pool")
+    rows = st.lists(st.integers(0, pool - 1), min_size=n, max_size=n)
+    feats = GRID[draw(rows, label="feats")]
+    momentum_aug = GRID[draw(rows, label="momentum_aug")]
+    momentum_clean = GRID[draw(rows, label="momentum_clean")]
+    seed = draw(st.integers(0, 2**32 - 1), label="jitter")
+    feats = feats + 0.05 * np.random.default_rng(seed).normal(size=feats.shape)
+    tau = draw(st.sampled_from([0.07, 0.1, 0.4]), label="tau")
+    return feats, momentum_aug, momentum_clean, labels, tau
+
+
+def assert_gradient_matches_fd(loss, feats, scale):
+    """Analytic gradient of loss(feats) -> (value, grads) against central
+    differences, up to the differences' own error on the term scale."""
+    _, analytic = loss(feats)
+    fd = finite_difference(lambda f: loss(f)[0], feats.copy())
+    np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7 * scale)
+
+
+@settings(max_examples=60)
+@given(batch_cases(), st.lists(st.integers(0, len(GRID) - 1), min_size=3, max_size=6))
+def test_agnostic_property_gradient_matches_finite_differences(case, proxy_rows):
+    feats, _, _, labels, tau = case
+    proxies = GRID[proxy_rows]
+    assert_gradient_matches_fd(lambda f: proxy_agnostic_loss(f, labels, proxies, tau),
+                               feats, np.abs(proxies).max() / tau)
+
+
+@settings(max_examples=60)
+@given(batch_cases(), st.sampled_from(["all", "hardest"]))
+def test_hard_property_gradient_matches_finite_differences(case, negatives):
+    feats, momentum, _, labels, tau = case
+    # the mined positive (and the hardest negative) must stay put within
+    # the finite-difference step, unless the rows tied for it are equal
+    sims = feats @ momentum.T
+    same = labels[:, None] == labels[None, :]
+    for i in range(len(labels)):
+        ranked = [np.sort(sims[i, same[i]])]
+        if negatives == "hardest":
+            ranked.append(np.sort(-sims[i, ~same[i]]))
+        for keys in ranked:
+            if keys.size > 1:
+                gap = keys[1] - keys[0]
+                assume(gap == 0.0 or gap > 1e-3)
+    assert_gradient_matches_fd(
+        lambda f: hard_instance_loss(f, momentum, labels, tau, negatives),
+        feats, np.abs(momentum).max() / tau)
+
+
+@settings(max_examples=60)
+@given(batch_cases(), st.sampled_from(sorted(CONSISTENCY_VARIANTS)))
+def test_consistency_property_gradient_matches_finite_differences(case, variant):
+    feats, momentum_aug, momentum_clean, _, tau = case
+    targets, divergence = CONSISTENCY_VARIANTS[variant]
+
+    def loss(f):
+        dists = consistency_distributions(f, momentum_aug, momentum_clean, tau, targets)
+        return soft_consistency_loss(dists, divergence)
+
+    assert_gradient_matches_fd(loss, feats, np.abs(momentum_aug).max() / tau)
+
+
 # --- total loss --------------------------------------------------------------
 
 def zero_grads(shape=(2, 3)):
@@ -563,7 +635,7 @@ def test_total_loss_gradient_linearity():
 
 def test_total_loss_rejects_non_finite():
     weights = LossWeights()
-    with pytest.raises(NonFiniteLoss, match="hard"):
+    with pytest.raises(SelfReidError, match="component hard is nan"):
         total_loss((1.0, zero_grads()), (0.0, zero_grads()),
                    (float("nan"), zero_grads()), (0.0, zero_grads()), weights)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selfreid.errors import NoClustersFound, SelfReidError
+from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.losses import cross_camera_loss_batch
 from selfreid.proxies import build_proxies
@@ -57,7 +57,7 @@ def test_outliers_are_excluded():
 
 def test_no_clusters_raises():
     bank = np.eye(3)
-    with pytest.raises(NoClustersFound):
+    with pytest.raises(SelfReidError, match="clustering produced no inlier clusters"):
         build_proxies(bank, make_assignment([OUTLIER] * 3), np.zeros(3, int))
 
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from selfreid import cli
-from selfreid.errors import ParseError
+from selfreid.errors import SelfReidError
 from selfreid.reporting import (
     config_from_dict,
     config_to_dict,
@@ -90,9 +90,9 @@ def test_every_key_round_trips_with_a_non_default_value(tmp_path):
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ParseError, match=re.escape("unknown config keys: ['tau']")):
+    with pytest.raises(SelfReidError, match=re.escape("unknown config keys: ['tau']")):
         config_from_dict({"epochs": 3, "tau": 0.1})
-    with pytest.raises(ParseError, match=re.escape("run.cfg: unknown config keys: ['tau']")):
+    with pytest.raises(SelfReidError, match=re.escape("run.cfg: unknown config keys: ['tau']")):
         config_values({"epochs": 3, "tau": 0.1}, "run.cfg")
 
 
@@ -104,10 +104,10 @@ def test_unknown_key_rejected():
     ("tau_cross", "warm"),
 ])
 def test_wrong_type_rejected(key, value):
-    with pytest.raises(ParseError, match=re.escape(f"config key {key}: expected ")) as info:
+    with pytest.raises(SelfReidError, match=re.escape(f"config key {key}: expected ")) as info:
         config_from_dict({key: value})
     assert repr(value) in str(info.value)
-    with pytest.raises(ParseError, match=re.escape(f"run.cfg: config key {key}: ")):
+    with pytest.raises(SelfReidError, match=re.escape(f"run.cfg: config key {key}: ")):
         config_values({key: value}, "run.cfg")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfreid.errors import InsufficientSamples, InvalidDistanceMatrix
+from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.rerank import (
     OUTLIER,
@@ -122,7 +122,7 @@ def test_jaccard_symmetric_zero_diag_unit_range():
 
 def test_jaccard_insufficient_samples():
     rng = np.random.default_rng(2)
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(SelfReidError, match="k1=5, k2=2 must be < n=5"):
         jaccard_distance_matrix(unit_cloud(rng, 5, 4), k1=5, k2=2)
 
 
@@ -243,7 +243,7 @@ def test_dbscan_property_matches_oracle(data):
 def test_dbscan_rejects_asymmetric_matrix():
     dist = np.zeros((3, 3))
     dist[0, 1] = 0.5
-    with pytest.raises(InvalidDistanceMatrix):
+    with pytest.raises(SelfReidError, match="matrix must be symmetric with zero diagonal"):
         dbscan(dist, ClusterConfig())
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selfreid.errors import InsufficientClusters, SelfReidError
+from selfreid.errors import SelfReidError
 from selfreid.rerank import OUTLIER, ClusterAssignment
 from selfreid.sampling import BatchSpec, PerturbationConfig, perturb, sample_pk_batch
 
@@ -58,7 +58,7 @@ def test_small_cluster_duplicates_an_index():
 
 def test_insufficient_clusters_raises():
     assignment = make_assignment(np.repeat([0, 1], 4))
-    with pytest.raises(InsufficientClusters):
+    with pytest.raises(SelfReidError, match="2 clusters < 3 identities/batch"):
         sample_pk_batch(assignment, np.zeros(8, int), BatchSpec(3, 2), rng_seed=0)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from selfreid.data import SyntheticSpec, generate_synthetic
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
-from selfreid.errors import SelfReidError, TrainingAborted
+from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.losses import (
     consistency_distributions,
@@ -82,9 +82,23 @@ def test_all_outlier_epochs_abort(small_train):
     for r in reports:
         assert (r.cluster_count, r.outlier_count) == (0, len(small_train))
         assert r.skipped_iterations == 4
-    with pytest.raises(TrainingAborted, match=f"{MAX_FAILED_EPOCHS + 1} consecutive"):
+    with pytest.raises(SelfReidError, match=f"no clusters for {MAX_FAILED_EPOCHS + 1} consecutive "
+                                           "epochs; check eps/min_samples"):
         train(TrainConfig(epochs=MAX_FAILED_EPOCHS + 1, iterations=4,
                           cluster=no_cores), small_train)
+
+
+def test_epoch_without_clusters_still_evaluates_and_checkpoints(tmp_path):
+    train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=10))
+    config = TrainConfig(epochs=2, iterations=3, cluster=ClusterConfig(min_samples=1000),
+                         checkpoint_every=1)
+    _, reports = train(config, train_split, query=query, gallery=gallery,
+                       checkpoint_dir=tmp_path)
+    assert [r.cluster_count for r in reports] == [0, 0]
+    assert reports[0].evaluation is None
+    assert 0.0 < reports[-1].evaluation.mean_ap <= 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint_epoch000.npz", "checkpoint_epoch001.npz"]
 
 
 def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
