@@ -22,7 +22,14 @@ from .encoder import init_pair, load_checkpoint
 from .errors import SelfReidError
 from .evaluation import require_known_identities
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
-from .trainer import MEMORY_MODES, TrainConfig, evaluate_encoder, extract_bank, train
+from .trainer import (
+    MEMORY_MODES,
+    ORACLE_NEEDS_IDENTITIES,
+    TrainConfig,
+    evaluate_encoder,
+    extract_bank,
+    train,
+)
 
 EPS_GRID = (0.45, 0.5, 0.55, 0.6)
 
@@ -111,6 +118,8 @@ def cmd_train(args) -> int:
     query = load_dataset(query_path) if query_path else None
     gallery = load_dataset(gallery_path) if gallery_path else None
     _check_known_identities((query_path, query), (gallery_path, gallery))
+    if config.labels_mode == "oracle":
+        require_known_identities(dataset.identities, data_path, ORACLE_NEEDS_IDENTITIES)
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)

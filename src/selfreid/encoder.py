@@ -255,7 +255,9 @@ def load_checkpoint(path) -> tuple[EncoderPair, OptimizerState]:
         try:
             data = np.load(fh, allow_pickle=False)
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise SelfReidError(f"{path}: not a checkpoint file ({exc})") from exc
+            # numpy takes any bytes that are neither .npz nor .npy for a
+            # pickle, and its error would send the reader there
+            raise SelfReidError(f"{path}: not a checkpoint file (not an .npz archive)") from exc
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise SelfReidError(f"{path}: not a checkpoint file (holds a single array)")
         with data:

@@ -46,12 +46,14 @@ def average_precision(ranked_relevance) -> float:
     return float(np.sum(hits[positions - 1] / positions) / total)
 
 
-def require_known_identities(identities: np.ndarray, where: str) -> None:
-    """Reject unknown ("?") identities, which cannot tell a match from a miss."""
+def require_known_identities(identities: np.ndarray, where: str,
+                             reason: str = "evaluation needs known identities") -> None:
+    """Reject unknown ("?") identities; by default because they cannot tell
+    a match from a miss. `reason` ends the message."""
     unknown = int(np.sum(identities == UNKNOWN_IDENTITY))
     if unknown:
         raise SelfReidError(f"{where}: {unknown} of {len(identities)} records have unknown "
-                            f"identity ?; evaluation needs known identities")
+                            f"identity ?; {reason}")
 
 
 def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import UNKNOWN_IDENTITY, EmbeddingDataset
+from .data import EmbeddingDataset
 from .encoder import (
     EncoderPair,
     OptimizerState,
@@ -33,7 +33,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .errors import SelfReidError
-from .evaluation import EvalReport, RetrievalSet, evaluate
+from .evaluation import EvalReport, RetrievalSet, evaluate, require_known_identities
 from .losses import (
     LossWeights,
     Temperatures,
@@ -183,10 +183,13 @@ def extract_bank(pair: EncoderPair, features: np.ndarray) -> np.ndarray:
     return forward(pair.momentum, features).out
 
 
+ORACLE_NEEDS_IDENTITIES = ("labels_mode = oracle trains on the identities as pseudo labels, "
+                           "so every one must be known")
+
+
 def oracle_assignment(dataset: EmbeddingDataset) -> ClusterAssignment:
     """Ground-truth identities as pseudo labels (supervised oracle mode)."""
-    if np.any(dataset.identities == UNKNOWN_IDENTITY):
-        raise SelfReidError("oracle labels requested but identities are unknown")
+    require_known_identities(dataset.identities, "training data", ORACLE_NEEDS_IDENTITIES)
     _, labels = np.unique(dataset.identities, return_inverse=True)
     return ClusterAssignment(labels=labels.astype(np.int64),
                              cluster_count=int(labels.max()) + 1)

@@ -103,6 +103,15 @@ def test_eval_rejects_non_checkpoint_file(eval_files, capsys):
     assert eval_files["query"] in err and "not a checkpoint file" in err
 
 
+def test_eval_text_checkpoint_is_not_an_archive(eval_files, tmp_path, capsys):
+    text = tmp_path / "ckpt.npz"
+    text.write_bytes(b"epoch = 3")
+    assert run_eval(eval_files, str(text)) == 1
+    err = capsys.readouterr().err
+    assert f"{text}: not a checkpoint file (not an .npz archive)" in err
+    assert "pickle" not in err
+
+
 def write_checkpoint(path, d_in):
     pair = init_pair(d_in, 6, 4, np.random.default_rng(0))
     save_checkpoint(path, pair, init_optimizer(pair.online))
@@ -147,6 +156,17 @@ def test_train_rejects_unknown_gallery_identities(train_files, tmp_path, capsys)
     assert run_train(train_files, out_dir, *TINY_RUN) == 1
     assert f"{train_files['gallery']}: 3 of 80 records have unknown identity ?" in \
         capsys.readouterr().err
+    assert not (out_dir / "manifest.txt").exists()
+
+
+def test_train_oracle_labels_reject_unknown_identities_before_writing(train_files, tmp_path,
+                                                                     capsys):
+    mark_unknown(train_files["data"], slice(None))
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, *TINY_RUN, "--labels-mode", "oracle") == 1
+    err = capsys.readouterr().err
+    assert (f"{train_files['data']}: 160 of 160 records have unknown identity ?; "
+            f"labels_mode = oracle trains on the identities as pseudo labels") in err
     assert not (out_dir / "manifest.txt").exists()
 
 

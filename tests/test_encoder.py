@@ -283,6 +283,16 @@ def test_load_checkpoint_rejects_non_checkpoint_files(tmp_path, name, content):
         load_checkpoint(path)
 
 
+def test_load_checkpoint_names_text_file_not_an_archive(tmp_path):
+    path = tmp_path / "notes.npz"
+    path.write_bytes(b"epoch = 3")
+    with pytest.raises(SelfReidError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert message == f"{path}: not a checkpoint file (not an .npz archive)"
+    assert "pickle" not in message
+
+
 def test_load_checkpoint_rejects_single_array_and_missing_keys(tmp_path):
     single = tmp_path / "single.npy"
     np.save(single, np.zeros(3))

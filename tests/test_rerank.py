@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfreid import rerank
 from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.rerank import (
@@ -76,13 +78,35 @@ def test_jaccard_matches_set_algebra_oracle(seed):
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
-@pytest.mark.parametrize("k1, k2", [(30, 6), (8, 3)])
-def test_jaccard_matches_dense_reference(k1, k2):
-    rng = np.random.default_rng(10)
-    feats = np.vstack([blob_bank(rng, 10, 20, 16, spread=0.1), unit_cloud(rng, 100, 16)])
+def blobs_and_cloud(rng):
+    return np.vstack([blob_bank(rng, 10, 20, 16, spread=0.1), unit_cloud(rng, 100, 16)])
+
+
+def duplicates_across_block_boundaries(rng):
+    """Seven row blocks; rows b - 2 .. b + 1 at every block boundary b
+    are copies of row b - 2, and rows 5 and 300 are copies of row 400."""
+    feats = np.vstack([blob_bank(rng, 12, 30, 16, spread=0.1), unit_cloud(rng, 60, 16)])
+    for boundary in range(rerank._BLOCK_ROWS, len(feats), rerank._BLOCK_ROWS):
+        feats[boundary - 1:boundary + 2] = feats[boundary - 2]
+    feats[[5, 300]] = feats[400]
+    return feats
+
+
+@pytest.mark.parametrize("k1, k2, bank", [
+    pytest.param(30, 6, blobs_and_cloud, id="30-6"),
+    pytest.param(8, 3, blobs_and_cloud, id="8-3"),
+    pytest.param(20, 4, duplicates_across_block_boundaries, id="20-4-duplicates"),
+])
+def test_jaccard_matches_dense_reference(k1, k2, bank):
+    feats = bank(np.random.default_rng(10))
+    # Min-sum blocks split the distance blocks, so both passes run over
+    # at least three blocks.
+    assert len(feats) > 2 * rerank._BLOCK_ROWS
     fast = jaccard_distance_matrix(feats, k1, k2)
     assert np.any((fast > 0.0) & (fast < 1.0))
     np.testing.assert_allclose(fast, dense_jaccard(feats, k1, k2), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(fast, fast.T)
+    np.testing.assert_array_equal(np.diag(fast), 0.0)
 
 
 def test_jaccard_ties_at_the_k1_boundary_match_oracle():
@@ -241,10 +265,35 @@ def test_dbscan_property_matches_oracle(data):
 
 
 def test_dbscan_rejects_asymmetric_matrix():
-    dist = np.zeros((3, 3))
-    dist[0, 1] = 0.5
-    with pytest.raises(SelfReidError, match="matrix must be symmetric with zero diagonal"):
-        dbscan(dist, ClusterConfig())
+    tiled = rerank._SYMMETRY_TILE + 40  # a 2 x 2 grid of tiles
+    for n, cell, asymmetry, rejected in [
+        (3, (0, 1), 0.5, True),
+        (tiled, (tiled - 1, tiled - 3), 0.5, True),  # in the far-corner tile only
+        (tiled, (0, tiled - 1), 1e-13, False),  # within allclose(atol=1e-12)
+    ]:
+        dist = np.zeros((n, n))
+        dist[cell] = asymmetry
+        if rejected:
+            with pytest.raises(SelfReidError,
+                               match="matrix must be symmetric with zero diagonal"):
+                dbscan(dist, ClusterConfig())
+        else:
+            assert dbscan(dist, ClusterConfig()).cluster_count == 1
+
+
+def test_jaccard_and_dbscan_peak_memory():
+    # The returned matrix is the only n x n float array; dbscan adds an
+    # n x n bool mask, and the row blocks add O(n) each. One more dense
+    # distance, min-sum or max-sum matrix would pass the bound.
+    n = 1200
+    bank = blob_bank(np.random.default_rng(12), 40, 30, 32, spread=0.15)
+    tracemalloc.start()
+    try:
+        dbscan(jaccard_distance_matrix(bank, 30, 6), ClusterConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8 + 8 * rerank._BLOCK_ROWS * n
 
 
 # --- generate_pseudo_labels -------------------------------------------------
