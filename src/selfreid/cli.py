@@ -73,12 +73,11 @@ def _resolve_config(args, manifest: dict | None) -> TrainConfig:
     return reporting.config_from_dict(values)
 
 
-def _check_input_width(checkpoint_path, pair, *splits) -> None:
-    """Every (path, dataset) split must have the checkpoint's input width."""
-    width = pair.online.w1.shape[0]
+def _check_input_width(encoder: str, width: int, *splits) -> None:
+    """Every given (path, dataset) split must have the encoder's input width."""
     for split_path, split in splits:
-        if split.dim != width:
-            raise SelfReidError(f"{checkpoint_path}: checkpoint takes {width}-d inputs, "
+        if split is not None and split.dim != width:
+            raise SelfReidError(f"{encoder} takes {width}-d inputs, "
                                 f"but {split_path} has dim {split.dim}")
 
 
@@ -117,6 +116,8 @@ def cmd_train(args) -> int:
     dataset = load_dataset(data_path)
     query = load_dataset(query_path) if query_path else None
     gallery = load_dataset(gallery_path) if gallery_path else None
+    _check_input_width(f"the encoder trained on {data_path}", dataset.dim,
+                       (query_path, query), (gallery_path, gallery))
     _check_known_identities((query_path, query), (gallery_path, gallery))
     if config.labels_mode == "oracle":
         require_known_identities(dataset.identities, data_path, ORACLE_NEEDS_IDENTITIES)
@@ -152,7 +153,8 @@ def cmd_eval(args) -> int:
     pair, _ = load_checkpoint(args.checkpoint)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
-    _check_input_width(args.checkpoint, pair, (args.query, query), (args.gallery, gallery))
+    _check_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
+                       (args.query, query), (args.gallery, gallery))
     _check_known_identities((args.query, query), (args.gallery, gallery))
     report = evaluate_encoder(pair, query, gallery)
     lines = [f"mAP = {report.mean_ap!r}",
@@ -174,6 +176,8 @@ def cmd_ablate(args) -> int:
     dataset = load_dataset(args.data)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
+    _check_input_width(f"the encoder trained on {args.data}", dataset.dim,
+                       (args.query, query), (args.gallery, gallery))
     _check_known_identities((args.query, query), (args.gallery, gallery))
     rows = []
     for mode in MEMORY_MODES:
@@ -209,7 +213,8 @@ def cmd_sweep_eps(args) -> int:
         config.validate()
     if args.checkpoint:
         pair, _ = load_checkpoint(args.checkpoint)
-        _check_input_width(args.checkpoint, pair, (args.data, dataset))
+        _check_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
+                           (args.data, dataset))
     else:
         base = TrainConfig()
         rng = np.random.default_rng([args.seed, 0])

@@ -43,10 +43,10 @@ class SyntheticSpec:
     def validate(self) -> None:
         if min(self.n_identities, self.n_cameras, self.samples_per_cell, self.dim) < 1:
             raise SelfReidError("all synthetic counts must be >= 1")
-        if self.sigma_identity < 0 or self.sigma_camera < 0 or self.dispersion < 0:
-            raise SelfReidError("scales must be >= 0")
-        if self.eval_noise_factor < 0:
-            raise SelfReidError("eval_noise_factor must be >= 0")
+        for name in ("dispersion", "sigma_identity", "sigma_camera", "eval_noise_factor"):
+            value = getattr(self, name)
+            if not (value >= 0 and np.isfinite(value)):
+                raise SelfReidError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -142,7 +142,7 @@ def save_dataset(dataset: EmbeddingDataset, path) -> None:
 
 def load_dataset(path) -> EmbeddingDataset:
     header = {}
-    ids, pids, cams, rows = [], [], [], []
+    ids, pids, cams, rows, linenos = [], [], [], [], []
     seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -178,6 +178,7 @@ def load_dataset(path) -> EmbeddingDataset:
             pids.append(identity)
             cams.append(camera)
             rows.append(vector)
+            linenos.append(lineno)
     if not rows:
         raise SelfReidError(f"{path}: no records")
     declared = {}
@@ -200,5 +201,9 @@ def load_dataset(path) -> EmbeddingDataset:
         cameras=np.array(cams, dtype=np.int64),
         features=np.array(rows, dtype=np.float64),
     )
+    bad = np.argwhere(~np.isfinite(dataset.features))
+    if bad.size:
+        raise SelfReidError(f"{path}:{linenos[bad[0, 0]]}: feature {bad[0, 1]} is "
+                            f"{dataset.features[tuple(bad[0])]}, not a finite number")
     dataset.validate(f"{path}: ")
     return dataset

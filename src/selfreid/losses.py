@@ -1,10 +1,11 @@
 """Training objectives, with values and analytic gradients.
 
 Four parts feed the total objective: a cluster-proxy softmax loss, a
-cross-camera loss over the per-camera proxies, a hard-instance
-contrastive loss that mines the least similar positive in the batch,
-and a soft consistency loss that penalizes divergence between the
-similarity distributions of augmented and clean views.
+cross-camera loss over the per-camera proxies, and the two instance
+losses of ICE. The hard instance loss contrasts each anchor's least
+similar positive in the batch against every other-identity instance;
+the soft loss is D_KL(P || Q) between the similarity distributions of
+the augmented view (P) and the clean view (Q, the target).
 
 Every loss takes the whole batch and is computed as array operations;
 the literal per-anchor forms they are checked against live in
@@ -67,13 +68,13 @@ class ConsistencyDistributions:
     """Row-stochastic prediction (P) and target (Q) matrices.
 
     Rows are anchors, columns the batch instances. The augmented
-    momentum targets and the temperature are kept so the loss can chain
-    gradients back to the online representations.
+    momentum batch P compares against and the temperature are kept so
+    the loss can chain gradients back to the online representations.
     """
 
     p: np.ndarray
     q: np.ndarray
-    targets: np.ndarray
+    momentum_aug: np.ndarray
     temperature: float
 
 
@@ -164,17 +165,13 @@ def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
 
 
 def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,
-                       labels: np.ndarray, tau: float,
-                       negatives: str = "all"):
-    """Contrast each anchor against its hardest positive momentum twin.
+                       labels: np.ndarray, tau: float):
+    """Contrast each anchor's hardest positive against the other identities.
 
     The mined positive is the same-label momentum instance with minimal
-    cosine to the anchor (the anchor's own twin is eligible). Negatives
-    are every other-label momentum instance, or only the most similar
-    one when negatives="hardest".
+    cosine to the anchor (the anchor's own twin is eligible); the
+    denominator adds every other-label momentum instance in the batch.
     """
-    if negatives not in ("all", "hardest"):
-        raise SelfReidError(f"unknown negatives variant {negatives!r}")
     feats = np.asarray(feats, dtype=np.float64)
     momentum = np.asarray(momentum, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -185,13 +182,7 @@ def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,
 
     sims = feats @ momentum.T
     mined = np.argmin(np.where(same, sims, np.inf), axis=1)
-
-    if negatives == "all":
-        mask = ~same
-    else:
-        hardest_neg = np.argmax(np.where(same, -np.inf, sims), axis=1)
-        mask = np.zeros_like(same)
-        mask[np.arange(n), hardest_neg] = True
+    mask = ~same
     mask[np.arange(n), mined] = True  # positive joins its own denominator
 
     logits = np.where(mask, sims / tau, -np.inf)
@@ -207,58 +198,36 @@ def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,
 
 
 def consistency_distributions(feats: np.ndarray, momentum_aug: np.ndarray,
-                              momentum_clean: np.ndarray, tau: float,
-                              targets: str = "clean") -> ConsistencyDistributions:
+                              momentum_clean: np.ndarray, tau: float) -> ConsistencyDistributions:
     """Prediction and target distributions over the batch instances.
 
     P compares the online augmented anchors with the augmented momentum
-    batch; Q compares the clean momentum anchors with the clean batch
-    (targets="strong" switches Q to the augmented momentum batch, the
-    strong-strong ablation).
+    batch; the target Q compares the clean momentum anchors with the
+    clean momentum batch.
     """
     feats = np.asarray(feats, dtype=np.float64)
     momentum_aug = np.asarray(momentum_aug, dtype=np.float64)
     momentum_clean = np.asarray(momentum_clean, dtype=np.float64)
     if not (feats.shape == momentum_aug.shape == momentum_clean.shape):
         raise SelfReidError("augmented and clean batches must align")
-    if targets not in ("clean", "strong"):
-        raise SelfReidError(f"unknown targets variant {targets!r}")
     p = softmax_rows(feats @ momentum_aug.T, tau)
-    if targets == "clean":
-        q = softmax_rows(momentum_clean @ momentum_clean.T, tau)
-    else:
-        q = softmax_rows(momentum_aug @ momentum_aug.T, tau)
-    return ConsistencyDistributions(p=p, q=q, targets=momentum_aug, temperature=tau)
+    q = softmax_rows(momentum_clean @ momentum_clean.T, tau)
+    return ConsistencyDistributions(p=p, q=q, momentum_aug=momentum_aug, temperature=tau)
 
 
-def soft_consistency_loss(dists: ConsistencyDistributions,
-                          divergence: str = "kl"):
-    """Anchor-averaged divergence between P and Q; gradients through P only.
-
-    divergence="kl" is D_KL(P || Q); "mse" is the squared-error ablation.
-    """
-    p, q = dists.p, dists.q
-    n = p.shape[0]
-    if divergence == "kl":
-        log_ratio = np.log(p) - np.log(q)
-        per_anchor = np.sum(p * log_ratio, axis=1)
-        value = float(np.mean(per_anchor))
-        # d/ds_ij through the softmax: p * (g - sum(p * g)) / tau, g = dKL/dP
-        g = log_ratio  # the +1 from d(p log p) is constant across j, drops out
-        ds = p * (g - per_anchor[:, None]) / dists.temperature
-    elif divergence == "mse":
-        diff = p - q
-        value = float(np.mean(np.sum(diff * diff, axis=1)))
-        g = 2.0 * diff
-        ds = p * (g - np.sum(p * g, axis=1, keepdims=True)) / dists.temperature
-    else:
-        raise SelfReidError(f"unknown divergence {divergence!r}")
-    grads = ds @ dists.targets / n
-    return value, grads
+def soft_consistency_loss(dists: ConsistencyDistributions):
+    """Anchor-averaged D_KL(P || Q); gradients through P only."""
+    p = dists.p
+    log_ratio = np.log(p) - np.log(dists.q)
+    per_anchor = np.sum(p * log_ratio, axis=1)
+    # Through the softmax, d/ds_ij = p * (g - sum(p * g)) / tau with g = dKL/dP
+    # = log_ratio; the +1 from d(p log p) is constant across j and drops out.
+    ds = p * (log_ratio - per_anchor[:, None]) / dists.temperature
+    return float(np.mean(per_anchor)), ds @ dists.momentum_aug / p.shape[0]
 
 
 def kl_value(dists: ConsistencyDistributions) -> float:
-    """D_KL(P || Q) alone, for diagnostics on runs that do not train it."""
+    """D_KL(P || Q) alone, without the gradient."""
     return float(np.mean(np.sum(dists.p * (np.log(dists.p) - np.log(dists.q)), axis=1)))
 
 

@@ -22,6 +22,10 @@ METRICS_COLUMNS = ("epoch", "n_clusters", "n_outliers", "L_agnostic", "L_cross",
                    "L_h_ins", "L_s_ins", "L_total", "mean_KL", "mAP",
                    "rank1", "rank5", "rank10")
 
+# Keys of removed loss variants, which older manifests and config files
+# hold -> the value that selected the kept recipe (any other is an error).
+RETIRED_KEYS = {"hard_negatives": "all", "consistency_variant": "kl_clean"}
+
 
 def config_fields(cls=TrainConfig, prefix="", path=()):
     """Yield (flat key, attribute path, leaf field) for every config leaf.
@@ -46,10 +50,15 @@ def config_values(values: dict, source: str = "") -> dict:
     """Check the keys of `values` and convert each value to its field type.
 
     Values go through their text form, so "2.0" (or 2.0) for an int key is
-    rejected rather than truncated. Errors name `source`, the file the
-    values were read from, when given.
+    rejected rather than truncated. RETIRED_KEYS are dropped. Errors name
+    `source`, the file the values were read from, when given.
     """
     where = f"{source}: " if source else ""
+    for key, kept in RETIRED_KEYS.items():
+        if key in values and str(values[key]) != kept:
+            raise SelfReidError(f"{where}config key {key} = {values[key]}: that variant "
+                                f"was removed; only {key} = {kept} remains")
+    values = {key: value for key, value in values.items() if key not in RETIRED_KEYS}
     types = {key: f.type for key, _, f in config_fields()}
     unknown = sorted(set(values) - set(types))
     if unknown:

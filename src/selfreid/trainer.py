@@ -40,7 +40,7 @@ from .losses import (
     consistency_distributions,
     cross_camera_loss_batch,
     hard_instance_loss,
-    kl_value,
+    kl_value,  # unused here; bench/spans.py wraps it in this module by name
     proxy_agnostic_loss,
     soft_consistency_loss,
     total_loss,
@@ -70,13 +70,6 @@ MAX_FAILED_EPOCHS = 3
 AWARE = "aware"
 AGNOSTIC = "agnostic"
 MEMORY_MODES = (AWARE, AGNOSTIC)
-
-CONSISTENCY_VARIANTS = {
-    # variant -> (Q targets, divergence)
-    "kl_clean": ("clean", "kl"),
-    "mse": ("clean", "mse"),
-    "strong_strong": ("strong", "kl"),
-}
 
 
 @dataclass
@@ -111,10 +104,6 @@ class TrainConfig:
     seed: int = field(default=0, metadata={"help": "master seed"})
     labels_mode: str = field(default="pseudo",
                              metadata={"help": "pseudo | oracle (ground-truth labels)"})
-    hard_negatives: str = field(default="all",
-                                metadata={"help": "denominator variant: all | hardest"})
-    consistency_variant: str = field(default="kl_clean",
-                                     metadata={"help": "kl_clean | mse | strong_strong"})
     checkpoint_every: int = field(default=0, metadata={
         "help": "checkpoint interval in epochs (0 = off)"})
     eval_every: int = field(default=0, metadata={
@@ -137,15 +126,11 @@ class TrainConfig:
                                 f"({self.hidden_dim}, {self.out_dim})")
         if not 0.0 <= self.alpha <= 1.0:
             raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
-        for name in ("base_lr", "weight_decay", "warmup_epochs"):
+        for name in ("base_lr", "weight_decay", "warmup_epochs", "checkpoint_every", "eval_every"):
             if not (getattr(self, name) >= 0):
                 raise SelfReidError(f"need {name} >= 0, got {getattr(self, name)}")
         if self.labels_mode not in ("pseudo", "oracle"):
             raise SelfReidError(f"unknown labels_mode {self.labels_mode!r}")
-        if self.hard_negatives not in ("all", "hardest"):
-            raise SelfReidError(f"unknown hard_negatives {self.hard_negatives!r}")
-        if self.consistency_variant not in CONSISTENCY_VARIANTS:
-            raise SelfReidError(f"unknown consistency_variant {self.consistency_variant!r}")
 
 
 @dataclass
@@ -196,7 +181,7 @@ def oracle_assignment(dataset: EmbeddingDataset) -> ClusterAssignment:
 
 
 def train_iteration(state: TrainState, batch: IdentityBatch):
-    """One optimization step; returns (LossBreakdown, kl_diagnostic)."""
+    """One optimization step; returns its LossBreakdown."""
     cfg = state.config
     raw = state.dataset.features[batch.indices]
     perturbed = perturb(raw, cfg.perturbation,
@@ -218,14 +203,10 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
                                         cfg.n_neg)
     else:
         cross = (0.0, np.zeros_like(feats))
-    hard = hard_instance_loss(feats, momentum_aug, batch.labels,
-                              cfg.temperatures.hard, cfg.hard_negatives)
-    targets, divergence = CONSISTENCY_VARIANTS[cfg.consistency_variant]
+    hard = hard_instance_loss(feats, momentum_aug, batch.labels, cfg.temperatures.hard)
     dists = consistency_distributions(feats, momentum_aug, momentum_clean,
-                                      cfg.temperatures.soft, targets=targets)
-    soft = soft_consistency_loss(dists, divergence=divergence)
-    # a "kl" loss value is kl_value(dists), computed by the same operations
-    kl = soft[0] if divergence == "kl" else kl_value(dists)
+                                      cfg.temperatures.soft)
+    soft = soft_consistency_loss(dists)
     breakdown = total_loss(agnostic, cross, hard, soft, cfg.weights)
 
     grads = backward(state.pair.online, online, breakdown.grads)
@@ -234,7 +215,7 @@ def train_iteration(state: TrainState, batch: IdentityBatch):
                    cfg.weight_decay)
     ema_update(state.pair, cfg.alpha)
     state.iteration += 1
-    return breakdown, kl
+    return breakdown
 
 
 def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
@@ -280,7 +261,7 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
             assignment = generate_pseudo_labels(bank, config.cluster)
 
         failed_epochs = failed_epochs + 1 if assignment.cluster_count == 0 else 0
-        sums = np.zeros(6)  # agnostic, cross, hard, soft, total, kl
+        sums = np.zeros(5)  # agnostic, cross, hard, soft, total
         ran = 0
         if failed_epochs:
             log.warning("epoch %d: clustering found no inliers (%d consecutive)",
@@ -299,9 +280,9 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
                 batch = sample_pk_batch(
                     assignment, dataset.cameras, config.batch,
                     [config.seed, epoch, state.iteration, _SEED_BATCH])
-                breakdown, kl = train_iteration(state, batch)
+                breakdown = train_iteration(state, batch)
                 sums += (breakdown.agnostic, breakdown.cross, breakdown.hard,
-                         breakdown.soft, breakdown.total, kl)
+                         breakdown.soft, breakdown.total)
                 ran += 1
 
         means = sums / ran if ran else sums
@@ -309,7 +290,8 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
             epoch=epoch, cluster_count=assignment.cluster_count,
             outlier_count=assignment.outlier_count,
             mean_agnostic=means[0], mean_cross=means[1], mean_hard=means[2],
-            mean_soft=means[3], mean_total=means[4], mean_kl=means[5],
+            # the soft loss is D_KL(P || Q), so it is also the KL diagnostic
+            mean_soft=means[3], mean_total=means[4], mean_kl=means[3],
             wall_time=time.perf_counter() - start,
             skipped_iterations=config.iterations - ran)
 

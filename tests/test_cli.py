@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,17 @@ from selfreid.data import (
     save_dataset,
 )
 from selfreid.encoder import init_optimizer, init_pair, save_checkpoint
-from selfreid.reporting import METRICS_COLUMNS
+from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS
 
 from oracles import write_version_1_checkpoint
+
+# A run's manifest.txt and metrics.csv, written before the hard_negatives and
+# consistency_variant keys were retired (the manifest still holds both) by
+#   selfreid generate --ids 10 --samples-per-cell 4 --dim 16 --out-dir data
+#   selfreid train --data data/train.txt --query data/query.txt \
+#       --gallery data/gallery.txt --out-dir run --epochs 3 --iterations 4 \
+#       --k1 8 --k2 3 --n-identities 4 --eval-every 1
+EARLIER_RUN = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -188,6 +198,49 @@ def test_train_from_manifest_is_byte_identical(train_files, tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     final_row = (first / "metrics.csv").read_text().splitlines()[-1].split(",")
     assert final_row[METRICS_COLUMNS.index("mAP")]
+
+
+def test_earlier_manifest_reruns_to_the_same_metrics(train_files, tmp_path):
+    # train_files is the dataset of EARLIER_RUN, generated afresh
+    earlier = EARLIER_RUN / "manifest.txt"
+    out_dir = tmp_path / "rerun"
+    assert run_train(train_files, out_dir, "--from-manifest", str(earlier)) == 0
+    assert (out_dir / "metrics.csv").read_bytes() == (EARLIER_RUN / "metrics.csv").read_bytes()
+
+    def config_lines(path, dropped):
+        return [line for line in path.read_text().splitlines()
+                if line.split(" = ")[0] not in dropped]
+
+    assert config_lines(out_dir / "manifest.txt", cli.MANIFEST_PATHS) == \
+        config_lines(earlier, cli.MANIFEST_PATHS + tuple(RETIRED_KEYS))
+
+
+@pytest.fixture
+def narrow_query(tmp_path):
+    _, query, _ = generate_synthetic(SyntheticSpec(n_identities=10, samples_per_cell=4, dim=8))
+    path = str(tmp_path / "narrow_query.txt")
+    save_dataset(query, path)
+    return path
+
+
+def test_train_rejects_query_of_other_width_before_writing(train_files, narrow_query,
+                                                            tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)  # fails if training starts
+    out_dir = tmp_path / "run"
+    assert run_train({**train_files, "query": narrow_query}, out_dir) == 1
+    err = capsys.readouterr().err
+    assert (f"the encoder trained on {train_files['data']} takes 16-d inputs, "
+            f"but {narrow_query} has dim 8") in err
+    assert not (out_dir / "manifest.txt").exists()
+
+
+def test_ablate_rejects_query_of_other_width(train_files, narrow_query, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)  # fails if a variant starts training
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", narrow_query,
+                     "--gallery", train_files["gallery"]]) == 1
+    err = capsys.readouterr().err
+    assert (f"the encoder trained on {train_files['data']} takes 16-d inputs, "
+            f"but {narrow_query} has dim 8") in err
 
 
 def test_train_bad_config_value(train_files, tmp_path, capsys):

@@ -175,3 +175,21 @@ def test_header_non_integer_rejected(tmp_path, header):
     with pytest.raises(SelfReidError,
                        match=f"header.txt: header {header.split()[1]} .* is not an integer"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_non_finite_feature_rejected_with_line_number(tmp_path, value):
+    path = tmp_path / "nan.txt"
+    path.write_text(f"# dim 2\n\n0 1 0 0.5 0.5\n1 1 0 0.5 {value}\n")
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}:4: feature 1 is {float(value)}, not a finite number")):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("name", ["dispersion", "sigma_identity", "sigma_camera",
+                                  "eval_noise_factor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_spec_rejects_scale_that_is_not_finite_and_non_negative(name, value):
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{name} must be finite and >= 0, got {value}")):
+        generate_synthetic(SyntheticSpec(**{name: value}))

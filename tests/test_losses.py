@@ -23,7 +23,6 @@ from selfreid.losses import (
 )
 from selfreid.proxies import ProxyMemory, build_proxies
 from selfreid.rerank import ClusterAssignment
-from selfreid.trainer import CONSISTENCY_VARIANTS
 
 from oracles import cross_camera_oracle, finite_difference, max_rel_err
 
@@ -331,8 +330,8 @@ def test_hard_loss_pinned_value():
     assert value == pytest.approx((anchor0 + anchor1) / 2, abs=1e-12)
 
 
-def scalar_hard_loss(feats, momentum, labels, tau, variant):
-    """Literal per-anchor evaluation of both denominator variants."""
+def scalar_hard_loss(feats, momentum, labels, tau):
+    """Literal per-anchor evaluation: hardest positive against all negatives."""
     total = 0.0
     n = len(labels)
     for i in range(n):
@@ -340,21 +339,17 @@ def scalar_hard_loss(feats, momentum, labels, tau, variant):
         pos = [sims[j] for j in range(n) if labels[j] == labels[i]]
         neg = [sims[j] for j in range(n) if labels[j] != labels[i]]
         mined = min(pos)
-        if variant == "hardest":
-            neg = [max(neg)]
         denom = math.exp(mined / tau) + sum(math.exp(s / tau) for s in neg)
         total += -math.log(math.exp(mined / tau) / denom)
     return total / n
 
 
-@pytest.mark.parametrize("variant", ["all", "hardest"])
-def test_hard_loss_variants_match_scalar_oracle(variant):
+def test_hard_loss_matches_scalar_oracle():
     rng = np.random.default_rng(3)
     feats, labels = random_batch(rng, n_labels=4, per_label=3)
     momentum = normalize_rows(rng.normal(size=feats.shape))
-    value, _ = hard_instance_loss(feats, momentum, labels, tau=0.1,
-                                  negatives=variant)
-    expected = scalar_hard_loss(feats, momentum, labels, 0.1, variant)
+    value, _ = hard_instance_loss(feats, momentum, labels, tau=0.1)
+    expected = scalar_hard_loss(feats, momentum, labels, 0.1)
     assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -366,16 +361,13 @@ def test_hard_loss_single_identity_rejected():
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("variant", ["all", "hardest"])
-def test_hard_gradient_vs_finite_differences(seed, variant):
+def test_hard_gradient_vs_finite_differences(seed):
     rng = np.random.default_rng(200 + seed)
     feats, labels = random_batch(rng)
     momentum = normalize_rows(rng.normal(size=feats.shape))
-    _, analytic = hard_instance_loss(feats, momentum, labels, tau=0.1,
-                                     negatives=variant)
+    _, analytic = hard_instance_loss(feats, momentum, labels, tau=0.1)
     fd = finite_difference(
-        lambda f: hard_instance_loss(f, momentum, labels, tau=0.1,
-                                     negatives=variant)[0], feats.copy())
+        lambda f: hard_instance_loss(f, momentum, labels, tau=0.1)[0], feats.copy())
     assert max_rel_err(analytic, fd) < 1e-4
 
 
@@ -477,34 +469,6 @@ def test_consistency_chain_gradient_vs_finite_differences(seed):
     assert max_rel_err(analytic, fd) < 1e-4
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_mse_variant_gradient(seed):
-    rng = np.random.default_rng(400 + seed)
-    feats, _ = random_batch(rng)
-    m_aug = normalize_rows(rng.normal(size=feats.shape))
-    m_clean = normalize_rows(rng.normal(size=feats.shape))
-
-    def value(f):
-        return soft_consistency_loss(
-            consistency_distributions(f, m_aug, m_clean, tau=0.4), "mse")[0]
-
-    _, analytic = soft_consistency_loss(
-        consistency_distributions(feats, m_aug, m_clean, tau=0.4), "mse")
-    fd = finite_difference(value, feats.copy())
-    assert max_rel_err(analytic, fd) < 1e-4
-
-
-def test_strong_strong_variant_uses_augmented_targets():
-    rng = np.random.default_rng(7)
-    feats, _ = random_batch(rng)
-    m_aug = normalize_rows(rng.normal(size=feats.shape))
-    m_clean = normalize_rows(rng.normal(size=feats.shape))
-    ss = consistency_distributions(feats, m_aug, m_clean, tau=0.4, targets="strong")
-    clean = consistency_distributions(feats, m_aug, m_clean, tau=0.4)
-    np.testing.assert_allclose(ss.p, clean.p)
-    assert not np.allclose(ss.q, clean.q)
-
-
 def test_argmax_is_temperature_invariant():
     rng = np.random.default_rng(8)
     feats, labels = random_batch(rng)
@@ -562,35 +526,31 @@ def test_agnostic_property_gradient_matches_finite_differences(case, proxy_rows)
 
 
 @settings(max_examples=60)
-@given(batch_cases(), st.sampled_from(["all", "hardest"]))
-def test_hard_property_gradient_matches_finite_differences(case, negatives):
+@given(batch_cases())
+def test_hard_property_gradient_matches_finite_differences(case):
     feats, momentum, _, labels, tau = case
-    # the mined positive (and the hardest negative) must stay put within
-    # the finite-difference step, unless the rows tied for it are equal
+    # the mined positive must stay put within the finite-difference step,
+    # unless the rows tied for it are equal
     sims = feats @ momentum.T
     same = labels[:, None] == labels[None, :]
     for i in range(len(labels)):
-        ranked = [np.sort(sims[i, same[i]])]
-        if negatives == "hardest":
-            ranked.append(np.sort(-sims[i, ~same[i]]))
-        for keys in ranked:
-            if keys.size > 1:
-                gap = keys[1] - keys[0]
-                assume(gap == 0.0 or gap > 1e-3)
+        keys = np.sort(sims[i, same[i]])
+        if keys.size > 1:
+            gap = keys[1] - keys[0]
+            assume(gap == 0.0 or gap > 1e-3)
     assert_gradient_matches_fd(
-        lambda f: hard_instance_loss(f, momentum, labels, tau, negatives),
+        lambda f: hard_instance_loss(f, momentum, labels, tau),
         feats, np.abs(momentum).max() / tau)
 
 
 @settings(max_examples=60)
-@given(batch_cases(), st.sampled_from(sorted(CONSISTENCY_VARIANTS)))
-def test_consistency_property_gradient_matches_finite_differences(case, variant):
+@given(batch_cases())
+def test_consistency_property_gradient_matches_finite_differences(case):
     feats, momentum_aug, momentum_clean, _, tau = case
-    targets, divergence = CONSISTENCY_VARIANTS[variant]
 
     def loss(f):
-        dists = consistency_distributions(f, momentum_aug, momentum_clean, tau, targets)
-        return soft_consistency_loss(dists, divergence)
+        return soft_consistency_loss(
+            consistency_distributions(f, momentum_aug, momentum_clean, tau))
 
     assert_gradient_matches_fd(loss, feats, np.abs(momentum_aug).max() / tau)
 

@@ -6,6 +6,7 @@ import pytest
 from selfreid import cli
 from selfreid.errors import SelfReidError
 from selfreid.reporting import (
+    RETIRED_KEYS,
     config_from_dict,
     config_to_dict,
     config_values,
@@ -45,15 +46,12 @@ hidden_dim = 128
 out_dim = 32
 seed = 0
 labels_mode = pseudo
-hard_negatives = all
-consistency_variant = kl_clean
 checkpoint_every = 0
 eval_every = 0
 """
 PINNED = dict(line.split(" = ") for line in DEFAULT_MANIFEST.splitlines())
 
-STRING_CHOICES = {"memory_mode": "agnostic", "labels_mode": "oracle",
-                  "hard_negatives": "hardest", "consistency_variant": "mse"}
+STRING_CHOICES = {"memory_mode": "agnostic", "labels_mode": "oracle"}
 
 
 def non_default_values():
@@ -109,6 +107,15 @@ def test_wrong_type_rejected(key, value):
     assert repr(value) in str(info.value)
     with pytest.raises(SelfReidError, match=re.escape(f"run.cfg: config key {key}: ")):
         config_values({key: value}, "run.cfg")
+
+
+@pytest.mark.parametrize("key, value", [("hard_negatives", "hardest"),
+                                        ("consistency_variant", "strong_strong")])
+def test_retired_key_with_a_removed_variant_rejected(key, value):
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"old.txt: config key {key} = {value}: that variant was removed; "
+            f"only {key} = {RETIRED_KEYS[key]} remains")):
+        config_values({"epochs": "3", key: value}, "old.txt")
 
 
 def test_train_flags_keep_metavar_and_default_in_help():

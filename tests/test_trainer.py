@@ -23,7 +23,6 @@ from selfreid import trainer
 from selfreid.trainer import (
     AGNOSTIC,
     AWARE,
-    CONSISTENCY_VARIANTS,
     MAX_FAILED_EPOCHS,
     TrainConfig,
     train,
@@ -60,17 +59,10 @@ def test_same_seed_gives_identical_reports(small_train):
     assert without_wall_time(first) == without_wall_time(second)
 
 
-@pytest.mark.parametrize("variant", sorted(CONSISTENCY_VARIANTS))
-def test_kl_diagnostic_reuses_the_kl_loss(small_train, monkeypatch, variant):
-    calls = []
-    kl_value = trainer.kl_value
-    monkeypatch.setattr(trainer, "kl_value", lambda dists: calls.append(1) or kl_value(dists))
-    _, reports = train(TrainConfig(epochs=1, iterations=3, consistency_variant=variant),
-                       small_train)
-    if CONSISTENCY_VARIANTS[variant][1] == "kl":
-        assert not calls and reports[0].mean_kl == reports[0].mean_soft
-    else:
-        assert len(calls) == 3 and reports[0].mean_kl != reports[0].mean_soft
+def test_kl_diagnostic_reuses_the_kl_loss(small_train, monkeypatch):
+    monkeypatch.setattr(trainer, "kl_value", None)  # fails if a step computes KL again
+    _, reports = train(TrainConfig(epochs=1, iterations=3), small_train)
+    assert reports[0].mean_kl == reports[0].mean_soft > 0
 
 
 def test_all_outlier_epochs_abort(small_train):
@@ -135,6 +127,8 @@ def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
     ("restyle_scale", -1.0),
     ("noise_sigma", float("nan")),
     ("warmup_epochs", -1),
+    ("checkpoint_every", -1),
+    ("eval_every", -5),
 ])
 def test_config_rejects_invalid_field(key, value):
     with pytest.raises(SelfReidError, match=key):
@@ -162,7 +156,6 @@ def test_step_gradient_matches_finite_differences(mode):
     momentum_aug = normalize_rows(rng.normal(size=(8, 3)))
     momentum_clean = normalize_rows(rng.normal(size=(8, 3)))
     tau = cfg.temperatures
-    targets, divergence = CONSISTENCY_VARIANTS[cfg.consistency_variant]
 
     def step_loss(feats):
         agnostic = proxy_agnostic_loss(feats, labels, memory.cluster_vectors, tau.agnostic)
@@ -171,11 +164,9 @@ def test_step_gradient_matches_finite_differences(mode):
                                             cfg.n_neg)
         else:
             cross = (0.0, np.zeros_like(feats))
-        hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard, cfg.hard_negatives)
-        dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft,
-                                          targets=targets)
-        return total_loss(agnostic, cross, hard,
-                          soft_consistency_loss(dists, divergence=divergence), cfg.weights)
+        hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard)
+        dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft)
+        return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
 
     fwd = forward(params, batch)
     breakdown = step_loss(fwd.out)
