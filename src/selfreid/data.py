@@ -6,10 +6,18 @@ offset shared across identities, and per-sample Gaussian noise. True
 identity ids ride along for evaluation and the oracle-label mode only;
 the trainer never reads them otherwise.
 
-Files are line-oriented text with a header block, one record per line:
-``sample_id identity|? camera v0 v1 ... v{d-1}``. Floats are written
-with repr, so a save/load round trip is bit-exact. The header is
+Files are line-oriented UTF-8 text with a header block, one record per
+line: ``sample_id identity|? camera v0 v1 ... v{d-1}``. The header is
 optional, but a ``# format`` line must read ``selfreid-embeddings v1``.
+Lines end at ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
+
+Loading splits each record line once, for its id, identity and camera,
+which take Python's int() syntax. One call of numpy's C text reader
+(``np.loadtxt``) then parses the feature text of every record. It takes
+decimal and exponent forms, ``inf`` and ``nan`` (which the finiteness
+check then rejects), but not the digit-group underscores or non-ASCII
+digits that float() also takes. It rounds as float() does, and floats
+are written with repr, so a save/load round trip is bit-exact.
 """
 
 import warnings
@@ -140,47 +148,108 @@ def save_dataset(dataset: EmbeddingDataset, path) -> None:
                      f"{int(dataset.cameras[i])} {coords}\n")
 
 
+def _read_floats(texts) -> np.ndarray:
+    """One float64 row per text, parsed by numpy's C reader, which rounds
+    as float() does."""
+    return np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _is_float(token: str) -> bool:
+    try:
+        _read_floats([token])
+    except ValueError:
+        return False
+    return True
+
+
+def _unreadable_record(texts):
+    """(index, reason) for the first text that `_read_floats` rejects on its
+    own, or whose width differs from the first text's. Called once reading
+    all texts together has failed, which means that one of them does."""
+    width = None
+    for index, text in enumerate(texts):
+        try:
+            row = _read_floats([text])
+        except ValueError:
+            token = next(token for token in text.split() if not _is_float(token))
+            return index, f"could not convert string to float: {token!r}"
+        width = width or row.shape[1]
+        if row.shape[1] != width:
+            return index, f"dimension {row.shape[1]} != {width} from earlier records"
+
+
+def _read_records(path, ids, texts, linenos):
+    """Sample ids and features of the records; raises at the first record
+    line at fault: an unreadable feature, another width or a repeated id."""
+    sample_ids = np.array(ids, dtype=np.int64)
+    faults = []
+    try:
+        features = _read_floats(texts)
+    except ValueError:
+        faults.append(_unreadable_record(texts))
+    # A stable sort keeps equal ids in line order: all but the first of each
+    # run repeat an earlier id.
+    order = np.argsort(sample_ids, kind="stable")
+    repeats = order[1:][sample_ids[order[1:]] == sample_ids[order[:-1]]]
+    if repeats.size:
+        first = repeats.min()
+        faults.append((first, f"repeated sample id {sample_ids[first]}"))
+    if faults:
+        index, reason = min(faults, key=lambda fault: fault[0])
+        raise SelfReidError(f"{path}:{linenos[index]}: {reason}")
+    return sample_ids, features
+
+
 def load_dataset(path) -> EmbeddingDataset:
+    """Read and check a split file; a fault names the path and, for a fault
+    on a line, the first line at fault."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SelfReidError(f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at "
+                            f"offset {exc.start} cannot be decoded") from None
+    if "\r" in text:  # end lines where text-mode reading would
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header = {}
-    ids, pids, cams, rows, linenos = [], [], [], [], []
-    seen = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
-                    raise SelfReidError(f"{path}:{lineno}: header {line!r} is not "
-                                        f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
-                if len(parts) >= 2:
-                    header[parts[0]] = parts[1:]
-                continue
-            fields = line.split()
-            if len(fields) < 4:
-                raise SelfReidError(f"{path}:{lineno}: record needs id, identity, "
-                                    f"camera and features")
-            try:
-                sample_id = int(fields[0])
-                identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
-                camera = int(fields[2])
-                vector = [float(v) for v in fields[3:]]
-            except ValueError as exc:
-                raise SelfReidError(f"{path}:{lineno}: {exc}") from exc
-            if rows and len(vector) != len(rows[0]):
-                raise SelfReidError(f"{path}:{lineno}: dimension {len(vector)} != "
-                                    f"{len(rows[0])} from earlier records")
-            if sample_id in seen:
-                raise SelfReidError(f"{path}:{lineno}: repeated sample id {sample_id}")
-            seen.add(sample_id)
-            ids.append(sample_id)
-            pids.append(identity)
-            cams.append(camera)
-            rows.append(vector)
-            linenos.append(lineno)
-    if not rows:
+    ids, pids, cams, texts, linenos = [], [], [], [], []
+
+    def reject(lineno, reason):
+        if texts:  # a fault on an earlier record line is reported first
+            _read_records(path, ids, texts, linenos)
+        raise SelfReidError(f"{path}:{lineno}: {reason}")
+
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
+                reject(lineno, f"header {line!r} is not "
+                               f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
+            if len(parts) >= 2:
+                header[parts[0]] = parts[1:]
+            continue
+        fields = line.split(None, 3)
+        if len(fields) < 4:
+            reject(lineno, "record needs id, identity, camera and features")
+        try:
+            sample_id = int(fields[0])
+            identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
+            camera = int(fields[2])
+        except ValueError as exc:
+            reject(lineno, str(exc))
+        ids.append(sample_id)
+        pids.append(identity)
+        cams.append(camera)
+        texts.append(fields[3])
+        linenos.append(lineno)
+    if not texts:
         raise SelfReidError(f"{path}: no records")
+    sample_ids, features = _read_records(path, ids, texts, linenos)
+    dim = features.shape[1]
     declared = {}
     for key in ("dim", "count"):
         if key in header:
@@ -189,17 +258,17 @@ def load_dataset(path) -> EmbeddingDataset:
             except ValueError:
                 raise SelfReidError(f"{path}: header {key} {header[key][0]!r} is not "
                                     f"an integer") from None
-    if declared.get("dim", len(rows[0])) != len(rows[0]):
+    if declared.get("dim", dim) != dim:
         raise SelfReidError(f"{path}: header dim {declared['dim']} != "
-                            f"record dim {len(rows[0])}")
-    if declared.get("count", len(rows)) != len(rows):
+                            f"record dim {dim}")
+    if declared.get("count", len(texts)) != len(texts):
         raise SelfReidError(f"{path}: header count {declared['count']} != "
-                            f"{len(rows)} records")
+                            f"{len(texts)} records")
     dataset = EmbeddingDataset(
-        sample_ids=np.array(ids, dtype=np.int64),
+        sample_ids=sample_ids,
         identities=np.array(pids, dtype=np.int64),
         cameras=np.array(cams, dtype=np.int64),
-        features=np.array(rows, dtype=np.float64),
+        features=features,
     )
     bad = np.argwhere(~np.isfinite(dataset.features))
     if bad.size:

@@ -274,3 +274,18 @@ def test_sweep_eps_rejects_bad_input_before_reranking(train_files, monkeypatch, 
     monkeypatch.setattr(cli, "jaccard_distance_matrix", never)
     assert cli.main(["sweep-eps", "--data", train_files["data"], *flags]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_sweep_eps_rejects_data_that_is_not_utf8(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(17) + b"\xd0\x67\x00")
+    assert cli.main(["sweep-eps", "--data", str(binary)]) == 1
+    assert (f"error: {binary}: not UTF-8 text: byte 0xd0 at offset 24 cannot be decoded"
+            in capsys.readouterr().err)
+
+
+def test_directory_as_data_file_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["sweep-eps", "--data", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
+    assert "usage: " in err

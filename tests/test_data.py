@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfreid.data import (
+    UNKNOWN_IDENTITY,
     EmbeddingDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -118,6 +121,35 @@ def test_malformed_line_has_line_number(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# dim 2\n\n0 1 0 0.5 abc\n", "3: could not convert string to float: 'abc'"),
+    # float() reads digit-group underscores; numpy's reader does not
+    ("0 1 0 0.5 1_0\n", "1: could not convert string to float: '1_0'"),
+    ("0 1 0 0.5 0.5\n1 1 0 0.5 0.5\n\n2 1 0 0.5 0.5 0.5\n",
+     "4: dimension 3 != 2 from earlier records"),
+    # the first line at fault is reported, whatever faults follow it
+    ("0 1 0 abc\n1 one 0 0.5\n", "1: could not convert string to float: 'abc'"),
+    ("0 1 0 0.5\n0 1 0 0.5\n1 1 0 abc\n", "2: repeated sample id 0"),
+    ("0 1 0 0.5\n1 1 0 abc\n1 1 0 0.5\n", "2: could not convert string to float: 'abc'"),
+    ("0 1 0 0.5\n0 1 0\n", "2: record needs id, identity, camera and features"),
+    ("0 1 0 0.5 0.5\n1 1 0 0.5\n# format other v1\n",
+     "2: dimension 1 != 2 from earlier records"),
+])
+def test_first_faulty_line_is_reported(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(SelfReidError, match=re.escape(f"{path}:{message}")):
+        load_dataset(path)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"0 1 0 0.5\n\xd0\xcf 1 0 0.5\n")
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}: not UTF-8 text: byte 0xd0 at offset 10 cannot be decoded")):
+        load_dataset(path)
+
+
 def test_duplicate_sample_id_rejected(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("7 1 0 0.5 0.5\n7 2 1 0.1 0.2\n")
@@ -193,3 +225,66 @@ def test_spec_rejects_scale_that_is_not_finite_and_non_negative(name, value):
     with pytest.raises(SelfReidError, match=re.escape(
             f"{name} must be finite and >= 0, got {value}")):
         generate_synthetic(SyntheticSpec(**{name: value}))
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def split_records(draw):
+    """A dataset of 1-5 records of 1-4 finite features."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    values = st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.integers(-2**60, 2**60).map(float),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    features = draw(st.lists(values, min_size=n * d, max_size=n * d))
+    cameras = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return EmbeddingDataset(
+        sample_ids=np.array(draw(st.lists(st.sampled_from([-2**63, 2**63 - 1]) | INT64,
+                                          min_size=n, max_size=n, unique=True))),
+        identities=np.array(draw(st.lists(st.just(UNKNOWN_IDENTITY) | st.integers(0, 2**63 - 1),
+                                          min_size=n, max_size=n))),
+        cameras=np.unique(cameras, return_inverse=True)[1],  # dense 0..C-1
+        features=np.array(features, dtype=np.float64).reshape(n, d))
+
+
+@pytest.fixture(scope="module")
+def split_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("split") / "split.txt"
+
+
+@settings(max_examples=50)
+@given(split_records(), st.data())
+def test_save_load_round_trip_property(split_path, dataset, data):
+    save_dataset(dataset, split_path)
+    lines = split_path.read_text().splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", "  ", "#", "# note"])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    split_path.write_bytes(newline.join(lines + [""]).encode())
+
+    loaded = load_dataset(split_path)
+    np.testing.assert_array_equal(loaded.features.view(np.int64),
+                                  dataset.features.view(np.int64))
+    np.testing.assert_array_equal(loaded.sample_ids, dataset.sample_ids)
+    np.testing.assert_array_equal(loaded.identities, dataset.identities)
+    np.testing.assert_array_equal(loaded.cameras, dataset.cameras)
+
+    # Records from the second on may take the id of an earlier record; the
+    # first line that repeats an id is the one reported.
+    records = [i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")]
+    sources = [None] + [data.draw(st.none() | st.integers(0, j - 1))
+                        for j in range(1, len(records))]
+    if any(source is not None for source in sources):
+        for j, source in enumerate(sources):
+            if source is not None:
+                tail = lines[records[j]].split(" ", 1)[1]
+                lines[records[j]] = f"{dataset.sample_ids[source]} {tail}"
+        first = next(j for j, source in enumerate(sources) if source is not None)
+        split_path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(SelfReidError, match=re.escape(
+                f"{split_path}:{records[first] + 1}: repeated sample id "
+                f"{dataset.sample_ids[sources[first]]}")):
+            load_dataset(split_path)
