@@ -14,11 +14,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from .encoder import init_pair, load_checkpoint
+from .encoder import load_checkpoint
 from .errors import SelfReidError
 from .evaluation import require_known_identities
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
@@ -28,6 +26,7 @@ from .trainer import (
     TrainConfig,
     evaluate_encoder,
     extract_bank,
+    init_state,
     train,
 )
 
@@ -216,9 +215,7 @@ def cmd_sweep_eps(args) -> int:
         _check_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
                            (args.data, dataset))
     else:
-        base = TrainConfig()
-        rng = np.random.default_rng([args.seed, 0])
-        pair = init_pair(dataset.dim, base.hidden_dim, base.out_dim, rng)
+        pair = init_state(TrainConfig(seed=args.seed), dataset).pair
     bank = extract_bank(pair, dataset.features)
     dist = jaccard_distance_matrix(bank, k1, k2)
 

@@ -178,10 +178,24 @@ def _unreadable_record(texts):
             return index, f"dimension {row.shape[1]} != {width} from earlier records"
 
 
-def _read_records(path, ids, texts, linenos):
-    """Sample ids and features of the records; raises at the first record
-    line at fault: an unreadable feature, another width or a repeated id."""
-    sample_ids = np.array(ids, dtype=np.int64)
+def _read_records(path, columns, texts, linenos):
+    """The (sample id, identity, camera) columns as int64 arrays, and the
+    features of the records; raises at the first record line at fault: an
+    integer outside int64, an unreadable feature, another width or a
+    repeated id."""
+    try:
+        sample_ids, identities, cameras = np.array(columns, dtype=np.int64)
+    except OverflowError:
+        bounds = np.iinfo(np.int64)
+        index, name, value = next(
+            (index, name, value) for index, row in enumerate(zip(*columns))
+            for name, value in zip(("sample id", "identity", "camera"), row)
+            if not bounds.min <= value <= bounds.max)
+        if index:  # a fault on an earlier record line is reported first
+            _read_records(path, [column[:index] for column in columns], texts[:index],
+                          linenos[:index])
+        raise SelfReidError(f"{path}:{linenos[index]}: {name} {value} is out of "
+                            f"range for int64") from None
     faults = []
     try:
         features = _read_floats(texts)
@@ -197,12 +211,12 @@ def _read_records(path, ids, texts, linenos):
     if faults:
         index, reason = min(faults, key=lambda fault: fault[0])
         raise SelfReidError(f"{path}:{linenos[index]}: {reason}")
-    return sample_ids, features
+    return (sample_ids, identities, cameras), features
 
 
-def load_dataset(path) -> EmbeddingDataset:
-    """Read and check a split file; a fault names the path and, for a fault
-    on a line, the first line at fault."""
+def read_text(path) -> str:
+    """A UTF-8 text file, its lines ended by "\\n" where text-mode reading
+    would end them; a file that is not UTF-8 fails naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -210,14 +224,21 @@ def load_dataset(path) -> EmbeddingDataset:
     except UnicodeDecodeError as exc:
         raise SelfReidError(f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at "
                             f"offset {exc.start} cannot be decoded") from None
-    if "\r" in text:  # end lines where text-mode reading would
+    if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def load_dataset(path) -> EmbeddingDataset:
+    """Read and check a split file; a fault names the path and, for a fault
+    on a line, the first line at fault."""
+    text = read_text(path)
     header = {}
     ids, pids, cams, texts, linenos = [], [], [], [], []
 
     def reject(lineno, reason):
         if texts:  # a fault on an earlier record line is reported first
-            _read_records(path, ids, texts, linenos)
+            _read_records(path, (ids, pids, cams), texts, linenos)
         raise SelfReidError(f"{path}:{lineno}: {reason}")
 
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -248,7 +269,8 @@ def load_dataset(path) -> EmbeddingDataset:
         linenos.append(lineno)
     if not texts:
         raise SelfReidError(f"{path}: no records")
-    sample_ids, features = _read_records(path, ids, texts, linenos)
+    (sample_ids, identities, cameras), features = _read_records(
+        path, (ids, pids, cams), texts, linenos)
     dim = features.shape[1]
     declared = {}
     for key in ("dim", "count"):
@@ -266,8 +288,8 @@ def load_dataset(path) -> EmbeddingDataset:
                             f"{len(texts)} records")
     dataset = EmbeddingDataset(
         sample_ids=sample_ids,
-        identities=np.array(pids, dtype=np.int64),
-        cameras=np.array(cams, dtype=np.int64),
+        identities=identities,
+        cameras=cameras,
         features=features,
     )
     bad = np.argwhere(~np.isfinite(dataset.features))

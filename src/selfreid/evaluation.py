@@ -72,9 +72,6 @@ def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     for qi in range(n_q):
         keep = ~((gallery.identities == queries.identities[qi])
                  & (gallery.cameras == queries.cameras[qi]))
-        if not np.any(keep):
-            excluded += 1
-            continue
         kept_idx = np.flatnonzero(keep)
         order = kept_idx[np.argsort(-sims[qi, kept_idx], kind="stable")]
         relevance = gallery.identities[order] == queries.identities[qi]

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import os
 
+from .data import read_text
 from .errors import SelfReidError
 from .trainer import EpochReport, TrainConfig
 
@@ -98,15 +99,14 @@ def write_keyvalue(path, values: dict, header: str = "") -> None:
 
 def read_keyvalue(path) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SelfReidError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SelfReidError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        values[key.strip()] = raw.strip()
     return values
 
 

@@ -1,12 +1,12 @@
 """Training loop: per-epoch clustering, proxies, and batch updates.
 
-Each epoch encodes the whole training set with the momentum encoder,
-re-clusters it into pseudo identities, rebuilds the proxy memory, then
-runs the iteration loop. Every iteration makes two encoder passes: the
-online encoder on perturbed features, and the momentum encoder once over
-the perturbed rows stacked on the clean ones (its output is split back
-into the two views); combines the losses; backpropagates into the
-online encoder; and EMA-updates the momentum twin.
+`train` calls `run_epoch` per epoch, which encodes the whole training set
+with the momentum encoder, re-clusters it into pseudo identities, rebuilds
+the proxy memory, then calls `train_iteration` per step. A step makes two
+encoder passes: the online encoder on perturbed features, and the momentum
+encoder once over the perturbed rows stacked on the clean ones (its output
+is split back into the two views). It combines the losses (`batch_loss`),
+backpropagates into the online encoder, and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
 labels, proxies and batches within an epoch depend only on the
@@ -35,6 +35,7 @@ from .encoder import (
 from .errors import SelfReidError
 from .evaluation import EvalReport, RetrievalSet, evaluate, require_known_identities
 from .losses import (
+    LossBreakdown,
     LossWeights,
     Temperatures,
     consistency_distributions,
@@ -151,7 +152,7 @@ class EpochReport:
 
 @dataclass
 class TrainState:
-    """Mutable loop state; single writer for parameters and optimizer."""
+    """Mutable run state; single writer for parameters and optimizer."""
 
     config: TrainConfig
     dataset: EmbeddingDataset
@@ -159,8 +160,17 @@ class TrainState:
     opt: OptimizerState
     camera_offsets: np.ndarray | None = None
     memory: ProxyMemory | None = None
-    epoch: int = 0
-    iteration: int = 0
+    epoch: int = 0  # index of the epoch being run
+
+
+def init_state(config: TrainConfig, dataset: EmbeddingDataset) -> TrainState:
+    """The state before the first epoch (untrained encoders), after checking both inputs."""
+    config.validate()
+    dataset.validate()
+    rng = np.random.default_rng([config.seed, _SEED_INIT])
+    pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng)
+    return TrainState(config=config, dataset=dataset, pair=pair, opt=init_optimizer(pair.online),
+                      camera_offsets=estimate_camera_offsets(dataset.features, dataset.cameras))
 
 
 def extract_bank(pair: EncoderPair, features: np.ndarray) -> np.ndarray:
@@ -180,41 +190,38 @@ def oracle_assignment(dataset: EmbeddingDataset) -> ClusterAssignment:
                              cluster_count=int(labels.max()) + 1)
 
 
-def train_iteration(state: TrainState, batch: IdentityBatch):
-    """One optimization step; returns its LossBreakdown."""
-    cfg = state.config
-    raw = state.dataset.features[batch.indices]
-    perturbed = perturb(raw, cfg.perturbation,
-                        [cfg.seed, state.epoch, state.iteration, _SEED_PERTURB],
-                        cameras=batch.cameras,
-                        camera_offsets=state.camera_offsets)
-
-    online = forward(state.pair.online, perturbed)
-    feats = online.out
-    momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
-    momentum_aug, momentum_clean = momentum[:len(raw)], momentum[len(raw):]
-
-    agnostic = proxy_agnostic_loss(feats, batch.labels,
-                                   state.memory.cluster_vectors,
-                                   cfg.temperatures.agnostic)
+def batch_loss(cfg: TrainConfig, memory: ProxyMemory, batch: IdentityBatch, feats: np.ndarray,
+               momentum_aug: np.ndarray, momentum_clean: np.ndarray) -> LossBreakdown:
+    """A step's loss and its gradient in the online representations `feats`;
+    the momentum-encoder outputs and the proxies are held fixed."""
+    tau = cfg.temperatures
+    agnostic = proxy_agnostic_loss(feats, batch.labels, memory.cluster_vectors, tau.agnostic)
     if cfg.memory_mode == AWARE:
-        cross = cross_camera_loss_batch(feats, batch.cameras, batch.labels,
-                                        state.memory, cfg.temperatures.cross,
-                                        cfg.n_neg)
+        cross = cross_camera_loss_batch(feats, batch.cameras, batch.labels, memory,
+                                        tau.cross, cfg.n_neg)
     else:
         cross = (0.0, np.zeros_like(feats))
-    hard = hard_instance_loss(feats, momentum_aug, batch.labels, cfg.temperatures.hard)
-    dists = consistency_distributions(feats, momentum_aug, momentum_clean,
-                                      cfg.temperatures.soft)
-    soft = soft_consistency_loss(dists)
-    breakdown = total_loss(agnostic, cross, hard, soft, cfg.weights)
+    hard = hard_instance_loss(feats, momentum_aug, batch.labels, tau.hard)
+    dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft)
+    return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
+
+
+def train_iteration(state: TrainState, batch: IdentityBatch, iteration: int) -> LossBreakdown:
+    """Step `iteration` of the current epoch; returns its LossBreakdown."""
+    cfg = state.config
+    raw = state.dataset.features[batch.indices]
+    perturbed = perturb(raw, cfg.perturbation, [cfg.seed, state.epoch, iteration, _SEED_PERTURB],
+                        cameras=batch.cameras, camera_offsets=state.camera_offsets)
+
+    online = forward(state.pair.online, perturbed)
+    momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
+    breakdown = batch_loss(cfg, state.memory, batch, online.out,
+                           momentum[:len(raw)], momentum[len(raw):])
 
     grads = backward(state.pair.online, online, breakdown.grads)
     optimizer_step(state.opt, state.pair.online, grads,
-                   effective_lr(cfg.base_lr, cfg.warmup_epochs, state.epoch),
-                   cfg.weight_decay)
+                   effective_lr(cfg.base_lr, cfg.warmup_epochs, state.epoch), cfg.weight_decay)
     ema_update(state.pair, cfg.alpha)
-    state.iteration += 1
     return breakdown
 
 
@@ -228,82 +235,75 @@ def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
     return evaluate(q, g)
 
 
+def _mean(steps: list[LossBreakdown], term: str) -> float:
+    """Mean of a loss term, summed in step order (np.mean's pairwise sum has other bits)."""
+    total = 0.0
+    for step in steps:
+        total += getattr(step, term)
+    return total / len(steps) if steps else 0.0
+
+
+def run_epoch(state: TrainState, earlier_reports: list[EpochReport],
+              query: EmbeddingDataset | None = None,
+              gallery: EmbeddingDataset | None = None) -> EpochReport:
+    """Run and report epoch `len(earlier_reports)`. Raises when it ends a run of
+    more than MAX_FAILED_EPOCHS epochs without clusters. Evaluation runs when
+    query/gallery are given, every `eval_every` epochs and on the last epoch."""
+    start = time.perf_counter()
+    cfg, dataset = state.config, state.dataset
+    state.epoch = epoch = len(earlier_reports)
+    bank = extract_bank(state.pair, dataset.features)
+    if cfg.labels_mode == "oracle":
+        assignment = oracle_assignment(dataset)
+    else:
+        assignment = generate_pseudo_labels(bank, cfg.cluster)
+
+    steps = []
+    if assignment.cluster_count == 0:
+        failed = 1 + next((i for i, r in enumerate(reversed(earlier_reports))
+                           if r.cluster_count), len(earlier_reports))
+        log.warning("epoch %d: clustering found no inliers (%d consecutive)", epoch, failed)
+        if failed > MAX_FAILED_EPOCHS:
+            raise SelfReidError(f"no clusters for {failed} consecutive epochs; "
+                                f"check eps/min_samples against the data scale")
+    elif assignment.cluster_count < cfg.batch.n_identities:
+        log.warning("epoch %d: %d clusters < %d identities per batch; skipping iterations",
+                    epoch, assignment.cluster_count, cfg.batch.n_identities)
+    else:
+        state.memory = build_proxies(bank, assignment, dataset.cameras)
+        for iteration in range(cfg.iterations):
+            batch = sample_pk_batch(assignment, dataset.cameras, cfg.batch,
+                                    [cfg.seed, epoch, iteration, _SEED_BATCH])
+            steps.append(train_iteration(state, batch, iteration))
+
+    soft = _mean(steps, "soft")
+    report = EpochReport(
+        epoch=epoch, cluster_count=assignment.cluster_count,
+        outlier_count=assignment.outlier_count,
+        mean_agnostic=_mean(steps, "agnostic"), mean_cross=_mean(steps, "cross"),
+        # the soft loss is D_KL(P || Q), so it is also the KL diagnostic
+        mean_hard=_mean(steps, "hard"), mean_soft=soft, mean_kl=soft,
+        mean_total=_mean(steps, "total"), wall_time=time.perf_counter() - start,
+        skipped_iterations=cfg.iterations - len(steps))
+    due = cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0
+    if query is not None and gallery is not None and (due or epoch == cfg.epochs - 1):
+        report.evaluation = evaluate_encoder(state.pair, query, gallery)
+    return report
+
+
 def train(config: TrainConfig, dataset: EmbeddingDataset,
-          query: EmbeddingDataset | None = None,
-          gallery: EmbeddingDataset | None = None,
+          query: EmbeddingDataset | None = None, gallery: EmbeddingDataset | None = None,
           checkpoint_dir=None):
     """Full training run; returns (EncoderPair, list of EpochReport).
 
     The momentum encoder of the returned pair is the inference model.
-    Evaluation runs when query/gallery are given, every `eval_every`
-    epochs and always on the last epoch.
     """
-    config.validate()
-    dataset.validate()
-    rng = np.random.default_rng([config.seed, _SEED_INIT])
-    pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng)
-    opt = init_optimizer(pair.online)
-    state = TrainState(config=config, dataset=dataset, pair=pair, opt=opt,
-                       camera_offsets=estimate_camera_offsets(dataset.features,
-                                                              dataset.cameras))
-
+    state = init_state(config, dataset)
     reports: list[EpochReport] = []
-    failed_epochs = 0
     for epoch in range(config.epochs):
-        start = time.perf_counter()
-        state.epoch = epoch
-        state.iteration = 0
-
-        bank = extract_bank(pair, dataset.features)
-        if config.labels_mode == "oracle":
-            assignment = oracle_assignment(dataset)
-        else:
-            assignment = generate_pseudo_labels(bank, config.cluster)
-
-        failed_epochs = failed_epochs + 1 if assignment.cluster_count == 0 else 0
-        sums = np.zeros(5)  # agnostic, cross, hard, soft, total
-        ran = 0
-        if failed_epochs:
-            log.warning("epoch %d: clustering found no inliers (%d consecutive)",
-                        epoch, failed_epochs)
-            if failed_epochs > MAX_FAILED_EPOCHS:
-                raise SelfReidError(
-                    f"no clusters for {failed_epochs} consecutive epochs; "
-                    f"check eps/min_samples against the data scale")
-        elif assignment.cluster_count < config.batch.n_identities:
-            log.warning("epoch %d: %d clusters < %d identities per batch; "
-                        "skipping iterations", epoch, assignment.cluster_count,
-                        config.batch.n_identities)
-        else:
-            state.memory = build_proxies(bank, assignment, dataset.cameras)
-            for _ in range(config.iterations):
-                batch = sample_pk_batch(
-                    assignment, dataset.cameras, config.batch,
-                    [config.seed, epoch, state.iteration, _SEED_BATCH])
-                breakdown = train_iteration(state, batch)
-                sums += (breakdown.agnostic, breakdown.cross, breakdown.hard,
-                         breakdown.soft, breakdown.total)
-                ran += 1
-
-        means = sums / ran if ran else sums
-        report = EpochReport(
-            epoch=epoch, cluster_count=assignment.cluster_count,
-            outlier_count=assignment.outlier_count,
-            mean_agnostic=means[0], mean_cross=means[1], mean_hard=means[2],
-            # the soft loss is D_KL(P || Q), so it is also the KL diagnostic
-            mean_soft=means[3], mean_total=means[4], mean_kl=means[3],
-            wall_time=time.perf_counter() - start,
-            skipped_iterations=config.iterations - ran)
-
-        last_epoch = epoch == config.epochs - 1
-        if query is not None and gallery is not None:
-            due = config.eval_every > 0 and (epoch + 1) % config.eval_every == 0
-            if due or last_epoch:
-                report.evaluation = evaluate_encoder(pair, query, gallery)
-        reports.append(report)
-
-        if checkpoint_dir is not None and config.checkpoint_every > 0:
-            if (epoch + 1) % config.checkpoint_every == 0 or last_epoch:
-                save_checkpoint(f"{checkpoint_dir}/checkpoint_epoch{epoch:03d}.npz",
-                                pair, opt)
-    return pair, reports
+        reports.append(run_epoch(state, reports, query, gallery))
+        if checkpoint_dir is not None and config.checkpoint_every > 0 and (
+                (epoch + 1) % config.checkpoint_every == 0 or epoch == config.epochs - 1):
+            save_checkpoint(f"{checkpoint_dir}/checkpoint_epoch{epoch:03d}.npz",
+                            state.pair, state.opt)
+    return state.pair, reports

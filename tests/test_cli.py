@@ -284,6 +284,23 @@ def test_sweep_eps_rejects_data_that_is_not_utf8(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+# 300 bytes that start like an x86-64 ELF executable: its 64-byte header
+# (section headers at offset 0x3af0), then zeros.
+ELF_HEAD = bytes.fromhex(
+    "7f454c46020101000000000000000000 03003e00010000006010000000000000"
+    "4000000000000000f03a000000000000 0000000040003800 0d00400027002600").ljust(300, b"\0")
+
+
+@pytest.mark.parametrize("flag", ["--config", "--from-manifest"])
+def test_train_rejects_keyvalue_file_that_is_not_utf8(train_files, tmp_path, capsys, flag):
+    binary = tmp_path / "binary"
+    binary.write_bytes(ELF_HEAD)
+    assert run_train(train_files, tmp_path / "run", flag, str(binary)) == 1
+    assert (f"error: {binary}: not UTF-8 text: byte 0xf0 at offset 40 cannot be decoded"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_directory_as_data_file_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["sweep-eps", "--data", str(tmp_path)]) == 2
     err = capsys.readouterr().err

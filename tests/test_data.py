@@ -134,6 +134,14 @@ def test_malformed_line_has_line_number(tmp_path):
     ("0 1 0 0.5\n0 1 0\n", "2: record needs id, identity, camera and features"),
     ("0 1 0 0.5 0.5\n1 1 0 0.5\n# format other v1\n",
      "2: dimension 1 != 2 from earlier records"),
+    ("99999999999999999999 1 0 0.5\n",
+     "1: sample id 99999999999999999999 is out of range for int64"),
+    ("0 1 0 0.5\n1 -9223372036854775809 0 0.5\n1 one 0 0.5\n",
+     "2: identity -9223372036854775809 is out of range for int64"),
+    ("0 1 9223372036854775807 0.5\n1 1 9223372036854775808 0.5\n",
+     "2: camera 9223372036854775808 is out of range for int64"),
+    ("0 1 0 abc\n1 1 99999999999999999999 0.5\n", "1: could not convert string to float: 'abc'"),
+    ("0 1 0 0.5\n0 1 0 0.5\n99999999999999999999 1 0 0.5\n", "2: repeated sample id 0"),
 ])
 def test_first_faulty_line_is_reported(tmp_path, text, message):
     path = tmp_path / "bad.txt"

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from selfreid.data import SyntheticSpec, generate_synthetic
 from selfreid.errors import SelfReidError
 from selfreid.rerank import OUTLIER, ClusterAssignment
-from selfreid.sampling import BatchSpec, PerturbationConfig, perturb, sample_pk_batch
+from selfreid.sampling import (
+    BatchSpec,
+    PerturbationConfig,
+    estimate_camera_offsets,
+    perturb,
+    sample_pk_batch,
+)
 
 
 def make_assignment(labels):
@@ -114,6 +121,40 @@ def test_perturb_changes_input():
     feats = rng.normal(size=(8, 32))
     out = perturb(feats, PerturbationConfig(0.1, 0.15, 0.5, 0.3), rng_seed=10)
     assert not np.array_equal(out, feats)
+
+
+GRID = SyntheticSpec(n_identities=5, n_cameras=4, samples_per_cell=3, dim=16)
+
+
+def test_camera_offsets_are_camera_means_minus_the_global_mean():
+    train_split = generate_synthetic(GRID)[0]
+    # rows run identity-major, then camera, then sample within the cell
+    cells = train_split.features.reshape(GRID.n_identities, GRID.n_cameras,
+                                         GRID.samples_per_cell, GRID.dim)
+    camera_means = cells.mean(axis=(0, 2))
+    offsets = estimate_camera_offsets(train_split.features, train_split.cameras)
+    np.testing.assert_allclose(offsets, camera_means - cells.mean(axis=(0, 1, 2)),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("prob", [0.5, 1.0])
+def test_restyle_moves_a_row_to_another_cameras_style(prob):
+    train_split = generate_synthetic(GRID)[0]
+    features, cameras = train_split.features, train_split.cameras
+    offsets = estimate_camera_offsets(features, cameras)
+    out = perturb(features, PerturbationConfig(noise_sigma=0.0, dropout=0.0, restyle_prob=prob),
+                  rng_seed=11, cameras=cameras, camera_offsets=offsets)
+    # a row that is not restyled does not move at all
+    moved = np.flatnonzero(np.any(out != features, axis=1))
+    if prob == 1.0:
+        assert len(moved) == len(features)
+    else:
+        assert 0 < len(moved) < len(features)
+    for row in moved:
+        own = cameras[row]
+        targets = [c for c in range(GRID.n_cameras)
+                   if np.array_equal(out[row], features[row] + (offsets[c] - offsets[own]))]
+        assert len(targets) == 1 and targets[0] != own, row
 
 
 def test_perturb_config_validation():

@@ -7,24 +7,18 @@ from selfreid.data import SyntheticSpec, generate_synthetic
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
-from selfreid.losses import (
-    consistency_distributions,
-    cross_camera_loss_batch,
-    hard_instance_loss,
-    proxy_agnostic_loss,
-    soft_consistency_loss,
-    total_loss,
-)
 from selfreid.proxies import build_proxies
-from selfreid.rerank import ClusterAssignment, ClusterConfig
+from selfreid.rerank import OUTLIER, ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
-from selfreid.sampling import BatchSpec
+from selfreid.sampling import BatchSpec, IdentityBatch
 from selfreid import trainer
 from selfreid.trainer import (
     AGNOSTIC,
     AWARE,
     MAX_FAILED_EPOCHS,
     TrainConfig,
+    init_state,
+    run_epoch,
     train,
 )
 
@@ -78,6 +72,34 @@ def test_all_outlier_epochs_abort(small_train):
                                            "epochs; check eps/min_samples"):
         train(TrainConfig(epochs=MAX_FAILED_EPOCHS + 1, iterations=4,
                           cluster=no_cores), small_train)
+
+
+def test_zero_cluster_streak_resets_after_an_epoch_with_clusters(small_train, monkeypatch):
+    generate = trainer.generate_pseudo_labels
+    no_clusters = ClusterAssignment(np.full(len(small_train), OUTLIER), 0)
+    script = iter([no_clusters, None, no_clusters, no_clusters, no_clusters])
+
+    def scripted(bank, config):
+        assignment = next(script)
+        return generate(bank, config) if assignment is None else assignment
+
+    monkeypatch.setattr(trainer, "generate_pseudo_labels", scripted)
+    _, reports = train(TrainConfig(epochs=5, iterations=2), small_train)
+    assert [r.cluster_count == 0 for r in reports] == [True, False, True, True, True]
+    assert [r.skipped_iterations for r in reports] == [2, 0, 2, 2, 2]
+
+
+def test_train_is_run_epoch_in_a_loop():
+    train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=10))
+    config = TrainConfig(epochs=3, iterations=4, eval_every=2)
+    pair, reports = train(config, train_split, query=query, gallery=gallery)
+    state = init_state(config, train_split)
+    looped = []
+    for _ in range(config.epochs):
+        looped.append(run_epoch(state, looped, query, gallery))
+    assert [r.evaluation is not None for r in looped] == [False, True, True]
+    assert without_wall_time(looped) == without_wall_time(reports)
+    np.testing.assert_array_equal(state.pair.momentum.w1, pair.momentum.w1)
 
 
 def test_epoch_without_clusters_still_evaluates_and_checkpoints(tmp_path):
@@ -141,38 +163,29 @@ def test_warmup_epochs_zero_is_valid():
 
 @pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
 def test_step_gradient_matches_finite_differences(mode):
-    """The loss a training step minimises, assembled as train_iteration does
-    it, backpropagated through the online encoder, against finite
-    differences of its total; momentum outputs and proxies held fixed."""
+    """The loss a training step minimises (batch_loss), backpropagated
+    through the online encoder, against finite differences of its total;
+    momentum outputs and proxies held fixed."""
     cfg = TrainConfig(memory_mode=mode)
     rng = np.random.default_rng(7)
     params = init_params(5, 4, 3, rng)
-    batch = rng.normal(size=(8, 5))
-    labels = np.repeat(np.arange(4), 2)
-    cameras = rng.integers(0, 3, size=8)
+    inputs = rng.normal(size=(8, 5))
+    batch = IdentityBatch(indices=np.arange(8), labels=np.repeat(np.arange(4), 2),
+                          cameras=rng.integers(0, 3, size=8))
     bank_labels = np.repeat(np.arange(5), 3)
     memory = build_proxies(normalize_rows(rng.normal(size=(15, 3))),
                            ClusterAssignment(bank_labels, 5), np.tile(np.arange(3), 5))
     momentum_aug = normalize_rows(rng.normal(size=(8, 3)))
     momentum_clean = normalize_rows(rng.normal(size=(8, 3)))
-    tau = cfg.temperatures
 
     def step_loss(feats):
-        agnostic = proxy_agnostic_loss(feats, labels, memory.cluster_vectors, tau.agnostic)
-        if mode == AWARE:
-            cross = cross_camera_loss_batch(feats, cameras, labels, memory, tau.cross,
-                                            cfg.n_neg)
-        else:
-            cross = (0.0, np.zeros_like(feats))
-        hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard)
-        dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft)
-        return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
+        return trainer.batch_loss(cfg, memory, batch, feats, momentum_aug, momentum_clean)
 
-    fwd = forward(params, batch)
+    fwd = forward(params, inputs)
     breakdown = step_loss(fwd.out)
     assert (breakdown.cross != 0.0) == (mode == AWARE)
     analytic = backward(params, fwd, breakdown.grads)
     for name in PARAM_FIELDS:
-        fd = finite_difference(lambda _: step_loss(forward(params, batch).out).total,
+        fd = finite_difference(lambda _: step_loss(forward(params, inputs).out).total,
                                getattr(params, name))
         assert max_rel_err(getattr(analytic, name), fd) < 1e-5, name
