@@ -18,7 +18,7 @@ from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .encoder import load_checkpoint
 from .errors import SelfReidError
-from .evaluation import require_known_identities
+from .evaluation import cross_camera_matches, require_known_identities
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from .trainer import (
     MEMORY_MODES,
@@ -80,11 +80,16 @@ def _check_input_width(encoder: str, width: int, *splits) -> None:
                                 f"but {split_path} has dim {split.dim}")
 
 
-def _check_known_identities(*splits) -> None:
-    """Every given (path, dataset) evaluation split must have known identities."""
-    for split_path, split in splits:
+def _check_eval_splits(query_path, query, gallery_path, gallery) -> None:
+    """The query and gallery splits, each may be None, can be evaluated:
+    every identity is known and some query has a cross-camera match."""
+    for split_path, split in ((query_path, query), (gallery_path, gallery)):
         if split is not None:
             require_known_identities(split.identities, split_path)
+    if query is not None and gallery is not None \
+            and not cross_camera_matches(query, gallery).any():
+        raise SelfReidError(f"no query in {query_path} has a record of its identity from "
+                            f"another camera in {gallery_path}; evaluation needs one")
 
 
 def cmd_generate(args) -> int:
@@ -117,7 +122,7 @@ def cmd_train(args) -> int:
     gallery = load_dataset(gallery_path) if gallery_path else None
     _check_input_width(f"the encoder trained on {data_path}", dataset.dim,
                        (query_path, query), (gallery_path, gallery))
-    _check_known_identities((query_path, query), (gallery_path, gallery))
+    _check_eval_splits(query_path, query, gallery_path, gallery)
     if config.labels_mode == "oracle":
         require_known_identities(dataset.identities, data_path, ORACLE_NEEDS_IDENTITIES)
 
@@ -154,7 +159,7 @@ def cmd_eval(args) -> int:
     gallery = load_dataset(args.gallery)
     _check_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
                        (args.query, query), (args.gallery, gallery))
-    _check_known_identities((args.query, query), (args.gallery, gallery))
+    _check_eval_splits(args.query, query, args.gallery, gallery)
     report = evaluate_encoder(pair, query, gallery)
     lines = [f"mAP = {report.mean_ap!r}",
              f"rank1 = {report.rank1!r}",
@@ -177,7 +182,7 @@ def cmd_ablate(args) -> int:
     gallery = load_dataset(args.gallery)
     _check_input_width(f"the encoder trained on {args.data}", dataset.dim,
                        (args.query, query), (args.gallery, gallery))
-    _check_known_identities((args.query, query), (args.gallery, gallery))
+    _check_eval_splits(args.query, query, args.gallery, gallery)
     rows = []
     for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:

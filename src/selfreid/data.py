@@ -11,9 +11,14 @@ line: ``sample_id identity|? camera v0 v1 ... v{d-1}``. The header is
 optional, but a ``# format`` line must read ``selfreid-embeddings v1``.
 Lines end at ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
 
-Loading splits each record line once, for its id, identity and camera,
-which take Python's int() syntax. One call of numpy's C text reader
-(``np.loadtxt``) then parses the feature text of every record. It takes
+Loading is one fast pass, then one slow scan if anything is at fault.
+The pass splits each record line once, for its id, identity and camera,
+which take Python's int() syntax, and stops at the first line that is
+not a record. One call of numpy's C text reader (``np.loadtxt``) then
+parses the feature text of every record, and one sort looks for a
+repeated id. If the pass stopped early or a bulk step failed, the scan
+walks the records before the stopping line in line order and reports
+the first at fault, or else the stopping line. The reader takes
 decimal and exponent forms, ``inf`` and ``nan`` (which the finiteness
 check then rejects), but not the digit-group underscores or non-ASCII
 digits that float() also takes. It rounds as float() does, and floats
@@ -162,56 +167,40 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _unreadable_record(texts):
-    """(index, reason) for the first text that `_read_floats` rejects on its
-    own, or whose width differs from the first text's. Called once reading
-    all texts together has failed, which means that one of them does."""
-    width = None
-    for index, text in enumerate(texts):
+def _read_columns(ids, pids, cams, texts):
+    """The id, identity and camera columns as int64 arrays and the features
+    of the records, read in bulk; None if some record is at fault."""
+    try:
+        columns = np.array((ids, pids, cams), dtype=np.int64)
+        features = _read_floats(texts)
+    except (OverflowError, ValueError):
+        return None
+    ordered = np.sort(columns[0])
+    if np.any(ordered[1:] == ordered[:-1]):  # a repeated sample id
+        return None
+    return columns, features
+
+
+def _first_faulty_record(ids, pids, cams, texts):
+    """(index, reason) of the first record at fault, in line order; None if
+    no record is."""
+    bounds = np.iinfo(np.int64)
+    seen, width = set(), None
+    for index, (row, text) in enumerate(zip(zip(ids, pids, cams), texts)):
+        for name, value in zip(("sample id", "identity", "camera"), row):
+            if not bounds.min <= value <= bounds.max:
+                return index, f"{name} {value} is out of range for int64"
         try:
-            row = _read_floats([text])
+            features = _read_floats([text])
         except ValueError:
             token = next(token for token in text.split() if not _is_float(token))
             return index, f"could not convert string to float: {token!r}"
-        width = width or row.shape[1]
-        if row.shape[1] != width:
-            return index, f"dimension {row.shape[1]} != {width} from earlier records"
-
-
-def _read_records(path, columns, texts, linenos):
-    """The (sample id, identity, camera) columns as int64 arrays, and the
-    features of the records; raises at the first record line at fault: an
-    integer outside int64, an unreadable feature, another width or a
-    repeated id."""
-    try:
-        sample_ids, identities, cameras = np.array(columns, dtype=np.int64)
-    except OverflowError:
-        bounds = np.iinfo(np.int64)
-        index, name, value = next(
-            (index, name, value) for index, row in enumerate(zip(*columns))
-            for name, value in zip(("sample id", "identity", "camera"), row)
-            if not bounds.min <= value <= bounds.max)
-        if index:  # a fault on an earlier record line is reported first
-            _read_records(path, [column[:index] for column in columns], texts[:index],
-                          linenos[:index])
-        raise SelfReidError(f"{path}:{linenos[index]}: {name} {value} is out of "
-                            f"range for int64") from None
-    faults = []
-    try:
-        features = _read_floats(texts)
-    except ValueError:
-        faults.append(_unreadable_record(texts))
-    # A stable sort keeps equal ids in line order: all but the first of each
-    # run repeat an earlier id.
-    order = np.argsort(sample_ids, kind="stable")
-    repeats = order[1:][sample_ids[order[1:]] == sample_ids[order[:-1]]]
-    if repeats.size:
-        first = repeats.min()
-        faults.append((first, f"repeated sample id {sample_ids[first]}"))
-    if faults:
-        index, reason = min(faults, key=lambda fault: fault[0])
-        raise SelfReidError(f"{path}:{linenos[index]}: {reason}")
-    return (sample_ids, identities, cameras), features
+        width = width or features.shape[1]
+        if features.shape[1] != width:
+            return index, f"dimension {features.shape[1]} != {width} from earlier records"
+        if row[0] in seen:
+            return index, f"repeated sample id {row[0]}"
+        seen.add(row[0])
 
 
 def read_text(path) -> str:
@@ -235,12 +224,7 @@ def load_dataset(path) -> EmbeddingDataset:
     text = read_text(path)
     header = {}
     ids, pids, cams, texts, linenos = [], [], [], [], []
-
-    def reject(lineno, reason):
-        if texts:  # a fault on an earlier record line is reported first
-            _read_records(path, (ids, pids, cams), texts, linenos)
-        raise SelfReidError(f"{path}:{lineno}: {reason}")
-
+    stop = None  # (line number, reason) of the first line that is not a record
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -248,29 +232,35 @@ def load_dataset(path) -> EmbeddingDataset:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
-                reject(lineno, f"header {line!r} is not "
-                               f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
+                stop = lineno, f"header {line!r} is not '# format {FORMAT_NAME} v{FORMAT_VERSION}'"
+                break
             if len(parts) >= 2:
                 header[parts[0]] = parts[1:]
             continue
         fields = line.split(None, 3)
         if len(fields) < 4:
-            reject(lineno, "record needs id, identity, camera and features")
+            stop = lineno, "record needs id, identity, camera and features"
+            break
         try:
             sample_id = int(fields[0])
             identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
             camera = int(fields[2])
         except ValueError as exc:
-            reject(lineno, str(exc))
+            stop = lineno, str(exc)
+            break
         ids.append(sample_id)
         pids.append(identity)
         cams.append(camera)
         texts.append(fields[3])
         linenos.append(lineno)
-    if not texts:
+    if stop is None and not texts:
         raise SelfReidError(f"{path}: no records")
-    (sample_ids, identities, cameras), features = _read_records(
-        path, (ids, pids, cams), texts, linenos)
+    records = None if stop else _read_columns(ids, pids, cams, texts)
+    if records is None:  # a fault on an earlier record line is reported first
+        fault = _first_faulty_record(ids, pids, cams, texts)
+        lineno, reason = stop if fault is None else (linenos[fault[0]], fault[1])
+        raise SelfReidError(f"{path}:{lineno}: {reason}")
+    (sample_ids, identities, cameras), features = records
     dim = features.shape[1]
     declared = {}
     for key in ("dim", "count"):
@@ -281,17 +271,10 @@ def load_dataset(path) -> EmbeddingDataset:
                 raise SelfReidError(f"{path}: header {key} {header[key][0]!r} is not "
                                     f"an integer") from None
     if declared.get("dim", dim) != dim:
-        raise SelfReidError(f"{path}: header dim {declared['dim']} != "
-                            f"record dim {dim}")
+        raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {dim}")
     if declared.get("count", len(texts)) != len(texts):
-        raise SelfReidError(f"{path}: header count {declared['count']} != "
-                            f"{len(texts)} records")
-    dataset = EmbeddingDataset(
-        sample_ids=sample_ids,
-        identities=identities,
-        cameras=cameras,
-        features=features,
-    )
+        raise SelfReidError(f"{path}: header count {declared['count']} != {len(texts)} records")
+    dataset = EmbeddingDataset(sample_ids, identities, cameras, features)
     bad = np.argwhere(~np.isfinite(dataset.features))
     if bad.size:
         raise SelfReidError(f"{path}:{linenos[bad[0, 0]]}: feature {bad[0, 1]} is "

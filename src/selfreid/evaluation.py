@@ -56,6 +56,14 @@ def require_known_identities(identities: np.ndarray, where: str,
                             f"identity ?; {reason}")
 
 
+def cross_camera_matches(queries, gallery) -> np.ndarray:
+    """Per query, whether some gallery row shares its identity but not its
+    camera; a query without one is excluded from evaluation. Each argument
+    may be any object with `identities` and `cameras` arrays."""
+    same_identity = queries.identities[:, None] == gallery.identities[None, :]
+    return np.any(same_identity & (queries.cameras[:, None] != gallery.cameras[None, :]), axis=1)
+
+
 def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     """mAP and CMC over all valid queries.
 
@@ -65,25 +73,21 @@ def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     """
     require_known_identities(queries.identities, "query")
     require_known_identities(gallery.identities, "gallery")
+    valid = cross_camera_matches(queries, gallery)
+    if not valid.any():
+        raise SelfReidError("no query kept a valid cross-camera match")
     sims = queries.embeddings @ gallery.embeddings.T
-    n_q = sims.shape[0]
     aps, cmc_hits = [], []
-    excluded = 0
-    for qi in range(n_q):
+    for qi in np.flatnonzero(valid):
         keep = ~((gallery.identities == queries.identities[qi])
                  & (gallery.cameras == queries.cameras[qi]))
         kept_idx = np.flatnonzero(keep)
         order = kept_idx[np.argsort(-sims[qi, kept_idx], kind="stable")]
         relevance = gallery.identities[order] == queries.identities[qi]
-        if not np.any(relevance):
-            excluded += 1
-            continue
         aps.append(average_precision(relevance))
         first_hit = int(np.argmax(relevance))
         cmc_hits.append([first_hit < k for k in RANKS])
-    if not aps:
-        raise SelfReidError("no query kept a valid cross-camera match")
     cmc = np.mean(np.array(cmc_hits, dtype=float), axis=0)
     return EvalReport(mean_ap=float(np.mean(aps)), rank1=float(cmc[0]),
                       rank5=float(cmc[1]), rank10=float(cmc[2]),
-                      excluded_queries=excluded)
+                      excluded_queries=int(np.sum(~valid)))

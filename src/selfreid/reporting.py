@@ -98,7 +98,8 @@ def write_keyvalue(path, values: dict, header: str = "") -> None:
 
 
 def read_keyvalue(path) -> dict:
-    values = {}
+    """The key = value pairs of a file; a key given twice is an error."""
+    values, first_lines = {}, {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -106,7 +107,11 @@ def read_keyvalue(path) -> dict:
         if "=" not in line:
             raise SelfReidError(f"{path}:{lineno}: expected key = value")
         key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in first_lines:
+            raise SelfReidError(f"{path}:{lineno}: key {key} repeated "
+                                f"(first on line {first_lines[key]})")
+        values[key], first_lines[key] = raw.strip(), lineno
     return values
 
 

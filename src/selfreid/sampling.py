@@ -100,14 +100,13 @@ def estimate_camera_offsets(features: np.ndarray, cameras: np.ndarray) -> np.nda
 
 
 def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
-            cameras: np.ndarray | None = None,
-            camera_offsets: np.ndarray | None = None) -> np.ndarray:
+            cameras: np.ndarray, camera_offsets: np.ndarray) -> np.ndarray:
     """Strong feature-space augmentation; deterministic given the seed.
 
-    The restyle step re-draws a row's camera-style offset: when camera
-    ids and estimated offsets are given it moves the row to a random
-    other camera's style (scaled by restyle_scale); without them it
-    falls back to a random offset direction of norm restyle_scale.
+    The restyle step moves a row from its own camera's style offset to a
+    uniformly drawn other camera's (the difference scaled by
+    restyle_scale). With a single camera there is no other style, and
+    restyle leaves every row as it is.
     """
     config.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -122,20 +121,13 @@ def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
         keys = rng.random((n, d))
         dropped = np.argpartition(keys, n_drop - 1, axis=1)[:, :n_drop]
         np.put_along_axis(out, dropped, 0.0, axis=1)
-    if config.restyle_prob > 0:
+    n_cams = len(camera_offsets)
+    if config.restyle_prob > 0 and n_cams > 1:
         restyle = rng.random(n) < config.restyle_prob
-        if cameras is not None and camera_offsets is not None \
-                and len(camera_offsets) > 1:
-            n_cams = len(camera_offsets)
-            # shift each selected row to a uniformly drawn other camera
-            targets = rng.integers(0, n_cams - 1, size=n)
-            rows = np.flatnonzero(restyle)
-            own = np.asarray(cameras, dtype=np.int64)[rows]
-            other = targets[rows] + (targets[rows] >= own)
-            out[rows] += config.restyle_scale * (camera_offsets[other]
-                                                 - camera_offsets[own])
-        else:
-            directions = rng.normal(size=(n, d))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            out[restyle] += config.restyle_scale * directions[restyle]
+        # shift each selected row to a uniformly drawn other camera
+        targets = rng.integers(0, n_cams - 1, size=n)
+        rows = np.flatnonzero(restyle)
+        own = np.asarray(cameras, dtype=np.int64)[rows]
+        other = targets[rows] + (targets[rows] >= own)
+        out[rows] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
     return out

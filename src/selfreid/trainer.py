@@ -158,7 +158,7 @@ class TrainState:
     dataset: EmbeddingDataset
     pair: EncoderPair
     opt: OptimizerState
-    camera_offsets: np.ndarray | None = None
+    camera_offsets: np.ndarray  # per-camera style offsets of the training features
     memory: ProxyMemory | None = None
     epoch: int = 0  # index of the epoch being run
 

@@ -6,13 +6,14 @@ import pytest
 from selfreid import cli
 from selfreid.data import (
     UNKNOWN_IDENTITY,
+    EmbeddingDataset,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
     save_dataset,
 )
 from selfreid.encoder import init_optimizer, init_pair, save_checkpoint
-from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS
+from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS, read_keyvalue
 
 from oracles import write_version_1_checkpoint
 
@@ -243,6 +244,39 @@ def test_ablate_rejects_query_of_other_width(train_files, narrow_query, monkeypa
             f"but {narrow_query} has dim 8") in err
 
 
+def keep_camera_zero(path):
+    """Rewrite the file at `path` with only its camera-0 records."""
+    split = load_dataset(path)
+    rows = split.cameras == 0
+    save_dataset(EmbeddingDataset(split.sample_ids[rows], split.identities[rows],
+                                  split.cameras[rows], split.features[rows]), path)
+
+
+def no_cross_camera_match(paths):
+    return (f"no query in {paths['query']} has a record of its identity from another "
+            f"camera in {paths['gallery']}; evaluation needs one")
+
+
+def test_train_rejects_splits_without_cross_camera_match_before_writing(
+        train_files, tmp_path, monkeypatch, capsys):
+    keep_camera_zero(train_files["query"])
+    keep_camera_zero(train_files["gallery"])
+    monkeypatch.setattr(cli, "train", None)  # fails if training starts
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, "--epochs", "3", "--checkpoint-every", "1") == 1
+    assert no_cross_camera_match(train_files) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_ablate_rejects_splits_without_cross_camera_match(train_files, monkeypatch, capsys):
+    keep_camera_zero(train_files["query"])
+    keep_camera_zero(train_files["gallery"])
+    monkeypatch.setattr(cli, "train", None)  # fails if a variant starts training
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
+                     "--gallery", train_files["gallery"]]) == 1
+    assert no_cross_camera_match(train_files) in capsys.readouterr().err
+
+
 def test_train_bad_config_value(train_files, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("iterations = 3\nepochs = 2.0\n")
@@ -258,6 +292,40 @@ def test_train_manifest_with_foreign_key(train_files, tmp_path, capsys):
                      "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert str(manifest) in err and "note" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--from-manifest"])
+def test_train_rejects_keyvalue_file_with_repeated_key(train_files, tmp_path, capsys, flag):
+    values = tmp_path / "values.txt"
+    values.write_text("epochs = 2\niterations = 3\n# the last copy must not win\nepochs = 1\n")
+    assert run_train(train_files, tmp_path / "run", flag, str(values)) == 1
+    assert (f"error: {values}:4: key epochs repeated (first on line 1)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_writes_report_and_appends_metrics_row(train_files, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_train(train_files, run_dir, *TINY_RUN, "--checkpoint-every", "1") == 0
+    metrics = run_dir / "metrics.csv"
+    final_row = metrics.read_text().splitlines()[-1].split(",")
+    capsys.readouterr()
+    out = tmp_path / "eval.txt"
+    assert cli.main(["eval", "--checkpoint", str(run_dir / "checkpoint_epoch001.npz"),
+                     "--query", train_files["query"], "--gallery", train_files["gallery"],
+                     "--out", str(out), "--append-csv", str(metrics)]) == 0
+    report = read_keyvalue(out)
+    stdout = capsys.readouterr().out
+    assert report == dict(line.split(" = ") for line in stdout.splitlines())
+    lines = metrics.read_text().splitlines()
+    assert lines.count(",".join(METRICS_COLUMNS)) == 1 and len(lines) == 4
+    appended = lines[-1].split(",")
+    metric_columns = [METRICS_COLUMNS.index(name) for name in ("mAP", "rank1", "rank5",
+                                                               "rank10")]
+    assert [appended[i] for i in metric_columns] == [final_row[i] for i in metric_columns]
+    assert [appended[i] for i in metric_columns] == [report[key] for key in ("mAP", "rank1",
+                                                                             "rank5", "rank10")]
+    assert appended[:METRICS_COLUMNS.index("mAP")] == [""] * METRICS_COLUMNS.index("mAP")
 
 
 @pytest.mark.parametrize("flags, message", [

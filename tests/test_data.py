@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfreid.data import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
     UNKNOWN_IDENTITY,
     EmbeddingDataset,
     SyntheticSpec,
@@ -296,3 +298,56 @@ def test_save_load_round_trip_property(split_path, dataset, data):
                 f"{split_path}:{records[first] + 1}: repeated sample id "
                 f"{dataset.sample_ids[sources[first]]}")):
             load_dataset(split_path)
+
+
+FAULT_KINDS = ("short", "non-integer", "overflow", "float", "width", "repeat", "format")
+COLUMNS = ("sample id", "identity", "camera")
+
+
+@settings(max_examples=60)
+@given(split_records(), st.data())
+def test_first_corrupted_line_is_reported_property(split_path, dataset, data):
+    save_dataset(dataset, split_path)
+    lines = split_path.read_text().splitlines()
+    first_record = sum(line.startswith("#") for line in lines)
+    n, d = dataset.features.shape
+    corrupted = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                         max_size=min(3, n))))
+    reasons = []
+    for record in corrupted:
+        # another width or a repeated id is a fault only after the first record
+        kind = data.draw(st.sampled_from([kind for kind in FAULT_KINDS
+                                          if record or kind not in ("width", "repeat")]))
+        fields = lines[first_record + record].split(" ")
+        if kind == "short":
+            fields, reason = fields[:3], "record needs id, identity, camera and features"
+        elif kind == "non-integer":
+            column = data.draw(st.integers(0, 2))
+            fields[column] = "one"
+            reason = "invalid literal for int() with base 10: 'one'"
+        elif kind == "overflow":
+            column = data.draw(st.integers(0, 2))
+            value = data.draw(st.integers(2**63, 2**70) | st.integers(-2**70, -2**63 - 1))
+            fields[column] = str(value)
+            reason = f"{COLUMNS[column]} {value} is out of range for int64"
+        elif kind == "float":
+            token = data.draw(st.sampled_from(["abc", "1_0", "1e", "--1"]))
+            fields[3 + data.draw(st.integers(0, d - 1))] = token
+            reason = f"could not convert string to float: {token!r}"
+        elif kind == "width":
+            fields.append("0.5")
+            reason = f"dimension {d + 1} != {d} from earlier records"
+        elif kind == "repeat":
+            repeated = dataset.sample_ids[data.draw(st.integers(0, record - 1))]
+            fields[0] = str(repeated)
+            reason = f"repeated sample id {repeated}"
+        else:
+            fields = ["# format", FORMAT_NAME, f"v{FORMAT_VERSION + 1}"]
+            reason = (f"header '{' '.join(fields)}' is not "
+                      f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
+        lines[first_record + record] = " ".join(fields)
+        reasons.append(reason)
+    split_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SelfReidError) as fault:
+        load_dataset(split_path)
+    assert str(fault.value) == f"{split_path}:{first_record + corrupted[0] + 1}: {reasons[0]}"

@@ -92,17 +92,25 @@ def test_seeds_produce_distinct_batches():
 
 # --- perturbation ------------------------------------------------------------
 
+def two_camera_styles(feats):
+    """Camera ids alternating 0, 1 over the rows, and their estimated offsets."""
+    cameras = np.arange(len(feats)) % 2
+    return {"cameras": cameras, "camera_offsets": estimate_camera_offsets(feats, cameras)}
+
+
 def test_zero_config_is_identity():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(6, 10))
-    out = perturb(feats, PerturbationConfig(0.0, 0.0, 0.0), rng_seed=5)
+    out = perturb(feats, PerturbationConfig(0.0, 0.0, 0.0), rng_seed=5,
+                  **two_camera_styles(feats))
     np.testing.assert_array_equal(out, feats)
 
 
 def test_dropout_zeroes_exact_count():
     rng = np.random.default_rng(1)
     feats = rng.uniform(0.5, 1.0, size=(5, 64))  # strictly nonzero input
-    out = perturb(feats, PerturbationConfig(0.0, 0.25, 0.0), rng_seed=6)
+    out = perturb(feats, PerturbationConfig(0.0, 0.25, 0.0), rng_seed=6,
+                  **two_camera_styles(feats))
     for row in out:
         assert int(np.sum(row == 0.0)) == 16
 
@@ -111,15 +119,16 @@ def test_perturb_deterministic():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(8, 32))
     config = PerturbationConfig(0.1, 0.15, 0.5, 0.3)
-    a = perturb(feats, config, rng_seed=(9, 9))
-    b = perturb(feats, config, rng_seed=(9, 9))
+    a = perturb(feats, config, rng_seed=(9, 9), **two_camera_styles(feats))
+    b = perturb(feats, config, rng_seed=(9, 9), **two_camera_styles(feats))
     np.testing.assert_array_equal(a, b)
 
 
 def test_perturb_changes_input():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(8, 32))
-    out = perturb(feats, PerturbationConfig(0.1, 0.15, 0.5, 0.3), rng_seed=10)
+    out = perturb(feats, PerturbationConfig(0.1, 0.15, 0.5, 0.3), rng_seed=10,
+                  **two_camera_styles(feats))
     assert not np.array_equal(out, feats)
 
 
@@ -157,6 +166,21 @@ def test_restyle_moves_a_row_to_another_cameras_style(prob):
         assert len(targets) == 1 and targets[0] != own, row
 
 
+@pytest.mark.parametrize("noise_sigma, dropout", [(0.0, 0.0), (0.1, 0.25)])
+def test_restyle_with_a_single_camera_leaves_rows_unmoved(noise_sigma, dropout):
+    # there is no other camera's style to move to
+    feats = np.random.default_rng(6).normal(size=(6, 12))
+    cameras = np.zeros(6, dtype=np.int64)
+    offsets = estimate_camera_offsets(feats, cameras)
+    out = perturb(feats, PerturbationConfig(noise_sigma, dropout, restyle_prob=1.0),
+                  rng_seed=12, cameras=cameras, camera_offsets=offsets)
+    no_restyle = perturb(feats, PerturbationConfig(noise_sigma, dropout, restyle_prob=0.0),
+                         rng_seed=12, cameras=cameras, camera_offsets=offsets)
+    np.testing.assert_array_equal(out, no_restyle)
+    if noise_sigma == dropout == 0.0:
+        np.testing.assert_array_equal(out, feats)
+
+
 def test_perturb_config_validation():
     with pytest.raises(SelfReidError):
         PerturbationConfig(noise_sigma=-0.1).validate()
@@ -181,15 +205,17 @@ def test_dropout_without_restyle_zeroes_rounded_count_per_row(d, dropout):
     rng = np.random.default_rng(5)
     feats = rng.uniform(0.5, 1.0, size=(50, d))  # strictly nonzero input
     config = PerturbationConfig(noise_sigma=0.1, dropout=dropout, restyle_prob=0.0)
-    out = perturb(feats, config, rng_seed=(7, 1))
+    styles = two_camera_styles(feats)
+    out = perturb(feats, config, rng_seed=(7, 1), **styles)
     np.testing.assert_array_equal(np.sum(out == 0.0, axis=1), round(dropout * d))
-    np.testing.assert_array_equal(out, perturb(feats, config, rng_seed=(7, 1)))
-    assert not np.array_equal(out, perturb(feats, config, rng_seed=(7, 2)))
+    np.testing.assert_array_equal(out, perturb(feats, config, rng_seed=(7, 1), **styles))
+    assert not np.array_equal(out, perturb(feats, config, rng_seed=(7, 2), **styles))
 
 
 def test_dropout_hits_every_coordinate_at_the_dropout_rate():
     # 6 of 40 coordinates per row: each coordinate's rate should be 0.15
     feats = np.ones((4000, 40))
-    out = perturb(feats, PerturbationConfig(0.0, 0.15, 0.0), rng_seed=8)
+    out = perturb(feats, PerturbationConfig(0.0, 0.15, 0.0), rng_seed=8,
+                  **two_camera_styles(feats))
     rate = np.mean(out == 0.0, axis=0)
     assert np.abs(rate - 0.15).max() < 0.03  # about 5 standard errors
