@@ -1,9 +1,9 @@
 """Unsupervised re-identification embeddings at desk scale.
 
-A framework-free pipeline: momentum-encoder feature banks, k-reciprocal
-Jaccard re-ranking, DBSCAN pseudo labels, cluster/camera proxy
-contrastive losses, hardest-positive instance contrast, and a soft
-consistency loss between augmented and clean views.
+A framework-free pipeline on numpy alone: momentum-encoder feature
+banks, k-reciprocal Jaccard re-ranking, DBSCAN pseudo labels,
+cluster/camera proxy contrastive losses, hardest-positive instance
+contrast, and a soft consistency loss between augmented and clean views.
 """
 
 from .data import EmbeddingDataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset

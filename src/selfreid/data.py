@@ -11,18 +11,19 @@ line: ``sample_id identity|? camera v0 v1 ... v{d-1}``. The header is
 optional, but a ``# format`` line must read ``selfreid-embeddings v1``.
 Lines end at ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
 
-Loading is one fast pass, then one slow scan if anything is at fault.
-The pass splits each record line once, for its id, identity and camera,
-which take Python's int() syntax, and stops at the first line that is
-not a record. One call of numpy's C text reader (``np.loadtxt``) then
-parses the feature text of every record, and one sort looks for a
-repeated id. If the pass stopped early or a bulk step failed, the scan
-walks the records before the stopping line in line order and reports
-the first at fault, or else the stopping line. The reader takes
-decimal and exponent forms, ``inf`` and ``nan`` (which the finiteness
-check then rejects), but not the digit-group underscores or non-ASCII
-digits that float() also takes. It rounds as float() does, and floats
-are written with repr, so a save/load round trip is bit-exact.
+Loading is one fast pass, then bulk reads. The pass splits each record
+line once, for its id, identity and camera, which take Python's int()
+syntax, and stops at the first line that is not a record. One call of
+numpy's C text reader (``np.loadtxt``) then parses the feature text of
+every record before that line, and one sort looks for a repeated id.
+Only if that parse fails does a slow scan parse the records one by one,
+in line order, and report the first at fault. Otherwise the first
+record with an integer out of int64 range or a repeated id is reported,
+or else the stopping line. The reader takes decimal and exponent forms,
+``inf`` and ``nan`` (which the finiteness check then rejects), but not
+the digit-group underscores or non-ASCII digits that float() also
+takes. It rounds as float() does, and floats are written with repr, so
+a save/load round trip is bit-exact.
 """
 
 import warnings
@@ -167,29 +168,55 @@ def _is_float(token: str) -> bool:
     return True
 
 
+def _out_of_range(row) -> str | None:
+    """Why a record's id, identity or camera does not fit int64; None if
+    they all do."""
+    bounds = np.iinfo(np.int64)
+    for name, value in zip(("sample id", "identity", "camera"), row):
+        if not bounds.min <= value <= bounds.max:
+            return f"{name} {value} is out of range for int64"
+    return None
+
+
 def _read_columns(ids, pids, cams, texts):
-    """The id, identity and camera columns as int64 arrays and the features
-    of the records, read in bulk; None if some record is at fault."""
+    """The records read in bulk, as ((id, identity, camera columns as int64
+    arrays), features) and None; or None and (index, reason) of the first
+    record at fault. Records are parsed one by one only if the bulk parse
+    of their features fails."""
+    if not texts:
+        return None, None
+    try:
+        features = _read_floats(texts)
+    except ValueError:
+        return None, _first_faulty_record(ids, pids, cams, texts)
+    # Every feature token parses and all widths agree, so a record can be
+    # at fault only for an integer out of int64 range or a repeated id.
+    fault = None
     try:
         columns = np.array((ids, pids, cams), dtype=np.int64)
-        features = _read_floats(texts)
-    except (OverflowError, ValueError):
-        return None
+    except OverflowError:
+        fault = next((index, reason) for index, reason
+                     in enumerate(map(_out_of_range, zip(ids, pids, cams))) if reason)
+        end = fault[0]
+        columns = np.array((ids[:end], pids[:end], cams[:end]), dtype=np.int64)
+    # The columns stop before any out-of-range record, so a repeated id
+    # found in them comes first.
     ordered = np.sort(columns[0])
-    if np.any(ordered[1:] == ordered[:-1]):  # a repeated sample id
-        return None
-    return columns, features
+    if np.any(ordered[1:] == ordered[:-1]):
+        by_id = np.argsort(columns[0], kind="stable")
+        repeats = by_id[1:][columns[0, by_id[1:]] == columns[0, by_id[:-1]]]
+        fault = int(repeats.min()), f"repeated sample id {columns[0, repeats.min()]}"
+    return (None, fault) if fault else ((columns, features), None)
 
 
 def _first_faulty_record(ids, pids, cams, texts):
     """(index, reason) of the first record at fault, in line order; None if
-    no record is."""
-    bounds = np.iinfo(np.int64)
+    no record is. Each record's features are parsed on their own."""
     seen, width = set(), None
     for index, (row, text) in enumerate(zip(zip(ids, pids, cams), texts)):
-        for name, value in zip(("sample id", "identity", "camera"), row):
-            if not bounds.min <= value <= bounds.max:
-                return index, f"{name} {value} is out of range for int64"
+        reason = _out_of_range(row)
+        if reason:
+            return index, reason
         try:
             features = _read_floats([text])
         except ValueError:
@@ -255,9 +282,8 @@ def load_dataset(path) -> EmbeddingDataset:
         linenos.append(lineno)
     if stop is None and not texts:
         raise SelfReidError(f"{path}: no records")
-    records = None if stop else _read_columns(ids, pids, cams, texts)
-    if records is None:  # a fault on an earlier record line is reported first
-        fault = _first_faulty_record(ids, pids, cams, texts)
+    records, fault = _read_columns(ids, pids, cams, texts)
+    if stop or fault:  # a fault on an earlier record line is reported first
         lineno, reason = stop if fault is None else (linenos[fault[0]], fault[1])
         raise SelfReidError(f"{path}:{lineno}: {reason}")
     (sample_ids, identities, cameras), features = records

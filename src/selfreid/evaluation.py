@@ -59,9 +59,23 @@ def require_known_identities(identities: np.ndarray, where: str,
 def cross_camera_matches(queries, gallery) -> np.ndarray:
     """Per query, whether some gallery row shares its identity but not its
     camera; a query without one is excluded from evaluation. Each argument
-    may be any object with `identities` and `cameras` arrays."""
-    same_identity = queries.identities[:, None] == gallery.identities[None, :]
-    return np.any(same_identity & (queries.cameras[:, None] != gallery.cameras[None, :]), axis=1)
+    may be any object with `identities` and `cameras` arrays.
+
+    Such a row exists when the gallery holds more rows of the query's
+    identity than of its (identity, camera) pair, so only those counts
+    are kept, not a query x gallery mask.
+    """
+    q = len(queries.identities)
+    _, identity = np.unique(np.concatenate((queries.identities, gallery.identities)),
+                            return_inverse=True)
+    _, camera = np.unique(np.concatenate((queries.cameras, gallery.cameras)),
+                          return_inverse=True)
+    _, pair = np.unique(identity * len(camera) + camera, return_inverse=True)
+
+    def in_gallery(keys):
+        return np.bincount(keys[q:], minlength=len(keys))[keys[:q]]
+
+    return in_gallery(identity) > in_gallery(pair)
 
 
 def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:

@@ -6,22 +6,23 @@ representations. DBSCAN then runs directly on that precomputed matrix;
 samples that no cluster reaches are marked as outliers and excluded
 from training for the epoch.
 
-Neighbor lists, reciprocal and expanded sets and the weight vectors are
-sparse, with O(n) entries for fixed k1 and k2. The rest runs on blocks
-of rows, each O(n) in size: the cosine distances, computed twice, and
-the Jaccard distances, computed for the upper triangle and mirrored.
-Re-ranking and DBSCAN thus take O(n^2) time, and the returned dense
-n x n Jaccard matrix, which `dbscan`, `selfreid sweep-eps --dump` and
-the tests read, is their only n x n float array. DBSCAN adds an n x n
-bool mask of the entries within eps and checks symmetry tile by tile.
+Everything here runs on numpy alone. Neighbor lists, reciprocal and
+expanded sets and the weight vectors are flat index arrays with O(n)
+entries for fixed k1 and k2. The rest runs on blocks of rows, each O(n)
+in size: the cosine distances, computed twice, the bool marks that
+collect each row's sets, and the Jaccard distances, computed for the
+upper triangle and mirrored. Re-ranking and DBSCAN thus take O(n^2)
+time, and the returned dense n x n Jaccard matrix, which `dbscan`,
+`selfreid sweep-eps --dump` and the tests read, is their only n x n
+float array. DBSCAN adds an n x n bool mask of the entries within eps
+and checks symmetry tile by tile.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import SelfReidError
 
@@ -98,21 +99,16 @@ def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     candidate (so ties at the boundary are all kept), and the candidates
     are sorted by (row, distance, column).
     """
-    m = dist.shape[0]
+    m, n = dist.shape
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(dist <= kth[:, None])
-    by_row = np.lexsort((cols, dist[rows, cols], rows))
-    rows, cols = rows[by_row], cols[by_row]
+    cells = np.flatnonzero(dist <= kth[:, None])
+    rows = cells // n
+    # The cells run by row, then column, and the sort is stable, so it
+    # keeps the column order among equal distances.
+    cells = cells[np.lexsort((dist.ravel()[cells], rows))]
     starts = np.searchsorted(rows, np.arange(m))
     rank = np.arange(len(rows)) - starts[rows]
-    return cols[rank < k].reshape(m, k)
-
-
-def _indicator(columns: np.ndarray) -> csr_array:
-    """n x n 0/1 matrix with ones at (p, columns[p, i]), stored in that order."""
-    n, k = columns.shape
-    indptr = np.arange(0, columns.size + 1, k)
-    return csr_array((np.ones(columns.size), columns.ravel(), indptr), shape=(n, n))
+    return (cells[rank < k] % n).reshape(m, k)
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -139,10 +135,39 @@ def _distances(features: np.ndarray, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> csc_array:
-    """Steps 1-5 of `jaccard_distance_matrix`: row p of the result is
-    sample p's weight vector, stored by column with each column's rows
-    ascending."""
+class _Weights(NamedTuple):
+    """Weight vectors stored by column: column c holds the rows
+    indices[indptr[c]:indptr[c + 1]], ascending, with values data[...]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _reciprocal_ranks(order: np.ndarray) -> np.ndarray:
+    """rank[p, i]: the position of p in the list of its neighbor
+    j = order[p, i], or k if p is not in it. So j is in p's reciprocal
+    set of size s <= k when i < s and rank[p, i] < s."""
+    n, k = order.shape
+    flat = order.ravel()
+    # The entries grouped by neighbor j; each block of neighbors looks its
+    # entries up in a table of the neighbors' lists, one row per neighbor.
+    by_neighbor = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n))))
+    rank = np.empty(n * k, dtype=np.intp)
+    table = np.full((_BLOCK_ROWS + 1) * n, k, dtype=np.min_scalar_type(k))
+    for start, stop in _row_blocks(n):
+        lists = (np.arange(stop - start) * n)[:, None] + order[start:stop]
+        table[lists] = np.arange(k)
+        entries = by_neighbor[bounds[start]:bounds[stop]]
+        rank[entries] = table[(flat[entries] - start) * n + entries // k]
+        table[lists] = k
+    return rank.reshape(n, k)
+
+
+def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
+    """Steps 1-5 of `jaccard_distance_matrix`: column c of the result holds
+    the samples whose weight vector has an entry at c."""
     n = features.shape[0]
     blocks = _row_blocks(n)
     # Neighbor lists include the point itself: its self-distance is zero,
@@ -150,39 +175,69 @@ def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> csc_array:
     # k1 // 2 and k2 lists are prefixes of the k1 list.
     order = np.concatenate([_nearest_neighbors(_distances(features, start, stop), k1)
                             for start, stop in blocks])
-
-    full = _indicator(order)
-    recip_full = full.multiply(full.T)
-    half = _indicator(order[:, :max(k1 // 2, 1)])
-    recip_half = half.multiply(half.T)
+    rank = _reciprocal_ranks(order)
+    in_full = rank < k1
+    full_ptr = np.concatenate(([0], np.cumsum(np.count_nonzero(in_full, axis=1))))
+    full_cols = order[in_full]
+    # Half-size sets as fixed-width rows: the first `half` neighbors and
+    # which of them are reciprocal at that size.
+    half = max(k1 // 2, 1)
+    half_cols = order[:, :half]
+    in_half = rank[:, :half] < half
+    half_sizes = np.count_nonzero(in_half, axis=1)
 
     # Expanded sets: adopt a candidate's half-size reciprocal set when it
-    # overlaps the anchor's full set by >= 2/3. Counts are small integers,
-    # exact in float64, so the comparison is exact.
-    half_sizes = np.diff(recip_half.indptr)
-    overlap = (recip_full @ recip_half.T).multiply(recip_full).tocoo()
-    adopted = 3.0 * overlap.data >= 2.0 * half_sizes[overlap.col]
-    adopt = csr_array((np.ones(int(adopted.sum())),
-                       (overlap.row[adopted], overlap.col[adopted])), shape=(n, n))
-    expanded = recip_full + adopt @ recip_half
-    expanded.sum_duplicates()  # one weight per (row, column)
-
-    values = np.empty(expanded.nnz)
+    # overlaps the anchor's full set by >= 2/3. Each block of anchors
+    # marks its sets in a bool row per anchor, read in ascending column
+    # order; the weights exp(-distance) follow on the same block.
+    rows, cols, values = [], [], []
     for start, stop in blocks:
-        span = slice(expanded.indptr[start], expanded.indptr[stop])
-        rows = np.repeat(np.arange(stop - start), np.diff(expanded.indptr[start:stop + 1]))
-        values[span] = np.exp(-_distances(features, start, stop)[rows, expanded.indices[span]])
-    weights = csr_array((values, expanded.indices, expanded.indptr), shape=(n, n))
+        marks = np.zeros((stop - start) * n, dtype=bool)
+        anchor = np.repeat(np.arange(stop - start) * n, np.diff(full_ptr[start:stop + 1]))
+        candidates = full_cols[full_ptr[start]:full_ptr[stop]]
+        marks[anchor + candidates] = True
+        member_cells = anchor[:, None] + half_cols[candidates]
+        members = in_half[candidates]
+        overlap = np.count_nonzero(marks[member_cells] & members, axis=1)
+        members &= (3 * overlap >= 2 * half_sizes[candidates])[:, None]
+        marks[member_cells[members]] = True
+        cells = np.flatnonzero(marks)
+        values.append(np.exp(-_distances(features, start, stop).ravel()[cells]))
+        row, col = np.divmod(cells, n)
+        rows.append(row + start)
+        cols.append(col)
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    row_ends = np.searchsorted(rows, np.arange(1, n + 1))
+    row_sizes = np.diff(row_ends, prepend=0)
 
     # Local query expansion: average each weight vector over the sample's
-    # k2 nearest neighbors (self included), summed in neighbor order.
-    weights = (_indicator(order[:, :k2]) @ weights).tocsc()
-    weights.sort_indices()
-    weights.data /= k2
-    return weights
+    # k2 nearest neighbors (self included), summed in neighbor order. A
+    # block's bool marks give its cells in order, a slot table numbers
+    # them, and one bincount adds each cell's terms, neighbor by neighbor.
+    out_rows, out_cols, out_values = [], [], []
+    for start, stop in blocks:
+        source = order[start:stop, :k2].T.ravel()
+        # The entries of the source rows, concatenated.
+        sizes = row_sizes[source]
+        ends = np.cumsum(sizes)
+        entries = np.repeat(row_ends[source] - ends, sizes) + np.arange(ends[-1])
+        terms = np.repeat(np.tile(np.arange(stop - start) * n, k2), sizes) + cols[entries]
+        marks = np.zeros((stop - start) * n, dtype=bool)
+        marks[terms] = True
+        cells = np.flatnonzero(marks)
+        slots = np.empty(len(marks), dtype=np.intp)
+        slots[cells] = np.arange(len(cells))
+        out_values.append(np.bincount(slots[terms], values[entries], minlength=len(cells)))
+        row, col = np.divmod(cells, n)
+        out_rows.append(row + start)
+        out_cols.append(col)
+    rows, cols, values = map(np.concatenate, (out_rows, out_cols, out_values))
+    by_column = np.argsort(cols.astype(np.min_scalar_type(n)), kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return _Weights(indptr, rows[by_column], values[by_column] / k2)
 
 
-def _pair_blocks(weights: csc_array) -> tuple[np.ndarray, list]:
+def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
     """Row blocks of the min-sum pass and each block's weight entries.
 
     Entry e = (p, c) meets the members q >= p of column c, which run from
@@ -192,21 +247,23 @@ def _pair_blocks(weights: csc_array) -> tuple[np.ndarray, list]:
     (start, stop, entries) triple: its rows and, in column order, the
     positions of their weight entries.
     """
-    n = weights.shape[0]
+    n = len(weights.indptr) - 1
     column = np.repeat(np.arange(n), np.diff(weights.indptr))
-    suffix = weights.indptr[column + 1] - np.arange(weights.nnz)
+    suffix = weights.indptr[column + 1] - np.arange(len(weights.data))
     row_pairs = np.bincount(weights.indices, suffix, minlength=n)
     window = (np.cumsum(row_pairs) - row_pairs) // (_BLOCK_PAIRS * n)
     starts = np.flatnonzero((np.arange(n) % _BLOCK_ROWS == 0)
                             | (np.diff(window, prepend=-1) != 0))
-    block = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))[weights.indices]
+    # Small unsigned block ids, which numpy's stable argsort radix-sorts.
+    ids = np.arange(len(starts), dtype=np.min_scalar_type(len(starts)))
+    block = np.repeat(ids, np.diff(starts, append=n))[weights.indices]
     entries = np.argsort(block, kind="stable")
     bounds = np.cumsum(np.bincount(block, minlength=len(starts)))
     return suffix, list(zip(starts, np.append(starts[1:], n),
                             np.split(entries, bounds[:-1])))
 
 
-def _block_min_sum(weights: csc_array, suffix: np.ndarray, entries: np.ndarray,
+def _block_min_sum(weights: _Weights, suffix: np.ndarray, entries: np.ndarray,
                    start: int, stop: int) -> np.ndarray:
     """sum_c min(v_pc, v_qc) for rows p in start:stop and columns q >= p.
 
@@ -214,7 +271,7 @@ def _block_min_sum(weights: csc_array, suffix: np.ndarray, entries: np.ndarray,
     `np.bincount` adds every cell's minima in that order. Cells with
     q < p stay zero.
     """
-    n = weights.shape[0]
+    n = len(weights.indptr) - 1
     counts = suffix[entries]
     partners = np.repeat(entries - (np.cumsum(counts) - counts), counts)
     partners += np.arange(len(partners))
@@ -239,12 +296,13 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
 
     The returned matrix is the only n x n array. Step 1 runs on blocks of
     rows, twice: once for the neighbor lists, once to read the distances
-    on the expanded sets. Steps 2-5 use sparse matrices with O(n * k1)
-    entries. Step 6 fills the upper triangle one block of rows at a time,
-    adding min(v_p, v_q) for each column that rows p <= q share, in
-    ascending column order; pairs with no common support stay at
-    distance 1. Each block then copies its lower triangle from the rows
-    above it, so the result is exactly symmetric.
+    on the expanded sets. Steps 2-5 keep index arrays with O(n * k1)
+    entries and mark each block's sets in one bool row per sample. Step
+    6 fills the upper triangle one block of rows at a time, adding
+    min(v_p, v_q) for each column that rows p <= q share, in ascending
+    column order; pairs with no common support stay at distance 1. Each
+    block then writes its transpose into the rows below it and mirrors
+    its own diagonal square, so the result is exactly symmetric.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -265,14 +323,11 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
         upper -= min_sum[:, start:]
         np.divide(min_sum[:, start:], upper, out=upper)
         np.subtract(1.0, upper, out=upper)
-        np.clip(upper, 0.0, 1.0, out=upper)
-        # The lower part, in square tiles that read the transpose cache-wise.
-        for left in range(0, start, _BLOCK_ROWS):
-            right = min(left + _BLOCK_ROWS, start)
-            jaccard[start:stop, left:right] = jaccard[left:right, start:stop].T
+        np.maximum(upper, 0.0, out=upper)  # <= 1 already, as min_sum >= 0
+        # The rows below the block read their lower part from its transpose.
+        jaccard[stop:, start:stop] = upper[:, stop - start:].T
         square = jaccard[start:stop, start:stop]
-        lower = np.tril_indices(stop - start, -1)
-        square[lower] = square.T[lower]
+        np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
         np.fill_diagonal(square, 0.0)
     return jaccard
 
@@ -294,6 +349,28 @@ def _symmetric(dist: np.ndarray) -> bool:
                for rows, cols in tiles)
 
 
+def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each of n points, the lowest index connected to it by a path of
+    undirected links (rows[e], cols[e]).
+
+    Every point starts as the root of its own tree. Each round hooks
+    every root onto the lowest root that a link of its tree reaches, then
+    points every node straight at its root. A round that hooks nothing
+    leaves one root per component, and that root is the component's
+    lowest index because a root only ever moves to a lower one.
+    """
+    root = np.arange(n)
+    while True:
+        ends = root[rows], root[cols]
+        hooked = root.copy()
+        np.minimum.at(hooked, np.maximum(*ends), np.minimum(*ends))
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            return root
+        root = hooked
+
+
 def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     """DBSCAN over a precomputed distance matrix.
 
@@ -311,20 +388,16 @@ def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     if not _symmetric(dist) or np.any(np.abs(np.diag(dist)) > 1e-12):
         raise SelfReidError("matrix must be symmetric with zero diagonal")
 
-    rows, cols = np.nonzero(dist <= config.eps)  # sorted by row
+    cells = np.flatnonzero(dist <= config.eps)  # by row, then column
+    rows, cols = np.divmod(cells, n)
     core = np.bincount(rows, minlength=n) >= config.min_samples
-    cores = np.flatnonzero(core)
     links = core[rows] & core[cols]
-    graph = csr_array((np.ones(int(links.sum())), (rows[links], cols[links])), shape=(n, n))
-    _, component = connected_components(graph, directed=False)
-    # Number the core components by first appearance, i.e. lowest core index.
-    component = component[cores]
-    _, first = np.unique(component, return_index=True)
-    cluster_count = len(first)
-    renumber = np.empty(n, dtype=np.int64)
-    renumber[component[np.sort(first)]] = np.arange(cluster_count)
+    root = _lowest_linked(n, rows[links], cols[links])
+    # Clusters are numbered by their lowest core index, their root.
+    roots = np.flatnonzero(core & (root == np.arange(n)))
+    cluster_count = len(roots)
     labels = np.full(n, OUTLIER, dtype=np.int64)
-    labels[cores] = renumber[component]
+    labels[core] = np.searchsorted(roots, root[core])
 
     border = ~core[rows] & core[cols]
     rows, cols = rows[border], cols[border]

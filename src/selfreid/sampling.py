@@ -81,7 +81,7 @@ def sample_pk_batch(assignment: ClusterAssignment, cameras: np.ndarray,
     chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
     members = [assignment.members_of(int(label)) for label in chosen]
     indices = np.concatenate([
-        rng.choice(m, size=spec.n_instances, replace=m.size < spec.n_instances)
+        m[rng.choice(m.size, size=spec.n_instances, replace=m.size < spec.n_instances)]
         for m in members])
     return IdentityBatch(indices=indices, labels=np.repeat(chosen, spec.n_instances),
                          cameras=cameras[indices])

@@ -3,17 +3,21 @@
 Everything here is deliberately slow and literal: python sets, dicts
 and per-element loops, no shared code with the package internals. The
 exceptions are `dense_jaccard`, dense array code that is fast enough for
-a few hundred samples, and `adam_oracle` and `ema_oracle`, the updates
-applied one weight array at a time, which the flat-buffer updates must
-match bit for bit.
+a few hundred samples; `scipy_weight_vectors`, the re-ranking weight
+vectors built with scipy.sparse products, which the package's numpy-only
+ones must match bit for bit; and `adam_oracle` and `ema_oracle`, the
+updates applied one weight array at a time, which the flat-buffer
+updates must match bit for bit.
 """
 
 import math
 from collections import defaultdict
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 from scipy.spatial.distance import cdist
 
+from selfreid import rerank
 from selfreid.errors import SelfReidError
 
 
@@ -277,6 +281,53 @@ def dense_jaccard(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
     return np.clip(jaccard, 0.0, 1.0)
 
 
+def _indicator(columns: np.ndarray) -> csr_array:
+    """n x n 0/1 matrix with ones at (p, columns[p, i]), stored in that order."""
+    n, k = columns.shape
+    indptr = np.arange(0, columns.size + 1, k)
+    return csr_array((np.ones(columns.size), columns.ravel(), indptr), shape=(n, n))
+
+
+def scipy_weight_vectors(features: np.ndarray, k1: int, k2: int) -> csc_array:
+    """Steps 1-5 of `jaccard_distance_matrix` with scipy.sparse products:
+    row p of the result is sample p's weight vector, stored by column with
+    each column's rows ascending. The package's numpy-only weight vectors
+    must equal it byte for byte. Steps 1 and 4 share the package's
+    neighbor lists and distance blocks, so that both read the same
+    distances; the set algebra and the sums are scipy's."""
+    n = features.shape[0]
+    blocks = rerank._row_blocks(n)
+    distances = rerank._distances
+    order = np.concatenate([rerank._nearest_neighbors(distances(features, start, stop), k1)
+                            for start, stop in blocks])
+
+    full = _indicator(order)
+    recip_full = full.multiply(full.T)
+    half = _indicator(order[:, :max(k1 // 2, 1)])
+    recip_half = half.multiply(half.T)
+
+    half_sizes = np.diff(recip_half.indptr)
+    overlap = (recip_full @ recip_half.T).multiply(recip_full).tocoo()
+    adopted = 3.0 * overlap.data >= 2.0 * half_sizes[overlap.col]
+    adopt = csr_array((np.ones(int(adopted.sum())),
+                       (overlap.row[adopted], overlap.col[adopted])), shape=(n, n))
+    expanded = recip_full + adopt @ recip_half
+    expanded.sum_duplicates()  # one weight per (row, column)
+
+    values = np.empty(expanded.nnz)
+    for start, stop in blocks:
+        span = slice(expanded.indptr[start], expanded.indptr[stop])
+        rows = np.repeat(np.arange(stop - start), np.diff(expanded.indptr[start:stop + 1]))
+        values[span] = np.exp(-distances(features, start, stop)[rows, expanded.indices[span]])
+    weights = csr_array((values, expanded.indices, expanded.indptr), shape=(n, n))
+
+    # Local query expansion, summed in neighbor order by scipy's product.
+    weights = (_indicator(order[:, :k2]) @ weights).tocsc()
+    weights.sort_indices()
+    weights.data /= k2
+    return weights
+
+
 def dbscan_oracle(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Brute-force reachability DBSCAN over a precomputed matrix.
 
@@ -338,6 +389,13 @@ def partitions_equal(labels_a, labels_b) -> bool:
             return False
         mapping[a] = b
     return len(set(mapping.values())) == len(mapping)
+
+
+def cross_camera_matches_oracle(queries, gallery) -> np.ndarray:
+    """Per query, whether some gallery row shares its identity but not its
+    camera, from dense query x gallery masks."""
+    same_identity = queries.identities[:, None] == gallery.identities[None, :]
+    return np.any(same_identity & (queries.cameras[:, None] != gallery.cameras[None, :]), axis=1)
 
 
 def evaluation_oracle(q_emb, q_ids, q_cams, g_emb, g_ids, g_cams, ranks=(1, 5, 10)):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,3 +377,19 @@ def test_directory_as_data_file_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
     assert "usage: " in err
+
+
+@pytest.mark.parametrize("command", [["-c", "import selfreid"], ["-m", "selfreid", "--help"]],
+                         ids=["import", "help"])
+def test_package_loads_no_scipy(command):
+    # The package needs numpy alone; scipy is a test dependency.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-X", "importtime", *command], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "selfreid.rerank" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfreid import data
 from selfreid.data import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -150,6 +151,26 @@ def test_first_faulty_line_is_reported(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(SelfReidError, match=re.escape(f"{path}:{message}")):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("last, parsed, message", [
+    ("0 1 0 0.25 0.5", 201, "repeated sample id 0"),
+    ("999 1 0", 200, "record needs id, identity, camera and features"),
+])
+def test_fault_on_the_last_line_needs_one_bulk_parse(tmp_path, monkeypatch, last, parsed,
+                                                     message):
+    # Records are parsed one by one only when the bulk parse fails; a
+    # repeated id or a short record after clean records is found without.
+    lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)] + [last]
+    path = tmp_path / "split.txt"
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    read_floats = data._read_floats
+    monkeypatch.setattr(data, "_read_floats",
+                        lambda texts: calls.append(len(texts)) or read_floats(texts))
+    with pytest.raises(SelfReidError, match=re.escape(f"{path}:201: {message}")):
+        load_dataset(path)
+    assert calls == [parsed]
 
 
 def test_non_utf8_file_rejected(tmp_path):

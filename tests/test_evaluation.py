@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from selfreid.errors import SelfReidError
-from selfreid.evaluation import RetrievalSet, average_precision, evaluate
+from selfreid.evaluation import RetrievalSet, average_precision, cross_camera_matches, evaluate
 from selfreid.linalg import normalize_rows
 
-from oracles import evaluation_oracle
+from oracles import cross_camera_matches_oracle, evaluation_oracle
 
 
 def test_ap_single_hit_at_rank_one():
@@ -137,3 +139,21 @@ def test_rank_k_monotone():
                       RetrievalSet(g_emb, g_ids, np.ones(40, int)))
     assert report.rank1 <= report.rank5 <= report.rank10 <= 1.0
 
+
+
+@given(st.data())
+def test_cross_camera_matches_equal_dense_masks(data):
+    # few identities and cameras, so that queries with and without a
+    # cross-camera match both occur; ids may be negative or far apart
+    labels = st.sampled_from([-1, 0, 1, 2, 7, 10**12])
+    cameras = st.integers(0, 3)
+
+    def split(name, min_size):
+        size = data.draw(st.integers(min_size, 12), label=f"{name} size")
+        draw = lambda values: np.array(data.draw(st.lists(values, min_size=size, max_size=size),
+                                                 label=name), dtype=np.int64)
+        return RetrievalSet(embeddings=None, identities=draw(labels), cameras=draw(cameras))
+
+    queries, gallery = split("query", 1), split("gallery", 0)
+    np.testing.assert_array_equal(cross_camera_matches(queries, gallery),
+                                  cross_camera_matches_oracle(queries, gallery))

@@ -17,7 +17,13 @@ from selfreid.rerank import (
     jaccard_distance_matrix,
 )
 
-from oracles import dbscan_oracle, dense_jaccard, jaccard_oracle, partitions_equal
+from oracles import (
+    dbscan_oracle,
+    dense_jaccard,
+    jaccard_oracle,
+    partitions_equal,
+    scipy_weight_vectors,
+)
 
 
 def unit_cloud(rng, n, d):
@@ -133,6 +139,25 @@ def test_jaccard_property_matches_oracle(data):
     feats = DYADIC[rows]
     np.testing.assert_allclose(jaccard_distance_matrix(feats, k1, k2),
                                jaccard_oracle(feats, k1, k2), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bank, k1, k2", [
+    pytest.param(lambda rng: blob_bank(rng, 20, 32, 32, spread=0.15), 30, 6, id="blobs-640"),
+    pytest.param(lambda rng: blob_bank(rng, 60, 32, 32, spread=0.15), 30, 6, id="blobs-1920"),
+    pytest.param(lambda rng: DYADIC[rng.integers(0, 60, size=641)], 30, 6, id="grid-641"),
+    pytest.param(lambda rng: DYADIC[rng.integers(0, len(DYADIC), size=1921)], 20, 4,
+                 id="grid-1921"),
+])
+def test_weight_vectors_equal_scipy_reference_bytes(bank, k1, k2):
+    # The grids are tie-heavy (duplicates, exact distance ties), and
+    # n = 641 and 1921 leave a last row that joins the block before it.
+    feats = bank(np.random.default_rng(13))
+    fast = rerank._weight_vectors(feats, k1, k2)
+    reference = scipy_weight_vectors(feats, k1, k2)
+    for name in ("indptr", "indices"):
+        assert (getattr(fast, name).astype(np.int64).tobytes()
+                == getattr(reference, name).astype(np.int64).tobytes())
+    assert fast.data.tobytes() == reference.data.tobytes()
 
 
 def test_jaccard_symmetric_zero_diag_unit_range():
@@ -262,6 +287,19 @@ def test_dbscan_property_matches_oracle(data):
     assignment = dbscan(dist, ClusterConfig(eps=eps, min_samples=min_samples))
     np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, eps, min_samples))
     assert assignment.cluster_count == len(set(assignment.labels.tolist()) - {OUTLIER})
+
+
+def test_dbscan_shuffled_chains_match_oracle():
+    # Two chains of points 1/8 apart, their indices shuffled, so that each
+    # chain's lowest index spreads through many hooking rounds; the chain
+    # ends are border points and a far point is an outlier.
+    positions = np.concatenate([np.arange(150), 1000 + np.arange(90), [5000]])
+    positions = np.random.default_rng(14).permutation(positions)
+    dist = np.minimum(0.125 * np.abs(positions[:, None] - positions[None, :]), 0.875)
+    assignment = dbscan(dist, ClusterConfig(eps=0.125, min_samples=3))
+    np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, 0.125, 3))
+    assert assignment.cluster_count == 2
+    assert assignment.outlier_count == 1
 
 
 def test_dbscan_rejects_asymmetric_matrix():

@@ -90,6 +90,31 @@ def test_seeds_produce_distinct_batches():
     assert len(seen) >= 99
 
 
+def choice_over_members(assignment, spec, rng_seed):
+    """sample_pk_batch's indices as first written: rng.choice over each
+    chosen cluster's member array."""
+    rng = np.random.default_rng(rng_seed)
+    chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
+    members = [assignment.members_of(int(label)) for label in chosen]
+    return np.concatenate([
+        rng.choice(m, size=spec.n_instances, replace=m.size < spec.n_instances)
+        for m in members])
+
+
+def test_member_draws_match_choice_over_the_member_array():
+    # clusters of 1 to 7 members, interleaved, drawn with and without
+    # replacement; each draw also leaves the generator where the next
+    # cluster's draw expects it
+    labels = np.random.default_rng(0).permutation(np.repeat(np.arange(7), np.arange(1, 8)))
+    assignment = make_assignment(labels)
+    cameras = np.zeros(len(labels), dtype=np.int64)
+    for spec in (BatchSpec(7, 4), BatchSpec(3, 2), BatchSpec(2, 7)):
+        for seed in range(200):
+            batch = sample_pk_batch(assignment, cameras, spec, seed)
+            np.testing.assert_array_equal(batch.indices,
+                                          choice_over_members(assignment, spec, seed))
+
+
 # --- perturbation ------------------------------------------------------------
 
 def two_camera_styles(feats):
