@@ -116,6 +116,10 @@ def cmd_train(args) -> int:
         raise FileNotFoundError("no training data given (--data or manifest)")
     query_path = args.query or (manifest or {}).get("query", "")
     gallery_path = args.gallery or (manifest or {}).get("gallery", "")
+    if bool(query_path) != bool(gallery_path):
+        given, missing = ("query", "gallery") if query_path else ("gallery", "query")
+        raise SelfReidError(f"a {given} split ({query_path or gallery_path}) is given "
+                            f"without a {missing} split; evaluation needs both")
 
     dataset = load_dataset(data_path)
     query = load_dataset(query_path) if query_path else None

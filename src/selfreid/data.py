@@ -11,19 +11,20 @@ line: ``sample_id identity|? camera v0 v1 ... v{d-1}``. The header is
 optional, but a ``# format`` line must read ``selfreid-embeddings v1``.
 Lines end at ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
 
-Loading is one fast pass, then bulk reads. The pass splits each record
-line once, for its id, identity and camera, which take Python's int()
-syntax, and stops at the first line that is not a record. One call of
-numpy's C text reader (``np.loadtxt``) then parses the feature text of
-every record before that line, and one sort looks for a repeated id.
-Only if that parse fails does a slow scan parse the records one by one,
-in line order, and report the first at fault. Otherwise the first
-record with an integer out of int64 range or a repeated id is reported,
-or else the stopping line. The reader takes decimal and exponent forms,
-``inf`` and ``nan`` (which the finiteness check then rejects), but not
-the digit-group underscores or non-ASCII digits that float() also
-takes. It rounds as float() does, and floats are written with repr, so
-a save/load round trip is bit-exact.
+Loading is one fast pass, then one bulk parse. The pass splits each
+record line once, for its id, identity and camera, which take Python's
+int() syntax. It stops at a line that is not a record, before a record
+with an integer out of int64 range and after one that repeats an id.
+One call of numpy's C text reader (``np.loadtxt``) then parses the
+feature text of every record kept; only if that fails does a slow scan
+report the first record whose features do not parse or change width.
+So the first line at fault is reported, and within a record the faults
+rank: out of range, bad float, wrong width, repeated id. The reader
+takes decimal and exponent forms, ``inf`` and ``nan`` (which the
+finiteness check then rejects), but not the digit-group underscores or
+non-ASCII digits that float() also takes. It rounds as float() does,
+and floats are written with repr, so a save/load round trip is
+bit-exact.
 """
 
 import warnings
@@ -61,6 +62,8 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not (value >= 0 and np.isfinite(value)):
                 raise SelfReidError(f"{name} must be finite and >= 0, got {value}")
+        if self.seed < 0:
+            raise SelfReidError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -139,8 +142,17 @@ def generate_synthetic(spec: SyntheticSpec):
     return train, query, gallery
 
 
+def _require_finite(features, where: str, rows) -> None:
+    """Fail at the first non-finite feature, naming its row `where` + rows[row]."""
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        raise SelfReidError(f"{where}{rows[bad[0, 0]]}: feature {bad[0, 1]} is "
+                            f"{features[tuple(bad[0])]}, not a finite number")
+
+
 def save_dataset(dataset: EmbeddingDataset, path) -> None:
     dataset.validate()
+    _require_finite(dataset.features, f"{path}: row ", range(len(dataset)))
     with open(path, "w") as fh:
         fh.write(f"# format {FORMAT_NAME} v{FORMAT_VERSION}\n")
         fh.write(f"# dim {dataset.dim}\n")
@@ -168,55 +180,11 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _out_of_range(row) -> str | None:
-    """Why a record's id, identity or camera does not fit int64; None if
-    they all do."""
-    bounds = np.iinfo(np.int64)
-    for name, value in zip(("sample id", "identity", "camera"), row):
-        if not bounds.min <= value <= bounds.max:
-            return f"{name} {value} is out of range for int64"
-    return None
-
-
-def _read_columns(ids, pids, cams, texts):
-    """The records read in bulk, as ((id, identity, camera columns as int64
-    arrays), features) and None; or None and (index, reason) of the first
-    record at fault. Records are parsed one by one only if the bulk parse
-    of their features fails."""
-    if not texts:
-        return None, None
-    try:
-        features = _read_floats(texts)
-    except ValueError:
-        return None, _first_faulty_record(ids, pids, cams, texts)
-    # Every feature token parses and all widths agree, so a record can be
-    # at fault only for an integer out of int64 range or a repeated id.
-    fault = None
-    try:
-        columns = np.array((ids, pids, cams), dtype=np.int64)
-    except OverflowError:
-        fault = next((index, reason) for index, reason
-                     in enumerate(map(_out_of_range, zip(ids, pids, cams))) if reason)
-        end = fault[0]
-        columns = np.array((ids[:end], pids[:end], cams[:end]), dtype=np.int64)
-    # The columns stop before any out-of-range record, so a repeated id
-    # found in them comes first.
-    ordered = np.sort(columns[0])
-    if np.any(ordered[1:] == ordered[:-1]):
-        by_id = np.argsort(columns[0], kind="stable")
-        repeats = by_id[1:][columns[0, by_id[1:]] == columns[0, by_id[:-1]]]
-        fault = int(repeats.min()), f"repeated sample id {columns[0, repeats.min()]}"
-    return (None, fault) if fault else ((columns, features), None)
-
-
-def _first_faulty_record(ids, pids, cams, texts):
-    """(index, reason) of the first record at fault, in line order; None if
-    no record is. Each record's features are parsed on their own."""
-    seen, width = set(), None
-    for index, (row, text) in enumerate(zip(zip(ids, pids, cams), texts)):
-        reason = _out_of_range(row)
-        if reason:
-            return index, reason
+def _first_faulty_record(texts):
+    """(index, reason) of the first record whose features, parsed on their
+    own, do not parse or change the width; None if no record's do."""
+    width = None
+    for index, text in enumerate(texts):
         try:
             features = _read_floats([text])
         except ValueError:
@@ -225,9 +193,6 @@ def _first_faulty_record(ids, pids, cams, texts):
         width = width or features.shape[1]
         if features.shape[1] != width:
             return index, f"dimension {features.shape[1]} != {width} from earlier records"
-        if row[0] in seen:
-            return index, f"repeated sample id {row[0]}"
-        seen.add(row[0])
 
 
 def read_text(path) -> str:
@@ -251,7 +216,8 @@ def load_dataset(path) -> EmbeddingDataset:
     text = read_text(path)
     header = {}
     ids, pids, cams, texts, linenos = [], [], [], [], []
-    stop = None  # (line number, reason) of the first line that is not a record
+    seen = set()
+    stop = None  # (line number, reason) of the line the pass stops at
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -275,18 +241,31 @@ def load_dataset(path) -> EmbeddingDataset:
         except ValueError as exc:
             stop = lineno, str(exc)
             break
+        if not (-2**63 <= sample_id < 2**63 and -2**63 <= identity < 2**63
+                and -2**63 <= camera < 2**63):
+            stop = lineno, next(f"{name} {value} is out of range for int64" for name, value
+                                in (("sample id", sample_id), ("identity", identity),
+                                    ("camera", camera)) if not -2**63 <= value < 2**63)
+            break
         ids.append(sample_id)
         pids.append(identity)
         cams.append(camera)
         texts.append(fields[3])
         linenos.append(lineno)
-    if stop is None and not texts:
+        if sample_id in seen:  # kept, so a fault in its features comes first
+            stop = lineno, f"repeated sample id {sample_id}"
+            break
+        seen.add(sample_id)
+    try:
+        features = _read_floats(texts) if texts else None
+    except ValueError:  # the faulty record is at or before the stop line, so it wins
+        index, reason = _first_faulty_record(texts)
+        stop = linenos[index], reason
+    if stop:
+        raise SelfReidError(f"{path}:{stop[0]}: {stop[1]}")
+    if not texts:
         raise SelfReidError(f"{path}: no records")
-    records, fault = _read_columns(ids, pids, cams, texts)
-    if stop or fault:  # a fault on an earlier record line is reported first
-        lineno, reason = stop if fault is None else (linenos[fault[0]], fault[1])
-        raise SelfReidError(f"{path}:{lineno}: {reason}")
-    (sample_ids, identities, cameras), features = records
+    sample_ids, identities, cameras = np.array((ids, pids, cams), dtype=np.int64)
     dim = features.shape[1]
     declared = {}
     for key in ("dim", "count"):
@@ -300,10 +279,7 @@ def load_dataset(path) -> EmbeddingDataset:
         raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {dim}")
     if declared.get("count", len(texts)) != len(texts):
         raise SelfReidError(f"{path}: header count {declared['count']} != {len(texts)} records")
+    _require_finite(features, f"{path}:", linenos)
     dataset = EmbeddingDataset(sample_ids, identities, cameras, features)
-    bad = np.argwhere(~np.isfinite(dataset.features))
-    if bad.size:
-        raise SelfReidError(f"{path}:{linenos[bad[0, 0]]}: feature {bad[0, 1]} is "
-                            f"{dataset.features[tuple(bad[0])]}, not a finite number")
     dataset.validate(f"{path}: ")
     return dataset

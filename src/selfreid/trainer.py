@@ -127,7 +127,8 @@ class TrainConfig:
                                 f"({self.hidden_dim}, {self.out_dim})")
         if not 0.0 <= self.alpha <= 1.0:
             raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
-        for name in ("base_lr", "weight_decay", "warmup_epochs", "checkpoint_every", "eval_every"):
+        for name in ("base_lr", "weight_decay", "warmup_epochs", "checkpoint_every", "eval_every",
+                     "seed"):
             if not (getattr(self, name) >= 0):
                 raise SelfReidError(f"need {name} >= 0, got {getattr(self, name)}")
         if self.labels_mode not in ("pseudo", "oracle"):

@@ -280,6 +280,41 @@ def test_ablate_rejects_splits_without_cross_camera_match(train_files, monkeypat
     assert no_cross_camera_match(train_files) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, message", [("generate", "seed must be >= 0, got -1"),
+                                              ("train", "need seed >= 0, got -1")],
+                         ids=["generate", "train"])
+def test_negative_seed_is_rejected_before_writing(train_files, tmp_path, capsys, command,
+                                                  message):
+    out_dir = tmp_path / "out"
+    if command == "generate":
+        status = cli.main(["generate", "--seed", "-1", "--out-dir", str(out_dir)])
+    else:
+        status = run_train(train_files, out_dir, *TINY_RUN, "--seed", "-1")
+    assert status == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out_dir / "manifest.txt").exists()
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("given", ["query", "gallery"])
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_train_rejects_query_or_gallery_alone_before_writing(train_files, tmp_path, capsys,
+                                                            monkeypatch, given, source):
+    monkeypatch.setattr(cli, "load_dataset", None)  # fails if a split is read
+    out_dir = tmp_path / "run"
+    if source == "flag":
+        argv = ["--data", train_files["data"], f"--{given}", train_files[given]]
+    else:
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"data = {train_files['data']}\n{given} = {train_files[given]}\n")
+        argv = ["--from-manifest", str(manifest)]
+    assert cli.main(["train", *argv, "--out-dir", str(out_dir)]) == 1
+    missing = "gallery" if given == "query" else "query"
+    assert (f"error: a {given} split ({train_files[given]}) is given without a {missing} "
+            f"split; evaluation needs both") in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_train_bad_config_value(train_files, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("iterations = 3\nepochs = 2.0\n")

@@ -145,6 +145,11 @@ def test_malformed_line_has_line_number(tmp_path):
      "2: camera 9223372036854775808 is out of range for int64"),
     ("0 1 0 abc\n1 1 99999999999999999999 0.5\n", "1: could not convert string to float: 'abc'"),
     ("0 1 0 0.5\n0 1 0 0.5\n99999999999999999999 1 0 0.5\n", "2: repeated sample id 0"),
+    # within a record: out of range, then a bad float, a wrong width, a repeated id
+    ("0 1 0 0.5\n0 1 0 abc\n", "2: could not convert string to float: 'abc'"),
+    ("0 1 0 0.5\n0 1 0 0.5 0.5\n", "2: dimension 2 != 1 from earlier records"),
+    ("0 1 0 0.5\n99999999999999999999 1 0 abc\n",
+     "2: sample id 99999999999999999999 is out of range for int64"),
 ])
 def test_first_faulty_line_is_reported(tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -156,11 +161,14 @@ def test_first_faulty_line_is_reported(tmp_path, text, message):
 @pytest.mark.parametrize("last, parsed, message", [
     ("0 1 0 0.25 0.5", 201, "repeated sample id 0"),
     ("999 1 0", 200, "record needs id, identity, camera and features"),
+    ("99999999999999999999 1 0 0.25 0.5", 200,
+     "sample id 99999999999999999999 is out of range for int64"),
 ])
 def test_fault_on_the_last_line_needs_one_bulk_parse(tmp_path, monkeypatch, last, parsed,
                                                      message):
     # Records are parsed one by one only when the bulk parse fails; a
-    # repeated id or a short record after clean records is found without.
+    # repeated id, a short record or an out-of-range id after clean
+    # records is found without.
     lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)] + [last]
     path = tmp_path / "split.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -247,6 +255,18 @@ def test_non_finite_feature_rejected_with_line_number(tmp_path, value):
     with pytest.raises(SelfReidError, match=re.escape(
             f"{path}:4: feature 1 is {float(value)}, not a finite number")):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_save_rejects_non_finite_feature_before_opening_the_file(tmp_path, value):
+    dataset = EmbeddingDataset(sample_ids=np.array([0, 1]), identities=np.array([0, 1]),
+                               cameras=np.array([0, 0]),
+                               features=np.array([[0.5, 0.5], [0.5, float(value)]]))
+    path = tmp_path / "out.txt"
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}: row 1: feature 1 is {float(value)}, not a finite number")):
+        save_dataset(dataset, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("name", ["dispersion", "sigma_identity", "sigma_camera",
