@@ -21,7 +21,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .errors import SelfReidError
-from .evaluation import EvalReport, RetrievalSet, average_precision, evaluate
+from .evaluation import EvalReport, RetrievalSet, evaluate
 from .linalg import normalize_rows, softmax_rows
 from .losses import (
     ConsistencyDistributions,

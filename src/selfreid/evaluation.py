@@ -3,8 +3,14 @@
 Protocol: for each query, gallery items sharing both its identity and
 its camera are removed (the standard junk filter), the rest are ranked
 by cosine similarity, and a query counts as valid only if at least one
-cross-camera true match survives the filter. Ties rank by ascending
-gallery index, making results deterministic.
+cross-camera true match survives the filter.
+
+Rank rule: an item ranks ahead of another when its similarity is
+higher, or equal with a lower gallery index. A relevant item's rank is
+one plus the number of kept items ahead of it; AP averages (relevant
+items up to it) / rank over a query's relevant items, and rank-k counts
+queries whose first relevant item has rank <= k. Queries are ranked in
+blocks of _BLOCK_CELLS // gallery rows, so memory is O(block x gallery).
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,7 @@ import numpy as np
 from .data import UNKNOWN_IDENTITY
 from .errors import SelfReidError
 
-RANKS = (1, 5, 10)
+_BLOCK_CELLS = 1 << 20  # query x gallery cells ranked at once
 
 
 @dataclass
@@ -33,17 +39,6 @@ class EvalReport:
     rank5: float
     rank10: float
     excluded_queries: int
-
-
-def average_precision(ranked_relevance) -> float:
-    """AP of a ranked boolean relevance list: mean of precision-at-hit."""
-    rel = np.asarray(ranked_relevance, dtype=bool)
-    total = int(rel.sum())
-    if total == 0:
-        raise SelfReidError("no relevant item in ranking")
-    hits = np.cumsum(rel)
-    positions = np.flatnonzero(rel) + 1
-    return float(np.sum(hits[positions - 1] / positions) / total)
 
 
 def require_known_identities(identities: np.ndarray, where: str,
@@ -78,30 +73,50 @@ def cross_camera_matches(queries, gallery) -> np.ndarray:
     return in_gallery(identity) > in_gallery(pair)
 
 
+def _check_aligned(queries: RetrievalSet, gallery: RetrievalSet) -> None:
+    """Reject a set whose arrays differ in length, or embeddings of two widths."""
+    for name, split in (("query", queries), ("gallery", gallery)):
+        for field in ("identities", "cameras"):
+            if len(getattr(split, field)) != len(split.embeddings):
+                raise SelfReidError(f"{name}: {len(split.embeddings)} embeddings but "
+                                    f"{len(getattr(split, field))} {field}")
+    if queries.embeddings.shape[1] != gallery.embeddings.shape[1]:
+        raise SelfReidError(f"query embeddings have width {queries.embeddings.shape[1]} "
+                            f"but gallery ones {gallery.embeddings.shape[1]}")
+
+
 def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     """mAP and CMC over all valid queries.
 
     Queries whose true matches all share their camera are excluded from
     the averages and counted in excluded_queries. Every identity must be
-    known.
+    known, and each set's arrays must line up.
     """
+    _check_aligned(queries, gallery)
     require_known_identities(queries.identities, "query")
     require_known_identities(gallery.identities, "gallery")
     valid = cross_camera_matches(queries, gallery)
     if not valid.any():
         raise SelfReidError("no query kept a valid cross-camera match")
-    sims = queries.embeddings @ gallery.embeddings.T
-    aps, cmc_hits = [], []
-    for qi in np.flatnonzero(valid):
-        keep = ~((gallery.identities == queries.identities[qi])
-                 & (gallery.cameras == queries.cameras[qi]))
-        kept_idx = np.flatnonzero(keep)
-        order = kept_idx[np.argsort(-sims[qi, kept_idx], kind="stable")]
-        relevance = gallery.identities[order] == queries.identities[qi]
-        aps.append(average_precision(relevance))
-        first_hit = int(np.argmax(relevance))
-        cmc_hits.append([first_hit < k for k in RANKS])
-    cmc = np.mean(np.array(cmc_hits, dtype=float), axis=0)
-    return EvalReport(mean_ap=float(np.mean(aps)), rank1=float(cmc[0]),
-                      rank5=float(cmc[1]), rank10=float(cmc[2]),
-                      excluded_queries=int(np.sum(~valid)))
+    rows = np.flatnonzero(valid)
+    step = max(1, _BLOCK_CELLS // len(gallery.identities))
+    aps, first_ranks = [], []
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        # a one-row product goes through gemv, whose sums differ from gemm's in
+        # the last bit, even between equal gallery rows: multiply two or more
+        sims = queries.embeddings[np.resize(block, max(2, len(block)))] @ gallery.embeddings.T
+        order = np.argsort(-sims[:len(block)], axis=1, kind="stable")
+        same_id = gallery.identities[order] == queries.identities[block, None]
+        same_cam = gallery.cameras[order] == queries.cameras[block, None]
+        relevant = same_id & ~same_cam
+        rank = np.cumsum(~(same_id & same_cam), axis=1)[relevant]  # row-major: query by query
+        hits = np.cumsum(relevant, axis=1)[relevant]
+        counts = relevant.sum(axis=1)
+        ends = np.cumsum(counts)
+        aps += [np.sum(terms) / n for terms, n in zip(np.split(hits / rank, ends[:-1]), counts)]
+        first_ranks.append(rank[ends - counts])
+    first = np.concatenate(first_ranks)
+    return EvalReport(mean_ap=float(np.mean(aps)), rank1=float(np.mean(first <= 1)),
+                      rank5=float(np.mean(first <= 5)), rank10=float(np.mean(first <= 10)),
+                      excluded_queries=len(valid) - len(rows))

@@ -299,6 +299,10 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
 
     The momentum encoder of the returned pair is the inference model.
     """
+    if (query is None) != (gallery is None):
+        given, missing = ("query", "gallery") if gallery is None else ("gallery", "query")
+        raise SelfReidError(f"a {given} split is given without a {missing} split; "
+                            f"evaluation needs both")
     state = init_state(config, dataset)
     reports: list[EpochReport] = []
     for epoch in range(config.epochs):

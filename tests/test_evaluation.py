@@ -1,40 +1,52 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfreid.errors import SelfReidError
-from selfreid.evaluation import RetrievalSet, average_precision, cross_camera_matches, evaluate
+from selfreid import evaluation
+from selfreid.evaluation import RetrievalSet, cross_camera_matches, evaluate
 from selfreid.linalg import normalize_rows
 
 from oracles import cross_camera_matches_oracle, evaluation_oracle
 
 
-def test_ap_single_hit_at_rank_one():
-    assert average_precision([True, False, False, False, False]) == 1.0
+def one_query(gallery_sims, gallery_ids, gallery_cams, query_id=1, query_cam=0):
+    """Query `query_id` in camera `query_cam`; the gallery is ranked by
+    `gallery_sims`, which one-wide embeddings give exactly."""
+    queries = RetrievalSet(np.array([[1.0]]), np.array([query_id]), np.array([query_cam]))
+    gallery = RetrievalSet(np.array(gallery_sims, dtype=float)[:, None],
+                           np.array(gallery_ids), np.array(gallery_cams))
+    return queries, gallery
 
 
-def test_ap_hits_at_one_and_three():
-    assert average_precision([True, False, True, False]) == pytest.approx(
-        (1.0 + 2.0 / 3.0) / 2.0)
-    assert average_precision([True, False, True, False]) == pytest.approx(
-        0.8333, abs=1e-4)
+def test_hits_at_kept_ranks_one_and_three():
+    # ranked: match, same-camera match (junk, not kept), miss, match
+    report = evaluate(*one_query([4, 3, 2, 1], [1, 1, 2, 1], [1, 0, 1, 2]))
+    assert report.mean_ap == (1.0 + 2.0 / 3.0) / 2.0
+    assert report.mean_ap == pytest.approx(0.8333, abs=1e-4)
+    assert (report.rank1, report.rank5, report.rank10) == (1.0, 1.0, 1.0)
 
 
-def test_ap_all_relevant_any_order():
-    assert average_precision([True] * 4) == 1.0
+def test_first_hit_rank_counts_kept_items_only():
+    # kept ranks: miss, miss, match; the junk row between them is not counted
+    report = evaluate(*one_query([5, 4, 3, 2], [2, 1, 3, 1], [1, 0, 1, 1]))
+    assert report.mean_ap == 1.0 / 3.0
+    assert (report.rank1, report.rank5, report.rank10) == (0.0, 1.0, 1.0)
 
 
-def test_ap_requires_a_relevant_item():
-    with pytest.raises(SelfReidError, match="no relevant item in ranking"):
-        average_precision([False, False])
+def test_trailing_irrelevant_gallery_rows_leave_map_unchanged():
+    base = evaluate(*one_query([4, 3, 2], [1, 2, 1], [1, 1, 1]))
+    longer = evaluate(*one_query([4, 3, 2, 1, 0], [1, 2, 1, 3, 2], [1, 1, 1, 0, 1]))
+    assert longer == base
 
 
-def test_ap_appending_trailing_irrelevant_is_noop():
-    base = [True, False, True]
-    assert average_precision(base) == average_precision(base + [False, False])
+def test_all_relevant_gallery_scores_one():
+    report = evaluate(*one_query([2, 9, 4, 1], [1, 1, 1, 1], [1, 2, 1, 3]))
+    assert (report.mean_ap, report.rank1) == (1.0, 1.0)
 
 
 def make_sets(rng, n_ids=10, d=8):
@@ -157,3 +169,64 @@ def test_cross_camera_matches_equal_dense_masks(data):
     queries, gallery = split("query", 1), split("gallery", 0)
     np.testing.assert_array_equal(cross_camera_matches(queries, gallery),
                                   cross_camera_matches_oracle(queries, gallery))
+
+
+# Signed axis vectors: every similarity is -1, 0 or 1, computed exactly in
+# any summation order, so most rankings rest on the tie rule.
+AXES = np.vstack((np.eye(3), -np.eye(3)))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_tie_heavy_rankings_match_oracle(data):
+    def split(name):
+        size = data.draw(st.integers(1, 15), label=f"{name} size")
+        column = lambda values: np.array(data.draw(
+            st.lists(values, min_size=size, max_size=size), label=name), dtype=np.int64)
+        return RetrievalSet(AXES[column(st.integers(0, 5))], column(st.integers(0, 3)),
+                            column(st.integers(0, 2)))
+
+    queries, gallery = split("query"), split("gallery")
+    assume(cross_camera_matches(queries, gallery).any())
+    cells = data.draw(st.sampled_from([1, 2 * len(gallery.identities), 1 << 20]),
+                      label="block cells")
+    with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+        report = evaluate(queries, gallery)
+    mean_ap, cmc, excluded = evaluation_oracle(queries.embeddings, queries.identities,
+                                               queries.cameras, gallery.embeddings,
+                                               gallery.identities, gallery.cameras)
+    assert [report.rank1, report.rank5, report.rank10] == cmc
+    assert report.excluded_queries == excluded
+    assert report.mean_ap == pytest.approx(mean_ap, abs=1e-12)
+
+
+def test_one_query_per_block_gives_the_one_block_report(monkeypatch):
+    rng = np.random.default_rng(6)
+    # 37 gallery rows drawn from 5 embeddings with mixed identities, so that
+    # equal similarities must rank by gallery index in every block
+    g_emb = normalize_rows(rng.normal(size=(5, 8)))[rng.integers(0, 5, 37)]
+    gallery = RetrievalSet(g_emb, rng.integers(0, 6, 37), rng.integers(0, 3, 37))
+    queries = RetrievalSet(normalize_rows(rng.normal(size=(20, 8))),
+                           rng.integers(0, 8, 20), rng.integers(0, 3, 20))
+    one_block = evaluate(queries, gallery)
+    assert 0 < one_block.excluded_queries < 20
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
+    assert evaluate(queries, gallery) == one_block
+
+
+@pytest.mark.parametrize("query_shape, gallery_shape, query_cameras, message", [
+    ((3, 5), (3, 4), 3, "query embeddings have width 5 but gallery ones 4"),
+    ((3, 5), (2, 5), 3, "gallery: 2 embeddings but 3 identities"),
+    ((3, 5), (6, 5), 3, "gallery: 6 embeddings but 3 identities"),
+    ((4, 5), (3, 5), 3, "query: 4 embeddings but 3 identities"),
+    ((3, 5), (3, 5), 2, "query: 3 embeddings but 2 cameras"),
+], ids=["widths", "fewer-gallery-rows", "more-gallery-rows", "more-query-rows",
+        "fewer-query-cameras"])
+def test_misaligned_sets_rejected(query_shape, gallery_shape, query_cameras, message):
+    rng = np.random.default_rng(7)
+    ids, cams = np.array([1, 2, 3]), np.array([0, 1, 2])
+    queries = RetrievalSet(normalize_rows(rng.normal(size=query_shape)), ids,
+                           cams[:query_cameras])
+    gallery = RetrievalSet(normalize_rows(rng.normal(size=gallery_shape)), ids, cams[::-1])
+    with pytest.raises(SelfReidError, match=f"^{message}$"):
+        evaluate(queries, gallery)

@@ -115,6 +115,17 @@ def test_epoch_without_clusters_still_evaluates_and_checkpoints(tmp_path):
         "checkpoint_epoch000.npz", "checkpoint_epoch001.npz"]
 
 
+@pytest.mark.parametrize("given, missing", [("query", "gallery"), ("gallery", "query")])
+def test_train_rejects_query_or_gallery_alone_before_the_first_epoch(given, missing,
+                                                                     monkeypatch):
+    splits = dict(zip(("train", "query", "gallery"),
+                      generate_synthetic(SyntheticSpec(n_identities=6))))
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    with pytest.raises(SelfReidError, match=f"^a {given} split is given without a {missing} "
+                                            "split; evaluation needs both$"):
+        train(TrainConfig(epochs=1, iterations=1), splits["train"], **{given: splits[given]})
+
+
 def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
     # oracle labels give exactly the 10 generated identities
     config = TrainConfig(epochs=2, iterations=6, labels_mode="oracle",
