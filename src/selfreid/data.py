@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SelfReidError
+from .linalg import require_finite
 
 FORMAT_NAME = "selfreid-embeddings"
 FORMAT_VERSION = 1
@@ -142,17 +143,9 @@ def generate_synthetic(spec: SyntheticSpec):
     return train, query, gallery
 
 
-def _require_finite(features, where: str, rows) -> None:
-    """Fail at the first non-finite feature, naming its row `where` + rows[row]."""
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        raise SelfReidError(f"{where}{rows[bad[0, 0]]}: feature {bad[0, 1]} is "
-                            f"{features[tuple(bad[0])]}, not a finite number")
-
-
 def save_dataset(dataset: EmbeddingDataset, path) -> None:
     dataset.validate()
-    _require_finite(dataset.features, f"{path}: row ", range(len(dataset)))
+    require_finite(dataset.features, f"{path}: row ")
     with open(path, "w") as fh:
         fh.write(f"# format {FORMAT_NAME} v{FORMAT_VERSION}\n")
         fh.write(f"# dim {dataset.dim}\n")
@@ -213,12 +206,12 @@ def read_text(path) -> str:
 def load_dataset(path) -> EmbeddingDataset:
     """Read and check a split file; a fault names the path and, for a fault
     on a line, the first line at fault."""
-    text = read_text(path)
+    lines = read_text(path).split("\n")
     header = {}
     ids, pids, cams, texts, linenos = [], [], [], [], []
     seen = set()
     stop = None  # (line number, reason) of the line the pass stops at
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -256,6 +249,7 @@ def load_dataset(path) -> EmbeddingDataset:
             stop = lineno, f"repeated sample id {sample_id}"
             break
         seen.add(sample_id)
+    del lines, seen
     try:
         features = _read_floats(texts) if texts else None
     except ValueError:  # the faulty record is at or before the stop line, so it wins
@@ -279,7 +273,7 @@ def load_dataset(path) -> EmbeddingDataset:
         raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {dim}")
     if declared.get("count", len(texts)) != len(texts):
         raise SelfReidError(f"{path}: header count {declared['count']} != {len(texts)} records")
-    _require_finite(features, f"{path}:", linenos)
+    require_finite(features, f"{path}:", linenos)
     dataset = EmbeddingDataset(sample_ids, identities, cameras, features)
     dataset.validate(f"{path}: ")
     return dataset

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import UNKNOWN_IDENTITY
 from .errors import SelfReidError
+from .linalg import require_finite
 
 _BLOCK_CELLS = 1 << 20  # query x gallery cells ranked at once
 
@@ -74,12 +75,14 @@ def cross_camera_matches(queries, gallery) -> np.ndarray:
 
 
 def _check_aligned(queries: RetrievalSet, gallery: RetrievalSet) -> None:
-    """Reject a set whose arrays differ in length, or embeddings of two widths."""
+    """Reject a set whose arrays differ in length or whose embeddings are
+    not finite, or embeddings of two widths."""
     for name, split in (("query", queries), ("gallery", gallery)):
         for field in ("identities", "cameras"):
             if len(getattr(split, field)) != len(split.embeddings):
                 raise SelfReidError(f"{name}: {len(split.embeddings)} embeddings but "
                                     f"{len(getattr(split, field))} {field}")
+        require_finite(split.embeddings, f"{name}: embedding row ")
     if queries.embeddings.shape[1] != gallery.embeddings.shape[1]:
         raise SelfReidError(f"query embeddings have width {queries.embeddings.shape[1]} "
                             f"but gallery ones {gallery.embeddings.shape[1]}")

@@ -22,6 +22,16 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
+def require_finite(features: np.ndarray, where: str, rows=None) -> None:
+    """Fail at the first non-finite feature, naming its row as `where` +
+    rows[row], or `where` + row without `rows`."""
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise SelfReidError(f"{where}{row if rows is None else rows[row]}: feature {col} is "
+                            f"{features[row, col]}, not a finite number")
+
+
 def softmax_rows(sims: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax of each row of a similarity matrix.
 

@@ -7,9 +7,13 @@ samples that no cluster reaches are marked as outliers and excluded
 from training for the epoch.
 
 Everything here runs on numpy alone. Neighbor lists, reciprocal and
-expanded sets and the weight vectors are flat index arrays with O(n)
-entries for fixed k1 and k2. The rest runs on blocks of rows, each O(n)
-in size: the cosine distances, computed twice, the bool marks that
+expanded sets and the weight vectors are flat arrays with O(n) entries
+for fixed k1 and k2: int32 neighbor and column indices, with per-row
+counts in place of row indices. Each stage of the weight pass frees its
+arrays before the next one allocates, so the pass's scratch grows with
+its output: its traced peak is 30-60 bytes per weight entry at
+n = 640 to 5,120, against the entry's own 12. The rest runs on blocks of rows, each O(n) in
+size: the cosine distances, computed twice, the bool marks that
 collect each row's sets, and the Jaccard distances, computed for the
 upper triangle and mirrored. Re-ranking and DBSCAN thus take O(n^2)
 time, and the returned dense n x n Jaccard matrix, which `dbscan`,
@@ -25,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SelfReidError
+from .linalg import require_finite
 
 OUTLIER = -1
 
@@ -85,8 +90,10 @@ class ClusterAssignment:
 _BLOCK_ROWS = 64
 # A min-sum block also ends once its rows add up to _BLOCK_PAIRS * n
 # (row, partner, column) triples, so that its temporaries grow with n
-# like a distance block's.
-_BLOCK_PAIRS = 64
+# like a distance block's. At n = 640, 24 brings the blocks' traced
+# scratch (1.7 MiB) down to that of _pair_blocks, which no block size
+# lowers, and near the weight pass's (1.55 MiB).
+_BLOCK_PAIRS = 24
 # Side of the square tiles that dbscan's symmetry check compares.
 _SYMMETRY_TILE = 256
 
@@ -137,7 +144,11 @@ def _distances(features: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 class _Weights(NamedTuple):
     """Weight vectors stored by column: column c holds the rows
-    indices[indptr[c]:indptr[c + 1]], ascending, with values data[...]."""
+    indices[indptr[c]:indptr[c + 1]], ascending, with values data[...].
+
+    Each entry takes 12 bytes: an int32 row and a float64 value. The
+    n + 1 pointers are int64.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -154,8 +165,8 @@ def _reciprocal_ranks(order: np.ndarray) -> np.ndarray:
     # entries up in a table of the neighbors' lists, one row per neighbor.
     by_neighbor = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n))))
-    rank = np.empty(n * k, dtype=np.intp)
     table = np.full((_BLOCK_ROWS + 1) * n, k, dtype=np.min_scalar_type(k))
+    rank = np.empty(n * k, dtype=table.dtype)
     for start, stop in _row_blocks(n):
         lists = (np.arange(stop - start) * n)[:, None] + order[start:stop]
         table[lists] = np.arange(k)
@@ -163,6 +174,14 @@ def _reciprocal_ranks(order: np.ndarray) -> np.ndarray:
         rank[entries] = table[(flat[entries] - start) * n + entries // k]
         table[lists] = k
     return rank.reshape(n, k)
+
+
+def _row_cells(marks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set cells of a block's bool marks, n to a row: their flat
+    positions in ascending order, each row's count and their columns."""
+    cells = np.flatnonzero(marks)
+    rows, cols = np.divmod(cells, n)
+    return cells, np.bincount(rows, minlength=len(marks) // n), cols.astype(np.int32)
 
 
 def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
@@ -174,67 +193,75 @@ def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
     # so only exact duplicates with a lower index rank before it. The
     # k1 // 2 and k2 lists are prefixes of the k1 list.
     order = np.concatenate([_nearest_neighbors(_distances(features, start, stop), k1)
-                            for start, stop in blocks])
+                            for start, stop in blocks], dtype=np.int32)
     rank = _reciprocal_ranks(order)
-    in_full = rank < k1
-    full_ptr = np.concatenate(([0], np.cumsum(np.count_nonzero(in_full, axis=1))))
-    full_cols = order[in_full]
     # Half-size sets as fixed-width rows: the first `half` neighbors and
     # which of them are reciprocal at that size.
     half = max(k1 // 2, 1)
-    half_cols = order[:, :half]
     in_half = rank[:, :half] < half
     half_sizes = np.count_nonzero(in_half, axis=1)
+    in_full = rank < k1
+    del rank
+    full_ptr = np.concatenate(([0], np.cumsum(np.count_nonzero(in_full, axis=1))))
+    full_cols = order[in_full]
+    del in_full
 
     # Expanded sets: adopt a candidate's half-size reciprocal set when it
     # overlaps the anchor's full set by >= 2/3. Each block of anchors
     # marks its sets in a bool row per anchor, read in ascending column
-    # order; the weights exp(-distance) follow on the same block.
-    rows, cols, values = [], [], []
-    for start, stop in blocks:
+    # order; the weights exp(-distance) follow on the same block. A block
+    # runs in a function, so its temporaries are gone when it returns.
+    def expand(start, stop):
         marks = np.zeros((stop - start) * n, dtype=bool)
         anchor = np.repeat(np.arange(stop - start) * n, np.diff(full_ptr[start:stop + 1]))
         candidates = full_cols[full_ptr[start]:full_ptr[stop]]
         marks[anchor + candidates] = True
-        member_cells = anchor[:, None] + half_cols[candidates]
+        member_cells = anchor[:, None] + order[candidates, :half]
         members = in_half[candidates]
         overlap = np.count_nonzero(marks[member_cells] & members, axis=1)
         members &= (3 * overlap >= 2 * half_sizes[candidates])[:, None]
         marks[member_cells[members]] = True
-        cells = np.flatnonzero(marks)
-        values.append(np.exp(-_distances(features, start, stop).ravel()[cells]))
-        row, col = np.divmod(cells, n)
-        rows.append(row + start)
-        cols.append(col)
-    rows, cols, values = map(np.concatenate, (rows, cols, values))
-    row_ends = np.searchsorted(rows, np.arange(1, n + 1))
-    row_sizes = np.diff(row_ends, prepend=0)
+        cells, sizes, cols = _row_cells(marks, n)
+        return sizes, cols, np.exp(-_distances(features, start, stop).ravel()[cells])
+
+    sizes, cols, values = map(np.concatenate,
+                              zip(*[expand(start, stop) for start, stop in blocks]))
+    del full_cols, in_half
+    ends = np.cumsum(sizes)
 
     # Local query expansion: average each weight vector over the sample's
     # k2 nearest neighbors (self included), summed in neighbor order. A
     # block's bool marks give its cells in order, a slot table numbers
     # them, and one bincount adds each cell's terms, neighbor by neighbor.
-    out_rows, out_cols, out_values = [], [], []
-    for start, stop in blocks:
+    slots = np.empty((_BLOCK_ROWS + 1) * n, dtype=np.int32)
+
+    def average(start, stop):
         source = order[start:stop, :k2].T.ravel()
         # The entries of the source rows, concatenated.
-        sizes = row_sizes[source]
-        ends = np.cumsum(sizes)
-        entries = np.repeat(row_ends[source] - ends, sizes) + np.arange(ends[-1])
-        terms = np.repeat(np.tile(np.arange(stop - start) * n, k2), sizes) + cols[entries]
+        counts = sizes[source]
+        offsets = np.cumsum(counts)
+        entries = np.repeat(ends[source] - offsets, counts) + np.arange(offsets[-1])
+        terms = np.repeat(np.tile(np.arange(stop - start) * n, k2), counts) + cols[entries]
         marks = np.zeros((stop - start) * n, dtype=bool)
         marks[terms] = True
-        cells = np.flatnonzero(marks)
-        slots = np.empty(len(marks), dtype=np.intp)
+        cells, out_sizes, out_cols = _row_cells(marks, n)
         slots[cells] = np.arange(len(cells))
-        out_values.append(np.bincount(slots[terms], values[entries], minlength=len(cells)))
-        row, col = np.divmod(cells, n)
-        out_rows.append(row + start)
-        out_cols.append(col)
-    rows, cols, values = map(np.concatenate, (out_rows, out_cols, out_values))
+        return out_sizes, out_cols, np.bincount(slots[terms], values[entries],
+                                                minlength=len(cells))
+
+    averaged = [average(start, stop) for start, stop in blocks]
+    del order, sizes, ends, cols, values, slots
+    sizes, cols, values = map(np.concatenate, zip(*averaged))
+    del averaged
+
     by_column = np.argsort(cols.astype(np.min_scalar_type(n)), kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    return _Weights(indptr, rows[by_column], values[by_column] / k2)
+    del cols
+    data = values[by_column]
+    del values
+    data /= k2
+    rows = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    return _Weights(indptr, rows[by_column], data)
 
 
 def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
@@ -248,8 +275,7 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
     positions of their weight entries.
     """
     n = len(weights.indptr) - 1
-    column = np.repeat(np.arange(n), np.diff(weights.indptr))
-    suffix = weights.indptr[column + 1] - np.arange(len(weights.data))
+    suffix = np.repeat(weights.indptr[1:], np.diff(weights.indptr)) - np.arange(len(weights.data))
     row_pairs = np.bincount(weights.indices, suffix, minlength=n)
     window = (np.cumsum(row_pairs) - row_pairs) // (_BLOCK_PAIRS * n)
     starts = np.flatnonzero((np.arange(n) % _BLOCK_ROWS == 0)
@@ -308,6 +334,7 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
     n = features.shape[0]
     if n < 2:
         raise SelfReidError(f"need at least 2 samples, got {n}")
+    require_finite(features, "re-ranking features: row ")
     if k1 >= n or k2 >= n:
         raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n}")
 
@@ -386,6 +413,13 @@ def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     if dist.ndim != 2 or dist.shape[1] != n:
         raise SelfReidError(f"expected square matrix, got {dist.shape}")
     if not _symmetric(dist) or np.any(np.abs(np.diag(dist)) > 1e-12):
+        # NaN never equals itself, so it fails the symmetry check; only a
+        # rejected matrix pays for this scan.
+        bad = np.argwhere(~np.isfinite(dist))
+        if bad.size:
+            row, col = bad[0]
+            raise SelfReidError(f"matrix entry ({row}, {col}) is {dist[row, col]}, "
+                                f"not a finite number")
         raise SelfReidError("matrix must be symmetric with zero diagonal")
 
     cells = np.flatnonzero(dist <= config.eps)  # by row, then column

@@ -230,3 +230,14 @@ def test_misaligned_sets_rejected(query_shape, gallery_shape, query_cameras, mes
     gallery = RetrievalSet(normalize_rows(rng.normal(size=gallery_shape)), ids, cams[::-1])
     with pytest.raises(SelfReidError, match=f"^{message}$"):
         evaluate(queries, gallery)
+
+
+@pytest.mark.parametrize("split, value", [(0, np.nan), (1, -np.inf)],
+                         ids=["query-nan", "gallery-inf"])
+def test_non_finite_embeddings_rejected(split, value):
+    sets = make_sets(np.random.default_rng(8))
+    sets[split].embeddings[4, 2] = value
+    name = ("query", "gallery")[split]
+    with pytest.raises(SelfReidError, match=f"^{name}: embedding row 4: feature 2 is {value}, "
+                                            f"not a finite number$"):
+        evaluate(*sets)

@@ -160,6 +160,24 @@ def test_weight_vectors_equal_scipy_reference_bytes(bank, k1, k2):
     assert fast.data.tobytes() == reference.data.tobytes()
 
 
+@pytest.mark.parametrize("groups", [pytest.param(20, id="blobs-640"),
+                                    pytest.param(60, id="blobs-1920")])
+def test_weight_vectors_scratch_grows_with_their_output(groups):
+    # Int32 columns with per-row counts, and each stage's arrays freed
+    # before the next one allocates, keep the weight pass's traced peak
+    # at 58 and 40 bytes per returned entry on these banks; 12 of them
+    # are the entry itself.
+    feats = blob_bank(np.random.default_rng(13), groups, 32, 32, spread=0.15)
+    tracemalloc.start()
+    try:
+        weights = rerank._weight_vectors(feats, 30, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.indices.dtype == np.int32
+    assert peak < 80 * len(weights.data)
+
+
 def test_jaccard_symmetric_zero_diag_unit_range():
     rng = np.random.default_rng(9)
     feats = unit_cloud(rng, 30, 10)
@@ -173,6 +191,17 @@ def test_jaccard_insufficient_samples():
     rng = np.random.default_rng(2)
     with pytest.raises(SelfReidError, match="k1=5, k2=2 must be < n=5"):
         jaccard_distance_matrix(unit_cloud(rng, 5, 4), k1=5, k2=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_jaccard_rejects_non_finite_features(value):
+    feats = unit_cloud(np.random.default_rng(14), 50, 8)
+    feats[17, 3] = value
+    message = f"^re-ranking features: row 17: feature 3 is {value}, not a finite number$"
+    with pytest.raises(SelfReidError, match=message):
+        jaccard_distance_matrix(feats, k1=10, k2=4)
+    with pytest.raises(SelfReidError, match=message):
+        generate_pseudo_labels(feats, ClusterConfig(k1=10, k2=4))
 
 
 # --- dbscan ----------------------------------------------------------------
@@ -317,6 +346,16 @@ def test_dbscan_rejects_asymmetric_matrix():
                 dbscan(dist, ClusterConfig())
         else:
             assert dbscan(dist, ClusterConfig()).cluster_count == 1
+
+
+@pytest.mark.parametrize("cell, value", [((1, 2), np.nan), ((3, 3), np.inf)],
+                         ids=["nan-off-diagonal", "inf-on-diagonal"])
+def test_dbscan_names_a_non_finite_entry(cell, value):
+    dist = np.zeros((4, 4))
+    dist[cell] = dist[cell[::-1]] = value
+    with pytest.raises(SelfReidError, match=rf"^matrix entry \({cell[0]}, {cell[1]}\) is "
+                                            rf"{value}, not a finite number$"):
+        dbscan(dist, ClusterConfig())
 
 
 def test_jaccard_and_dbscan_peak_memory():
