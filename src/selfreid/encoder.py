@@ -132,7 +132,8 @@ def forward(params: EncoderParams, batch: np.ndarray) -> ForwardPass:
         raise SelfReidError(f"batch shape {batch.shape}, encoder expects (*, {d_in})")
     if not np.all(np.isfinite(batch)):
         raise SelfReidError("non-finite values in encoder input")
-    hidden = np.tanh(batch @ params.w1 + params.b1)
+    hidden = batch @ params.w1  # the bias and tanh act in place
+    np.tanh(np.add(hidden, params.b1, out=hidden), out=hidden)
     raw = hidden @ params.w2 + params.b2
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     return ForwardPass(input=batch, hidden=hidden, norms=norms, out=raw / norms)

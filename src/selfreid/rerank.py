@@ -6,20 +6,19 @@ representations. DBSCAN then runs directly on that precomputed matrix;
 samples that no cluster reaches are marked as outliers and excluded
 from training for the epoch.
 
-Everything here runs on numpy alone. Neighbor lists, reciprocal and
-expanded sets and the weight vectors are flat arrays with O(n) entries
-for fixed k1 and k2: int32 neighbor and column indices, with per-row
-counts in place of row indices. Each stage of the weight pass frees its
-arrays before the next one allocates, so the pass's scratch grows with
-its output: its traced peak is 30-60 bytes per weight entry at
-n = 640 to 5,120, against the entry's own 12. The rest runs on blocks of rows, each O(n) in
-size: the cosine distances, computed twice, the bool marks that
-collect each row's sets, and the Jaccard distances, computed for the
-upper triangle and mirrored. Re-ranking and DBSCAN thus take O(n^2)
-time, and the returned dense n x n Jaccard matrix, which `dbscan`,
-`selfreid sweep-eps --dump` and the tests read, is their only n x n
-float array. DBSCAN adds an n x n bool mask of the entries within eps
-and checks symmetry tile by tile.
+Everything here runs on numpy alone, in O(n^2) time. The dense n x n
+Jaccard matrix, which `dbscan`, `selfreid sweep-eps --dump` and the
+tests read, is the only n x n array. Neighbor lists, reciprocal and
+expanded sets and weight vectors are flat arrays with O(n) entries for
+fixed k1 and k2: int32 indices, with per-row counts in place of row
+indices. Each stage of the weight pass frees its arrays before the next
+one allocates; its traced peak is 30-60 bytes per weight entry at
+n = 640 to 5,120, against the entry's own 12. Everything else runs on
+blocks of rows, each O(n) in size: the cosine distances, computed
+twice, the bool marks of each row's sets, the Jaccard distances of the
+upper triangle, and DBSCAN's scan for the entries within eps, which it
+keeps as int32 rows and columns. Square tiles mirror the matrix's upper
+triangle and check its symmetry.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +93,7 @@ _BLOCK_ROWS = 64
 # scratch (1.7 MiB) down to that of _pair_blocks, which no block size
 # lowers, and near the weight pass's (1.55 MiB).
 _BLOCK_PAIRS = 24
-# Side of the square tiles that dbscan's symmetry check compares.
+# Side of the square tiles that the Jaccard mirror and dbscan's check use.
 _SYMMETRY_TILE = 256
 
 
@@ -107,7 +106,9 @@ def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     are sorted by (row, distance, column).
     """
     m, n = dist.shape
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    kth = np.empty(m)  # partition copies its input, so it takes eight rows at a time
+    for a in range(0, m, 8):
+        kth[a:a + 8] = np.partition(dist[a:a + 8], k - 1, axis=1)[:, k - 1]
     cells = np.flatnonzero(dist <= kth[:, None])
     rows = cells // n
     # The cells run by row, then column, and the sort is stable, so it
@@ -176,12 +177,12 @@ def _reciprocal_ranks(order: np.ndarray) -> np.ndarray:
     return rank.reshape(n, k)
 
 
-def _row_cells(marks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The set cells of a block's bool marks, n to a row: their flat
-    positions in ascending order, each row's count and their columns."""
+def _row_cells(marks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set cells of a block's 2-D bool marks: their flat positions in
+    ascending order, each row's count and their columns."""
     cells = np.flatnonzero(marks)
-    rows, cols = np.divmod(cells, n)
-    return cells, np.bincount(rows, minlength=len(marks) // n), cols.astype(np.int32)
+    rows, cols = np.divmod(cells, marks.shape[1])
+    return cells, np.bincount(rows, minlength=len(marks)), cols.astype(np.int32)
 
 
 def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
@@ -221,7 +222,7 @@ def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
         overlap = np.count_nonzero(marks[member_cells] & members, axis=1)
         members &= (3 * overlap >= 2 * half_sizes[candidates])[:, None]
         marks[member_cells[members]] = True
-        cells, sizes, cols = _row_cells(marks, n)
+        cells, sizes, cols = _row_cells(marks.reshape(stop - start, n))
         return sizes, cols, np.exp(-_distances(features, start, stop).ravel()[cells])
 
     sizes, cols, values = map(np.concatenate,
@@ -244,7 +245,7 @@ def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
         terms = np.repeat(np.tile(np.arange(stop - start) * n, k2), counts) + cols[entries]
         marks = np.zeros((stop - start) * n, dtype=bool)
         marks[terms] = True
-        cells, out_sizes, out_cols = _row_cells(marks, n)
+        cells, out_sizes, out_cols = _row_cells(marks.reshape(stop - start, n))
         slots[cells] = np.arange(len(cells))
         return out_sizes, out_cols, np.bincount(slots[terms], values[entries],
                                                 minlength=len(cells))
@@ -272,10 +273,11 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
     most _BLOCK_ROWS rows and starts anew when its rows' suffixes pass a
     multiple of _BLOCK_PAIRS * n. Returns (suffix, blocks), each block a
     (start, stop, entries) triple: its rows and, in column order, the
-    positions of their weight entries.
+    positions of their weight entries. `suffix` and positions are int32.
     """
     n = len(weights.indptr) - 1
-    suffix = np.repeat(weights.indptr[1:], np.diff(weights.indptr)) - np.arange(len(weights.data))
+    suffix = np.repeat(weights.indptr[1:].astype(np.int32), np.diff(weights.indptr))
+    suffix -= np.arange(len(suffix), dtype=np.int32)
     row_pairs = np.bincount(weights.indices, suffix, minlength=n)
     window = (np.cumsum(row_pairs) - row_pairs) // (_BLOCK_PAIRS * n)
     starts = np.flatnonzero((np.arange(n) % _BLOCK_ROWS == 0)
@@ -283,7 +285,7 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
     # Small unsigned block ids, which numpy's stable argsort radix-sorts.
     ids = np.arange(len(starts), dtype=np.min_scalar_type(len(starts)))
     block = np.repeat(ids, np.diff(starts, append=n))[weights.indices]
-    entries = np.argsort(block, kind="stable")
+    entries = np.argsort(block, kind="stable").astype(np.int32)
     bounds = np.cumsum(np.bincount(block, minlength=len(starts)))
     return suffix, list(zip(starts, np.append(starts[1:], n),
                             np.split(entries, bounds[:-1])))
@@ -291,22 +293,23 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
 
 def _block_min_sum(weights: _Weights, suffix: np.ndarray, entries: np.ndarray,
                    start: int, stop: int) -> np.ndarray:
-    """sum_c min(v_pc, v_qc) for rows p in start:stop and columns q >= p.
+    """sum_c min(v_pc, v_qc) for rows p in start:stop and columns q >= p,
+    as a (stop - start, n - start) array whose column j is q = start + j.
 
     `entries` are the block's weight entries in column order, and one
     `np.bincount` adds every cell's minima in that order. Cells with
     q < p stay zero.
     """
-    n = len(weights.indptr) - 1
+    width = len(weights.indptr) - 1 - start
     counts = suffix[entries]
     partners = np.repeat(entries - (np.cumsum(counts) - counts), counts)
     partners += np.arange(len(partners))
-    cells = np.repeat((weights.indices[entries].astype(np.int64) - start) * n, counts)
+    cells = np.repeat((weights.indices[entries].astype(np.int64) - start) * width - start, counts)
     cells += weights.indices[partners]
     minima = np.repeat(weights.data[entries], counts)
     np.minimum(minima, weights.data[partners], out=minima)
     del partners
-    return np.bincount(cells, minima, minlength=(stop - start) * n).reshape(stop - start, n)
+    return np.bincount(cells, minima, minlength=(stop - start) * width).reshape(-1, width)
 
 
 def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
@@ -326,17 +329,16 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
     entries and mark each block's sets in one bool row per sample. Step
     6 fills the upper triangle one block of rows at a time, adding
     min(v_p, v_q) for each column that rows p <= q share, in ascending
-    column order; pairs with no common support stay at distance 1. Each
-    block then writes its transpose into the rows below it and mirrors
-    its own diagonal square, so the result is exactly symmetric.
+    column order; pairs with no common support stay at distance 1. Then
+    square tiles copy the upper triangle into the lower one, so the
+    result is exactly symmetric.
     """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    if n < 2:
-        raise SelfReidError(f"need at least 2 samples, got {n}")
+    if features.ndim != 2 or (n := len(features)) < 2:
+        raise SelfReidError(f"need a 2-D matrix of at least 2 samples, got shape {features.shape}")
     require_finite(features, "re-ranking features: row ")
-    if k1 >= n or k2 >= n:
-        raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n}")
+    if not 1 <= k2 <= k1 < n:
+        raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n} with 1 <= k2 <= k1")
 
     weights = _weight_vectors(features, k1, k2)
     row_sums = np.bincount(weights.indices, weights.data, minlength=n)
@@ -347,16 +349,24 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
         min_sum = _block_min_sum(weights, suffix, entries, start, stop)
         upper = jaccard[start:stop, start:]  # max_sum, then the distance
         np.add(row_sums[start:stop, None], row_sums[None, start:], out=upper)
-        upper -= min_sum[:, start:]
-        np.divide(min_sum[:, start:], upper, out=upper)
+        upper -= min_sum
+        np.divide(min_sum, upper, out=upper)
         np.subtract(1.0, upper, out=upper)
         np.maximum(upper, 0.0, out=upper)  # <= 1 already, as min_sum >= 0
-        # The rows below the block read their lower part from its transpose.
-        jaccard[stop:, start:stop] = upper[:, stop - start:].T
-        square = jaccard[start:stop, start:stop]
-        np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
-        np.fill_diagonal(square, 0.0)
+    for rows, cols in _tiles(n):
+        if rows.start < cols.start:
+            jaccard[cols, rows] = jaccard[rows, cols].T
+        elif rows == cols:
+            square = jaccard[rows, cols]
+            np.copyto(square, square.T, where=np.tri(len(square), k=-1, dtype=bool))
+    np.fill_diagonal(jaccard, 0.0)
     return jaccard
+
+
+def _tiles(n: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) slices of an n x n matrix's square tiles, row by row."""
+    sides = [slice(a, a + _SYMMETRY_TILE) for a in range(0, n, _SYMMETRY_TILE)]
+    return [(rows, cols) for rows in sides for cols in sides]
 
 
 def _symmetric(dist: np.ndarray) -> bool:
@@ -366,9 +376,7 @@ def _symmetric(dist: np.ndarray) -> bool:
     of the whole matrix is read. An exactly symmetric matrix, such as
     jaccard_distance_matrix returns, skips the slower tolerance check.
     """
-    starts = range(0, dist.shape[0], _SYMMETRY_TILE)
-    tiles = [(slice(a, a + _SYMMETRY_TILE), slice(b, b + _SYMMETRY_TILE))
-             for a in starts for b in starts]
+    tiles = _tiles(dist.shape[0])
     if all(np.array_equal(dist[rows, cols], dist[cols, rows].T)
            for rows, cols in tiles if rows.start <= cols.start):
         return True
@@ -386,7 +394,7 @@ def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     leaves one root per component, and that root is the component's
     lowest index because a root only ever moves to a lower one.
     """
-    root = np.arange(n)
+    root = np.arange(n, dtype=np.int32)
     while True:
         ends = root[rows], root[cols]
         hooked = root.copy()
@@ -409,8 +417,7 @@ def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     """
     config.validate()
     dist = np.asarray(dist, dtype=np.float64)
-    n = dist.shape[0]
-    if dist.ndim != 2 or dist.shape[1] != n:
+    if dist.ndim != 2 or dist.shape[1] != (n := len(dist)):
         raise SelfReidError(f"expected square matrix, got {dist.shape}")
     if not _symmetric(dist) or np.any(np.abs(np.diag(dist)) > 1e-12):
         # NaN never equals itself, so it fails the symmetry check; only a
@@ -422,9 +429,11 @@ def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
                                 f"not a finite number")
         raise SelfReidError("matrix must be symmetric with zero diagonal")
 
-    cells = np.flatnonzero(dist <= config.eps)  # by row, then column
-    rows, cols = np.divmod(cells, n)
-    core = np.bincount(rows, minlength=n) >= config.min_samples
+    # The entries within eps by row, then column, one block of rows at a time.
+    counts, cols = map(np.concatenate, zip(*[_row_cells(dist[a:b] <= config.eps)[1:]
+                                             for a, b in _row_blocks(n)]))
+    rows = np.repeat(np.arange(n, dtype=np.int32), counts)
+    core = counts >= config.min_samples
     links = core[rows] & core[cols]
     root = _lowest_linked(n, rows[links], cols[links])
     # Clusters are numbered by their lowest core index, their root.

@@ -7,10 +7,12 @@ a few hundred samples; `scipy_weight_vectors`, the re-ranking weight
 vectors built with scipy.sparse products, which the package's numpy-only
 ones must match bit for bit; and `adam_oracle` and `ema_oracle`, the
 updates applied one weight array at a time, which the flat-buffer
-updates must match bit for bit.
+updates must match bit for bit. `traced_peak` is no oracle: it measures
+every memory bound in the tests the same way.
 """
 
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -19,6 +21,17 @@ from scipy.spatial.distance import cdist
 
 from selfreid import rerank
 from selfreid.errors import SelfReidError
+
+
+def traced_peak(fn, *args):
+    """(peak, result) of fn(*args): the most memory tracemalloc saw
+    allocated while it ran, the result included, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def max_rel_err(actual: np.ndarray, reference: np.ndarray) -> float:

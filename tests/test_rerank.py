@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from oracles import (
     jaccard_oracle,
     partitions_equal,
     scipy_weight_vectors,
+    traced_peak,
 )
 
 
@@ -98,10 +98,16 @@ def duplicates_across_block_boundaries(rng):
     return feats
 
 
+# The lower triangle is copied from the upper one in square tiles of
+# _SYMMETRY_TILE rows: 255 and 256 rows fit one tile, 257 rows leave a
+# one-row last tile, and 641 rows fill three rows of tiles. 257 and 641
+# also leave a one-row last block, which joins the block before it.
 @pytest.mark.parametrize("k1, k2, bank", [
     pytest.param(30, 6, blobs_and_cloud, id="30-6"),
     pytest.param(8, 3, blobs_and_cloud, id="8-3"),
     pytest.param(20, 4, duplicates_across_block_boundaries, id="20-4-duplicates"),
+    *[pytest.param(30, 6, lambda rng, n=n: unit_cloud(rng, n, 16), id=f"30-6-cloud-{n}")
+      for n in (255, 256, 257, 641)],
 ])
 def test_jaccard_matches_dense_reference(k1, k2, bank):
     feats = bank(np.random.default_rng(10))
@@ -168,14 +174,27 @@ def test_weight_vectors_scratch_grows_with_their_output(groups):
     # at 58 and 40 bytes per returned entry on these banks; 12 of them
     # are the entry itself.
     feats = blob_bank(np.random.default_rng(13), groups, 32, 32, spread=0.15)
-    tracemalloc.start()
-    try:
-        weights = rerank._weight_vectors(feats, 30, 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, weights = traced_peak(rerank._weight_vectors, feats, 30, 6)
     assert weights.indices.dtype == np.int32
     assert peak < 80 * len(weights.data)
+
+
+def test_nearest_neighbors_partition_eight_rows_at_a_time():
+    # np.partition copies its input. Eight rows at a time, the copy is an
+    # eighth of the block; a copy of the whole block would not fit.
+    feats = unit_cloud(np.random.default_rng(16), 2000, 16)
+    dist = rerank._distances(feats, 0, rerank._BLOCK_ROWS)
+    peak, order = traced_peak(rerank._nearest_neighbors, dist, 30)
+    np.testing.assert_array_equal(order, np.argsort(dist, axis=1, kind="stable")[:, :30])
+    assert peak < dist.nbytes / 4
+
+
+def test_pair_blocks_keep_int32_suffixes_and_entry_lists():
+    feats = blob_bank(np.random.default_rng(13), 20, 32, 32, spread=0.15)
+    suffix, blocks = rerank._pair_blocks(rerank._weight_vectors(feats, 30, 6))
+    assert suffix.dtype == np.int32
+    assert all(entries.dtype == np.int32 for _, _, entries in blocks)
+    assert sum(len(entries) for _, _, entries in blocks) == len(suffix)
 
 
 def test_jaccard_symmetric_zero_diag_unit_range():
@@ -191,6 +210,28 @@ def test_jaccard_insufficient_samples():
     rng = np.random.default_rng(2)
     with pytest.raises(SelfReidError, match="k1=5, k2=2 must be < n=5"):
         jaccard_distance_matrix(unit_cloud(rng, 5, 4), k1=5, k2=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda feats: dbscan(np.float64(0.5), ClusterConfig()),
+                 r"^expected square matrix, got \(\)$", id="dbscan-scalar"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats[0], 5, 2),
+                 r"^need a 2-D matrix of at least 2 samples, got shape \(8,\)$",
+                 id="jaccard-1d"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats[None], 5, 2),
+                 r"^need a 2-D matrix of at least 2 samples, got shape \(1, 20, 8\)$",
+                 id="jaccard-3d"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 5, 0),
+                 r"^k1=5, k2=0 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k2-zero"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 0, 0),
+                 r"^k1=0, k2=0 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k1-zero"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 3, 5),
+                 r"^k1=3, k2=5 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k2-above-k1"),
+])
+def test_rerank_rejects_bad_input(call, message):
+    feats = unit_cloud(np.random.default_rng(15), 20, 8)
+    with pytest.raises(SelfReidError, match=message):
+        call(feats)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -307,7 +348,7 @@ def test_dbscan_property_matches_oracle(data):
     # points on a line at integer positions, 1/8 apart: distances are exact,
     # many fall exactly on eps, and sparse stretches leave border points
     # between dense runs
-    n = data.draw(st.integers(1, 25), label="n")
+    n = data.draw(st.integers(0, 25), label="n")
     positions = np.array(data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n),
                                    label="positions"))
     dist = np.minimum(0.125 * np.abs(positions[:, None] - positions[None, :]), 0.875)
@@ -358,19 +399,35 @@ def test_dbscan_names_a_non_finite_entry(cell, value):
         dbscan(dist, ClusterConfig())
 
 
-def test_jaccard_and_dbscan_peak_memory():
-    # The returned matrix is the only n x n float array; dbscan adds an
-    # n x n bool mask, and the row blocks add O(n) each. One more dense
-    # distance, min-sum or max-sum matrix would pass the bound.
+def forty_blobs():
+    """1,200 rows in 40 blobs of 30: about 30 entries of each row's
+    Jaccard distances fall within the default eps."""
+    return blob_bank(np.random.default_rng(12), 40, 30, 32, spread=0.15)
+
+
+def test_dbscan_peak_memory_is_block_sized():
+    # dbscan reads the entries within eps one block of rows at a time, as
+    # per-row counts and int32 columns. Its traced peak is block-sized
+    # scratch plus about 19 bytes per entry within eps; an n x n bool mask
+    # beside the int64 positions of those entries would not fit.
     n = 1200
-    bank = blob_bank(np.random.default_rng(12), 40, 30, 32, spread=0.15)
-    tracemalloc.start()
-    try:
-        dbscan(jaccard_distance_matrix(bank, 30, 6), ClusterConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8 + 8 * rerank._BLOCK_ROWS * n
+    dist = jaccard_distance_matrix(forty_blobs(), 30, 6)
+    config = ClusterConfig()
+    within = np.count_nonzero(dist <= config.eps)
+    peak, _ = traced_peak(dbscan, dist, config)
+    assert peak < 8 * rerank._BLOCK_ROWS * n + 24 * within
+
+
+def test_jaccard_and_dbscan_peak_memory():
+    # The returned matrix is the only n x n array. Beside it, the min-sum
+    # pass holds the weights (12 bytes per entry), int32 suffixes and
+    # entry lists (8 more) and one block's scratch, and dbscan less. An
+    # n x n bool mask, 30 bytes per weight entry here, would not fit.
+    n = 1200
+    bank = forty_blobs()
+    entries = len(rerank._weight_vectors(bank, 30, 6).data)
+    peak, _ = traced_peak(lambda: dbscan(jaccard_distance_matrix(bank, 30, 6), ClusterConfig()))
+    assert peak < 8 * n * n + 8 * rerank._BLOCK_ROWS * n + 36 * entries
 
 
 # --- generate_pseudo_labels -------------------------------------------------
