@@ -5,9 +5,12 @@ metrics CSV + manifest), eval (retrieval metrics for a checkpoint),
 ablate (loss-term grid in both memory modes) and sweep-eps (cluster
 counts across DBSCAN thresholds on a fixed bank).
 
-train takes one --<key> flag per config key (reporting.config_fields,
-with '_' written '-'). A run's config is the TrainConfig defaults,
-overridden in turn by --from-manifest, --config and the flags.
+generate takes one flag per GENERATE_FLAGS entry, which names the
+SyntheticSpec field it sets; the field's default gives the flag's type
+and default. train takes one --<key> flag per config key
+(reporting.config_fields, with '_' written '-'). A run's config is the
+TrainConfig defaults, overridden in turn by --from-manifest, --config
+and the flags.
 """
 
 import argparse
@@ -18,7 +21,7 @@ from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .encoder import load_checkpoint
 from .errors import SelfReidError
-from .evaluation import cross_camera_matches, require_known_identities
+from .evaluation import require_evaluable, require_known_identities
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from .trainer import (
     MEMORY_MODES,
@@ -27,6 +30,7 @@ from .trainer import (
     evaluate_encoder,
     extract_bank,
     init_state,
+    require_input_width,
     train,
 )
 
@@ -44,6 +48,12 @@ ABLATION_VARIANTS = (
 # Manifest keys that are not config keys: the run's dataset files.
 MANIFEST_PATHS = ("data", "query", "gallery")
 
+# generate's flags, in --help order -> the SyntheticSpec field each sets
+GENERATE_FLAGS = {"ids": "n_identities", "cameras": "n_cameras",
+                  "samples-per-cell": "samples_per_cell", "dim": "dim",
+                  "dispersion": "dispersion", "sigma-id": "sigma_identity",
+                  "sigma-cam": "sigma_camera", "seed": "seed"}
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = reporting.config_to_dict(TrainConfig())
@@ -59,7 +69,7 @@ def _given_flags(args) -> dict:
             if getattr(args, key, None) is not None}
 
 
-def _resolve_config(args, manifest: dict | None) -> TrainConfig:
+def _resolve_config(args, manifest: dict) -> TrainConfig:
     values = {}
     if manifest:
         values.update(reporting.config_values(
@@ -72,32 +82,18 @@ def _resolve_config(args, manifest: dict | None) -> TrainConfig:
     return reporting.config_from_dict(values)
 
 
-def _check_input_width(encoder: str, width: int, *splits) -> None:
-    """Every given (path, dataset) split must have the encoder's input width."""
-    for split_path, split in splits:
-        if split is not None and split.dim != width:
-            raise SelfReidError(f"{encoder} takes {width}-d inputs, "
-                                f"but {split_path} has dim {split.dim}")
-
-
-def _check_eval_splits(query_path, query, gallery_path, gallery) -> None:
-    """The query and gallery splits, each may be None, can be evaluated:
-    every identity is known and some query has a cross-camera match."""
-    for split_path, split in ((query_path, query), (gallery_path, gallery)):
-        if split is not None:
-            require_known_identities(split.identities, split_path)
-    if query is not None and gallery is not None \
-            and not cross_camera_matches(query, gallery).any():
-        raise SelfReidError(f"no query in {query_path} has a record of its identity from "
-                            f"another camera in {gallery_path}; evaluation needs one")
+def _load_eval_splits(encoder: str, width: int, query_path: str, gallery_path: str):
+    """The query and gallery splits, checked for evaluation by `encoder`,
+    which takes `width`-d inputs."""
+    query, gallery = load_dataset(query_path), load_dataset(gallery_path)
+    require_input_width(encoder, width, (query_path, query), (gallery_path, gallery))
+    require_evaluable(query, gallery, query_path, gallery_path)
+    return query, gallery
 
 
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_identities=args.ids, n_cameras=args.cameras,
-        samples_per_cell=args.samples_per_cell, dim=args.dim,
-        dispersion=args.dispersion, sigma_identity=args.sigma_id,
-        sigma_camera=args.sigma_cam, seed=args.seed)
+    spec = SyntheticSpec(**{field: getattr(args, flag.replace("-", "_"))
+                            for flag, field in GENERATE_FLAGS.items()})
     train_split, query, gallery = generate_synthetic(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, split in (("train", train_split), ("query", query),
@@ -109,40 +105,32 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = reporting.read_keyvalue(args.from_manifest) if args.from_manifest else None
+    manifest = reporting.read_keyvalue(args.from_manifest) if args.from_manifest else {}
     config = _resolve_config(args, manifest)
-    data_path = args.data or (manifest or {}).get("data")
+    paths = {key: getattr(args, key) or manifest.get(key, "") for key in MANIFEST_PATHS}
+    data_path, query_path, gallery_path = paths.values()
     if not data_path:
         raise FileNotFoundError("no training data given (--data or manifest)")
-    query_path = args.query or (manifest or {}).get("query", "")
-    gallery_path = args.gallery or (manifest or {}).get("gallery", "")
     if bool(query_path) != bool(gallery_path):
         given, missing = ("query", "gallery") if query_path else ("gallery", "query")
         raise SelfReidError(f"a {given} split ({query_path or gallery_path}) is given "
                             f"without a {missing} split; evaluation needs both")
 
     dataset = load_dataset(data_path)
-    query = load_dataset(query_path) if query_path else None
-    gallery = load_dataset(gallery_path) if gallery_path else None
-    _check_input_width(f"the encoder trained on {data_path}", dataset.dim,
-                       (query_path, query), (gallery_path, gallery))
-    _check_eval_splits(query_path, query, gallery_path, gallery)
+    query, gallery = _load_eval_splits(f"the encoder trained on {data_path}", dataset.dim,
+                                       query_path, gallery_path) if query_path else (None, None)
     if config.labels_mode == "oracle":
         require_known_identities(dataset.identities, data_path, ORACLE_NEEDS_IDENTITIES)
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    run_manifest = dict(reporting.config_to_dict(config))
-    run_manifest["data"] = data_path
-    if query_path:
-        run_manifest["query"] = query_path
-    if gallery_path:
-        run_manifest["gallery"] = gallery_path
-    reporting.write_keyvalue(os.path.join(out_dir, "manifest.txt"), run_manifest,
+    reporting.write_keyvalue(os.path.join(out_dir, "manifest.txt"),
+                             {**reporting.config_to_dict(config),
+                              **{key: path for key, path in paths.items() if path}},
                              header="training run manifest")
 
-    pair, reports = train(config, dataset, query=query, gallery=gallery,
-                          checkpoint_dir=out_dir if config.checkpoint_every else None)
+    _, reports = train(config, dataset, query=query, gallery=gallery,
+                       checkpoint_dir=out_dir if config.checkpoint_every else None)
     reporting.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), reports)
 
     final = reports[-1]
@@ -159,22 +147,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     pair, _ = load_checkpoint(args.checkpoint)
-    query = load_dataset(args.query)
-    gallery = load_dataset(args.gallery)
-    _check_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
-                       (args.query, query), (args.gallery, gallery))
-    _check_eval_splits(args.query, query, args.gallery, gallery)
+    query, gallery = _load_eval_splits(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
+                                       args.query, args.gallery)
     report = evaluate_encoder(pair, query, gallery)
-    lines = [f"mAP = {report.mean_ap!r}",
-             f"rank1 = {report.rank1!r}",
-             f"rank5 = {report.rank5!r}",
-             f"rank10 = {report.rank10!r}",
-             f"excluded_queries = {report.excluded_queries}"]
-    text = "\n".join(lines)
-    print(text)
+    values = {"mAP": report.mean_ap, "rank1": report.rank1, "rank5": report.rank5,
+              "rank10": report.rank10, "excluded_queries": report.excluded_queries}
+    print(reporting.format_keyvalue(values), end="")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        reporting.write_keyvalue(args.out, values)
     if args.append_csv:
         reporting.append_eval_row(args.append_csv, report)
     return 0
@@ -182,27 +162,21 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     dataset = load_dataset(args.data)
-    query = load_dataset(args.query)
-    gallery = load_dataset(args.gallery)
-    _check_input_width(f"the encoder trained on {args.data}", dataset.dim,
-                       (args.query, query), (args.gallery, gallery))
-    _check_eval_splits(args.query, query, args.gallery, gallery)
-    rows = []
+    query, gallery = _load_eval_splits(f"the encoder trained on {args.data}", dataset.dim,
+                                       args.query, args.gallery)
+    rows = ["memory_mode,variant,mAP,rank1,final_clusters"]
     for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:
             config = reporting.config_from_dict(
                 {**_given_flags(args), "memory_mode": mode, **weights})
-            pair, reports = train(config, dataset)
-            ev = evaluate_encoder(pair, query, gallery)
-            rows.append((mode, name, ev.mean_ap, ev.rank1,
-                         reports[-1].cluster_count))
+            _, reports = train(config, dataset, query, gallery)
+            final, ev = reports[-1], reports[-1].evaluation
+            rows.append(f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{final.cluster_count}")
             print(f"{mode:9s} {name:11s} mAP {ev.mean_ap:.4f} "
-                  f"R1 {ev.rank1:.4f} clusters {reports[-1].cluster_count}")
+                  f"R1 {ev.rank1:.4f} clusters {final.cluster_count}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("memory_mode,variant,mAP,rank1,final_clusters\n")
-            for mode, name, m, r1, nc in rows:
-                fh.write(f"{mode},{name},{m!r},{r1!r},{nc}\n")
+            fh.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -213,33 +187,29 @@ def cmd_sweep_eps(args) -> int:
         raise SelfReidError(f"--eps-grid needs comma-separated numbers, "
                             f"got {args.eps_grid!r}") from None
     dataset = load_dataset(args.data)
-    k1 = min(args.k1, len(dataset) - 1)
-    k2 = min(args.k2, len(dataset) - 1)
-    configs = [ClusterConfig(k1=k1, k2=k2, eps=eps, min_samples=args.min_samples)
+    configs = [ClusterConfig(k1=args.k1, k2=args.k2, eps=eps, min_samples=args.min_samples)
                for eps in eps_grid]
     for config in configs:  # fail before building the n x n distance matrix
         config.validate()
     if args.checkpoint:
         pair, _ = load_checkpoint(args.checkpoint)
-        _check_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
-                           (args.data, dataset))
+        require_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
+                            (args.data, dataset))
     else:
         pair = init_state(TrainConfig(seed=args.seed), dataset).pair
     bank = extract_bank(pair, dataset.features)
-    dist = jaccard_distance_matrix(bank, k1, k2)
+    dist = jaccard_distance_matrix(bank, *configs[0].neighborhoods(len(dataset)))
 
     print("eps,n_clusters,n_outliers")
-    assignments = []
-    for eps, config in zip(eps_grid, configs):
-        assignment = dbscan(dist, config)
-        assignments.append((eps, assignment))
+    assignments = [dbscan(dist, config) for config in configs]
+    for eps, assignment in zip(eps_grid, assignments):
         print(f"{eps},{assignment.cluster_count},{assignment.outlier_count}")
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write(f"# jaccard distance matrix {dist.shape[0]}x{dist.shape[1]}\n")
             for row in dist:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            for eps, assignment in assignments:
+            for eps, assignment in zip(eps_grid, assignments):
                 fh.write(f"# assignment eps={eps}\n")
                 fh.write(" ".join(str(int(l)) for l in assignment.labels) + "\n")
     return 0
@@ -253,14 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     spec = SyntheticSpec()
-    gen.add_argument("--ids", type=int, default=spec.n_identities)
-    gen.add_argument("--cameras", type=int, default=spec.n_cameras)
-    gen.add_argument("--samples-per-cell", type=int, default=spec.samples_per_cell)
-    gen.add_argument("--dim", type=int, default=spec.dim)
-    gen.add_argument("--dispersion", type=float, default=spec.dispersion)
-    gen.add_argument("--sigma-id", type=float, default=spec.sigma_identity)
-    gen.add_argument("--sigma-cam", type=float, default=spec.sigma_camera)
-    gen.add_argument("--seed", type=int, default=spec.seed)
+    for flag, field in GENERATE_FLAGS.items():
+        default = getattr(spec, field)
+        gen.add_argument(f"--{flag}", type=type(default), default=default)
     gen.add_argument("--out-dir", default="data")
     gen.set_defaults(func=cmd_generate)
 

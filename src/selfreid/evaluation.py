@@ -74,6 +74,19 @@ def cross_camera_matches(queries, gallery) -> np.ndarray:
     return in_gallery(identity) > in_gallery(pair)
 
 
+def require_evaluable(queries, gallery, query_name: str = "query",
+                      gallery_name: str = "gallery") -> np.ndarray:
+    """Reject splits with an unknown identity (the query split is checked first)
+    or no cross-camera match; else return cross_camera_matches(queries, gallery)."""
+    require_known_identities(queries.identities, query_name)
+    require_known_identities(gallery.identities, gallery_name)
+    valid = cross_camera_matches(queries, gallery)
+    if not valid.any():
+        raise SelfReidError(f"no query in {query_name} has a record of its identity from "
+                            f"another camera in {gallery_name}; evaluation needs one")
+    return valid
+
+
 def _check_aligned(queries: RetrievalSet, gallery: RetrievalSet) -> None:
     """Reject a set whose arrays differ in length or whose embeddings are
     not finite, or embeddings of two widths."""
@@ -96,11 +109,7 @@ def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     known, and each set's arrays must line up.
     """
     _check_aligned(queries, gallery)
-    require_known_identities(queries.identities, "query")
-    require_known_identities(gallery.identities, "gallery")
-    valid = cross_camera_matches(queries, gallery)
-    if not valid.any():
-        raise SelfReidError("no query kept a valid cross-camera match")
+    valid = require_evaluable(queries, gallery)
     rows = np.flatnonzero(valid)
     step = max(1, _BLOCK_CELLS // len(gallery.identities))
     aps, first_ranks = [], []

@@ -89,12 +89,14 @@ def _format_value(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def format_keyvalue(values: dict) -> str:
+    """One `key = value` line per item, floats in repr."""
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in values.items())
+
+
 def write_keyvalue(path, values: dict, header: str = "") -> None:
     with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for key, value in values.items():
-            fh.write(f"{key} = {_format_value(value)}\n")
+        fh.write((f"# {header}\n" if header else "") + format_keyvalue(values))
 
 
 def read_keyvalue(path) -> dict:
@@ -142,7 +144,7 @@ def append_eval_row(path, evaluation) -> None:
     with open(path, "a") as fh:
         if not exists:
             fh.write(",".join(METRICS_COLUMNS) + "\n")
-        cells = [""] * 9 + [repr(float(v)) for v in
-                            (evaluation.mean_ap, evaluation.rank1,
-                             evaluation.rank5, evaluation.rank10)]
+        cells = [""] * METRICS_COLUMNS.index("mAP")
+        cells += [repr(float(v)) for v in (evaluation.mean_ap, evaluation.rank1,
+                                           evaluation.rank5, evaluation.rank10)]
         fh.write(",".join(cells) + "\n")

@@ -50,6 +50,10 @@ class ClusterConfig:
         if self.min_samples < 1:
             raise SelfReidError(f"need min_samples >= 1, got {self.min_samples}")
 
+    def neighborhoods(self, n: int) -> tuple[int, int]:
+        """(k1, k2) clamped to n - 1, the most neighbors a bank of n rows has."""
+        return min(self.k1, n - 1), min(self.k2, n - 1)
+
 
 @dataclass
 class ClusterAssignment:
@@ -454,15 +458,15 @@ def generate_pseudo_labels(momentum_bank: np.ndarray,
                            config: ClusterConfig) -> ClusterAssignment:
     """Re-rank the momentum bank and cluster it into pseudo identities.
 
-    Neighborhood sizes are clamped to n - 1 so that small banks degrade
-    gracefully (they simply end up all-outliers) instead of erroring.
+    Neighborhood sizes are clamped to n - 1 (ClusterConfig.neighborhoods) so
+    that small 2-D banks degrade gracefully (they end up all-outliers).
     """
-    momentum_bank = np.asarray(momentum_bank, dtype=np.float64)
-    n = momentum_bank.shape[0]
+    bank = np.asarray(momentum_bank, dtype=np.float64)
+    if bank.ndim != 2:
+        raise SelfReidError(f"need a 2-D matrix of at least 2 samples, got shape {bank.shape}")
+    n = len(bank)
     if n < 2 or n < config.min_samples:
         return ClusterAssignment(labels=np.full(n, OUTLIER, dtype=np.int64),
                                  cluster_count=0)
-    k1 = min(config.k1, n - 1)
-    k2 = min(config.k2, n - 1)
-    dist = jaccard_distance_matrix(momentum_bank, k1, k2)
+    dist = jaccard_distance_matrix(bank, *config.neighborhoods(n))
     return dbscan(dist, config)

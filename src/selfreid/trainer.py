@@ -33,7 +33,13 @@ from .encoder import (
     save_checkpoint,
 )
 from .errors import SelfReidError
-from .evaluation import EvalReport, RetrievalSet, evaluate, require_known_identities
+from .evaluation import (
+    EvalReport,
+    RetrievalSet,
+    evaluate,
+    require_evaluable,
+    require_known_identities,
+)
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -226,6 +232,15 @@ def train_iteration(state: TrainState, batch: IdentityBatch, iteration: int) -> 
     return breakdown
 
 
+def require_input_width(encoder: str, width: int, *splits) -> None:
+    """Every (name, dataset) split has the input width of `encoder`, which
+    takes `width`-d inputs; the messages name both."""
+    for name, split in splits:
+        if split.dim != width:
+            raise SelfReidError(f"{encoder} takes {width}-d inputs, "
+                                f"but {name} has dim {split.dim}")
+
+
 def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
                      gallery: EmbeddingDataset) -> EvalReport:
     """Retrieval metrics of the momentum encoder (the inference model)."""
@@ -298,12 +313,16 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
     """Full training run; returns (EncoderPair, list of EpochReport).
 
     The momentum encoder of the returned pair is the inference model.
+    `query` and `gallery`, given together, are checked before the first epoch.
     """
     if (query is None) != (gallery is None):
         given, missing = ("query", "gallery") if gallery is None else ("gallery", "query")
         raise SelfReidError(f"a {given} split is given without a {missing} split; "
                             f"evaluation needs both")
     state = init_state(config, dataset)
+    if query is not None:
+        require_input_width("the encoder", dataset.dim, ("query", query), ("gallery", gallery))
+        require_evaluable(query, gallery)
     reports: list[EpochReport] = []
     for epoch in range(config.epochs):
         reports.append(run_epoch(state, reports, query, gallery))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,10 @@ from selfreid.data import (
     load_dataset,
     save_dataset,
 )
-from selfreid.encoder import init_optimizer, init_pair, save_checkpoint
-from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS, read_keyvalue
+from selfreid.encoder import init_optimizer, init_pair, load_checkpoint, save_checkpoint
+from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS, config_to_dict, read_keyvalue
+from selfreid.rerank import ClusterConfig, dbscan, jaccard_distance_matrix
+from selfreid.trainer import TrainConfig, evaluate_encoder, extract_bank, init_state, train
 
 from oracles import write_version_1_checkpoint
 
@@ -428,3 +431,147 @@ def test_package_loads_no_scipy(command):
                 if line.startswith("import time:")]
     assert "selfreid.rerank" in imported
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate", "sweep-eps"])
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: selfreid {command} ")
+
+
+# generate's flags in --help order: (flag, value type, default)
+GENERATE_FLAGS = [("--ids", int, 20), ("--cameras", int, 4), ("--samples-per-cell", int, 8),
+                  ("--dim", int, 64), ("--dispersion", float, 1.0), ("--sigma-id", float, 0.08),
+                  ("--sigma-cam", float, 0.8), ("--seed", int, 0), ("--out-dir", str, "data")]
+
+
+def test_generate_keeps_its_flag_names_types_and_defaults(capsys):
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["generate", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[(--[a-z-]+)", usage) == [flag for flag, _, _ in GENERATE_FLAGS]
+    defaults = vars(parser.parse_args(["generate"]))
+    given = vars(parser.parse_args(["generate", *[part for flag, _, _ in GENERATE_FLAGS
+                                                  for part in (flag, "3")]]))
+    for flag, kind, default in GENERATE_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        assert (type(defaults[dest]), defaults[dest]) == (kind, default), flag
+        assert (type(given[dest]), given[dest]) == (kind, kind("3")), flag
+
+
+def test_generate_flags_set_their_spec_fields(tmp_path, capsys):
+    spec = SyntheticSpec(n_identities=3, n_cameras=2, samples_per_cell=2, dim=8, dispersion=1.5,
+                         sigma_identity=0.05, sigma_camera=0.4, seed=7)
+    assert cli.main(["generate", "--ids", "3", "--cameras", "2", "--samples-per-cell", "2",
+                     "--dim", "8", "--dispersion", "1.5", "--sigma-id", "0.05",
+                     "--sigma-cam", "0.4", "--seed", "7", "--out-dir", str(tmp_path / "cli")]) == 0
+    assert capsys.readouterr().out == (f"wrote 12 train / 6 query / 12 gallery records "
+                                       f"to {tmp_path / 'cli'}\n")
+    for name, split in zip(("train", "query", "gallery"), generate_synthetic(spec)):
+        save_dataset(split, tmp_path / f"{name}.txt")
+        assert (tmp_path / "cli" / f"{name}.txt").read_bytes() == \
+            (tmp_path / f"{name}.txt").read_bytes()
+
+
+def test_eval_out_bytes_are_pinned(eval_files, tmp_path, capsys):
+    out = tmp_path / "eval.txt"
+    assert cli.main(["eval", "--checkpoint", eval_files["checkpoint"], "--query",
+                     eval_files["query"], "--gallery", eval_files["gallery"],
+                     "--out", str(out)]) == 0
+    report = evaluate_encoder(load_checkpoint(eval_files["checkpoint"])[0],
+                              load_dataset(eval_files["query"]), load_dataset(eval_files["gallery"]))
+    expected = (f"mAP = {report.mean_ap!r}\nrank1 = {report.rank1!r}\n"
+                f"rank5 = {report.rank5!r}\nrank10 = {report.rank10!r}\n"
+                f"excluded_queries = {report.excluded_queries}\n")
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == expected
+
+
+def save_rows(split, rows, path):
+    """Save the given rows of `split` to `path`; returns the saved split."""
+    part = EmbeddingDataset(split.sample_ids[rows], split.identities[rows], split.cameras[rows],
+                            split.features[rows])
+    save_dataset(part, path)
+    return part
+
+
+def parse_dump(path):
+    """The distance matrix and the labels per eps of a sweep-eps --dump file."""
+    lines = Path(path).read_text().splitlines()
+    n = len(lines[1].split())
+    assert lines[0] == f"# jaccard distance matrix {n}x{n}"
+    dist = np.array([[float(v) for v in line.split()] for line in lines[1:n + 1]])
+    labels = {float(header.removeprefix("# assignment eps=")): np.array(row.split(), dtype=int)
+              for header, row in zip(lines[n + 1::2], lines[n + 2::2])}
+    return dist, labels
+
+
+@pytest.mark.parametrize("rows, flags, k1, k2, min_samples", [
+    (slice(None), ["--k1", "8", "--k2", "3"], 8, 3, 4),
+    # 6 rows: the default k1 = 30 and k2 = 6 both clamp to 5
+    (slice(0, 6), ["--min-samples", "2"], 5, 5, 2),
+], ids=["k-as-given", "split-smaller-than-k1"])
+def test_sweep_eps_reports_and_dumps_dbscan_on_the_bank(train_files, tmp_path, capsys, rows,
+                                                         flags, k1, k2, min_samples):
+    split = save_rows(load_dataset(train_files["data"]), rows, tmp_path / "split.txt")
+    dump = tmp_path / "dump.txt"
+    assert cli.main(["sweep-eps", "--data", str(tmp_path / "split.txt"), "--seed", "3", *flags,
+                     "--dump", str(dump)]) == 0
+    bank = extract_bank(init_state(TrainConfig(seed=3), split).pair, split.features)
+    dist = jaccard_distance_matrix(bank, k1, k2)
+    assignments = {eps: dbscan(dist, ClusterConfig(k1, k2, eps, min_samples))
+                   for eps in cli.EPS_GRID}
+    assert capsys.readouterr().out.splitlines() == ["eps,n_clusters,n_outliers"] + [
+        f"{eps},{a.cluster_count},{a.outlier_count}" for eps, a in assignments.items()]
+    dumped, labels = parse_dump(dump)
+    assert dumped.tobytes() == dist.tobytes()
+    assert list(labels) == list(assignments)
+    for eps, assignment in assignments.items():
+        np.testing.assert_array_equal(labels[eps], assignment.labels)
+
+
+def test_sweep_eps_checks_k_as_given_before_clamping(train_files, tmp_path, monkeypatch, capsys):
+    # both would clamp to n - 1 = 5 on 6 rows; the flags are still checked as train checks them
+    save_rows(load_dataset(train_files["data"]), slice(0, 6), tmp_path / "split.txt")
+    monkeypatch.setattr(cli, "jaccard_distance_matrix", None)  # fails if re-ranking starts
+    assert cli.main(["sweep-eps", "--data", str(tmp_path / "split.txt"),
+                     "--k1", "5", "--k2", "8"]) == 1
+    assert "error: need k1 >= k2 >= 1, got k1=5 k2=8" in capsys.readouterr().err
+
+
+def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, capsys):
+    # 9 clusters at the default k1 from the untrained encoder, so every epoch trains
+    splits = generate_synthetic(SyntheticSpec(n_identities=10, samples_per_cell=4, dim=16,
+                                              sigma_camera=0.3))
+    paths = {}
+    for name, split in zip(("data", "query", "gallery"), splits):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        save_dataset(split, paths[name])
+    runs = []
+
+    def recorded_train(config, dataset, query, gallery):
+        pair, reports = train(config, dataset, query, gallery)
+        runs.append((config, pair, reports))
+        return pair, reports
+
+    monkeypatch.setattr(cli, "train", recorded_train)
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--data", paths["data"], "--query", paths["query"],
+                     "--gallery", paths["gallery"], "--epochs", "2", "--iterations", "2",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "memory_mode,variant,mAP,rank1,final_clusters"
+    variants = [(mode, name, weights) for mode in cli.MEMORY_MODES
+                for name, weights in cli.ABLATION_VARIANTS]
+    assert len(lines) - 1 == len(runs) == len(variants) == 8
+    query, gallery = load_dataset(paths["query"]), load_dataset(paths["gallery"])
+    for line, (mode, name, weights), (config, pair, reports) in zip(lines[1:], variants, runs):
+        values = config_to_dict(config)
+        assert values["memory_mode"] == mode and weights.items() <= values.items()
+        assert [r.skipped_iterations for r in reports] == [0, 0]
+        ev = reports[-1].evaluation
+        assert line == f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{reports[-1].cluster_count}"
+        assert evaluate_encoder(pair, query, gallery) == ev

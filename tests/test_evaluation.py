@@ -116,7 +116,8 @@ def test_same_camera_matches_are_excluded():
     queries = RetrievalSet(emb[:1], np.array([7]), np.array([0]))
     # only matches share the query's camera -> query excluded
     gallery = RetrievalSet(emb, np.array([7, 7, 8]), np.array([0, 0, 1]))
-    with pytest.raises(SelfReidError, match="no query kept a valid cross-camera match"):
+    with pytest.raises(SelfReidError, match="^no query in query has a record of its identity "
+                                            "from another camera in gallery; evaluation needs one$"):
         evaluate(queries, gallery)
 
 

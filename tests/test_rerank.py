@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -449,6 +450,35 @@ def test_pseudo_labels_tiny_bank_all_outliers():
     assignment = generate_pseudo_labels(bank, ClusterConfig(min_samples=4))
     assert assignment.cluster_count == 0
     assert np.all(assignment.labels == OUTLIER)
+
+
+@pytest.mark.parametrize("bank", [np.float64(0.5), np.ones((2, 20, 8))], ids=["0-d", "3-d"])
+def test_pseudo_labels_reject_a_bank_that_is_not_2d(bank):
+    # a 3-D bank with fewer rows than min_samples is no small bank to label all-outlier
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"need a 2-D matrix of at least 2 samples, got shape {bank.shape}")):
+        generate_pseudo_labels(bank, ClusterConfig(min_samples=4))
+
+
+def test_neighborhoods_clamp_to_one_less_than_the_rows():
+    config = ClusterConfig(k1=30, k2=6)
+    assert config.neighborhoods(31) == (30, 6)
+    assert config.neighborhoods(10) == (9, 6)
+    assert config.neighborhoods(5) == (4, 4)
+
+
+def test_pseudo_labels_re_rank_a_bank_smaller_than_k1_at_clamped_sizes(monkeypatch):
+    bank = blob_bank(np.random.default_rng(4), 2, 4, 8)
+    seen = []
+
+    def spy(features, k1, k2):
+        seen.append((k1, k2))
+        return jaccard_distance_matrix(features, k1, k2)
+
+    monkeypatch.setattr(rerank, "jaccard_distance_matrix", spy)
+    assignment = generate_pseudo_labels(bank, ClusterConfig(k1=30, k2=6, min_samples=2))
+    assert seen == [(7, 6)]
+    assert len(assignment.labels) == len(bank)
 
 
 def test_cluster_count_non_increasing_in_eps():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from selfreid.data import SyntheticSpec, generate_synthetic
+from selfreid.data import UNKNOWN_IDENTITY, EmbeddingDataset, SyntheticSpec, generate_synthetic
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
@@ -124,6 +124,38 @@ def test_train_rejects_query_or_gallery_alone_before_the_first_epoch(given, miss
     with pytest.raises(SelfReidError, match=f"^a {given} split is given without a {missing} "
                                             "split; evaluation needs both$"):
         train(TrainConfig(epochs=1, iterations=1), splits["train"], **{given: splits[given]})
+
+
+def only_camera_zero(split):
+    rows = split.cameras == 0
+    return EmbeddingDataset(split.sample_ids[rows], split.identities[rows], split.cameras[rows],
+                            split.features[rows])
+
+
+def unknown_identities(split):
+    return dataclasses.replace(split, identities=np.full_like(split.identities, UNKNOWN_IDENTITY))
+
+
+def other_width(split):
+    return dataclasses.replace(split, features=split.features[:, :10])
+
+
+@pytest.mark.parametrize("query_fault, gallery_fault, message", [
+    (unknown_identities, None,
+     "^query: 24 of 24 records have unknown identity \\?; evaluation needs known identities$"),
+    (other_width, None, "^the encoder takes 64-d inputs, but query has dim 10$"),
+    (None, other_width, "^the encoder takes 64-d inputs, but gallery has dim 10$"),
+    (only_camera_zero, only_camera_zero, "^no query in query has a record of its identity from "
+                                         "another camera in gallery; evaluation needs one$"),
+], ids=["unknown-query", "narrow-query", "narrow-gallery", "no-cross-camera-match"])
+def test_train_checks_query_and_gallery_before_the_first_epoch(query_fault, gallery_fault,
+                                                               message, monkeypatch):
+    train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=6))
+    query = query_fault(query) if query_fault else query
+    gallery = gallery_fault(gallery) if gallery_fault else gallery
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    with pytest.raises(SelfReidError, match=message):
+        train(TrainConfig(epochs=3, iterations=1), train_split, query=query, gallery=gallery)
 
 
 def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
