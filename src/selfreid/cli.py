@@ -10,7 +10,8 @@ SyntheticSpec field it sets; the field's default gives the flag's type
 and default. train takes one --<key> flag per config key
 (reporting.config_fields, with '_' written '-'). A run's config is the
 TrainConfig defaults, overridden in turn by --from-manifest, --config
-and the flags.
+and the flags. train and ablate check their inputs with trainer.check_run,
+the one home of a run's up-front rules, before they write or train.
 """
 
 import argparse
@@ -21,16 +22,17 @@ from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .encoder import load_checkpoint
 from .errors import SelfReidError
-from .evaluation import require_evaluable, require_known_identities
+from .evaluation import require_evaluable
 from .rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from .trainer import (
     MEMORY_MODES,
-    ORACLE_NEEDS_IDENTITIES,
     TrainConfig,
+    check_run,
     evaluate_encoder,
     extract_bank,
     init_state,
     require_input_width,
+    require_paired_splits,
     train,
 )
 
@@ -82,15 +84,6 @@ def _resolve_config(args, manifest: dict) -> TrainConfig:
     return reporting.config_from_dict(values)
 
 
-def _load_eval_splits(encoder: str, width: int, query_path: str, gallery_path: str):
-    """The query and gallery splits, checked for evaluation by `encoder`,
-    which takes `width`-d inputs."""
-    query, gallery = load_dataset(query_path), load_dataset(gallery_path)
-    require_input_width(encoder, width, (query_path, query), (gallery_path, gallery))
-    require_evaluable(query, gallery, query_path, gallery_path)
-    return query, gallery
-
-
 def cmd_generate(args) -> int:
     spec = SyntheticSpec(**{field: getattr(args, flag.replace("-", "_"))
                             for flag, field in GENERATE_FLAGS.items()})
@@ -111,16 +104,10 @@ def cmd_train(args) -> int:
     data_path, query_path, gallery_path = paths.values()
     if not data_path:
         raise FileNotFoundError("no training data given (--data or manifest)")
-    if bool(query_path) != bool(gallery_path):
-        given, missing = ("query", "gallery") if query_path else ("gallery", "query")
-        raise SelfReidError(f"a {given} split ({query_path or gallery_path}) is given "
-                            f"without a {missing} split; evaluation needs both")
+    require_paired_splits(query_path or None, gallery_path or None, query_path, gallery_path)
 
-    dataset = load_dataset(data_path)
-    query, gallery = _load_eval_splits(f"the encoder trained on {data_path}", dataset.dim,
-                                       query_path, gallery_path) if query_path else (None, None)
-    if config.labels_mode == "oracle":
-        require_known_identities(dataset.identities, data_path, ORACLE_NEEDS_IDENTITIES)
+    dataset, query, gallery = (load_dataset(path) if path else None for path in paths.values())
+    check_run(config, dataset, query, gallery, *paths.values())
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -147,8 +134,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     pair, _ = load_checkpoint(args.checkpoint)
-    query, gallery = _load_eval_splits(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
-                                       args.query, args.gallery)
+    query, gallery = load_dataset(args.query), load_dataset(args.gallery)
+    require_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
+                        (args.query, query), (args.gallery, gallery))
+    require_evaluable(query, gallery, args.query, args.gallery)
     report = evaluate_encoder(pair, query, gallery)
     values = {"mAP": report.mean_ap, "rank1": report.rank1, "rank5": report.rank5,
               "rank10": report.rank10, "excluded_queries": report.excluded_queries}
@@ -161,19 +150,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    dataset = load_dataset(args.data)
-    query, gallery = _load_eval_splits(f"the encoder trained on {args.data}", dataset.dim,
-                                       args.query, args.gallery)
-    rows = ["memory_mode,variant,mAP,rank1,final_clusters"]
+    names = (args.data, args.query, args.gallery)
+    dataset, query, gallery = (load_dataset(path) for path in names)
+    check_run(reporting.config_from_dict(_given_flags(args)), dataset, query, gallery, *names)
+    rows = ["memory_mode,variant,mAP,rank1,final_clusters,skipped_iterations"]
     for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:
             config = reporting.config_from_dict(
                 {**_given_flags(args), "memory_mode": mode, **weights})
             _, reports = train(config, dataset, query, gallery)
             final, ev = reports[-1], reports[-1].evaluation
-            rows.append(f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{final.cluster_count}")
-            print(f"{mode:9s} {name:11s} mAP {ev.mean_ap:.4f} "
-                  f"R1 {ev.rank1:.4f} clusters {final.cluster_count}")
+            skipped = sum(r.skipped_iterations for r in reports)
+            rows.append(f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{final.cluster_count},"
+                        f"{skipped}")
+            print(f"{mode:9s} {name:11s} mAP {ev.mean_ap:.4f} R1 {ev.rank1:.4f} "
+                  f"clusters {final.cluster_count} skipped iterations {skipped}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")

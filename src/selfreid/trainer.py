@@ -1,11 +1,12 @@
 """Training loop: per-epoch clustering, proxies, and batch updates.
 
-`train` calls `run_epoch` per epoch, which encodes the whole training set
-with the momentum encoder, re-clusters it into pseudo identities, rebuilds
-the proxy memory, then calls `train_iteration` per step. A step makes two
-encoder passes: the online encoder on perturbed features, and the momentum
-encoder once over the perturbed rows stacked on the clean ones (its output
-is split back into the two views). It combines the losses (`batch_loss`),
+`train` runs `check_run`, the one home of a run's up-front rules, then
+`run_epoch` per epoch, which encodes the whole training set with the
+momentum encoder, re-clusters it into pseudo identities, rebuilds the proxy
+memory, then calls `train_iteration` per step. A step makes two encoder
+passes: the online encoder on perturbed features, and the momentum encoder
+once over the perturbed rows stacked on the clean ones (its output is split
+back into the two views). It combines the losses (`batch_loss`),
 backpropagates into the online encoder, and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
@@ -170,10 +171,46 @@ class TrainState:
     epoch: int = 0  # index of the epoch being run
 
 
-def init_state(config: TrainConfig, dataset: EmbeddingDataset) -> TrainState:
-    """The state before the first epoch (untrained encoders), after checking both inputs."""
+def require_paired_splits(query, gallery, query_name="query", gallery_name="gallery") -> None:
+    """Reject a query split without a gallery split or the reverse (None: not given)."""
+    if (query is None) != (gallery is None):
+        given, missing, name = (("query", "gallery", query_name) if gallery is None
+                                else ("gallery", "query", gallery_name))
+        shown = "" if name == given else f" ({name})"
+        raise SelfReidError(f"a {given} split{shown} is given without a {missing} split; "
+                            f"evaluation needs both")
+
+
+def require_input_width(encoder: str, width: int, *splits) -> None:
+    """Reject a (name, dataset) split whose width is not `encoder`'s `width`."""
+    for name, split in splits:
+        if split.dim != width:
+            raise SelfReidError(f"{encoder} takes {width}-d inputs, "
+                                f"but {name} has dim {split.dim}")
+
+
+def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, gallery=None,
+              data_name="training data", query_name="query", gallery_name="gallery") -> None:
+    """A run's up-front rules, in order: valid config and training split; `query`
+    and `gallery` given together, of the training width, ready for evaluation;
+    oracle labels only with known identities. The messages name the splits."""
     config.validate()
     dataset.validate()
+    require_paired_splits(query, gallery, query_name, gallery_name)
+    if query is not None:
+        require_input_width(f"the encoder trained on {data_name}", dataset.dim,
+                            (query_name, query), (gallery_name, gallery))
+        require_evaluable(query, gallery, query_name, gallery_name)
+    if config.labels_mode == "oracle":
+        require_known_identities(dataset.identities, data_name,
+                                 "labels_mode = oracle trains on the identities as pseudo "
+                                 "labels, so every one must be known")
+
+
+def init_state(config: TrainConfig, dataset: EmbeddingDataset, query=None,
+               gallery=None) -> TrainState:
+    """The state before the first epoch (untrained encoders), after check_run."""
+    check_run(config, dataset, query, gallery)
     rng = np.random.default_rng([config.seed, _SEED_INIT])
     pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng)
     return TrainState(config=config, dataset=dataset, pair=pair, opt=init_optimizer(pair.online),
@@ -183,18 +220,6 @@ def init_state(config: TrainConfig, dataset: EmbeddingDataset) -> TrainState:
 def extract_bank(pair: EncoderPair, features: np.ndarray) -> np.ndarray:
     """Momentum-encoder representations of all samples, dataset order."""
     return forward(pair.momentum, features).out
-
-
-ORACLE_NEEDS_IDENTITIES = ("labels_mode = oracle trains on the identities as pseudo labels, "
-                           "so every one must be known")
-
-
-def oracle_assignment(dataset: EmbeddingDataset) -> ClusterAssignment:
-    """Ground-truth identities as pseudo labels (supervised oracle mode)."""
-    require_known_identities(dataset.identities, "training data", ORACLE_NEEDS_IDENTITIES)
-    _, labels = np.unique(dataset.identities, return_inverse=True)
-    return ClusterAssignment(labels=labels.astype(np.int64),
-                             cluster_count=int(labels.max()) + 1)
 
 
 def batch_loss(cfg: TrainConfig, memory: ProxyMemory, batch: IdentityBatch, feats: np.ndarray,
@@ -232,22 +257,11 @@ def train_iteration(state: TrainState, batch: IdentityBatch, iteration: int) -> 
     return breakdown
 
 
-def require_input_width(encoder: str, width: int, *splits) -> None:
-    """Every (name, dataset) split has the input width of `encoder`, which
-    takes `width`-d inputs; the messages name both."""
-    for name, split in splits:
-        if split.dim != width:
-            raise SelfReidError(f"{encoder} takes {width}-d inputs, "
-                                f"but {name} has dim {split.dim}")
-
-
 def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
                      gallery: EmbeddingDataset) -> EvalReport:
     """Retrieval metrics of the momentum encoder (the inference model)."""
-    q = RetrievalSet(forward(pair.momentum, query.features).out,
-                     query.identities, query.cameras)
-    g = RetrievalSet(forward(pair.momentum, gallery.features).out,
-                     gallery.identities, gallery.cameras)
+    q, g = (RetrievalSet(forward(pair.momentum, split.features).out, split.identities,
+                         split.cameras) for split in (query, gallery))
     return evaluate(q, g)
 
 
@@ -269,8 +283,9 @@ def run_epoch(state: TrainState, earlier_reports: list[EpochReport],
     cfg, dataset = state.config, state.dataset
     state.epoch = epoch = len(earlier_reports)
     bank = extract_bank(state.pair, dataset.features)
-    if cfg.labels_mode == "oracle":
-        assignment = oracle_assignment(dataset)
+    if cfg.labels_mode == "oracle":  # ground-truth identities, all known (check_run)
+        _, labels = np.unique(dataset.identities, return_inverse=True)
+        assignment = ClusterAssignment(labels.astype(np.int64), int(labels.max()) + 1)
     else:
         assignment = generate_pseudo_labels(bank, cfg.cluster)
 
@@ -313,16 +328,9 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
     """Full training run; returns (EncoderPair, list of EpochReport).
 
     The momentum encoder of the returned pair is the inference model.
-    `query` and `gallery`, given together, are checked before the first epoch.
+    check_run (through init_state) checks every input before the first epoch.
     """
-    if (query is None) != (gallery is None):
-        given, missing = ("query", "gallery") if gallery is None else ("gallery", "query")
-        raise SelfReidError(f"a {given} split is given without a {missing} split; "
-                            f"evaluation needs both")
-    state = init_state(config, dataset)
-    if query is not None:
-        require_input_width("the encoder", dataset.dim, ("query", query), ("gallery", gallery))
-        require_evaluable(query, gallery)
+    state = init_state(config, dataset, query, gallery)
     reports: list[EpochReport] = []
     for epoch in range(config.epochs):
         reports.append(run_epoch(state, reports, query, gallery))

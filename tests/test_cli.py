@@ -17,6 +17,7 @@ from selfreid.data import (
     save_dataset,
 )
 from selfreid.encoder import init_optimizer, init_pair, load_checkpoint, save_checkpoint
+from selfreid.errors import SelfReidError
 from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS, config_to_dict, read_keyvalue
 from selfreid.rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from selfreid.trainer import TrainConfig, evaluate_encoder, extract_bank, init_state, train
@@ -563,7 +564,7 @@ def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, c
                      "--gallery", paths["gallery"], "--epochs", "2", "--iterations", "2",
                      "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "memory_mode,variant,mAP,rank1,final_clusters"
+    assert lines[0] == "memory_mode,variant,mAP,rank1,final_clusters,skipped_iterations"
     variants = [(mode, name, weights) for mode in cli.MEMORY_MODES
                 for name, weights in cli.ABLATION_VARIANTS]
     assert len(lines) - 1 == len(runs) == len(variants) == 8
@@ -573,5 +574,34 @@ def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, c
         assert values["memory_mode"] == mode and weights.items() <= values.items()
         assert [r.skipped_iterations for r in reports] == [0, 0]
         ev = reports[-1].evaluation
-        assert line == f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{reports[-1].cluster_count}"
+        assert line == (f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},"
+                        f"{reports[-1].cluster_count},0")
         assert evaluate_encoder(pair, query, gallery) == ev
+
+
+def test_ablate_rows_show_every_iteration_skipped(train_files, tmp_path, capsys):
+    # the untrained encoder forms 3 clusters at the default k1, fewer than the
+    # 8 identities per batch, so every variant skips all 2 x 3 iterations
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
+                     "--gallery", train_files["gallery"], "--epochs", "2", "--iterations", "3",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8
+    assert {(row[-2], row[-1]) for row in rows} == {("3", "6")}
+    assert capsys.readouterr().out.count("clusters 3 skipped iterations 6\n") == 8
+
+
+def test_train_and_ablate_stop_at_the_trainer_pre_flight(train_files, tmp_path, monkeypatch,
+                                                         capsys):
+    def refuse(*args):
+        raise SelfReidError("refused by check_run")
+
+    monkeypatch.setattr(cli, "check_run", refuse)
+    monkeypatch.setattr(cli, "train", None)  # fails if training starts
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir) == 1
+    assert not out_dir.exists()
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
+                     "--gallery", train_files["gallery"]]) == 1
+    assert capsys.readouterr().err.count("error: refused by check_run\n") == 2

@@ -140,22 +140,45 @@ def other_width(split):
     return dataclasses.replace(split, features=split.features[:, :10])
 
 
-@pytest.mark.parametrize("query_fault, gallery_fault, message", [
-    (unknown_identities, None,
+@pytest.mark.parametrize("train_fault, query_fault, gallery_fault, message", [
+    (None, unknown_identities, None,
      "^query: 24 of 24 records have unknown identity \\?; evaluation needs known identities$"),
-    (other_width, None, "^the encoder takes 64-d inputs, but query has dim 10$"),
-    (None, other_width, "^the encoder takes 64-d inputs, but gallery has dim 10$"),
-    (only_camera_zero, only_camera_zero, "^no query in query has a record of its identity from "
-                                         "another camera in gallery; evaluation needs one$"),
-], ids=["unknown-query", "narrow-query", "narrow-gallery", "no-cross-camera-match"])
-def test_train_checks_query_and_gallery_before_the_first_epoch(query_fault, gallery_fault,
-                                                               message, monkeypatch):
-    train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=6))
-    query = query_fault(query) if query_fault else query
-    gallery = gallery_fault(gallery) if gallery_fault else gallery
+    (None, other_width, None,
+     "^the encoder trained on training data takes 64-d inputs, but query has dim 10$"),
+    (None, None, other_width,
+     "^the encoder trained on training data takes 64-d inputs, but gallery has dim 10$"),
+    (None, only_camera_zero, only_camera_zero,
+     "^no query in query has a record of its identity from another camera in gallery; "
+     "evaluation needs one$"),
+    (unknown_identities, None, None,
+     "^training data: 192 of 192 records have unknown identity \\?; labels_mode = oracle "
+     "trains on the identities as pseudo labels, so every one must be known$"),
+], ids=["unknown-query", "narrow-query", "narrow-gallery", "no-cross-camera-match",
+        "oracle-unknown-train"])
+def test_train_checks_query_and_gallery_before_the_first_epoch(train_fault, query_fault,
+                                                               gallery_fault, message,
+                                                               monkeypatch):
+    splits = generate_synthetic(SyntheticSpec(n_identities=6))
+    train_split, query, gallery = (fault(split) if fault else split for fault, split
+                                   in zip((train_fault, query_fault, gallery_fault), splits))
+    # oracle labels, so the training identities are checked too
+    config = TrainConfig(epochs=3, iterations=1, labels_mode="oracle")
     monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
     with pytest.raises(SelfReidError, match=message):
-        train(TrainConfig(epochs=3, iterations=1), train_split, query=query, gallery=gallery)
+        train(config, train_split, query=query, gallery=gallery)
+    # init_state starts a run of run_epoch calls too (test_train_is_run_epoch_in_a_loop)
+    with pytest.raises(SelfReidError, match=message):
+        init_state(config, train_split, query, gallery)
+
+
+def test_train_stops_at_check_run(small_train, monkeypatch):
+    def refuse(*args):
+        raise SelfReidError("refused by check_run")
+
+    monkeypatch.setattr(trainer, "check_run", refuse)
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    with pytest.raises(SelfReidError, match="^refused by check_run$"):
+        train(TrainConfig(epochs=1, iterations=1), small_train)
 
 
 def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
