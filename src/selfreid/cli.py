@@ -116,8 +116,7 @@ def cmd_train(args) -> int:
                               **{key: path for key, path in paths.items() if path}},
                              header="training run manifest")
 
-    _, reports = train(config, dataset, query=query, gallery=gallery,
-                       checkpoint_dir=out_dir if config.checkpoint_every else None)
+    _, reports = train(config, dataset, query, gallery, checkpoint_dir=out_dir)
     reporting.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), reports)
 
     final = reports[-1]

@@ -89,7 +89,15 @@ class EmbeddingDataset:
 
     def validate(self, where: str = "") -> None:
         """Check the records; `where` (say "path: ") prefixes each message."""
+        if self.features.ndim != 2:
+            raise SelfReidError(f"{where}features must be 2-D (records x dims), "
+                                f"got shape {self.features.shape}")
         n = len(self)
+        for name in ("sample_ids", "identities", "cameras"):
+            shape = getattr(self, name).shape
+            if shape != (n,):
+                raise SelfReidError(f"{where}{name} must be 1-D with one entry per feature "
+                                    f"row ({n}), got shape {shape}")
         if n == 0:
             raise SelfReidError(f"{where}dataset holds no records")
         if len(np.unique(self.sample_ids)) != n:

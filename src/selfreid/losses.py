@@ -34,8 +34,8 @@ class Temperatures:
     def validate(self) -> None:
         for name in ("agnostic", "cross", "hard", "soft"):
             value = getattr(self, name)
-            if not (value > 0):
-                raise SelfReidError(f"temperature tau_{name} must be > 0, got {value}")
+            if not (0 < value < np.inf):
+                raise SelfReidError(f"temperature tau_{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -48,8 +48,9 @@ class LossWeights:
     def validate(self) -> None:
         for name in ("hard", "soft"):
             value = getattr(self, name)
-            if not (value >= 0):
-                raise SelfReidError(f"loss weight lambda_{name} must be >= 0, got {value}")
+            if not (0 <= value < np.inf):
+                raise SelfReidError(f"loss weight lambda_{name} must be finite and >= 0, "
+                                    f"got {value}")
 
 
 @dataclass

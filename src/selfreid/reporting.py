@@ -117,17 +117,19 @@ def read_keyvalue(path) -> dict:
     return values
 
 
+def _retrieval_cells(ev) -> list[str]:
+    """The mAP, rank1, rank5 and rank10 cells of an evaluation."""
+    return [repr(float(v)) for v in (ev.mean_ap, ev.rank1, ev.rank5, ev.rank10)]
+
+
 def _metrics_row(report: EpochReport) -> str:
     cells = [str(report.epoch), str(report.cluster_count),
              str(report.outlier_count)]
     cells += [repr(float(v)) for v in (report.mean_agnostic, report.mean_cross,
                                        report.mean_hard, report.mean_soft,
                                        report.mean_total, report.mean_kl)]
-    if report.evaluation is not None:
-        ev = report.evaluation
-        cells += [repr(float(v)) for v in (ev.mean_ap, ev.rank1, ev.rank5, ev.rank10)]
-    else:
-        cells += ["", "", "", ""]
+    ev = report.evaluation
+    cells += _retrieval_cells(ev) if ev is not None else [""] * 4
     return ",".join(cells)
 
 
@@ -144,7 +146,5 @@ def append_eval_row(path, evaluation) -> None:
     with open(path, "a") as fh:
         if not exists:
             fh.write(",".join(METRICS_COLUMNS) + "\n")
-        cells = [""] * METRICS_COLUMNS.index("mAP")
-        cells += [repr(float(v)) for v in (evaluation.mean_ap, evaluation.rank1,
-                                           evaluation.rank5, evaluation.rank10)]
+        cells = [""] * METRICS_COLUMNS.index("mAP") + _retrieval_cells(evaluation)
         fh.write(",".join(cells) + "\n")

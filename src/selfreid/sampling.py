@@ -53,14 +53,14 @@ class PerturbationConfig:
         default=1.0, metadata={"help": "augmentation camera-restyle offset scale"})
 
     def validate(self) -> None:
-        if not (self.noise_sigma >= 0):
-            raise SelfReidError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (0 <= self.noise_sigma < np.inf):
+            raise SelfReidError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.dropout < 1.0):
             raise SelfReidError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (0.0 <= self.restyle_prob <= 1.0):
             raise SelfReidError(f"restyle_prob must be in [0, 1], got {self.restyle_prob}")
-        if not (self.restyle_scale >= 0):
-            raise SelfReidError(f"restyle_scale must be >= 0, got {self.restyle_scale}")
+        if not (0 <= self.restyle_scale < np.inf):
+            raise SelfReidError(f"restyle_scale must be finite and >= 0, got {self.restyle_scale}")
 
 
 def sample_pk_batch(assignment: ClusterAssignment, cameras: np.ndarray,

@@ -1,9 +1,10 @@
 """Training loop: per-epoch clustering, proxies, and batch updates.
 
-`train` runs `check_run`, the one home of a run's up-front rules, then
-`run_epoch` per epoch, which encodes the whole training set with the
-momentum encoder, re-clusters it into pseudo identities, rebuilds the proxy
-memory, then calls `train_iteration` per step. A step makes two encoder
+`train` is `init_state`, which runs `check_run` (the one home of a run's
+up-front rules), plus a loop of `run_epoch` on the one `TrainState` that holds
+the run's splits and epoch reports. Each epoch encodes the whole training set
+with the momentum encoder, re-clusters it into pseudo identities, rebuilds the
+proxy memory, then calls `train_iteration` per step. A step makes two encoder
 passes: the online encoder on perturbed features, and the momentum encoder
 once over the perturbed rows stacked on the clean ones (its output is split
 back into the two views). It combines the losses (`batch_loss`),
@@ -134,8 +135,10 @@ class TrainConfig:
                                 f"({self.hidden_dim}, {self.out_dim})")
         if not 0.0 <= self.alpha <= 1.0:
             raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
-        for name in ("base_lr", "weight_decay", "warmup_epochs", "checkpoint_every", "eval_every",
-                     "seed"):
+        for name in ("base_lr", "weight_decay"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise SelfReidError(f"need {name} >= 0 and finite, got {getattr(self, name)}")
+        for name in ("warmup_epochs", "checkpoint_every", "eval_every", "seed"):
             if not (getattr(self, name) >= 0):
                 raise SelfReidError(f"need {name} >= 0, got {getattr(self, name)}")
         if self.labels_mode not in ("pseudo", "oracle"):
@@ -160,15 +163,16 @@ class EpochReport:
 
 @dataclass
 class TrainState:
-    """Mutable run state; single writer for parameters and optimizer."""
+    """One run: the inputs check_run passed, and what carries across epochs."""
 
     config: TrainConfig
     dataset: EmbeddingDataset
+    query: EmbeddingDataset | None  # evaluation splits, both given or both None
+    gallery: EmbeddingDataset | None
+    camera_offsets: np.ndarray  # per-camera style offsets of the training features
     pair: EncoderPair
     opt: OptimizerState
-    camera_offsets: np.ndarray  # per-camera style offsets of the training features
-    memory: ProxyMemory | None = None
-    epoch: int = 0  # index of the epoch being run
+    reports: list[EpochReport] = field(default_factory=list)  # one per epoch run so far
 
 
 def require_paired_splits(query, gallery, query_name="query", gallery_name="gallery") -> None:
@@ -209,12 +213,13 @@ def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, galler
 
 def init_state(config: TrainConfig, dataset: EmbeddingDataset, query=None,
                gallery=None) -> TrainState:
-    """The state before the first epoch (untrained encoders), after check_run."""
+    """The run before its first epoch (untrained encoders, no reports), after check_run."""
     check_run(config, dataset, query, gallery)
     rng = np.random.default_rng([config.seed, _SEED_INIT])
     pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng)
-    return TrainState(config=config, dataset=dataset, pair=pair, opt=init_optimizer(pair.online),
-                      camera_offsets=estimate_camera_offsets(dataset.features, dataset.cameras))
+    return TrainState(config=config, dataset=dataset, query=query, gallery=gallery,
+                      camera_offsets=estimate_camera_offsets(dataset.features, dataset.cameras),
+                      pair=pair, opt=init_optimizer(pair.online))
 
 
 def extract_bank(pair: EncoderPair, features: np.ndarray) -> np.ndarray:
@@ -238,21 +243,22 @@ def batch_loss(cfg: TrainConfig, memory: ProxyMemory, batch: IdentityBatch, feat
     return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
 
 
-def train_iteration(state: TrainState, batch: IdentityBatch, iteration: int) -> LossBreakdown:
-    """Step `iteration` of the current epoch; returns its LossBreakdown."""
-    cfg = state.config
+def train_iteration(state: TrainState, memory: ProxyMemory, batch: IdentityBatch,
+                    iteration: int) -> LossBreakdown:
+    """Step `iteration` of epoch len(state.reports), against that epoch's proxy memory."""
+    cfg, epoch = state.config, len(state.reports)
     raw = state.dataset.features[batch.indices]
-    perturbed = perturb(raw, cfg.perturbation, [cfg.seed, state.epoch, iteration, _SEED_PERTURB],
+    perturbed = perturb(raw, cfg.perturbation, [cfg.seed, epoch, iteration, _SEED_PERTURB],
                         cameras=batch.cameras, camera_offsets=state.camera_offsets)
 
     online = forward(state.pair.online, perturbed)
     momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
-    breakdown = batch_loss(cfg, state.memory, batch, online.out,
+    breakdown = batch_loss(cfg, memory, batch, online.out,
                            momentum[:len(raw)], momentum[len(raw):])
 
     grads = backward(state.pair.online, online, breakdown.grads)
     optimizer_step(state.opt, state.pair.online, grads,
-                   effective_lr(cfg.base_lr, cfg.warmup_epochs, state.epoch), cfg.weight_decay)
+                   effective_lr(cfg.base_lr, cfg.warmup_epochs, epoch), cfg.weight_decay)
     ema_update(state.pair, cfg.alpha)
     return breakdown
 
@@ -273,15 +279,13 @@ def _mean(steps: list[LossBreakdown], term: str) -> float:
     return total / len(steps) if steps else 0.0
 
 
-def run_epoch(state: TrainState, earlier_reports: list[EpochReport],
-              query: EmbeddingDataset | None = None,
-              gallery: EmbeddingDataset | None = None) -> EpochReport:
-    """Run and report epoch `len(earlier_reports)`. Raises when it ends a run of
-    more than MAX_FAILED_EPOCHS epochs without clusters. Evaluation runs when
-    query/gallery are given, every `eval_every` epochs and on the last epoch."""
+def run_epoch(state: TrainState) -> EpochReport:
+    """Run epoch `len(state.reports)`, append its report and return it. Raises when
+    it ends a run of more than MAX_FAILED_EPOCHS epochs without clusters. Evaluates
+    on the state's query and gallery, if any, every `eval_every` epochs and the last."""
     start = time.perf_counter()
-    cfg, dataset = state.config, state.dataset
-    state.epoch = epoch = len(earlier_reports)
+    cfg, dataset, reports = state.config, state.dataset, state.reports
+    epoch = len(reports)
     bank = extract_bank(state.pair, dataset.features)
     if cfg.labels_mode == "oracle":  # ground-truth identities, all known (check_run)
         _, labels = np.unique(dataset.identities, return_inverse=True)
@@ -291,8 +295,7 @@ def run_epoch(state: TrainState, earlier_reports: list[EpochReport],
 
     steps = []
     if assignment.cluster_count == 0:
-        failed = 1 + next((i for i, r in enumerate(reversed(earlier_reports))
-                           if r.cluster_count), len(earlier_reports))
+        failed = 1 + next((i for i, r in enumerate(reversed(reports)) if r.cluster_count), epoch)
         log.warning("epoch %d: clustering found no inliers (%d consecutive)", epoch, failed)
         if failed > MAX_FAILED_EPOCHS:
             raise SelfReidError(f"no clusters for {failed} consecutive epochs; "
@@ -301,11 +304,11 @@ def run_epoch(state: TrainState, earlier_reports: list[EpochReport],
         log.warning("epoch %d: %d clusters < %d identities per batch; skipping iterations",
                     epoch, assignment.cluster_count, cfg.batch.n_identities)
     else:
-        state.memory = build_proxies(bank, assignment, dataset.cameras)
+        memory = build_proxies(bank, assignment, dataset.cameras)
         for iteration in range(cfg.iterations):
             batch = sample_pk_batch(assignment, dataset.cameras, cfg.batch,
                                     [cfg.seed, epoch, iteration, _SEED_BATCH])
-            steps.append(train_iteration(state, batch, iteration))
+            steps.append(train_iteration(state, memory, batch, iteration))
 
     soft = _mean(steps, "soft")
     report = EpochReport(
@@ -317,8 +320,9 @@ def run_epoch(state: TrainState, earlier_reports: list[EpochReport],
         mean_total=_mean(steps, "total"), wall_time=time.perf_counter() - start,
         skipped_iterations=cfg.iterations - len(steps))
     due = cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0
-    if query is not None and gallery is not None and (due or epoch == cfg.epochs - 1):
-        report.evaluation = evaluate_encoder(state.pair, query, gallery)
+    if state.query is not None and (due or epoch == cfg.epochs - 1):
+        report.evaluation = evaluate_encoder(state.pair, state.query, state.gallery)
+    reports.append(report)
     return report
 
 
@@ -331,11 +335,10 @@ def train(config: TrainConfig, dataset: EmbeddingDataset,
     check_run (through init_state) checks every input before the first epoch.
     """
     state = init_state(config, dataset, query, gallery)
-    reports: list[EpochReport] = []
     for epoch in range(config.epochs):
-        reports.append(run_epoch(state, reports, query, gallery))
+        run_epoch(state)
         if checkpoint_dir is not None and config.checkpoint_every > 0 and (
                 (epoch + 1) % config.checkpoint_every == 0 or epoch == config.epochs - 1):
             save_checkpoint(f"{checkpoint_dir}/checkpoint_epoch{epoch:03d}.npz",
                             state.pair, state.opt)
-    return state.pair, reports
+    return state.pair, state.reports

@@ -204,6 +204,7 @@ def test_train_from_manifest_is_byte_identical(train_files, tmp_path):
                      "--out-dir", str(second)]) == 0
     for name in ("metrics.csv", "manifest.txt"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert not list(first.glob("*.npz"))  # checkpoint_every = 0: no checkpoints
     final_row = (first / "metrics.csv").read_text().splitlines()[-1].split(",")
     assert final_row[METRICS_COLUMNS.index("mAP")]
 
@@ -316,6 +317,13 @@ def test_train_rejects_query_or_gallery_alone_before_writing(train_files, tmp_pa
     missing = "gallery" if given == "query" else "query"
     assert (f"error: a {given} split ({train_files[given]}) is given without a {missing} "
             f"split; evaluation needs both") in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_train_rejects_non_finite_config_float_before_writing(train_files, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, *TINY_RUN, "--base-lr", "inf") == 1
+    assert "error: need base_lr >= 0 and finite, got inf" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

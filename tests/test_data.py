@@ -269,6 +269,27 @@ def test_save_rejects_non_finite_feature_before_opening_the_file(tmp_path, value
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("features", np.zeros(4), "features must be 2-D (records x dims), got shape (4,)"),
+    ("features", np.zeros((4, 2, 1)),
+     "features must be 2-D (records x dims), got shape (4, 2, 1)"),
+    ("sample_ids", np.arange(3), "sample_ids must be 1-D with one entry per feature row (4), "
+                                 "got shape (3,)"),
+    ("identities", np.zeros(3, dtype=np.int64),
+     "identities must be 1-D with one entry per feature row (4), got shape (3,)"),
+    ("cameras", np.zeros(5, dtype=np.int64),
+     "cameras must be 1-D with one entry per feature row (4), got shape (5,)"),
+    ("cameras", np.zeros((4, 1), dtype=np.int64),
+     "cameras must be 1-D with one entry per feature row (4), got shape (4, 1)"),
+])
+def test_validate_rejects_record_arrays_that_do_not_line_up(name, value, message):
+    arrays = {"sample_ids": np.arange(4), "identities": np.array([0, 0, 1, 1]),
+              "cameras": np.array([0, 1, 0, 1]), "features": np.ones((4, 2))}
+    EmbeddingDataset(**arrays).validate()
+    with pytest.raises(SelfReidError, match=re.escape(f"path: {message}")):
+        EmbeddingDataset(**{**arrays, name: value}).validate("path: ")
+
+
 @pytest.mark.parametrize("name", ["dispersion", "sigma_identity", "sigma_camera",
                                   "eval_noise_factor"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])

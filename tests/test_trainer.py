@@ -93,10 +93,9 @@ def test_train_is_run_epoch_in_a_loop():
     train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=10))
     config = TrainConfig(epochs=3, iterations=4, eval_every=2)
     pair, reports = train(config, train_split, query=query, gallery=gallery)
-    state = init_state(config, train_split)
-    looped = []
-    for _ in range(config.epochs):
-        looped.append(run_epoch(state, looped, query, gallery))
+    state = init_state(config, train_split, query, gallery)
+    looped = [run_epoch(state) for _ in range(config.epochs)]
+    assert looped == state.reports
     assert [r.evaluation is not None for r in looped] == [False, True, True]
     assert without_wall_time(looped) == without_wall_time(reports)
     np.testing.assert_array_equal(state.pair.momentum.w1, pair.momentum.w1)
@@ -121,9 +120,11 @@ def test_train_rejects_query_or_gallery_alone_before_the_first_epoch(given, miss
     splits = dict(zip(("train", "query", "gallery"),
                       generate_synthetic(SyntheticSpec(n_identities=6))))
     monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
-    with pytest.raises(SelfReidError, match=f"^a {given} split is given without a {missing} "
-                                            "split; evaluation needs both$"):
+    message = f"^a {given} split is given without a {missing} split; evaluation needs both$"
+    with pytest.raises(SelfReidError, match=message):
         train(TrainConfig(epochs=1, iterations=1), splits["train"], **{given: splits[given]})
+    with pytest.raises(SelfReidError, match=message):
+        init_state(TrainConfig(epochs=1, iterations=1), splits["train"], **{given: splits[given]})
 
 
 def only_camera_zero(split):
@@ -214,6 +215,9 @@ def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
     ("restyle_scale", float("nan")),
     ("restyle_scale", -1.0),
     ("noise_sigma", float("nan")),
+    *((key, float("inf")) for key in ("base_lr", "weight_decay", "lambda_hard", "lambda_soft",
+                                      "tau_agnostic", "tau_cross", "tau_hard", "tau_soft",
+                                      "noise_sigma", "restyle_scale")),
     ("warmup_epochs", -1),
     ("checkpoint_every", -1),
     ("eval_every", -5),
