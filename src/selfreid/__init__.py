@@ -40,6 +40,7 @@ from .rerank import (
     OUTLIER,
     ClusterAssignment,
     ClusterConfig,
+    JaccardPairs,
     dbscan,
     generate_pseudo_labels,
     jaccard_distance_matrix,

@@ -7,11 +7,21 @@ counts across DBSCAN thresholds on a fixed bank).
 
 generate takes one flag per GENERATE_FLAGS entry, which names the
 SyntheticSpec field it sets; the field's default gives the flag's type
-and default. train takes one --<key> flag per config key
-(reporting.config_fields, with '_' written '-'). A run's config is the
-TrainConfig defaults, overridden in turn by --from-manifest, --config
-and the flags. train and ablate check their inputs with trainer.check_run,
-the one home of a run's up-front rules, before they write or train.
+and default. train and ablate take one --<key> flag per config key
+(reporting.config_fields, with '_' written '-'), except that ablate's
+grid sets memory_mode, lambda_hard and lambda_soft itself. A run's
+config is the TrainConfig defaults, overridden in turn by
+--from-manifest, --config and the flags. train and ablate check their
+inputs with trainer.check_run, the one home of a run's up-front rules,
+before they write or train.
+
+sweep-eps re-ranks once, keeping the pairs within the grid's largest
+eps. Its --dump file is text: a header line
+`# jaccard pairs NxN max_distance=M: row column distance`, one line
+`row column distance` per stored pair (by row, then column, both
+triangles and the zero diagonal, distances as Python float reprs),
+then for each eps a line `# assignment eps=E` and a line of the N
+labels.
 """
 
 import argparse
@@ -149,14 +159,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    given = _given_flags(args)
+    grid_keys = {"memory_mode"}.union(*(weights for _, weights in ABLATION_VARIANTS))
+    if clash := sorted(grid_keys & given.keys()):
+        raise SelfReidError(f"ablate's grid sets {', '.join(clash)} itself; "
+                            f"drop {', '.join('--' + key.replace('_', '-') for key in clash)}")
     names = (args.data, args.query, args.gallery)
     dataset, query, gallery = (load_dataset(path) for path in names)
-    check_run(reporting.config_from_dict(_given_flags(args)), dataset, query, gallery, *names)
+    check_run(reporting.config_from_dict(given), dataset, query, gallery, *names)
     rows = ["memory_mode,variant,mAP,rank1,final_clusters,skipped_iterations"]
     for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:
-            config = reporting.config_from_dict(
-                {**_given_flags(args), "memory_mode": mode, **weights})
+            config = reporting.config_from_dict({**given, "memory_mode": mode, **weights})
             _, reports = train(config, dataset, query, gallery)
             final, ev = reports[-1], reports[-1].evaluation
             skipped = sum(r.skipped_iterations for r in reports)
@@ -179,7 +193,7 @@ def cmd_sweep_eps(args) -> int:
     dataset = load_dataset(args.data)
     configs = [ClusterConfig(k1=args.k1, k2=args.k2, eps=eps, min_samples=args.min_samples)
                for eps in eps_grid]
-    for config in configs:  # fail before building the n x n distance matrix
+    for config in configs:  # fail before re-ranking
         config.validate()
     if args.checkpoint:
         pair, _ = load_checkpoint(args.checkpoint)
@@ -188,17 +202,20 @@ def cmd_sweep_eps(args) -> int:
     else:
         pair = init_state(TrainConfig(seed=args.seed), dataset).pair
     bank = extract_bank(pair, dataset.features)
-    dist = jaccard_distance_matrix(bank, *configs[0].neighborhoods(len(dataset)))
+    pairs = jaccard_distance_matrix(bank, *configs[0].neighborhoods(len(dataset)), max(eps_grid))
 
     print("eps,n_clusters,n_outliers")
-    assignments = [dbscan(dist, config) for config in configs]
+    assignments = [dbscan(pairs, config) for config in configs]
     for eps, assignment in zip(eps_grid, assignments):
         print(f"{eps},{assignment.cluster_count},{assignment.outlier_count}")
     if args.dump:
+        indptr, cols, values = (a.tolist() for a in pairs[:3])
         with open(args.dump, "w") as fh:
-            fh.write(f"# jaccard distance matrix {dist.shape[0]}x{dist.shape[1]}\n")
-            for row in dist:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(f"# jaccard pairs {len(bank)}x{len(bank)} max_distance={pairs.max_distance}: "
+                     f"row column distance\n")
+            for row, (a, b) in enumerate(zip(indptr, indptr[1:])):
+                fh.writelines(f"{row} {col} {value!r}\n"
+                              for col, value in zip(cols[a:b], values[a:b]))
             for eps, assignment in zip(eps_grid, assignments):
                 fh.write(f"# assignment eps={eps}\n")
                 fh.write(" ".join(str(int(l)) for l in assignment.labels) + "\n")
@@ -241,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--data", required=True)
     ab.add_argument("--query", required=True)
     ab.add_argument("--gallery", required=True)
-    ab.add_argument("--epochs", type=int, default=None)
-    ab.add_argument("--iterations", type=int, default=None)
-    ab.add_argument("--seed", type=int, default=None)
     ab.add_argument("--out", help="write the comparison table as CSV")
+    _add_config_flags(ab)
     ab.set_defaults(func=cmd_ablate)
 
     sw = sub.add_parser("sweep-eps", help="cluster counts across DBSCAN thresholds")
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--k2", type=int, default=cluster.k2)
     sw.add_argument("--min-samples", type=int, default=cluster.min_samples)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--dump", help="debug dump of the distance matrix and labels")
+    sw.add_argument("--dump", help="debug dump of the distance pairs and labels")
     sw.set_defaults(func=cmd_sweep_eps)
     return parser
 

@@ -2,23 +2,22 @@
 
 The distance between two samples is the Jaccard distance of their
 expanded reciprocal-neighbor weight vectors, computed on the momentum
-representations. DBSCAN then runs directly on that precomputed matrix;
-samples that no cluster reaches are marked as outliers and excluded
-from training for the epoch.
+representations. Re-ranking returns only the pairs within a threshold,
+as a symmetric sparse matrix (`JaccardPairs`), and DBSCAN runs on those
+pairs; samples that no cluster reaches are marked as outliers and
+excluded from training for the epoch.
 
-Everything here runs on numpy alone, in O(n^2) time. The dense n x n
-Jaccard matrix, which `dbscan`, `selfreid sweep-eps --dump` and the
-tests read, is the only n x n array. Neighbor lists, reciprocal and
-expanded sets and weight vectors are flat arrays with O(n) entries for
-fixed k1 and k2: int32 indices, with per-row counts in place of row
-indices. Each stage of the weight pass frees its arrays before the next
-one allocates; its traced peak is 30-60 bytes per weight entry at
-n = 640 to 5,120, against the entry's own 12. Everything else runs on
-blocks of rows, each O(n) in size: the cosine distances, computed
-twice, the bool marks of each row's sets, the Jaccard distances of the
-upper triangle, and DBSCAN's scan for the entries within eps, which it
-keeps as int32 rows and columns. Square tiles mirror the matrix's upper
-triangle and check its symmetry.
+Everything here runs on numpy alone, in O(n^2) time, and no n x n array
+is ever allocated. Neighbor lists, reciprocal and expanded sets and
+weight vectors are flat arrays with O(n) entries for fixed k1 and k2:
+int32 indices, with per-row counts in place of row indices. Each stage
+of the weight pass frees its arrays before the next one allocates; its
+traced peak is 30-60 bytes per weight entry at n = 640 to 5,120, against
+the entry's own 12. Everything else runs on blocks of rows, each O(n) in
+size: the cosine distances, computed twice, the bool marks of each row's
+sets and the Jaccard distances of the upper triangle, of which a block
+keeps those within the threshold. The pairs take 12 bytes each, and
+DBSCAN's own arrays are O(1) per pair.
 """
 
 from dataclasses import dataclass, field
@@ -88,6 +87,30 @@ class ClusterAssignment:
         return order[starts[cluster_id]:starts[cluster_id + 1]]
 
 
+class JaccardPairs(NamedTuple):
+    """The distances at or below max_distance of a symmetric n x n matrix,
+    in CSR form: row r holds the columns indices[indptr[r]:indptr[r + 1]],
+    ascending, with distances data[...]. The zero diagonal is stored.
+
+    indptr holds n + 1 int64 offsets, indices int32 columns and data
+    float64 distances, so a pair takes 12 bytes.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    max_distance: float
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense view: the n x n matrix with every entry above
+        max_distance read as 1.0. It costs O(n^2); tests and benchmark
+        counters read it, and no package code does."""
+        n = len(self.indptr) - 1
+        dense = np.ones((n, n), dtype=dtype)
+        dense[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.data
+        return dense
+
+
 # Rows of one distance block, and the most rows of one min-sum block. A
 # distance block holds _BLOCK_ROWS x n floats.
 _BLOCK_ROWS = 64
@@ -97,8 +120,6 @@ _BLOCK_ROWS = 64
 # scratch (1.7 MiB) down to that of _pair_blocks, which no block size
 # lowers, and near the weight pass's (1.55 MiB).
 _BLOCK_PAIRS = 24
-# Side of the square tiles that the Jaccard mirror and dbscan's check use.
-_SYMMETRY_TILE = 256
 
 
 def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
@@ -106,21 +127,24 @@ def _nearest_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
 
     Equal to `np.argsort(dist, axis=1, kind="stable")[:, :k]` without the
     full sort: every entry at or below the row's k-th smallest value is a
-    candidate (so ties at the boundary are all kept), and the candidates
-    are sorted by (row, distance, column).
+    candidate (so ties at the boundary are all kept), and one stable sort
+    orders each row's candidates in a table padded with +inf.
     """
-    m, n = dist.shape
+    m = len(dist)
     kth = np.empty(m)  # partition copies its input, so it takes eight rows at a time
     for a in range(0, m, 8):
         kth[a:a + 8] = np.partition(dist[a:a + 8], k - 1, axis=1)[:, k - 1]
-    cells = np.flatnonzero(dist <= kth[:, None])
-    rows = cells // n
-    # The cells run by row, then column, and the sort is stable, so it
-    # keeps the column order among equal distances.
-    cells = cells[np.lexsort((dist.ravel()[cells], rows))]
-    starts = np.searchsorted(rows, np.arange(m))
-    rank = np.arange(len(rows)) - starts[rows]
-    return (cells[rank < k] % n).reshape(m, k)
+    cells, counts, cols = _row_cells(dist <= kth[:, None])
+    rows = np.repeat(np.arange(m), counts)
+    slots = np.arange(len(cells)) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.full((m, counts.max()), np.inf)
+    table[rows, slots] = dist.ravel()[cells]
+    # A row's candidates fill its slots in column order, and the sort is
+    # stable, so it keeps that order among equal distances.
+    first = np.argsort(table, axis=1, kind="stable")[:, :k]
+    columns = np.zeros(table.shape, dtype=np.int32)
+    columns[rows, slots] = cols
+    return np.take_along_axis(columns, first, axis=1)
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -316,8 +340,48 @@ def _block_min_sum(weights: _Weights, suffix: np.ndarray, entries: np.ndarray,
     return np.bincount(cells, minima, minlength=(stop - start) * width).reshape(-1, width)
 
 
-def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarray:
-    """k-reciprocal Jaccard distance matrix over unit-norm feature rows.
+def _block_pairs(weights: _Weights, row_sums: np.ndarray, suffix: np.ndarray,
+                 entries: np.ndarray, start: int, stop: int,
+                 max_distance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Jaccard distances of rows p in start:stop to the columns q > p,
+    those at or below max_distance: each row's count, their int32
+    columns, ascending within a row, and their values."""
+    min_sum = _block_min_sum(weights, suffix, entries, start, stop)
+    dist = np.add(row_sums[start:stop, None], row_sums[None, start:])  # max_sum, then the distance
+    dist -= min_sum
+    np.divide(min_sum, dist, out=dist)
+    del min_sum
+    np.subtract(1.0, dist, out=dist)
+    np.maximum(dist, 0.0, out=dist)  # <= 1 already, as min_sum >= 0
+    # Cells with q < p share no support and read 1.0, above max_distance
+    # (< 1). So does the diagonal, which the caller stores.
+    np.fill_diagonal(dist, 1.0)
+    cells, counts, cols = _row_cells(dist <= max_distance)
+    cols += start
+    return counts, cols, dist.ravel()[cells]
+
+
+def _symmetric_pairs(above: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                     max_distance: float) -> JaccardPairs:
+    """The JaccardPairs of the upper-triangle pairs (p, cols[e], values[e])
+    that run by row p, `above[p]` of them per row, ascending in column."""
+    n = len(above)
+    rows = np.repeat(np.arange(n, dtype=np.int32), above)
+    diagonal = np.arange(n, dtype=np.int32)
+    # The mirrored pairs (q, p), by p, then the diagonal, then the pairs
+    # (p, q): a stable sort by row leaves each row's columns ascending.
+    by_row = np.concatenate((cols, diagonal, rows))
+    order = np.argsort(by_row.astype(np.min_scalar_type(n)), kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(by_row, minlength=n))))
+    indices = np.concatenate((rows, diagonal, cols))[order]
+    return JaccardPairs(indptr, indices, np.concatenate((values, np.zeros(n), values))[order],
+                        max_distance)
+
+
+def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
+                            max_distance: float) -> JaccardPairs:
+    """k-reciprocal Jaccard distances over unit-norm feature rows, as the
+    symmetric JaccardPairs of every distance at or below max_distance.
 
     Steps: (1) original distance = 1 - cosine; (2) reciprocal sets at k1,
     R = N * N^T for the k1-nearest-neighbor indicator N; (3) expansion by
@@ -327,15 +391,15 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
     vectors of each sample's k2 nearest neighbors; (6) pairwise Jaccard
     distance 1 - sum(min) / sum(max) of the weight vectors.
 
-    The returned matrix is the only n x n array. Step 1 runs on blocks of
-    rows, twice: once for the neighbor lists, once to read the distances
-    on the expanded sets. Steps 2-5 keep index arrays with O(n * k1)
-    entries and mark each block's sets in one bool row per sample. Step
-    6 fills the upper triangle one block of rows at a time, adding
-    min(v_p, v_q) for each column that rows p <= q share, in ascending
-    column order; pairs with no common support stay at distance 1. Then
-    square tiles copy the upper triangle into the lower one, so the
-    result is exactly symmetric.
+    Step 1 runs on blocks of rows, twice: once for the neighbor lists,
+    once to read the distances on the expanded sets. Steps 2-5 keep index
+    arrays with O(n * k1) entries and mark each block's sets in one bool
+    row per sample. Step 6 finishes the upper triangle one block of rows
+    at a time, adding min(v_p, v_q) for each column that rows p <= q
+    share, in ascending column order; pairs with no common support are
+    at distance 1. Each block keeps only its distances at or below
+    max_distance, and the mirror of those fills the lower triangle, so
+    the pairs are exactly symmetric. The diagonal is stored as zero.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or (n := len(features)) < 2:
@@ -343,49 +407,16 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int) -> np.ndarra
     require_finite(features, "re-ranking features: row ")
     if not 1 <= k2 <= k1 < n:
         raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n} with 1 <= k2 <= k1")
+    if not 0.0 <= max_distance < 1.0:
+        raise SelfReidError(f"need 0 <= max_distance < 1, got {max_distance}")
 
     weights = _weight_vectors(features, k1, k2)
     row_sums = np.bincount(weights.indices, weights.data, minlength=n)
     suffix, blocks = _pair_blocks(weights)
-
-    jaccard = np.empty((n, n))
-    for start, stop, entries in blocks:
-        min_sum = _block_min_sum(weights, suffix, entries, start, stop)
-        upper = jaccard[start:stop, start:]  # max_sum, then the distance
-        np.add(row_sums[start:stop, None], row_sums[None, start:], out=upper)
-        upper -= min_sum
-        np.divide(min_sum, upper, out=upper)
-        np.subtract(1.0, upper, out=upper)
-        np.maximum(upper, 0.0, out=upper)  # <= 1 already, as min_sum >= 0
-    for rows, cols in _tiles(n):
-        if rows.start < cols.start:
-            jaccard[cols, rows] = jaccard[rows, cols].T
-        elif rows == cols:
-            square = jaccard[rows, cols]
-            np.copyto(square, square.T, where=np.tri(len(square), k=-1, dtype=bool))
-    np.fill_diagonal(jaccard, 0.0)
-    return jaccard
-
-
-def _tiles(n: int) -> list[tuple[slice, slice]]:
-    """(rows, cols) slices of an n x n matrix's square tiles, row by row."""
-    sides = [slice(a, a + _SYMMETRY_TILE) for a in range(0, n, _SYMMETRY_TILE)]
-    return [(rows, cols) for rows in sides for cols in sides]
-
-
-def _symmetric(dist: np.ndarray) -> bool:
-    """Whether dist equals its transpose, exactly or to allclose(atol=1e-12).
-
-    Compares square tiles with their mirror tiles, so no transposed copy
-    of the whole matrix is read. An exactly symmetric matrix, such as
-    jaccard_distance_matrix returns, skips the slower tolerance check.
-    """
-    tiles = _tiles(dist.shape[0])
-    if all(np.array_equal(dist[rows, cols], dist[cols, rows].T)
-           for rows, cols in tiles if rows.start <= cols.start):
-        return True
-    return all(np.allclose(dist[rows, cols], dist[cols, rows].T, atol=1e-12)
-               for rows, cols in tiles)
+    above, cols, values = map(np.concatenate, zip(*[
+        _block_pairs(weights, row_sums, suffix, entries, start, stop, max_distance)
+        for start, stop, entries in blocks]))
+    return _symmetric_pairs(above, cols, values, max_distance)
 
 
 def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -410,35 +441,61 @@ def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         root = hooked
 
 
-def dbscan(dist: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
-    """DBSCAN over a precomputed distance matrix.
+def _checked_rows(pairs: JaccardPairs, eps: float) -> np.ndarray:
+    """The row of each pair, once `pairs` is shown to be the symmetric
+    JaccardPairs of distances in [0, max_distance] with a zero diagonal,
+    sorted by row and then column, and eps is within its max_distance."""
+    if not isinstance(pairs, JaccardPairs):
+        raise SelfReidError(f"dbscan reads JaccardPairs, got {type(pairs).__name__}")
+    if not eps <= pairs.max_distance:
+        raise SelfReidError(f"eps={eps} is above the pairs' max_distance={pairs.max_distance}")
+    indptr, indices, data = pairs[:3]
+    if not (all(isinstance(a, np.ndarray) for a in pairs[:3])
+            and indptr.ndim == indices.ndim == 1 and len(indptr) and indptr.dtype.kind in "iu"
+            and indices.dtype.kind in "iu" and indices.shape == data.shape
+            and indptr[0] == 0 and indptr[-1] == len(indices) and np.all(np.diff(indptr) >= 0)):
+        raise SelfReidError("malformed pairs: indptr must rise from 0 to the number of "
+                            "pairs, and indices and data hold one value per pair")
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    if not (np.all((indices >= 0) & (indices < n))
+            and np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))):
+        raise SelfReidError(f"pair indices must lie in 0..{n - 1} and ascend within each row")
+    bad = np.flatnonzero(~((data >= 0.0) & (data <= pairs.max_distance)))
+    if len(bad):
+        raise SelfReidError(f"pair ({rows[bad[0]]}, {indices[bad[0]]}) is {data[bad[0]]}, "
+                            f"not a distance in [0, {pairs.max_distance}]")
+    # The pairs by column, then row: the transpose's order, which must
+    # give back the same rows, columns and values.
+    by_column = np.argsort(indices.astype(np.min_scalar_type(n)), kind="stable")
+    diagonal = rows == indices
+    if not (np.array_equal(indices[by_column], rows) and np.array_equal(rows[by_column], indices)
+            and np.array_equal(data[by_column], data)
+            and np.count_nonzero(diagonal) == n and not np.any(data[diagonal])):
+        raise SelfReidError("pairs must be symmetric, with a zero diagonal")
+    return rows
 
-    Core points have at least min_samples points (themselves included)
-    within eps. Clusters are the connected components of the core points
-    joined by within-eps links, numbered by their lowest core index. Each
-    border point takes the lowest cluster id among the core points within
-    eps of it, so the output does not depend on a visiting order.
+
+def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
+    """DBSCAN over the pairs of a precomputed distance matrix.
+
+    Reads only the pairs within config.eps, which must not exceed
+    pairs.max_distance. Core points have at least min_samples points
+    (themselves included) within eps. Clusters are the connected
+    components of the core points joined by within-eps links, numbered by
+    their lowest core index. Each border point takes the lowest cluster
+    id among the core points within eps of it, so the output does not
+    depend on a visiting order.
     """
     config.validate()
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[1] != (n := len(dist)):
-        raise SelfReidError(f"expected square matrix, got {dist.shape}")
-    if not _symmetric(dist) or np.any(np.abs(np.diag(dist)) > 1e-12):
-        # NaN never equals itself, so it fails the symmetry check; only a
-        # rejected matrix pays for this scan.
-        bad = np.argwhere(~np.isfinite(dist))
-        if bad.size:
-            row, col = bad[0]
-            raise SelfReidError(f"matrix entry ({row}, {col}) is {dist[row, col]}, "
-                                f"not a finite number")
-        raise SelfReidError("matrix must be symmetric with zero diagonal")
-
-    # The entries within eps by row, then column, one block of rows at a time.
-    counts, cols = map(np.concatenate, zip(*[_row_cells(dist[a:b] <= config.eps)[1:]
-                                             for a, b in _row_blocks(n)]))
-    rows = np.repeat(np.arange(n, dtype=np.int32), counts)
+    rows, cols = _checked_rows(pairs, config.eps), pairs.indices
+    if config.eps < pairs.max_distance:  # sweep-eps reads pairs built at its largest eps
+        within = pairs.data <= config.eps
+        rows, cols = rows[within], cols[within]
+    n = len(pairs.indptr) - 1
+    counts = np.bincount(rows, minlength=n)
     core = counts >= config.min_samples
-    links = core[rows] & core[cols]
+    links = (rows < cols) & core[rows] & core[cols]  # each link once
     root = _lowest_linked(n, rows[links], cols[links])
     # Clusters are numbered by their lowest core index, their root.
     roots = np.flatnonzero(core & (root == np.arange(n)))
@@ -468,5 +525,5 @@ def generate_pseudo_labels(momentum_bank: np.ndarray,
     if n < 2 or n < config.min_samples:
         return ClusterAssignment(labels=np.full(n, OUTLIER, dtype=np.int64),
                                  cluster_count=0)
-    dist = jaccard_distance_matrix(bank, *config.neighborhoods(n))
-    return dbscan(dist, config)
+    pairs = jaccard_distance_matrix(bank, *config.neighborhoods(n), config.eps)
+    return dbscan(pairs, config)

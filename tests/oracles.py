@@ -8,7 +8,8 @@ vectors built with scipy.sparse products, which the package's numpy-only
 ones must match bit for bit; and `adam_oracle` and `ema_oracle`, the
 updates applied one weight array at a time, which the flat-buffer
 updates must match bit for bit. `traced_peak` is no oracle: it measures
-every memory bound in the tests the same way.
+every memory bound in the tests the same way. Nor is `pairs_from_dense`:
+it hands the dense distance fixtures to `dbscan` as pairs.
 """
 
 import math
@@ -339,6 +340,16 @@ def scipy_weight_vectors(features: np.ndarray, k1: int, k2: int) -> csc_array:
     weights.sort_indices()
     weights.data /= k2
     return weights
+
+
+def pairs_from_dense(dist: np.ndarray, max_distance: float) -> rerank.JaccardPairs:
+    """The JaccardPairs of a dense distance matrix: its entries at or below
+    max_distance, by row and then column."""
+    dist = np.asarray(dist, dtype=np.float64)
+    within = dist <= max_distance
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(within, axis=1))))
+    return rerank.JaccardPairs(indptr, np.nonzero(within)[1].astype(np.int32), dist[within],
+                               max_distance)
 
 
 def dbscan_oracle(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:

@@ -507,15 +507,18 @@ def save_rows(split, rows, path):
     return part
 
 
-def parse_dump(path):
-    """The distance matrix and the labels per eps of a sweep-eps --dump file."""
+def parse_dump(path, n, max_distance):
+    """The (row, column, distance) pairs and the labels per eps of a
+    sweep-eps --dump file."""
     lines = Path(path).read_text().splitlines()
-    n = len(lines[1].split())
-    assert lines[0] == f"# jaccard distance matrix {n}x{n}"
-    dist = np.array([[float(v) for v in line.split()] for line in lines[1:n + 1]])
+    assert lines[0] == f"# jaccard pairs {n}x{n} max_distance={max_distance}: row column distance"
+    end = next(i for i, line in enumerate(lines) if line.startswith("# assignment"))
+    triples = [line.split() for line in lines[1:end]]
+    rows, cols = (np.array([int(t[i]) for t in triples]) for i in (0, 1))
+    distances = np.array([float(t[2]) for t in triples])
     labels = {float(header.removeprefix("# assignment eps=")): np.array(row.split(), dtype=int)
-              for header, row in zip(lines[n + 1::2], lines[n + 2::2])}
-    return dist, labels
+              for header, row in zip(lines[end::2], lines[end + 1::2])}
+    return (rows, cols, distances), labels
 
 
 @pytest.mark.parametrize("rows, flags, k1, k2, min_samples", [
@@ -530,13 +533,15 @@ def test_sweep_eps_reports_and_dumps_dbscan_on_the_bank(train_files, tmp_path, c
     assert cli.main(["sweep-eps", "--data", str(tmp_path / "split.txt"), "--seed", "3", *flags,
                      "--dump", str(dump)]) == 0
     bank = extract_bank(init_state(TrainConfig(seed=3), split).pair, split.features)
-    dist = jaccard_distance_matrix(bank, k1, k2)
-    assignments = {eps: dbscan(dist, ClusterConfig(k1, k2, eps, min_samples))
+    pairs = jaccard_distance_matrix(bank, k1, k2, max(cli.EPS_GRID))
+    assignments = {eps: dbscan(pairs, ClusterConfig(k1, k2, eps, min_samples))
                    for eps in cli.EPS_GRID}
     assert capsys.readouterr().out.splitlines() == ["eps,n_clusters,n_outliers"] + [
         f"{eps},{a.cluster_count},{a.outlier_count}" for eps, a in assignments.items()]
-    dumped, labels = parse_dump(dump)
-    assert dumped.tobytes() == dist.tobytes()
+    (rows, cols, distances), labels = parse_dump(dump, len(split), max(cli.EPS_GRID))
+    np.testing.assert_array_equal(rows, np.repeat(np.arange(len(split)), np.diff(pairs.indptr)))
+    np.testing.assert_array_equal(cols, pairs.indices)
+    assert distances.tobytes() == pairs.data.tobytes()
     assert list(labels) == list(assignments)
     for eps, assignment in assignments.items():
         np.testing.assert_array_equal(labels[eps], assignment.labels)
@@ -598,6 +603,32 @@ def test_ablate_rows_show_every_iteration_skipped(train_files, tmp_path, capsys)
     assert len(rows) == 8
     assert {(row[-2], row[-1]) for row in rows} == {("3", "6")}
     assert capsys.readouterr().out.count("clusters 3 skipped iterations 6\n") == 8
+
+
+def test_ablate_takes_train_config_flags(train_files, tmp_path, capsys):
+    # At k1 = 8 the untrained encoder forms enough clusters for batches of
+    # 4 identities, so no iteration is skipped where the defaults skip all.
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
+                     "--gallery", train_files["gallery"], "--epochs", "2", "--iterations", "3",
+                     "--k1", "8", "--n-identities", "4", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8
+    assert {row[-1] for row in rows} == {"0"}
+    assert capsys.readouterr().out.count("skipped iterations 0\n") == 8
+
+
+@pytest.mark.parametrize("flags, keys, dropped", [
+    (["--memory-mode", "agnostic"], "memory_mode", "--memory-mode"),
+    (["--lambda-soft", "0", "--k1", "8", "--lambda-hard", "0.5"], "lambda_hard, lambda_soft",
+     "--lambda-hard, --lambda-soft"),
+])
+def test_ablate_rejects_the_keys_its_grid_sets(train_files, monkeypatch, capsys, flags, keys,
+                                               dropped):
+    monkeypatch.setattr(cli, "train", None)  # fails if training starts
+    assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
+                     "--gallery", train_files["gallery"], *flags]) == 1
+    assert capsys.readouterr().err == f"error: ablate's grid sets {keys} itself; drop {dropped}\n"
 
 
 def test_train_and_ablate_stop_at_the_trainer_pre_flight(train_files, tmp_path, monkeypatch,

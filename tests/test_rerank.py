@@ -21,10 +21,19 @@ from oracles import (
     dbscan_oracle,
     dense_jaccard,
     jaccard_oracle,
+    pairs_from_dense,
     partitions_equal,
     scipy_weight_vectors,
     traced_peak,
 )
+
+# The largest max_distance: the pairs hold every distance below 1, so
+# their dense view is the whole Jaccard matrix.
+EVERY = np.nextafter(1.0, 0.0)
+
+
+def jaccard_dense(features, k1, k2):
+    return np.asarray(jaccard_distance_matrix(features, k1, k2, EVERY))
 
 
 def unit_cloud(rng, n, d):
@@ -63,7 +72,7 @@ def test_jaccard_coincident_points_distance_zero():
     others = unit_cloud(rng, 8, 16)
     dup = normalize_rows(np.array([[1.0] + [0.0] * 15]))
     feats = np.vstack([dup, dup, -others])  # duplicates far from the rest
-    dist = jaccard_distance_matrix(feats, k1=4, k2=2)
+    dist = jaccard_dense(feats, k1=4, k2=2)
     assert dist[0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -72,7 +81,7 @@ def test_jaccard_disjoint_neighborhoods_distance_one():
     rng = np.random.default_rng(1)
     group = blob_bank(rng, 1, 6, 12, spread=0.01)
     feats = np.vstack([group, -group])
-    dist = jaccard_distance_matrix(feats, k1=3, k2=2)
+    dist = jaccard_dense(feats, k1=3, k2=2)
     assert dist[0, 7] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -80,7 +89,7 @@ def test_jaccard_disjoint_neighborhoods_distance_one():
 def test_jaccard_matches_set_algebra_oracle(seed):
     rng = np.random.default_rng(seed)
     feats = unit_cloud(rng, 20, 8)
-    fast = jaccard_distance_matrix(feats, k1=6, k2=3)
+    fast = jaccard_dense(feats, k1=6, k2=3)
     slow = jaccard_oracle(feats, k1=6, k2=3)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -99,10 +108,8 @@ def duplicates_across_block_boundaries(rng):
     return feats
 
 
-# The lower triangle is copied from the upper one in square tiles of
-# _SYMMETRY_TILE rows: 255 and 256 rows fit one tile, 257 rows leave a
-# one-row last tile, and 641 rows fill three rows of tiles. 257 and 641
-# also leave a one-row last block, which joins the block before it.
+# 257 and 641 rows leave a one-row last block, which joins the block
+# before it; 255 and 256 leave none.
 @pytest.mark.parametrize("k1, k2, bank", [
     pytest.param(30, 6, blobs_and_cloud, id="30-6"),
     pytest.param(8, 3, blobs_and_cloud, id="8-3"),
@@ -115,11 +122,43 @@ def test_jaccard_matches_dense_reference(k1, k2, bank):
     # Min-sum blocks split the distance blocks, so both passes run over
     # at least three blocks.
     assert len(feats) > 2 * rerank._BLOCK_ROWS
-    fast = jaccard_distance_matrix(feats, k1, k2)
+    fast = jaccard_dense(feats, k1, k2)
     assert np.any((fast > 0.0) & (fast < 1.0))
     np.testing.assert_allclose(fast, dense_jaccard(feats, k1, k2), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(fast, fast.T)
     np.testing.assert_array_equal(np.diag(fast), 0.0)
+    # At a lower max_distance a block keeps the same values, fewer of them.
+    pairs = jaccard_distance_matrix(feats, k1, k2, 0.55)
+    for got, expected in zip(pairs, pairs_from_dense(fast, 0.55)):
+        np.testing.assert_array_equal(got, expected, strict=True)
+
+
+def test_permuting_the_bank_permutes_the_pairs_and_the_clusters():
+    # Generic rows: no distance ties, so neighbor order never falls back
+    # on the row index, and BLAS sums may differ only in the last bits.
+    rng = np.random.default_rng(0)
+    bank = np.vstack([blob_bank(rng, 10, 20, 16, spread=0.25), unit_cloud(rng, 100, 16)])
+    perm = rng.permutation(len(bank))
+    config = ClusterConfig()
+    pairs = jaccard_distance_matrix(bank, 30, 6, config.eps)
+    permuted = jaccard_distance_matrix(bank[perm], 30, 6, config.eps)
+    dist = np.asarray(pairs)
+    np.testing.assert_allclose(np.asarray(permuted), dist[np.ix_(perm, perm)], rtol=0, atol=1e-12)
+
+    base = dbscan(pairs, config)
+    restored = np.empty_like(base.labels)
+    restored[perm] = dbscan(permuted, config).labels
+    # A border point within eps of cores in two clusters takes the lower
+    # id, and ids follow the lowest core index, so its cluster follows
+    # row order.
+    within = dist <= config.eps
+    core = np.count_nonzero(within, axis=1) >= config.min_samples
+    tied = [p for p in np.flatnonzero(~core)
+            if len(set(base.labels[core & within[p]].tolist())) > 1]
+    kept = np.setdiff1d(np.arange(len(bank)), tied)
+    assert base.cluster_count == 5 and base.outlier_count > 0 and len(tied) == 2
+    assert not partitions_equal(base.labels, restored)
+    assert partitions_equal(base.labels[kept], restored[kept])
 
 
 def test_jaccard_ties_at_the_k1_boundary_match_oracle():
@@ -131,7 +170,7 @@ def test_jaccard_ties_at_the_k1_boundary_match_oracle():
     ranked = np.sort(1.0 - feats @ feats.T, axis=1)
     for k in (k1, k1 // 2, k2):
         assert np.any(ranked[:, k - 1] == ranked[:, k])
-    np.testing.assert_allclose(jaccard_distance_matrix(feats, k1, k2),
+    np.testing.assert_allclose(jaccard_dense(feats, k1, k2),
                                jaccard_oracle(feats, k1, k2), rtol=0, atol=1e-12)
 
 
@@ -144,7 +183,7 @@ def test_jaccard_property_matches_oracle(data):
     k1 = data.draw(st.integers(1, n - 1), label="k1")
     k2 = data.draw(st.integers(1, k1), label="k2")
     feats = DYADIC[rows]
-    np.testing.assert_allclose(jaccard_distance_matrix(feats, k1, k2),
+    np.testing.assert_allclose(jaccard_dense(feats, k1, k2),
                                jaccard_oracle(feats, k1, k2), rtol=0, atol=1e-12)
 
 
@@ -190,6 +229,18 @@ def test_nearest_neighbors_partition_eight_rows_at_a_time():
     assert peak < dist.nbytes / 4
 
 
+def test_nearest_neighbors_keep_column_order_among_ties():
+    # Dyadic distances are multiples of 0.25, so each row has dozens of
+    # columns tied at its k-th smallest value, and one row is all ties.
+    dist = 1.0 - DYADIC[::17] @ DYADIC.T
+    dist[3] = 0.5
+    for k in (1, 5, 30):
+        kth = np.sort(dist, axis=1)[:, k - 1:k]
+        assert np.count_nonzero(dist <= kth, axis=1).max() > 2 * k
+        np.testing.assert_array_equal(rerank._nearest_neighbors(dist, k),
+                                      np.argsort(dist, axis=1, kind="stable")[:, :k])
+
+
 def test_pair_blocks_keep_int32_suffixes_and_entry_lists():
     feats = blob_bank(np.random.default_rng(13), 20, 32, 32, spread=0.15)
     suffix, blocks = rerank._pair_blocks(rerank._weight_vectors(feats, 30, 6))
@@ -201,7 +252,7 @@ def test_pair_blocks_keep_int32_suffixes_and_entry_lists():
 def test_jaccard_symmetric_zero_diag_unit_range():
     rng = np.random.default_rng(9)
     feats = unit_cloud(rng, 30, 10)
-    dist = jaccard_distance_matrix(feats, k1=8, k2=4)
+    dist = jaccard_dense(feats, k1=8, k2=4)
     np.testing.assert_allclose(dist, dist.T, atol=1e-12)
     np.testing.assert_array_equal(np.diag(dist), 0.0)
     assert dist.min() >= 0.0 and dist.max() <= 1.0
@@ -210,24 +261,29 @@ def test_jaccard_symmetric_zero_diag_unit_range():
 def test_jaccard_insufficient_samples():
     rng = np.random.default_rng(2)
     with pytest.raises(SelfReidError, match="k1=5, k2=2 must be < n=5"):
-        jaccard_distance_matrix(unit_cloud(rng, 5, 4), k1=5, k2=2)
+        jaccard_distance_matrix(unit_cloud(rng, 5, 4), k1=5, k2=2, max_distance=0.55)
 
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda feats: dbscan(np.float64(0.5), ClusterConfig()),
-                 r"^expected square matrix, got \(\)$", id="dbscan-scalar"),
-    pytest.param(lambda feats: jaccard_distance_matrix(feats[0], 5, 2),
+                 r"^dbscan reads JaccardPairs, got float64$", id="dbscan-scalar"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats[0], 5, 2, 0.55),
                  r"^need a 2-D matrix of at least 2 samples, got shape \(8,\)$",
                  id="jaccard-1d"),
-    pytest.param(lambda feats: jaccard_distance_matrix(feats[None], 5, 2),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats[None], 5, 2, 0.55),
                  r"^need a 2-D matrix of at least 2 samples, got shape \(1, 20, 8\)$",
                  id="jaccard-3d"),
-    pytest.param(lambda feats: jaccard_distance_matrix(feats, 5, 0),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 5, 0, 0.55),
                  r"^k1=5, k2=0 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k2-zero"),
-    pytest.param(lambda feats: jaccard_distance_matrix(feats, 0, 0),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 0, 0, 0.55),
                  r"^k1=0, k2=0 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k1-zero"),
-    pytest.param(lambda feats: jaccard_distance_matrix(feats, 3, 5),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 3, 5, 0.55),
                  r"^k1=3, k2=5 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k2-above-k1"),
+    # at 1.0 the pairs would be every pair, and the dense view could not
+    # tell a missing pair from a distance of 1
+    *[pytest.param(lambda feats, m=m: jaccard_distance_matrix(feats, 5, 2, m),
+                   rf"^need 0 <= max_distance < 1, got {m}$", id=f"jaccard-max-distance-{m}")
+      for m in (1.0, -0.5, np.nan)],
 ])
 def test_rerank_rejects_bad_input(call, message):
     feats = unit_cloud(np.random.default_rng(15), 20, 8)
@@ -241,7 +297,7 @@ def test_jaccard_rejects_non_finite_features(value):
     feats[17, 3] = value
     message = f"^re-ranking features: row 17: feature 3 is {value}, not a finite number$"
     with pytest.raises(SelfReidError, match=message):
-        jaccard_distance_matrix(feats, k1=10, k2=4)
+        jaccard_distance_matrix(feats, k1=10, k2=4, max_distance=0.55)
     with pytest.raises(SelfReidError, match=message):
         generate_pseudo_labels(feats, ClusterConfig(k1=10, k2=4))
 
@@ -253,9 +309,14 @@ def dist_from_points(points):
     return np.sqrt((diff**2).sum(-1))
 
 
+def dbscan_dense(dist, config):
+    """dbscan on a dense fixture's pairs within config.eps."""
+    return dbscan(pairs_from_dense(dist, config.eps), config)
+
+
 def test_dbscan_coincident_points_single_cluster():
     dist = np.zeros((5, 5))
-    assignment = dbscan(dist, ClusterConfig(eps=0.55, min_samples=4))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=0.55, min_samples=4))
     assert assignment.cluster_count == 1
     assert assignment.outlier_count == 0
 
@@ -263,7 +324,7 @@ def test_dbscan_coincident_points_single_cluster():
 def test_dbscan_all_far_apart_all_outliers():
     dist = np.full((8, 8), 0.9)
     np.fill_diagonal(dist, 0.0)
-    assignment = dbscan(dist, ClusterConfig(eps=0.55, min_samples=4))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=0.55, min_samples=4))
     assert assignment.cluster_count == 0
     assert np.all(assignment.labels == OUTLIER)
 
@@ -272,7 +333,7 @@ def test_dbscan_two_blobs():
     rng = np.random.default_rng(3)
     pts = np.vstack([rng.normal(0, 0.02, size=(6, 2)),
                      rng.normal(5, 0.02, size=(6, 2))])
-    assignment = dbscan(dist_from_points(pts), ClusterConfig(eps=0.55, min_samples=4))
+    assignment = dbscan_dense(dist_from_points(pts), ClusterConfig(eps=0.55, min_samples=4))
     assert assignment.cluster_count == 2
     assert len(set(assignment.labels[:6])) == 1
     assert len(set(assignment.labels[6:])) == 1
@@ -287,7 +348,7 @@ def test_dbscan_matches_reachability_oracle(seed):
     dist = dist_from_points(pts)
     eps = float(rng.uniform(0.3, 0.9))
     min_samples = int(rng.integers(2, 6))
-    assignment = dbscan(dist, ClusterConfig(eps=min(eps, 0.99), min_samples=min_samples))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=min(eps, 0.99), min_samples=min_samples))
     expected = dbscan_oracle(dist, min(eps, 0.99), min_samples)
     np.testing.assert_array_equal(assignment.labels, expected)
 
@@ -299,9 +360,9 @@ def test_dbscan_permutation_invariant_partition():
                      rng.normal((0, 3), 0.05, size=(7, 2))])
     dist = dist_from_points(pts)
     config = ClusterConfig(eps=0.5, min_samples=4)
-    base = dbscan(dist, config)
+    base = dbscan_dense(dist, config)
     perm = rng.permutation(len(pts))
-    permuted = dbscan(dist[np.ix_(perm, perm)], config)
+    permuted = dbscan_dense(dist[np.ix_(perm, perm)], config)
     restored = np.empty_like(permuted.labels)
     restored[perm] = permuted.labels
     assert partitions_equal(base.labels, restored)
@@ -313,7 +374,7 @@ def test_dbscan_inliers_near_a_core_point():
                      rng.normal(4, 0.1, size=(10, 2))])
     dist = dist_from_points(pts)
     config = ClusterConfig(eps=0.45, min_samples=4)
-    assignment = dbscan(dist, config)
+    assignment = dbscan_dense(dist, config)
     core = (dist <= config.eps).sum(axis=1) >= config.min_samples
     for i in np.flatnonzero(assignment.labels != OUTLIER):
         same = assignment.labels == assignment.labels[i]
@@ -329,7 +390,7 @@ def test_dbscan_border_point_takes_lowest_cluster_id():
     dist[0, 4] = dist[4, 0] = 0.1
     dist[0, 8] = dist[8, 0] = 0.5
     np.fill_diagonal(dist, 0.0)
-    assignment = dbscan(dist, ClusterConfig(eps=0.5, min_samples=4))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=0.5, min_samples=4))
     np.testing.assert_array_equal(assignment.labels, [0, 0, 0, 0, 1, 1, 1, 1, 0])
     np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, 0.5, 4))
 
@@ -338,7 +399,7 @@ def test_dbscan_min_samples_one_makes_every_point_a_core():
     dist = np.full((6, 6), 0.9)
     dist[2, 3] = dist[3, 2] = 0.3
     np.fill_diagonal(dist, 0.0)
-    assignment = dbscan(dist, ClusterConfig(eps=0.5, min_samples=1))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=0.5, min_samples=1))
     np.testing.assert_array_equal(assignment.labels, [0, 1, 2, 2, 3, 4])
     assert assignment.cluster_count == 5
     np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, 0.5, 1))
@@ -355,7 +416,7 @@ def test_dbscan_property_matches_oracle(data):
     dist = np.minimum(0.125 * np.abs(positions[:, None] - positions[None, :]), 0.875)
     eps = data.draw(st.sampled_from([0.125, 0.25, 0.5]), label="eps")
     min_samples = data.draw(st.integers(1, 6), label="min_samples")
-    assignment = dbscan(dist, ClusterConfig(eps=eps, min_samples=min_samples))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=eps, min_samples=min_samples))
     np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, eps, min_samples))
     assert assignment.cluster_count == len(set(assignment.labels.tolist()) - {OUTLIER})
 
@@ -367,37 +428,69 @@ def test_dbscan_shuffled_chains_match_oracle():
     positions = np.concatenate([np.arange(150), 1000 + np.arange(90), [5000]])
     positions = np.random.default_rng(14).permutation(positions)
     dist = np.minimum(0.125 * np.abs(positions[:, None] - positions[None, :]), 0.875)
-    assignment = dbscan(dist, ClusterConfig(eps=0.125, min_samples=3))
+    assignment = dbscan_dense(dist, ClusterConfig(eps=0.125, min_samples=3))
     np.testing.assert_array_equal(assignment.labels, dbscan_oracle(dist, 0.125, 3))
     assert assignment.cluster_count == 2
     assert assignment.outlier_count == 1
 
 
+def four_points():
+    """The pairs of four coincident points: every distance is zero."""
+    return pairs_from_dense(np.zeros((4, 4)), 0.55)
+
+
+def with_pairs(pairs, **fields):
+    return pairs._replace(**{name: np.array(value) for name, value in fields.items()})
+
+
 def test_dbscan_rejects_asymmetric_matrix():
-    tiled = rerank._SYMMETRY_TILE + 40  # a 2 x 2 grid of tiles
-    for n, cell, asymmetry, rejected in [
-        (3, (0, 1), 0.5, True),
-        (tiled, (tiled - 1, tiled - 3), 0.5, True),  # in the far-corner tile only
-        (tiled, (0, tiled - 1), 1e-13, False),  # within allclose(atol=1e-12)
+    for cells, values in [
+        ([(0, 1), (1, 0)], [0.5, 0.25]),  # the two sides differ
+        ([(0, 1), (1, 0)], [0.5, 0.9]),  # one side above max_distance
+        ([(290, 293)], [0.5]),  # in the far corner only
+        ([(2, 2)], [0.25]),  # diagonal not zero
+        ([(2, 2)], [0.9]),  # diagonal missing
     ]:
-        dist = np.zeros((n, n))
-        dist[cell] = asymmetry
-        if rejected:
-            with pytest.raises(SelfReidError,
-                               match="matrix must be symmetric with zero diagonal"):
-                dbscan(dist, ClusterConfig())
-        else:
-            assert dbscan(dist, ClusterConfig()).cluster_count == 1
+        dist = np.zeros((300, 300))
+        for cell, value in zip(cells, values):
+            dist[cell] = value
+        with pytest.raises(SelfReidError,
+                           match="^pairs must be symmetric, with a zero diagonal$"):
+            dbscan_dense(dist, ClusterConfig())
 
 
-@pytest.mark.parametrize("cell, value", [((1, 2), np.nan), ((3, 3), np.inf)],
-                         ids=["nan-off-diagonal", "inf-on-diagonal"])
+@pytest.mark.parametrize("cell, value", [((1, 2), np.nan), ((3, 3), np.inf), ((0, 1), 0.75),
+                                         ((2, 0), -0.25)],
+                         ids=["nan-off-diagonal", "inf-on-diagonal", "above-max-distance",
+                              "negative"])
 def test_dbscan_names_a_non_finite_entry(cell, value):
-    dist = np.zeros((4, 4))
-    dist[cell] = dist[cell[::-1]] = value
-    with pytest.raises(SelfReidError, match=rf"^matrix entry \({cell[0]}, {cell[1]}\) is "
-                                            rf"{value}, not a finite number$"):
-        dbscan(dist, ClusterConfig())
+    pairs = four_points()
+    data = pairs.data.copy()
+    data[[4 * cell[0] + cell[1], 4 * cell[1] + cell[0]]] = value
+    with pytest.raises(SelfReidError, match=rf"^pair \({min(cell)}, {max(cell)}\) is "
+                                            rf"{value}, not a distance in \[0, 0.55\]$"):
+        dbscan(with_pairs(pairs, data=data), ClusterConfig())
+
+
+@pytest.mark.parametrize("fields, eps, message", [
+    pytest.param({}, 0.6, r"^eps=0.6 is above the pairs' max_distance=0.55$",
+                 id="eps-above-max-distance"),
+    pytest.param({"indices": [0, 2, 1, 3] * 4}, 0.55, "ascend within each row",
+                 id="unsorted-indices"),
+    pytest.param({"indices": [0, 1, 1, 3] * 4}, 0.55, "ascend within each row",
+                 id="repeated-index"),
+    pytest.param({"indices": [0, 1, 2, 4] * 4}, 0.55, r"must lie in 0\.\.3", id="index-above-n"),
+    pytest.param({"indices": [-1, 1, 2, 3] * 4}, 0.55, r"must lie in 0\.\.3",
+                 id="negative-index"),
+    pytest.param({"indptr": [0, 4, 8, 12, 15]}, 0.55, "^malformed pairs", id="indptr-short"),
+    pytest.param({"indptr": [0, 8, 4, 12, 16]}, 0.55, "^malformed pairs", id="indptr-falls"),
+    pytest.param({"data": np.zeros(15)}, 0.55, "^malformed pairs", id="data-short"),
+    pytest.param({"indices": np.tile([0.0, 1, 2, 3], 4)}, 0.55, "^malformed pairs",
+                 id="float-indices"),
+])
+def test_dbscan_rejects_malformed_pairs(fields, eps, message):
+    with pytest.raises(SelfReidError, match=message):
+        dbscan(with_pairs(four_points(), **fields), ClusterConfig(eps=eps))
 
 
 def forty_blobs():
@@ -406,29 +499,29 @@ def forty_blobs():
     return blob_bank(np.random.default_rng(12), 40, 30, 32, spread=0.15)
 
 
-def test_dbscan_peak_memory_is_block_sized():
-    # dbscan reads the entries within eps one block of rows at a time, as
-    # per-row counts and int32 columns. Its traced peak is block-sized
-    # scratch plus about 19 bytes per entry within eps; an n x n bool mask
-    # beside the int64 positions of those entries would not fit.
-    n = 1200
-    dist = jaccard_distance_matrix(forty_blobs(), 30, 6)
-    config = ClusterConfig()
-    within = np.count_nonzero(dist <= config.eps)
-    peak, _ = traced_peak(dbscan, dist, config)
-    assert peak < 8 * rerank._BLOCK_ROWS * n + 24 * within
+def test_dbscan_peak_memory_grows_with_the_pairs():
+    # dbscan reads the pairs (12 bytes each) and holds O(1) arrays per
+    # pair beside them. The stable argsort of the symmetry check sets its
+    # traced peak, at 22 bytes per pair here; an n x n bool mask, 40 bytes
+    # per pair, would not fit.
+    pairs = jaccard_distance_matrix(forty_blobs(), 30, 6, ClusterConfig().eps)
+    peak, _ = traced_peak(dbscan, pairs, ClusterConfig())
+    assert peak < 26 * len(pairs.data)
 
 
 def test_jaccard_and_dbscan_peak_memory():
-    # The returned matrix is the only n x n array. Beside it, the min-sum
-    # pass holds the weights (12 bytes per entry), int32 suffixes and
-    # entry lists (8 more) and one block's scratch, and dbscan less. An
-    # n x n bool mask, 30 bytes per weight entry here, would not fit.
+    # No n x n array. The weight pass (44 bytes per weight entry here)
+    # sets the traced peak; after it, the min-sum pass holds the weights,
+    # int32 suffixes and entry lists (20 bytes per entry), one block's
+    # scratch and the pairs so far, and dbscan O(1) arrays per pair. An
+    # n x n float64 array alone, 240 bytes per weight entry, would not fit.
     n = 1200
     bank = forty_blobs()
     entries = len(rerank._weight_vectors(bank, 30, 6).data)
-    peak, _ = traced_peak(lambda: dbscan(jaccard_distance_matrix(bank, 30, 6), ClusterConfig()))
-    assert peak < 8 * n * n + 8 * rerank._BLOCK_ROWS * n + 36 * entries
+    pairs = jaccard_distance_matrix(bank, 30, 6, ClusterConfig().eps)
+    peak, _ = traced_peak(lambda: dbscan(jaccard_distance_matrix(bank, 30, 6, 0.55),
+                                         ClusterConfig()))
+    assert peak < 48 * entries + 8 * rerank._BLOCK_ROWS * n + 24 * len(pairs.data)
 
 
 # --- generate_pseudo_labels -------------------------------------------------
@@ -471,13 +564,13 @@ def test_pseudo_labels_re_rank_a_bank_smaller_than_k1_at_clamped_sizes(monkeypat
     bank = blob_bank(np.random.default_rng(4), 2, 4, 8)
     seen = []
 
-    def spy(features, k1, k2):
-        seen.append((k1, k2))
-        return jaccard_distance_matrix(features, k1, k2)
+    def spy(features, k1, k2, max_distance):
+        seen.append((k1, k2, max_distance))
+        return jaccard_distance_matrix(features, k1, k2, max_distance)
 
     monkeypatch.setattr(rerank, "jaccard_distance_matrix", spy)
     assignment = generate_pseudo_labels(bank, ClusterConfig(k1=30, k2=6, min_samples=2))
-    assert seen == [(7, 6)]
+    assert seen == [(7, 6, 0.55)]
     assert len(assignment.labels) == len(bank)
 
 
@@ -485,9 +578,9 @@ def test_cluster_count_non_increasing_in_eps():
     rng = np.random.default_rng(8)
     bank = blob_bank(rng, 4, 6, 16, spread=0.08)
     config = ClusterConfig(k1=8, k2=4, min_samples=4)
-    dist = jaccard_distance_matrix(bank, config.k1, config.k2)
+    pairs = jaccard_distance_matrix(bank, config.k1, config.k2, 0.6)
     counts = []
     for eps in (0.45, 0.5, 0.55, 0.6):
-        counts.append(dbscan(dist, ClusterConfig(k1=8, k2=4, eps=eps,
+        counts.append(dbscan(pairs, ClusterConfig(k1=8, k2=4, eps=eps,
                                                  min_samples=4)).cluster_count)
     assert all(a >= b for a, b in zip(counts, counts[1:]))
