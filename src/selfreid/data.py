@@ -8,23 +8,31 @@ the trainer never reads them otherwise.
 
 Files are line-oriented UTF-8 text with a header block, one record per
 line: ``sample_id identity|? camera v0 v1 ... v{d-1}``. The header is
-optional, but a ``# format`` line must read ``selfreid-embeddings v1``.
+optional, but a ``# format`` line must read ``selfreid-embeddings v1``,
+and ``# dim``, ``# count`` and ``# cameras`` lines must match the records.
 Lines end at ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
 
-Loading is one fast pass, then one bulk parse. The pass splits each
-record line once, for its id, identity and camera, which take Python's
-int() syntax. It stops at a line that is not a record, before a record
-with an integer out of int64 range and after one that repeats an id.
-One call of numpy's C text reader (``np.loadtxt``) then parses the
-feature text of every record kept; only if that fails does a slow scan
-report the first record whose features do not parse or change width.
-So the first line at fault is reported, and within a record the faults
-rank: out of range, bad float, wrong width, repeated id. The reader
-takes decimal and exponent forms, ``inf`` and ``nan`` (which the
-finiteness check then rejects), but not the digit-group underscores or
-non-ASCII digits that float() also takes. It rounds as float() does,
-and floats are written with repr, so a save/load round trip is
-bit-exact.
+Loading is one streaming pass over fixed blocks of _BLOCK_BYTES bytes.
+Each block is cut after its last line end, the rest carried to the next,
+so no character and no line end is split; it is decoded on its own, and
+a byte that is not UTF-8 is reported at its offset in the whole file.
+The line pass splits each record line once, for its id, identity and
+camera, which take Python's int() syntax. It stops at a line that is not
+a record, before a record with an integer out of int64 range and after
+one that repeats an id. One call of numpy's C text reader
+(``np.loadtxt``) then parses the feature text of every record the block
+kept; only if that fails, or its width differs from earlier blocks', does
+a slow scan report the first record whose features do not parse or
+change width. So the first line at fault is reported, and within a
+record the faults rank: out of range, bad float, wrong width, repeated
+id. A fault in the UTF-8 encoding outranks them all, so the blocks after
+a stop are still decoded. The blocks' arrays are joined at the end: a
+load holds the features twice at most and a few blocks of text, never
+the whole file. The reader takes decimal and exponent forms, ``inf`` and
+``nan`` (which the finiteness check then rejects), but not the
+digit-group underscores or non-ASCII digits that float() also takes. It
+rounds as float() does, and floats are written with repr, so a
+save/load round trip is bit-exact.
 """
 
 import warnings
@@ -38,6 +46,9 @@ from .linalg import require_finite
 FORMAT_NAME = "selfreid-embeddings"
 FORMAT_VERSION = 1
 UNKNOWN_IDENTITY = -1
+
+# Split files are read this many bytes at a time; see the module docstring.
+_BLOCK_BYTES = 256 * 1024
 
 # Fresh draws per (identity, camera) cell for the held-out splits.
 QUERY_PER_CELL = 1
@@ -181,10 +192,10 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _first_faulty_record(texts):
+def _first_faulty_record(texts, width):
     """(index, reason) of the first record whose features, parsed on their
-    own, do not parse or change the width; None if no record's do."""
-    width = None
+    own, do not parse or differ from `width` (the first record's if None);
+    None if no record's do."""
     for index, text in enumerate(texts):
         try:
             features = _read_floats([text])
@@ -196,92 +207,126 @@ def _first_faulty_record(texts):
             return index, f"dimension {features.shape[1]} != {width} from earlier records"
 
 
-def read_text(path) -> str:
-    """A UTF-8 text file, its lines ended by "\\n" where text-mode reading
-    would end them; a file that is not UTF-8 fails naming the path."""
+def text_blocks(path):
+    """Yield (number of the first line, lines) for each block of a UTF-8
+    text file, its lines split where text-mode reading would end them. A
+    block ends after a line end, so it splits no character and no line end;
+    a file that is not UTF-8 fails naming the path and the byte's offset."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SelfReidError(f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at "
-                            f"offset {exc.start} cannot be decoded") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+        buf, offset, lineno = bytearray(), 0, 1
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            start = max(len(buf) - 1, 0)  # the carry holds no line end but a last "\r"
+            buf += chunk
+            # cut after the last line end, but not after a "\r" a "\n" may follow
+            cut = (max(buf.rfind(b"\n", start), buf.rfind(b"\r", start, len(buf) - 1)) + 1
+                   if chunk else len(buf))
+            if not buf:
+                return
+            if not cut:
+                continue
+            try:
+                text = buf[:cut].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SelfReidError(f"{path}: not UTF-8 text: byte {buf[exc.start]:#04x} at "
+                                    f"offset {offset + exc.start} cannot be decoded") from None
+            del buf[:cut]
+            offset += cut
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            del text
+            yield lineno, lines
+            lineno += len(lines) - 1
 
 
 def load_dataset(path) -> EmbeddingDataset:
     """Read and check a split file; a fault names the path and, for a fault
     on a line, the first line at fault."""
-    lines = read_text(path).split("\n")
     header = {}
-    ids, pids, cams, texts, linenos = [], [], [], [], []
+    records, features = [], []  # per block: (4, m) int64 rows and (m, dim) features
     seen = set()
-    stop = None  # (line number, reason) of the line the pass stops at
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+    width = None
+    stop = None  # (line number, reason) of the first line at fault
+    for first, lines in text_blocks(path):
+        if stop:  # the rest is only decoded: a UTF-8 fault anywhere comes first
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
-                stop = lineno, f"header {line!r} is not '# format {FORMAT_NAME} v{FORMAT_VERSION}'"
+        rows, texts = [], []  # id, identity, camera and line number; feature text
+        for lineno, line in enumerate(lines, start=first):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
+                    stop = lineno, (f"header {line!r} is not "
+                                    f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
+                    break
+                if len(parts) >= 2:
+                    header[parts[0]] = parts[1:]
+                continue
+            fields = line.split(None, 3)
+            if len(fields) < 4:
+                stop = lineno, "record needs id, identity, camera and features"
                 break
-            if len(parts) >= 2:
-                header[parts[0]] = parts[1:]
+            try:
+                sample_id = int(fields[0])
+                identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
+                camera = int(fields[2])
+            except ValueError as exc:
+                stop = lineno, str(exc)
+                break
+            if not (-2**63 <= sample_id < 2**63 and -2**63 <= identity < 2**63
+                    and -2**63 <= camera < 2**63):
+                stop = lineno, next(f"{name} {value} is out of range for int64" for name, value
+                                    in (("sample id", sample_id), ("identity", identity),
+                                        ("camera", camera)) if not -2**63 <= value < 2**63)
+                break
+            rows.append((sample_id, identity, camera, lineno))
+            texts.append(fields[3])
+            if sample_id in seen:  # kept, so a fault in its features comes first
+                stop = lineno, f"repeated sample id {sample_id}"
+                break
+            seen.add(sample_id)
+        if not texts:
             continue
-        fields = line.split(None, 3)
-        if len(fields) < 4:
-            stop = lineno, "record needs id, identity, camera and features"
-            break
         try:
-            sample_id = int(fields[0])
-            identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
-            camera = int(fields[2])
-        except ValueError as exc:
-            stop = lineno, str(exc)
-            break
-        if not (-2**63 <= sample_id < 2**63 and -2**63 <= identity < 2**63
-                and -2**63 <= camera < 2**63):
-            stop = lineno, next(f"{name} {value} is out of range for int64" for name, value
-                                in (("sample id", sample_id), ("identity", identity),
-                                    ("camera", camera)) if not -2**63 <= value < 2**63)
-            break
-        ids.append(sample_id)
-        pids.append(identity)
-        cams.append(camera)
-        texts.append(fields[3])
-        linenos.append(lineno)
-        if sample_id in seen:  # kept, so a fault in its features comes first
-            stop = lineno, f"repeated sample id {sample_id}"
-            break
-        seen.add(sample_id)
-    del lines, seen
-    try:
-        features = _read_floats(texts) if texts else None
-    except ValueError:  # the faulty record is at or before the stop line, so it wins
-        index, reason = _first_faulty_record(texts)
-        stop = linenos[index], reason
+            block = _read_floats(texts)
+        except ValueError:
+            block = None
+        if block is None or block.shape[1] != (width or block.shape[1]):
+            # the faulty record is at or before the stop line, so it wins
+            index, reason = _first_faulty_record(texts, width)
+            stop = rows[index][3], reason
+            continue
+        width = block.shape[1]
+        records.append(np.array(rows, dtype=np.int64).T)
+        features.append(block)
+    del seen
     if stop:
         raise SelfReidError(f"{path}:{stop[0]}: {stop[1]}")
-    if not texts:
+    if not features:
         raise SelfReidError(f"{path}: no records")
-    sample_ids, identities, cameras = np.array((ids, pids, cams), dtype=np.int64)
-    dim = features.shape[1]
+    sample_ids, identities, cameras, linenos = np.concatenate(records, axis=1)
+    del records
+    features = np.concatenate(features)
     declared = {}
-    for key in ("dim", "count"):
+    for key in ("dim", "count", "cameras"):
         if key in header:
             try:
                 declared[key] = int(header[key][0])
             except ValueError:
                 raise SelfReidError(f"{path}: header {key} {header[key][0]!r} is not "
                                     f"an integer") from None
-    if declared.get("dim", dim) != dim:
-        raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {dim}")
-    if declared.get("count", len(texts)) != len(texts):
-        raise SelfReidError(f"{path}: header count {declared['count']} != {len(texts)} records")
+    if declared.get("dim", width) != width:
+        raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {width}")
+    if declared.get("count", len(features)) != len(features):
+        raise SelfReidError(f"{path}: header count {declared['count']} != "
+                            f"{len(features)} records")
     require_finite(features, f"{path}:", linenos)
     dataset = EmbeddingDataset(sample_ids, identities, cameras, features)
     dataset.validate(f"{path}: ")
+    if declared.get("cameras", dataset.n_cameras) != dataset.n_cameras:
+        raise SelfReidError(f"{path}: header cameras {declared['cameras']} != "
+                            f"{dataset.n_cameras} cameras in the records")
     return dataset

@@ -15,7 +15,7 @@ import dataclasses
 import functools
 import os
 
-from .data import read_text
+from .data import text_blocks
 from .errors import SelfReidError
 from .trainer import EpochReport, TrainConfig
 
@@ -102,7 +102,10 @@ def write_keyvalue(path, values: dict, header: str = "") -> None:
 def read_keyvalue(path) -> dict:
     """The key = value pairs of a file; a key given twice is an error."""
     values, first_lines = {}, {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    # every block is decoded before a line is read: a UTF-8 fault comes first
+    lines = [(lineno, line) for first, block in text_blocks(path)
+             for lineno, line in enumerate(block, start=first)]
+    for lineno, line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,7 +9,10 @@ ones must match bit for bit; and `adam_oracle` and `ema_oracle`, the
 updates applied one weight array at a time, which the flat-buffer
 updates must match bit for bit. `traced_peak` is no oracle: it measures
 every memory bound in the tests the same way. Nor is `pairs_from_dense`:
-it hands the dense distance fixtures to `dbscan` as pairs.
+it hands the dense distance fixtures to `dbscan` as pairs. And
+`load_dataset_oracle` is the split-file loader on the whole file at
+once, decoded, split and parsed in one piece, which the block reader
+must match in every array and message.
 """
 
 import math
@@ -21,6 +24,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.spatial.distance import cdist
 
 from selfreid import rerank
+from selfreid.data import FORMAT_NAME, FORMAT_VERSION, UNKNOWN_IDENTITY, EmbeddingDataset
 from selfreid.errors import SelfReidError
 
 
@@ -465,3 +469,121 @@ def write_version_1_checkpoint(path, d_in=6, hidden=5, d_out=4):
              scalars=np.array([0.999, 0, 0.00035, 10, 0.0005, 0.9, 0.999, 1e-8]),
              **tables)
     return path
+
+
+def _oracle_floats(texts) -> np.ndarray:
+    return np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _oracle_is_float(token: str) -> bool:
+    try:
+        _oracle_floats([token])
+    except ValueError:
+        return False
+    return True
+
+
+def _oracle_first_faulty_record(texts):
+    width = None
+    for index, text in enumerate(texts):
+        try:
+            features = _oracle_floats([text])
+        except ValueError:
+            token = next(token for token in text.split() if not _oracle_is_float(token))
+            return index, f"could not convert string to float: {token!r}"
+        width = width or features.shape[1]
+        if features.shape[1] != width:
+            return index, f"dimension {features.shape[1]} != {width} from earlier records"
+
+
+def load_dataset_oracle(path) -> EmbeddingDataset:
+    """`load_dataset` on the whole file at once: decode it, split it into
+    lines, run the line pass until the first line at fault, parse every
+    feature text kept in one call, and only if that fails scan the records
+    one by one for the first that does not parse or changes width."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SelfReidError(f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at "
+                            f"offset {exc.start} cannot be decoded") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header = {}
+    ids, pids, cams, texts, linenos = [], [], [], [], []
+    seen = set()
+    stop = None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
+                stop = lineno, f"header {line!r} is not '# format {FORMAT_NAME} v{FORMAT_VERSION}'"
+                break
+            if len(parts) >= 2:
+                header[parts[0]] = parts[1:]
+            continue
+        fields = line.split(None, 3)
+        if len(fields) < 4:
+            stop = lineno, "record needs id, identity, camera and features"
+            break
+        try:
+            sample_id = int(fields[0])
+            identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
+            camera = int(fields[2])
+        except ValueError as exc:
+            stop = lineno, str(exc)
+            break
+        out_of_range = [(name, value) for name, value in (("sample id", sample_id),
+                                                          ("identity", identity),
+                                                          ("camera", camera))
+                        if not -2**63 <= value < 2**63]
+        if out_of_range:
+            stop = lineno, "{} {} is out of range for int64".format(*out_of_range[0])
+            break
+        ids.append(sample_id)
+        pids.append(identity)
+        cams.append(camera)
+        texts.append(fields[3])
+        linenos.append(lineno)
+        if sample_id in seen:
+            stop = lineno, f"repeated sample id {sample_id}"
+            break
+        seen.add(sample_id)
+    try:
+        features = _oracle_floats(texts) if texts else None
+    except ValueError:
+        index, reason = _oracle_first_faulty_record(texts)
+        stop = linenos[index], reason
+    if stop:
+        raise SelfReidError(f"{path}:{stop[0]}: {stop[1]}")
+    if not texts:
+        raise SelfReidError(f"{path}: no records")
+    declared = {}
+    for key in ("dim", "count", "cameras"):
+        if key in header:
+            try:
+                declared[key] = int(header[key][0])
+            except ValueError:
+                raise SelfReidError(f"{path}: header {key} {header[key][0]!r} is not "
+                                    f"an integer") from None
+    dim = features.shape[1]
+    if declared.get("dim", dim) != dim:
+        raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {dim}")
+    if declared.get("count", len(texts)) != len(texts):
+        raise SelfReidError(f"{path}: header count {declared['count']} != {len(texts)} records")
+    for row, values in enumerate(features):
+        for col, value in enumerate(values):
+            if not math.isfinite(value):
+                raise SelfReidError(f"{path}:{linenos[row]}: feature {col} is {value}, "
+                                    f"not a finite number")
+    dataset = EmbeddingDataset(np.array(ids, dtype=np.int64), np.array(pids, dtype=np.int64),
+                               np.array(cams, dtype=np.int64), features)
+    dataset.validate(f"{path}: ")
+    cameras = len(set(cams))
+    if declared.get("cameras", cameras) != cameras:
+        raise SelfReidError(f"{path}: header cameras {declared['cameras']} != {cameras} "
+                            f"cameras in the records")
+    return dataset

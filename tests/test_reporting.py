@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from selfreid import cli
+from selfreid import cli, data
 from selfreid.errors import SelfReidError
 from selfreid.reporting import (
     RETIRED_KEYS,
@@ -85,6 +85,21 @@ def test_every_key_round_trips_with_a_non_default_value(tmp_path):
     path = tmp_path / "config.txt"
     write_keyvalue(path, values)
     assert config_to_dict(config_from_dict(read_keyvalue(path))) == values
+
+
+@pytest.mark.parametrize("block_bytes", [5, data._BLOCK_BYTES])
+def test_keyvalue_lines_across_blocks(tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "config.txt"
+    path.write_bytes("# r\u00e9sum\u00e9\r\nepochs = 3\rseed = 7\n\nepochs = 4\n".encode())
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}:5: key epochs repeated (first on line 2)")):
+        read_keyvalue(path)
+    # a byte that is not UTF-8 comes first, wherever it is
+    path.write_bytes(b"epochs\n" + b"seed = 7\n" * 4 + b"# \xd0\n")
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"{path}: not UTF-8 text: byte 0xd0 at offset 45 cannot be decoded")):
+        read_keyvalue(path)
 
 
 def test_unknown_key_rejected():
