@@ -17,11 +17,12 @@ before they write or train.
 
 sweep-eps re-ranks once, keeping the pairs within the grid's largest
 eps. Its --dump file is text: a header line
-`# jaccard pairs NxN max_distance=M: row column distance`, one line
-`row column distance` per stored pair (by row, then column, both
-triangles and the zero diagonal, distances as Python float reprs),
-then for each eps a line `# assignment eps=E` and a line of the N
-labels.
+`# jaccard pairs NxN upper triangle max_distance=M: row column distance`,
+one line `row column distance` per stored pair, that is per pair
+row < column within M (by row, then column, distances as Python float
+reprs; the lower triangle mirrors it and the diagonal is zero, so
+neither is written), then for each eps a line `# assignment eps=E` and
+a line of the N labels.
 """
 
 import argparse
@@ -211,8 +212,8 @@ def cmd_sweep_eps(args) -> int:
     if args.dump:
         indptr, cols, values = (a.tolist() for a in pairs[:3])
         with open(args.dump, "w") as fh:
-            fh.write(f"# jaccard pairs {len(bank)}x{len(bank)} max_distance={pairs.max_distance}: "
-                     f"row column distance\n")
+            fh.write(f"# jaccard pairs {len(bank)}x{len(bank)} upper triangle "
+                     f"max_distance={pairs.max_distance}: row column distance\n")
             for row, (a, b) in enumerate(zip(indptr, indptr[1:])):
                 fh.writelines(f"{row} {col} {value!r}\n"
                               for col, value in zip(cols[a:b], values[a:b]))
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--k2", type=int, default=cluster.k2)
     sw.add_argument("--min-samples", type=int, default=cluster.min_samples)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--dump", help="debug dump of the distance pairs and labels")
+    sw.add_argument("--dump", help="debug dump of the upper-triangle distance pairs and labels")
     sw.set_defaults(func=cmd_sweep_eps)
     return parser
 

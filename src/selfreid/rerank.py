@@ -2,8 +2,9 @@
 
 The distance between two samples is the Jaccard distance of their
 expanded reciprocal-neighbor weight vectors, computed on the momentum
-representations. Re-ranking returns only the pairs within a threshold,
-as a symmetric sparse matrix (`JaccardPairs`), and DBSCAN runs on those
+representations. The distance is symmetric and zero on the diagonal, so
+re-ranking returns only the pairs p < q within a threshold, each once,
+as a sparse upper triangle (`JaccardPairs`), and DBSCAN runs on those
 pairs; samples that no cluster reaches are marked as outliers and
 excluded from training for the epoch.
 
@@ -88,9 +89,11 @@ class ClusterAssignment:
 
 
 class JaccardPairs(NamedTuple):
-    """The distances at or below max_distance of a symmetric n x n matrix,
-    in CSR form: row r holds the columns indices[indptr[r]:indptr[r + 1]],
-    ascending, with distances data[...]. The zero diagonal is stored.
+    """The distances at or below max_distance of a symmetric n x n matrix
+    with a zero diagonal, stored once per pair p < q in CSR form: row p
+    holds the columns q > p in indices[indptr[p]:indptr[p + 1]], ascending,
+    with distances data[...]. Neither the lower triangle nor the diagonal
+    is stored.
 
     indptr holds n + 1 int64 offsets, indices int32 columns and data
     float64 distances, so a pair takes 12 bytes.
@@ -102,12 +105,16 @@ class JaccardPairs(NamedTuple):
     max_distance: float
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense view: the n x n matrix with every entry above
-        max_distance read as 1.0. It costs O(n^2); tests and benchmark
-        counters read it, and no package code does."""
+        """The dense view: the n x n matrix, both triangles and the zero
+        diagonal, with every entry above max_distance read as 1.0. It
+        costs O(n^2); tests and benchmark counters read it, and no package
+        code does."""
         n = len(self.indptr) - 1
         dense = np.ones((n, n), dtype=dtype)
-        dense[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.data
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        dense[rows, self.indices] = self.data
+        dense[self.indices, rows] = self.data
+        np.fill_diagonal(dense, 0.0)
         return dense
 
 
@@ -296,8 +303,8 @@ def _weight_vectors(features: np.ndarray, k1: int, k2: int) -> _Weights:
 def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
     """Row blocks of the min-sum pass and each block's weight entries.
 
-    Entry e = (p, c) meets the members q >= p of column c, which run from
-    e to the column's end: `suffix[e]` of them, p included. A block has at
+    Entry e = (p, c) meets the members q > p of column c, which run from
+    e + 1 to the column's end: `suffix[e]` of them. A block has at
     most _BLOCK_ROWS rows and starts anew when its rows' suffixes pass a
     multiple of _BLOCK_PAIRS * n. Returns (suffix, blocks), each block a
     (start, stop, entries) triple: its rows and, in column order, the
@@ -305,7 +312,7 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
     """
     n = len(weights.indptr) - 1
     suffix = np.repeat(weights.indptr[1:].astype(np.int32), np.diff(weights.indptr))
-    suffix -= np.arange(len(suffix), dtype=np.int32)
+    suffix -= np.arange(1, len(suffix) + 1, dtype=np.int32)
     row_pairs = np.bincount(weights.indices, suffix, minlength=n)
     window = (np.cumsum(row_pairs) - row_pairs) // (_BLOCK_PAIRS * n)
     starts = np.flatnonzero((np.arange(n) % _BLOCK_ROWS == 0)
@@ -321,16 +328,16 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
 
 def _block_min_sum(weights: _Weights, suffix: np.ndarray, entries: np.ndarray,
                    start: int, stop: int) -> np.ndarray:
-    """sum_c min(v_pc, v_qc) for rows p in start:stop and columns q >= p,
+    """sum_c min(v_pc, v_qc) for rows p in start:stop and columns q > p,
     as a (stop - start, n - start) array whose column j is q = start + j.
 
     `entries` are the block's weight entries in column order, and one
     `np.bincount` adds every cell's minima in that order. Cells with
-    q < p stay zero.
+    q <= p stay zero.
     """
     width = len(weights.indptr) - 1 - start
     counts = suffix[entries]
-    partners = np.repeat(entries - (np.cumsum(counts) - counts), counts)
+    partners = np.repeat(entries + 1 - (np.cumsum(counts) - counts), counts)
     partners += np.arange(len(partners))
     cells = np.repeat((weights.indices[entries].astype(np.int64) - start) * width - start, counts)
     cells += weights.indices[partners]
@@ -353,35 +360,16 @@ def _block_pairs(weights: _Weights, row_sums: np.ndarray, suffix: np.ndarray,
     del min_sum
     np.subtract(1.0, dist, out=dist)
     np.maximum(dist, 0.0, out=dist)  # <= 1 already, as min_sum >= 0
-    # Cells with q < p share no support and read 1.0, above max_distance
-    # (< 1). So does the diagonal, which the caller stores.
-    np.fill_diagonal(dist, 1.0)
+    # Cells with q <= p have no min-sum and read 1.0, above max_distance (< 1).
     cells, counts, cols = _row_cells(dist <= max_distance)
     cols += start
     return counts, cols, dist.ravel()[cells]
 
 
-def _symmetric_pairs(above: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                     max_distance: float) -> JaccardPairs:
-    """The JaccardPairs of the upper-triangle pairs (p, cols[e], values[e])
-    that run by row p, `above[p]` of them per row, ascending in column."""
-    n = len(above)
-    rows = np.repeat(np.arange(n, dtype=np.int32), above)
-    diagonal = np.arange(n, dtype=np.int32)
-    # The mirrored pairs (q, p), by p, then the diagonal, then the pairs
-    # (p, q): a stable sort by row leaves each row's columns ascending.
-    by_row = np.concatenate((cols, diagonal, rows))
-    order = np.argsort(by_row.astype(np.min_scalar_type(n)), kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(by_row, minlength=n))))
-    indices = np.concatenate((rows, diagonal, cols))[order]
-    return JaccardPairs(indptr, indices, np.concatenate((values, np.zeros(n), values))[order],
-                        max_distance)
-
-
 def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
                             max_distance: float) -> JaccardPairs:
     """k-reciprocal Jaccard distances over unit-norm feature rows, as the
-    symmetric JaccardPairs of every distance at or below max_distance.
+    JaccardPairs p < q of every distance at or below max_distance.
 
     Steps: (1) original distance = 1 - cosine; (2) reciprocal sets at k1,
     R = N * N^T for the k1-nearest-neighbor indicator N; (3) expansion by
@@ -395,11 +383,10 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
     once to read the distances on the expanded sets. Steps 2-5 keep index
     arrays with O(n * k1) entries and mark each block's sets in one bool
     row per sample. Step 6 finishes the upper triangle one block of rows
-    at a time, adding min(v_p, v_q) for each column that rows p <= q
+    at a time, adding min(v_p, v_q) for each column that rows p < q
     share, in ascending column order; pairs with no common support are
     at distance 1. Each block keeps only its distances at or below
-    max_distance, and the mirror of those fills the lower triangle, so
-    the pairs are exactly symmetric. The diagonal is stored as zero.
+    max_distance. The lower triangle and the zero diagonal are implicit.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or (n := len(features)) < 2:
@@ -416,7 +403,7 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
     above, cols, values = map(np.concatenate, zip(*[
         _block_pairs(weights, row_sums, suffix, entries, start, stop, max_distance)
         for start, stop, entries in blocks]))
-    return _symmetric_pairs(above, cols, values, max_distance)
+    return JaccardPairs(np.concatenate(([0], np.cumsum(above))), cols, values, max_distance)
 
 
 def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -442,9 +429,9 @@ def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _checked_rows(pairs: JaccardPairs, eps: float) -> np.ndarray:
-    """The row of each pair, once `pairs` is shown to be the symmetric
-    JaccardPairs of distances in [0, max_distance] with a zero diagonal,
-    sorted by row and then column, and eps is within its max_distance."""
+    """The row of each pair, once `pairs` is shown to be JaccardPairs of
+    distances in [0, max_distance] at pairs p < q, sorted by row and then
+    column, and eps is within its max_distance."""
     if not isinstance(pairs, JaccardPairs):
         raise SelfReidError(f"dbscan reads JaccardPairs, got {type(pairs).__name__}")
     if not eps <= pairs.max_distance:
@@ -458,29 +445,23 @@ def _checked_rows(pairs: JaccardPairs, eps: float) -> np.ndarray:
                             "pairs, and indices and data hold one value per pair")
     n = len(indptr) - 1
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    if not (np.all((indices >= 0) & (indices < n))
+    if not (np.all((rows < indices) & (indices < n))
             and np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))):
-        raise SelfReidError(f"pair indices must lie in 0..{n - 1} and ascend within each row")
+        raise SelfReidError(f"pairs (p, q) need p < q < {n}, with q ascending within each row")
     bad = np.flatnonzero(~((data >= 0.0) & (data <= pairs.max_distance)))
     if len(bad):
         raise SelfReidError(f"pair ({rows[bad[0]]}, {indices[bad[0]]}) is {data[bad[0]]}, "
                             f"not a distance in [0, {pairs.max_distance}]")
-    # The pairs by column, then row: the transpose's order, which must
-    # give back the same rows, columns and values.
-    by_column = np.argsort(indices.astype(np.min_scalar_type(n)), kind="stable")
-    diagonal = rows == indices
-    if not (np.array_equal(indices[by_column], rows) and np.array_equal(rows[by_column], indices)
-            and np.array_equal(data[by_column], data)
-            and np.count_nonzero(diagonal) == n and not np.any(data[diagonal])):
-        raise SelfReidError("pairs must be symmetric, with a zero diagonal")
     return rows
 
 
 def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
-    """DBSCAN over the pairs of a precomputed distance matrix.
+    """DBSCAN over the pairs p < q of a precomputed distance matrix with
+    a zero diagonal.
 
     Reads only the pairs within config.eps, which must not exceed
-    pairs.max_distance. Core points have at least min_samples points
+    pairs.max_distance; a pair links p and q both ways, and each point is
+    within eps of itself. Core points have at least min_samples points
     (themselves included) within eps. Clusters are the connected
     components of the core points joined by within-eps links, numbered by
     their lowest core index. Each border point takes the lowest cluster
@@ -493,9 +474,9 @@ def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
         within = pairs.data <= config.eps
         rows, cols = rows[within], cols[within]
     n = len(pairs.indptr) - 1
-    counts = np.bincount(rows, minlength=n)
+    counts = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
     core = counts >= config.min_samples
-    links = (rows < cols) & core[rows] & core[cols]  # each link once
+    links = core[rows] & core[cols]
     root = _lowest_linked(n, rows[links], cols[links])
     # Clusters are numbered by their lowest core index, their root.
     roots = np.flatnonzero(core & (root == np.arange(n)))
@@ -503,11 +484,15 @@ def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
     labels = np.full(n, OUTLIER, dtype=np.int64)
     labels[core] = np.searchsorted(roots, root[core])
 
-    border = ~core[rows] & core[cols]
-    rows, cols = rows[border], cols[border]
-    if len(rows):
-        reached, starts = np.unique(rows, return_index=True)
-        labels[reached] = np.minimum.reduceat(labels[cols], starts)
+    # A border point at either end of a pair takes the core point's label
+    # at the other end, the lowest of them if there are several.
+    mixed = core[rows] ^ core[cols]
+    rows, cols = rows[mixed], cols[mixed]
+    row_core = core[rows]
+    border = np.where(row_core, cols, rows)
+    lowest = np.full(n, cluster_count)
+    np.minimum.at(lowest, border, labels[np.where(row_core, rows, cols)])
+    labels[border] = lowest[border]
     return ClusterAssignment(labels=labels, cluster_count=cluster_count)
 
 

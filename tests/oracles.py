@@ -9,7 +9,8 @@ ones must match bit for bit; and `adam_oracle` and `ema_oracle`, the
 updates applied one weight array at a time, which the flat-buffer
 updates must match bit for bit. `traced_peak` is no oracle: it measures
 every memory bound in the tests the same way. Nor is `pairs_from_dense`:
-it hands the dense distance fixtures to `dbscan` as pairs. And
+it hands the upper triangle of the dense distance fixtures to `dbscan`
+as pairs. And
 `load_dataset_oracle` is the split-file loader on the whole file at
 once, decoded, split and parsed in one piece, which the block reader
 must match in every array and message.
@@ -348,9 +349,10 @@ def scipy_weight_vectors(features: np.ndarray, k1: int, k2: int) -> csc_array:
 
 def pairs_from_dense(dist: np.ndarray, max_distance: float) -> rerank.JaccardPairs:
     """The JaccardPairs of a dense distance matrix: its entries at or below
-    max_distance, by row and then column."""
+    max_distance above the diagonal, by row and then column. The lower
+    triangle and the diagonal are not read."""
     dist = np.asarray(dist, dtype=np.float64)
-    within = dist <= max_distance
+    within = np.triu(dist <= max_distance, k=1)
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(within, axis=1))))
     return rerank.JaccardPairs(indptr, np.nonzero(within)[1].astype(np.int32), dist[within],
                                max_distance)

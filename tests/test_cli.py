@@ -511,7 +511,8 @@ def parse_dump(path, n, max_distance):
     """The (row, column, distance) pairs and the labels per eps of a
     sweep-eps --dump file."""
     lines = Path(path).read_text().splitlines()
-    assert lines[0] == f"# jaccard pairs {n}x{n} max_distance={max_distance}: row column distance"
+    assert lines[0] == (f"# jaccard pairs {n}x{n} upper triangle max_distance={max_distance}: "
+                        f"row column distance")
     end = next(i for i, line in enumerate(lines) if line.startswith("# assignment"))
     triples = [line.split() for line in lines[1:end]]
     rows, cols = (np.array([int(t[i]) for t in triples]) for i in (0, 1))
@@ -541,6 +542,7 @@ def test_sweep_eps_reports_and_dumps_dbscan_on_the_bank(train_files, tmp_path, c
     (rows, cols, distances), labels = parse_dump(dump, len(split), max(cli.EPS_GRID))
     np.testing.assert_array_equal(rows, np.repeat(np.arange(len(split)), np.diff(pairs.indptr)))
     np.testing.assert_array_equal(cols, pairs.indices)
+    assert np.all(rows < cols)
     assert distances.tobytes() == pairs.data.tobytes()
     assert list(labels) == list(assignments)
     for eps, assignment in assignments.items():

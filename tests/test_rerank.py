@@ -243,10 +243,15 @@ def test_nearest_neighbors_keep_column_order_among_ties():
 
 def test_pair_blocks_keep_int32_suffixes_and_entry_lists():
     feats = blob_bank(np.random.default_rng(13), 20, 32, 32, spread=0.15)
-    suffix, blocks = rerank._pair_blocks(rerank._weight_vectors(feats, 30, 6))
+    weights = rerank._weight_vectors(feats, 30, 6)
+    suffix, blocks = rerank._pair_blocks(weights)
     assert suffix.dtype == np.int32
     assert all(entries.dtype == np.int32 for _, _, entries in blocks)
     assert sum(len(entries) for _, _, entries in blocks) == len(suffix)
+    # An entry meets only the members after it: each two members of a
+    # column meet once, and no entry meets itself.
+    members = np.diff(weights.indptr)
+    assert suffix.sum() == np.sum(members * (members - 1) // 2)
 
 
 def test_jaccard_symmetric_zero_diag_unit_range():
@@ -435,7 +440,8 @@ def test_dbscan_shuffled_chains_match_oracle():
 
 
 def four_points():
-    """The pairs of four coincident points: every distance is zero."""
+    """The pairs of four coincident points: every distance is zero, and
+    the six pairs p < q are (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)."""
     return pairs_from_dense(np.zeros((4, 4)), 0.55)
 
 
@@ -443,31 +449,28 @@ def with_pairs(pairs, **fields):
     return pairs._replace(**{name: np.array(value) for name, value in fields.items()})
 
 
-def test_dbscan_rejects_asymmetric_matrix():
-    for cells, values in [
-        ([(0, 1), (1, 0)], [0.5, 0.25]),  # the two sides differ
-        ([(0, 1), (1, 0)], [0.5, 0.9]),  # one side above max_distance
-        ([(290, 293)], [0.5]),  # in the far corner only
-        ([(2, 2)], [0.25]),  # diagonal not zero
-        ([(2, 2)], [0.9]),  # diagonal missing
-    ]:
-        dist = np.zeros((300, 300))
-        for cell, value in zip(cells, values):
-            dist[cell] = value
-        with pytest.raises(SelfReidError,
-                           match="^pairs must be symmetric, with a zero diagonal$"):
-            dbscan_dense(dist, ClusterConfig())
+@pytest.mark.parametrize("indptr, indices", [
+    pytest.param([0, 3, 5, 6, 6], [1, 2, 3, 2, 3, 2], id="diagonal"),  # (2, 2)
+    pytest.param([0, 3, 5, 6, 7], [1, 2, 3, 2, 3, 3, 1], id="below-diagonal"),  # (3, 1)
+])
+def test_dbscan_rejects_pairs_on_or_below_the_diagonal(indptr, indices):
+    # The lower triangle is the upper one's mirror, and the diagonal is
+    # zero, so neither is stored.
+    pairs = with_pairs(four_points(), indptr=indptr, indices=indices, data=np.zeros(len(indices)))
+    with pytest.raises(SelfReidError,
+                       match=r"^pairs \(p, q\) need p < q < 4, with q ascending within each row$"):
+        dbscan(pairs, ClusterConfig())
 
 
-@pytest.mark.parametrize("cell, value", [((1, 2), np.nan), ((3, 3), np.inf), ((0, 1), 0.75),
-                                         ((2, 0), -0.25)],
-                         ids=["nan-off-diagonal", "inf-on-diagonal", "above-max-distance",
+@pytest.mark.parametrize("cell, value", [((1, 2), np.nan), ((2, 3), np.inf), ((0, 1), 0.75),
+                                         ((0, 3), -0.25)],
+                         ids=["nan-off-diagonal", "inf-in-the-last-pair", "above-max-distance",
                               "negative"])
 def test_dbscan_names_a_non_finite_entry(cell, value):
     pairs = four_points()
     data = pairs.data.copy()
-    data[[4 * cell[0] + cell[1], 4 * cell[1] + cell[0]]] = value
-    with pytest.raises(SelfReidError, match=rf"^pair \({min(cell)}, {max(cell)}\) is "
+    data[list(zip(*np.triu_indices(4, 1))).index(cell)] = value
+    with pytest.raises(SelfReidError, match=rf"^pair \({cell[0]}, {cell[1]}\) is "
                                             rf"{value}, not a distance in \[0, 0.55\]$"):
         dbscan(with_pairs(pairs, data=data), ClusterConfig())
 
@@ -475,17 +478,17 @@ def test_dbscan_names_a_non_finite_entry(cell, value):
 @pytest.mark.parametrize("fields, eps, message", [
     pytest.param({}, 0.6, r"^eps=0.6 is above the pairs' max_distance=0.55$",
                  id="eps-above-max-distance"),
-    pytest.param({"indices": [0, 2, 1, 3] * 4}, 0.55, "ascend within each row",
+    pytest.param({"indices": [2, 1, 3, 2, 3, 3]}, 0.55, "ascending within each row",
                  id="unsorted-indices"),
-    pytest.param({"indices": [0, 1, 1, 3] * 4}, 0.55, "ascend within each row",
+    pytest.param({"indices": [1, 1, 3, 2, 3, 3]}, 0.55, "ascending within each row",
                  id="repeated-index"),
-    pytest.param({"indices": [0, 1, 2, 4] * 4}, 0.55, r"must lie in 0\.\.3", id="index-above-n"),
-    pytest.param({"indices": [-1, 1, 2, 3] * 4}, 0.55, r"must lie in 0\.\.3",
+    pytest.param({"indices": [1, 2, 4, 2, 3, 3]}, 0.55, "need p < q < 4", id="index-above-n"),
+    pytest.param({"indices": [-1, 2, 3, 2, 3, 3]}, 0.55, "need p < q < 4",
                  id="negative-index"),
-    pytest.param({"indptr": [0, 4, 8, 12, 15]}, 0.55, "^malformed pairs", id="indptr-short"),
-    pytest.param({"indptr": [0, 8, 4, 12, 16]}, 0.55, "^malformed pairs", id="indptr-falls"),
-    pytest.param({"data": np.zeros(15)}, 0.55, "^malformed pairs", id="data-short"),
-    pytest.param({"indices": np.tile([0.0, 1, 2, 3], 4)}, 0.55, "^malformed pairs",
+    pytest.param({"indptr": [0, 3, 5, 5, 5]}, 0.55, "^malformed pairs", id="indptr-short"),
+    pytest.param({"indptr": [0, 5, 3, 6, 6]}, 0.55, "^malformed pairs", id="indptr-falls"),
+    pytest.param({"data": np.zeros(5)}, 0.55, "^malformed pairs", id="data-short"),
+    pytest.param({"indices": [1.0, 2, 3, 2, 3, 3]}, 0.55, "^malformed pairs",
                  id="float-indices"),
 ])
 def test_dbscan_rejects_malformed_pairs(fields, eps, message):
@@ -500,13 +503,12 @@ def forty_blobs():
 
 
 def test_dbscan_peak_memory_grows_with_the_pairs():
-    # dbscan reads the pairs (12 bytes each) and holds O(1) arrays per
-    # pair beside them. The stable argsort of the symmetry check sets its
-    # traced peak, at 22 bytes per pair here; an n x n bool mask, 40 bytes
-    # per pair, would not fit.
+    # dbscan reads the pairs p < q (12 bytes each) and holds O(1) arrays
+    # per pair beside them: its traced peak is 35 bytes per stored pair
+    # here. An n x n bool mask, 83 bytes per pair, would not fit.
     pairs = jaccard_distance_matrix(forty_blobs(), 30, 6, ClusterConfig().eps)
     peak, _ = traced_peak(dbscan, pairs, ClusterConfig())
-    assert peak < 26 * len(pairs.data)
+    assert peak < 38 * len(pairs.data)
 
 
 def test_jaccard_and_dbscan_peak_memory():
