@@ -7,9 +7,10 @@ A one-hidden-layer perceptron maps input features to unit-norm embeddings:
 `forward` returns a `ForwardPass` whose `.out` are the embeddings, and
 `backward` turns that record into exact reverse-mode gradients (including
 the normalization Jacobian) without recomputing a layer. `optimizer_step`
-is an adaptive-moment update with decoupled weight decay and `ema_update`
-the exponential-moving-average twin that gives stable targets and the
-final inference model; the run's settings for both come from TrainConfig.
+is an adaptive-moment update with decoupled weight decay, made in place
+with two reused temporaries, and `ema_update` the exponential-moving-average
+twin that gives stable targets and the final inference model; the run's
+settings for both come from TrainConfig.
 
 The four weight arrays of an `EncoderParams` are views into one flat
 buffer, so the optimizer, the EMA and the finite-gradient check each act
@@ -130,12 +131,13 @@ def forward(params: EncoderParams, batch: np.ndarray) -> ForwardPass:
     d_in = params.w1.shape[0]
     if batch.ndim != 2 or batch.shape[1] != d_in:
         raise SelfReidError(f"batch shape {batch.shape}, encoder expects (*, {d_in})")
-    if not np.all(np.isfinite(batch)):
+    if not np.isfinite(batch).all():
         raise SelfReidError("non-finite values in encoder input")
     hidden = batch @ params.w1  # the bias and tanh act in place
     np.tanh(np.add(hidden, params.b1, out=hidden), out=hidden)
     raw = hidden @ params.w2 + params.b2
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    # np.linalg.norm's own reduction for these arguments, without its dispatch
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1, keepdims=True))
     return ForwardPass(input=batch, hidden=hidden, norms=norms, out=raw / norms)
 
 
@@ -145,7 +147,7 @@ def normalize_rows_vjp(y: np.ndarray, norms: np.ndarray,
 
     dL/draw = (g - y * <g, y>) / ||raw||
     """
-    inner = np.sum(grad_out * y, axis=1, keepdims=True)
+    inner = (grad_out * y).sum(axis=1, keepdims=True)
     return (grad_out - y * inner) / norms
 
 
@@ -192,24 +194,29 @@ def optimizer_step(state: OptimizerState, params: EncoderParams,
     """One adaptive-moment update of the online parameters, in place.
 
     p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), evaluated
-    in that order on the flat buffers.
+    in that order on the flat buffers. Every product and quotient is
+    written in place or into one of two flat temporaries reused within the
+    update, which allocates nothing else.
     """
-    if not np.all(np.isfinite(grads.flat)):
-        bad = next(f for f in PARAM_FIELDS if not np.all(np.isfinite(getattr(grads, f))))
+    if not np.isfinite(grads.flat).all():
+        bad = next(f for f in PARAM_FIELDS if not np.isfinite(getattr(grads, f)).all())
         raise SelfReidError(f"gradient {bad} contains NaN/inf")
     state.step += 1
     t = state.step
     g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
+    scratch = np.multiply(1.0 - BETA1, g)
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += scratch
+    np.multiply(1.0 - BETA2, g, out=scratch)
+    scratch *= g
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    update = m / (1.0 - BETA1 ** t)
-    denom = v / (1.0 - BETA2 ** t)
+    v += scratch
+    update = np.divide(m, 1.0 - BETA1 ** t)
+    denom = np.divide(v, 1.0 - BETA2 ** t, out=scratch)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom
-    update += weight_decay * p
+    update += np.multiply(weight_decay, p, out=scratch)
     update *= lr
     p -= update
 

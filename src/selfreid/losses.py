@@ -14,6 +14,7 @@ only; momentum representations, proxies and target distributions are
 constants. The trainer feeds these gradients back through the encoder.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,14 +92,14 @@ def proxy_agnostic_loss(feats: np.ndarray, labels: np.ndarray,
     proxy_vectors = np.asarray(proxy_vectors, dtype=np.float64)
     n = feats.shape[0]
     n_proxies = proxy_vectors.shape[0]
-    if np.any(labels < 0) or np.any(labels >= n_proxies):
+    if (labels < 0).any() or (labels >= n_proxies).any():
         missing = labels[(labels < 0) | (labels >= n_proxies)]
         raise SelfReidError(f"labels {sorted(set(missing.tolist()))} have no proxy")
 
     sims = feats @ proxy_vectors.T
     probs = softmax_rows(sims, tau)
     picked = probs[np.arange(n), labels]
-    value = float(-np.mean(np.log(picked)))
+    value = float(-np.log(picked).mean())
     grads = (probs @ proxy_vectors - proxy_vectors[labels]) / (tau * n)
     return value, grads
 
@@ -136,13 +137,13 @@ def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
         kth = np.partition(keys, n_neg - 1, axis=1)[:, n_neg - 1:n_neg]
         negative &= keys <= kth
         surplus = negative.sum(axis=1, keepdims=True) - n_neg
-        if np.any(surplus > 0):
+        if (surplus > 0).any():
             tied = negative & (keys == kth)
             keep = tied.sum(axis=1, keepdims=True) - surplus
             negative &= ~tied | (np.cumsum(tied, axis=1) <= keep)
 
     logits = sims / tau
-    neg_max = np.max(np.where(negative, logits, -np.inf), axis=1)
+    neg_max = np.where(negative, logits, -np.inf).max(axis=1)
     neg_e = np.exp(np.where(negative, logits - neg_max[:, None], -np.inf))
     neg_sum = neg_e.sum(axis=1)
 
@@ -155,7 +156,7 @@ def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
     neg_scale = np.exp(neg_max[rows] - shift)
     denom = pos_e + neg_scale * neg_sum[rows]
     weight = 1.0 / (np.bincount(rows, minlength=n)[rows] * n)
-    value = float(np.sum(weight * (np.log(denom) + shift - pos_logit)))
+    value = float((weight * (np.log(denom) + shift - pos_logit)).sum())
 
     # d(-log p_pos)/d(feat) = (sum_j p_j v_j - v_pos) / tau per positive.
     # A negative's probability is neg_e * neg_scale / denom, so its
@@ -193,7 +194,7 @@ def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,
     probs = e / denom
 
     pos_logit = sims[np.arange(n), mined] / tau
-    value = float(np.mean(np.log(denom[:, 0]) + row_max[:, 0] - pos_logit))
+    value = float((np.log(denom[:, 0]) + row_max[:, 0] - pos_logit).mean())
     grads = (probs @ momentum - momentum[mined]) / (tau * n)
     return value, grads
 
@@ -220,16 +221,16 @@ def soft_consistency_loss(dists: ConsistencyDistributions):
     """Anchor-averaged D_KL(P || Q); gradients through P only."""
     p = dists.p
     log_ratio = np.log(p) - np.log(dists.q)
-    per_anchor = np.sum(p * log_ratio, axis=1)
+    per_anchor = (p * log_ratio).sum(axis=1)
     # Through the softmax, d/ds_ij = p * (g - sum(p * g)) / tau with g = dKL/dP
     # = log_ratio; the +1 from d(p log p) is constant across j and drops out.
     ds = p * (log_ratio - per_anchor[:, None]) / dists.temperature
-    return float(np.mean(per_anchor)), ds @ dists.momentum_aug / p.shape[0]
+    return float(per_anchor.mean()), ds @ dists.momentum_aug / p.shape[0]
 
 
 def kl_value(dists: ConsistencyDistributions) -> float:
     """D_KL(P || Q) alone, without the gradient."""
-    return float(np.mean(np.sum(dists.p * (np.log(dists.p) - np.log(dists.q)), axis=1)))
+    return float((dists.p * (np.log(dists.p) - np.log(dists.q))).sum(axis=1).mean())
 
 
 def total_loss(agnostic, cross, hard, soft, weights: LossWeights) -> LossBreakdown:
@@ -237,7 +238,7 @@ def total_loss(agnostic, cross, hard, soft, weights: LossWeights) -> LossBreakdo
     weights.validate()
     parts = {"agnostic": agnostic, "cross": cross, "hard": hard, "soft": soft}
     for name, (value, _) in parts.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise SelfReidError(f"component {name} is {value}")
     proxy_value = agnostic[0] + 0.5 * cross[0]
     total_value = proxy_value + weights.hard * hard[0] + weights.soft * soft[0]

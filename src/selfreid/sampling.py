@@ -4,8 +4,10 @@ Batches hold n_identities pseudo identities with n_instances samples
 each. The augmentation perturbs feature vectors directly: isotropic
 noise, coordinate dropout (the stand-in for erasing) and an occasional
 re-drawn camera-style offset. Dropout zeroes round(dropout * d)
-coordinates of every row: those whose keys in one uniform (n, d) draw
-are the row's smallest, so each row loses a uniformly random subset.
+coordinates of every row: those whose keys in its step's uniform
+(rows, d) draw are the row's smallest, so each row loses a uniformly
+random subset. `perturb` augments several steps' batches in one call,
+each from its own step seed, and bit for bit as one call per step would.
 The encoder re-normalizes afterwards, so perturbed rows are
 intentionally left unnormalized.
 """
@@ -99,9 +101,17 @@ def estimate_camera_offsets(features: np.ndarray, cameras: np.ndarray) -> np.nda
     return offsets
 
 
-def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
+def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
             cameras: np.ndarray, camera_offsets: np.ndarray) -> np.ndarray:
-    """Strong feature-space augmentation; deterministic given the seed.
+    """Strong feature-space augmentation of the batches of len(step_seeds)
+    steps, stacked; deterministic given the seeds.
+
+    The rows are len(step_seeds) equal groups, group j being step j's
+    batch. Group j draws from its own `np.random.default_rng(step_seeds[j])`:
+    its noise, dropout keys, restyle coins and restyle targets, in that
+    order. So each group's output is the one-seed call's output for it
+    alone, and a one-batch call passes a one-seed list. Rows that do not
+    split evenly into the groups are a SelfReidError.
 
     The restyle step moves a row from its own camera's style offset to a
     uniformly drawn other camera's (the difference scaled by
@@ -112,22 +122,34 @@ def perturb(features: np.ndarray, config: PerturbationConfig, rng_seed,
     features = np.asarray(features, dtype=np.float64)
     out = features.copy()
     n, d = out.shape
-    rng = np.random.default_rng(rng_seed)
-    if config.noise_sigma > 0:
-        out += rng.normal(0.0, config.noise_sigma, size=(n, d))
+    steps = len(step_seeds)
+    if steps == 0 or n % steps:
+        raise SelfReidError(f"{n} rows do not split into {steps} equal step batches")
+    rows = n // steps
     n_drop = int(round(config.dropout * d))
+    n_cams = len(camera_offsets)
+    restyling = config.restyle_prob > 0 and n_cams > 1
+    keys = np.empty((n, d))
+    coins = np.empty(n)
+    targets = np.empty(n, dtype=np.int64)
+    for step, seed in enumerate(step_seeds):
+        group = slice(step * rows, (step + 1) * rows)
+        rng = np.random.default_rng(seed)
+        if config.noise_sigma > 0:
+            out[group] += rng.normal(0.0, config.noise_sigma, size=(rows, d))
+        if n_drop > 0:
+            rng.random(out=keys[group])
+        if restyling:
+            rng.random(out=coins[group])
+            targets[group] = rng.integers(0, n_cams - 1, size=rows)
     if n_drop > 0:
         # each row drops the columns of its n_drop smallest uniform keys
-        keys = rng.random((n, d))
         dropped = np.argpartition(keys, n_drop - 1, axis=1)[:, :n_drop]
         np.put_along_axis(out, dropped, 0.0, axis=1)
-    n_cams = len(camera_offsets)
-    if config.restyle_prob > 0 and n_cams > 1:
-        restyle = rng.random(n) < config.restyle_prob
+    if restyling:
         # shift each selected row to a uniformly drawn other camera
-        targets = rng.integers(0, n_cams - 1, size=n)
-        rows = np.flatnonzero(restyle)
-        own = np.asarray(cameras, dtype=np.int64)[rows]
-        other = targets[rows] + (targets[rows] >= own)
-        out[rows] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
+        picked = np.flatnonzero(coins < config.restyle_prob)
+        own = np.asarray(cameras, dtype=np.int64)[picked]
+        other = targets[picked] + (targets[picked] >= own)
+        out[picked] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
     return out

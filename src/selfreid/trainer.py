@@ -4,11 +4,16 @@
 up-front rules), plus a loop of `run_epoch` on the one `TrainState` that holds
 the run's splits and epoch reports. Each epoch encodes the whole training set
 with the momentum encoder, re-clusters it into pseudo identities, rebuilds the
-proxy memory, then calls `train_iteration` per step. A step makes two encoder
-passes: the online encoder on perturbed features, and the momentum encoder
-once over the perturbed rows stacked on the clean ones (its output is split
-back into the two views). It combines the losses (`batch_loss`),
-backpropagates into the online encoder, and EMA-updates the momentum twin.
+proxy memory, then runs its steps in chunks of `_PLAN_STEPS`. For each chunk
+`plan_steps` draws every step's batch, gathers the chunk's rows once and
+augments them in one `perturb` call, each step from its own seeds, into one
+array of the steps' perturbed rows stacked on their clean ones. The epoch
+holds one chunk's plan at a time, so its memory does not grow with the
+iteration count. `train_iteration` then makes a step's two encoder passes on
+its view of that array: the online encoder on the perturbed rows, and the
+momentum encoder once over the stacked rows (its output is split back into
+the two views). It combines the losses (`batch_loss`), backpropagates into
+the online encoder, and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
 labels, proxies and batches within an epoch depend only on the
@@ -73,6 +78,13 @@ _SEED_BATCH = 1
 _SEED_PERTURB = 2
 
 MAX_FAILED_EPOCHS = 3
+
+# Steps whose batches and augmentations one `plan_steps` call draws. The
+# plan of one chunk is all an epoch holds of it at a time.
+_PLAN_STEPS = 8
+
+# The LossBreakdown terms an EpochReport averages over the epoch's steps.
+_LOSS_TERMS = ("agnostic", "cross", "hard", "soft", "total")
 
 # Memory modes. Both build the same proxy memory; agnostic replaces the
 # cross-camera loss by zero, so only the cluster proxies are trained against.
@@ -243,22 +255,39 @@ def batch_loss(cfg: TrainConfig, memory: ProxyMemory, batch: IdentityBatch, feat
     return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
 
 
-def train_iteration(state: TrainState, memory: ProxyMemory, batch: IdentityBatch,
-                    iteration: int) -> LossBreakdown:
-    """Step `iteration` of epoch len(state.reports), against that epoch's proxy memory."""
-    cfg, epoch = state.config, len(state.reports)
-    raw = state.dataset.features[batch.indices]
-    perturbed = perturb(raw, cfg.perturbation, [cfg.seed, epoch, iteration, _SEED_PERTURB],
-                        cameras=batch.cameras, camera_offsets=state.camera_offsets)
+def plan_steps(state: TrainState, assignment: ClusterAssignment,
+               iterations: range) -> tuple[list[IdentityBatch], np.ndarray]:
+    """The batches of steps `iterations` of epoch len(state.reports), and their
+    encoder inputs: row j of the (steps, 2 * batch rows, d) array holds step
+    j's perturbed rows stacked on its clean ones. One gather and one `perturb`
+    call serve every step, each step drawing from its own seeds."""
+    cfg, epoch, dataset = state.config, len(state.reports), state.dataset
+    batches = [sample_pk_batch(assignment, dataset.cameras, cfg.batch,
+                               [cfg.seed, epoch, iteration, _SEED_BATCH])
+               for iteration in iterations]
+    raw = dataset.features[np.concatenate([batch.indices for batch in batches])]
+    perturbed = perturb(raw, cfg.perturbation,
+                        [[cfg.seed, epoch, iteration, _SEED_PERTURB] for iteration in iterations],
+                        cameras=np.concatenate([batch.cameras for batch in batches]),
+                        camera_offsets=state.camera_offsets)
+    views = (perturbed.reshape(len(batches), -1, dataset.dim),
+             raw.reshape(len(batches), -1, dataset.dim))
+    return batches, np.concatenate(views, axis=1)
 
-    online = forward(state.pair.online, perturbed)
-    momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
-    breakdown = batch_loss(cfg, memory, batch, online.out,
-                           momentum[:len(raw)], momentum[len(raw):])
+
+def train_iteration(state: TrainState, memory: ProxyMemory, batch: IdentityBatch,
+                    inputs: np.ndarray) -> LossBreakdown:
+    """One step of epoch len(state.reports), against that epoch's proxy memory;
+    `inputs` are the batch's perturbed rows stacked on its clean ones."""
+    cfg, rows = state.config, len(batch.indices)
+    online = forward(state.pair.online, inputs[:rows])
+    momentum = forward(state.pair.momentum, inputs).out
+    breakdown = batch_loss(cfg, memory, batch, online.out, momentum[:rows], momentum[rows:])
 
     grads = backward(state.pair.online, online, breakdown.grads)
     optimizer_step(state.opt, state.pair.online, grads,
-                   effective_lr(cfg.base_lr, cfg.warmup_epochs, epoch), cfg.weight_decay)
+                   effective_lr(cfg.base_lr, cfg.warmup_epochs, len(state.reports)),
+                   cfg.weight_decay)
     ema_update(state.pair, cfg.alpha)
     return breakdown
 
@@ -269,14 +298,6 @@ def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
     q, g = (RetrievalSet(forward(pair.momentum, split.features).out, split.identities,
                          split.cameras) for split in (query, gallery))
     return evaluate(q, g)
-
-
-def _mean(steps: list[LossBreakdown], term: str) -> float:
-    """Mean of a loss term, summed in step order (np.mean's pairwise sum has other bits)."""
-    total = 0.0
-    for step in steps:
-        total += getattr(step, term)
-    return total / len(steps) if steps else 0.0
 
 
 def run_epoch(state: TrainState) -> EpochReport:
@@ -293,7 +314,8 @@ def run_epoch(state: TrainState) -> EpochReport:
     else:
         assignment = generate_pseudo_labels(bank, cfg.cluster)
 
-    steps = []
+    # each term summed in step order (np.mean's pairwise sum has other bits)
+    sums, steps = dict.fromkeys(_LOSS_TERMS, 0.0), 0
     if assignment.cluster_count == 0:
         failed = 1 + next((i for i, r in enumerate(reversed(reports)) if r.cluster_count), epoch)
         log.warning("epoch %d: clustering found no inliers (%d consecutive)", epoch, failed)
@@ -305,20 +327,23 @@ def run_epoch(state: TrainState) -> EpochReport:
                     epoch, assignment.cluster_count, cfg.batch.n_identities)
     else:
         memory = build_proxies(bank, assignment, dataset.cameras)
-        for iteration in range(cfg.iterations):
-            batch = sample_pk_batch(assignment, dataset.cameras, cfg.batch,
-                                    [cfg.seed, epoch, iteration, _SEED_BATCH])
-            steps.append(train_iteration(state, memory, batch, iteration))
+        for first in range(0, cfg.iterations, _PLAN_STEPS):
+            batches, inputs = plan_steps(
+                state, assignment, range(first, min(first + _PLAN_STEPS, cfg.iterations)))
+            for batch, step_inputs in zip(batches, inputs):
+                breakdown = train_iteration(state, memory, batch, step_inputs)
+                for term in _LOSS_TERMS:
+                    sums[term] += getattr(breakdown, term)
+                steps += 1
 
-    soft = _mean(steps, "soft")
+    means = {term: sums[term] / steps if steps else 0.0 for term in _LOSS_TERMS}
     report = EpochReport(
         epoch=epoch, cluster_count=assignment.cluster_count,
         outlier_count=assignment.outlier_count,
-        mean_agnostic=_mean(steps, "agnostic"), mean_cross=_mean(steps, "cross"),
+        mean_agnostic=means["agnostic"], mean_cross=means["cross"], mean_hard=means["hard"],
         # the soft loss is D_KL(P || Q), so it is also the KL diagnostic
-        mean_hard=_mean(steps, "hard"), mean_soft=soft, mean_kl=soft,
-        mean_total=_mean(steps, "total"), wall_time=time.perf_counter() - start,
-        skipped_iterations=cfg.iterations - len(steps))
+        mean_soft=means["soft"], mean_kl=means["soft"], mean_total=means["total"],
+        wall_time=time.perf_counter() - start, skipped_iterations=cfg.iterations - steps)
     due = cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0
     if state.query is not None and (due or epoch == cfg.epochs - 1):
         report.evaluation = evaluate_encoder(state.pair, state.query, state.gallery)

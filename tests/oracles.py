@@ -13,7 +13,11 @@ it hands the upper triangle of the dense distance fixtures to `dbscan`
 as pairs. And
 `load_dataset_oracle` is the split-file loader on the whole file at
 once, decoded, split and parsed in one piece, which the block reader
-must match in every array and message.
+must match in every array and message. `perturb_oracle` is the
+augmentation of one batch from one seed, which each step's rows of a
+many-step `perturb` call must match bit for bit; and `run_epoch_oracle`
+runs an epoch's steps one at a time on the package's own step functions,
+which the trainer's chunked plan must match bit for bit.
 """
 
 import math
@@ -24,9 +28,12 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.spatial.distance import cdist
 
-from selfreid import rerank
+from selfreid import rerank, trainer
 from selfreid.data import FORMAT_NAME, FORMAT_VERSION, UNKNOWN_IDENTITY, EmbeddingDataset
+from selfreid.encoder import backward, effective_lr, ema_update, forward, optimizer_step
 from selfreid.errors import SelfReidError
+from selfreid.proxies import build_proxies
+from selfreid.sampling import sample_pk_batch
 
 
 def traced_peak(fn, *args):
@@ -589,3 +596,76 @@ def load_dataset_oracle(path) -> EmbeddingDataset:
         raise SelfReidError(f"{path}: header cameras {declared['cameras']} != {cameras} "
                             f"cameras in the records")
     return dataset
+
+
+def perturb_oracle(features, config, rng_seed, cameras, camera_offsets):
+    """`perturb` of one batch from one seed, as it was before it took one seed
+    per step: the reference each step's rows of a many-step call must equal."""
+    config.validate()
+    features = np.asarray(features, dtype=np.float64)
+    out = features.copy()
+    n, d = out.shape
+    rng = np.random.default_rng(rng_seed)
+    if config.noise_sigma > 0:
+        out += rng.normal(0.0, config.noise_sigma, size=(n, d))
+    n_drop = int(round(config.dropout * d))
+    if n_drop > 0:
+        # each row drops the columns of its n_drop smallest uniform keys
+        keys = rng.random((n, d))
+        dropped = np.argpartition(keys, n_drop - 1, axis=1)[:, :n_drop]
+        np.put_along_axis(out, dropped, 0.0, axis=1)
+    n_cams = len(camera_offsets)
+    if config.restyle_prob > 0 and n_cams > 1:
+        restyle = rng.random(n) < config.restyle_prob
+        # shift each selected row to a uniformly drawn other camera
+        targets = rng.integers(0, n_cams - 1, size=n)
+        rows = np.flatnonzero(restyle)
+        own = np.asarray(cameras, dtype=np.int64)[rows]
+        other = targets[rows] + (targets[rows] >= own)
+        out[rows] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
+    return out
+
+
+def run_epoch_oracle(state) -> None:
+    """Epoch len(state.reports) of a `labels_mode = oracle` run, one step at a
+    time: per step a batch, a gather, a one-seed `perturb_oracle`, the
+    perturbed rows stacked on the clean ones, two forwards, `batch_loss`,
+    backward, Adam and EMA. Appends the epoch's report, with wall_time 0.0
+    and no evaluation."""
+    cfg, dataset, epoch = state.config, state.dataset, len(state.reports)
+    bank = trainer.extract_bank(state.pair, dataset.features)
+    _, labels = np.unique(dataset.identities, return_inverse=True)
+    assignment = rerank.ClusterAssignment(labels.astype(np.int64), int(labels.max()) + 1)
+    steps = []
+    if assignment.cluster_count >= cfg.batch.n_identities:
+        memory = build_proxies(bank, assignment, dataset.cameras)
+        for iteration in range(cfg.iterations):
+            batch = sample_pk_batch(assignment, dataset.cameras, cfg.batch,
+                                    [cfg.seed, epoch, iteration, trainer._SEED_BATCH])
+            raw = dataset.features[batch.indices]
+            perturbed = perturb_oracle(raw, cfg.perturbation,
+                                       [cfg.seed, epoch, iteration, trainer._SEED_PERTURB],
+                                       batch.cameras, state.camera_offsets)
+            online = forward(state.pair.online, perturbed)
+            momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
+            breakdown = trainer.batch_loss(cfg, memory, batch, online.out,
+                                           momentum[:len(raw)], momentum[len(raw):])
+            grads = backward(state.pair.online, online, breakdown.grads)
+            optimizer_step(state.opt, state.pair.online, grads,
+                           effective_lr(cfg.base_lr, cfg.warmup_epochs, epoch),
+                           cfg.weight_decay)
+            ema_update(state.pair, cfg.alpha)
+            steps.append(breakdown)
+
+    def mean(term):
+        total = 0.0
+        for step in steps:
+            total += getattr(step, term)
+        return total / len(steps) if steps else 0.0
+
+    state.reports.append(trainer.EpochReport(
+        epoch=epoch, cluster_count=assignment.cluster_count,
+        outlier_count=assignment.outlier_count, mean_agnostic=mean("agnostic"),
+        mean_cross=mean("cross"), mean_hard=mean("hard"), mean_soft=mean("soft"),
+        mean_total=mean("total"), mean_kl=mean("soft"), wall_time=0.0,
+        skipped_iterations=cfg.iterations - len(steps)))

@@ -72,6 +72,23 @@ def test_stacked_forward_matches_separate_passes():
     np.testing.assert_allclose(stacked[32:], forward(params, clean).out, rtol=0, atol=1e-15)
 
 
+def test_forward_norms_are_linalg_norms_bit_for_bit():
+    # w1 = I and one-hot inputs give row j the raw output tanh(0.8) * w2[j],
+    # so rows reach 1e-160 (squares below the normal range) and 1e160
+    # (squares overflow); the random rows mix every scale
+    rng = np.random.default_rng(14)
+    scales = np.array([[1.0], [1e-160], [1e160], [3.0]])
+    params = EncoderParams(w1=np.eye(4), b1=np.zeros(4), w2=rng.normal(size=(4, 5)) * scales,
+                           b2=np.zeros(5))
+    batch = np.vstack((0.8 * np.eye(4), rng.normal(size=(6, 4))))
+    with np.errstate(over="ignore"):
+        fwd = forward(params, batch)
+        raw = fwd.hidden @ params.w2 + params.b2
+        expected = np.linalg.norm(raw, axis=1, keepdims=True)
+    assert fwd.norms.tobytes() == expected.tobytes()
+    assert 0.0 < fwd.norms[1, 0] < 1e-150 and np.isinf(fwd.norms[2, 0])
+
+
 def test_forward_dimension_mismatch():
     with pytest.raises(SelfReidError, match=re.escape("batch shape (3, 7), encoder expects (*, 6)")):
         forward(small_params(0), np.zeros((3, 7)))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from selfreid.sampling import (
     perturb,
     sample_pk_batch,
 )
+
+from oracles import perturb_oracle
 
 
 def make_assignment(labels):
@@ -126,7 +130,7 @@ def two_camera_styles(feats):
 def test_zero_config_is_identity():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(6, 10))
-    out = perturb(feats, PerturbationConfig(0.0, 0.0, 0.0), rng_seed=5,
+    out = perturb(feats, PerturbationConfig(0.0, 0.0, 0.0), step_seeds=[5],
                   **two_camera_styles(feats))
     np.testing.assert_array_equal(out, feats)
 
@@ -134,7 +138,7 @@ def test_zero_config_is_identity():
 def test_dropout_zeroes_exact_count():
     rng = np.random.default_rng(1)
     feats = rng.uniform(0.5, 1.0, size=(5, 64))  # strictly nonzero input
-    out = perturb(feats, PerturbationConfig(0.0, 0.25, 0.0), rng_seed=6,
+    out = perturb(feats, PerturbationConfig(0.0, 0.25, 0.0), step_seeds=[6],
                   **two_camera_styles(feats))
     for row in out:
         assert int(np.sum(row == 0.0)) == 16
@@ -144,17 +148,43 @@ def test_perturb_deterministic():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(8, 32))
     config = PerturbationConfig(0.1, 0.15, 0.5, 0.3)
-    a = perturb(feats, config, rng_seed=(9, 9), **two_camera_styles(feats))
-    b = perturb(feats, config, rng_seed=(9, 9), **two_camera_styles(feats))
+    a = perturb(feats, config, step_seeds=[(9, 9)], **two_camera_styles(feats))
+    b = perturb(feats, config, step_seeds=[(9, 9)], **two_camera_styles(feats))
     np.testing.assert_array_equal(a, b)
 
 
 def test_perturb_changes_input():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(8, 32))
-    out = perturb(feats, PerturbationConfig(0.1, 0.15, 0.5, 0.3), rng_seed=10,
+    out = perturb(feats, PerturbationConfig(0.1, 0.15, 0.5, 0.3), step_seeds=[10],
                   **two_camera_styles(feats))
     assert not np.array_equal(out, feats)
+
+
+@pytest.mark.parametrize("n_cams", [1, 4])
+@pytest.mark.parametrize("steps", [1, 3, 8])
+@pytest.mark.parametrize("noise, dropout, restyle", itertools.product([0.0, 0.1], [0.0, 0.15],
+                                                                      [0.0, 0.5]))
+def test_many_step_perturb_is_each_steps_one_seed_perturb_stacked(steps, n_cams, noise,
+                                                                  dropout, restyle):
+    rng = np.random.default_rng(steps)
+    feats = rng.normal(size=(steps * 32, 64))
+    cameras = np.arange(len(feats)) % n_cams
+    offsets = estimate_camera_offsets(feats, cameras)
+    config = PerturbationConfig(noise, dropout, restyle, restyle_scale=0.7)
+    seeds = [[3, 1, step, 2] for step in range(steps)]
+    out = perturb(feats, config, seeds, cameras, offsets)
+    expected = [perturb_oracle(feats[rows], config, seed, cameras[rows], offsets)
+                for seed, rows in zip(seeds, np.split(np.arange(len(feats)), steps))]
+    np.testing.assert_array_equal(out, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("rows, steps", [(10, 3), (4, 0)])
+def test_perturb_rejects_rows_that_do_not_split_into_the_steps(rows, steps):
+    feats = np.random.default_rng(0).normal(size=(rows, 8))
+    with pytest.raises(SelfReidError, match=f"^{rows} rows do not split into {steps} equal "
+                                            f"step batches$"):
+        perturb(feats, PerturbationConfig(), list(range(steps)), **two_camera_styles(feats))
 
 
 GRID = SyntheticSpec(n_identities=5, n_cameras=4, samples_per_cell=3, dim=16)
@@ -177,7 +207,7 @@ def test_restyle_moves_a_row_to_another_cameras_style(prob):
     features, cameras = train_split.features, train_split.cameras
     offsets = estimate_camera_offsets(features, cameras)
     out = perturb(features, PerturbationConfig(noise_sigma=0.0, dropout=0.0, restyle_prob=prob),
-                  rng_seed=11, cameras=cameras, camera_offsets=offsets)
+                  step_seeds=[11], cameras=cameras, camera_offsets=offsets)
     # a row that is not restyled does not move at all
     moved = np.flatnonzero(np.any(out != features, axis=1))
     if prob == 1.0:
@@ -198,9 +228,9 @@ def test_restyle_with_a_single_camera_leaves_rows_unmoved(noise_sigma, dropout):
     cameras = np.zeros(6, dtype=np.int64)
     offsets = estimate_camera_offsets(feats, cameras)
     out = perturb(feats, PerturbationConfig(noise_sigma, dropout, restyle_prob=1.0),
-                  rng_seed=12, cameras=cameras, camera_offsets=offsets)
+                  step_seeds=[12], cameras=cameras, camera_offsets=offsets)
     no_restyle = perturb(feats, PerturbationConfig(noise_sigma, dropout, restyle_prob=0.0),
-                         rng_seed=12, cameras=cameras, camera_offsets=offsets)
+                         step_seeds=[12], cameras=cameras, camera_offsets=offsets)
     np.testing.assert_array_equal(out, no_restyle)
     if noise_sigma == dropout == 0.0:
         np.testing.assert_array_equal(out, feats)
@@ -231,16 +261,16 @@ def test_dropout_without_restyle_zeroes_rounded_count_per_row(d, dropout):
     feats = rng.uniform(0.5, 1.0, size=(50, d))  # strictly nonzero input
     config = PerturbationConfig(noise_sigma=0.1, dropout=dropout, restyle_prob=0.0)
     styles = two_camera_styles(feats)
-    out = perturb(feats, config, rng_seed=(7, 1), **styles)
+    out = perturb(feats, config, step_seeds=[(7, 1)], **styles)
     np.testing.assert_array_equal(np.sum(out == 0.0, axis=1), round(dropout * d))
-    np.testing.assert_array_equal(out, perturb(feats, config, rng_seed=(7, 1), **styles))
-    assert not np.array_equal(out, perturb(feats, config, rng_seed=(7, 2), **styles))
+    np.testing.assert_array_equal(out, perturb(feats, config, step_seeds=[(7, 1)], **styles))
+    assert not np.array_equal(out, perturb(feats, config, step_seeds=[(7, 2)], **styles))
 
 
 def test_dropout_hits_every_coordinate_at_the_dropout_rate():
     # 6 of 40 coordinates per row: each coordinate's rate should be 0.15
     feats = np.ones((4000, 40))
-    out = perturb(feats, PerturbationConfig(0.0, 0.15, 0.0), rng_seed=8,
+    out = perturb(feats, PerturbationConfig(0.0, 0.15, 0.0), step_seeds=[8],
                   **two_camera_styles(feats))
     rate = np.mean(out == 0.0, axis=0)
     assert np.abs(rate - 0.15).max() < 0.03  # about 5 standard errors

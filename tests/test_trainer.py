@@ -22,7 +22,7 @@ from selfreid.trainer import (
     train,
 )
 
-from oracles import finite_difference, max_rel_err
+from oracles import finite_difference, max_rel_err, run_epoch_oracle, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,8 @@ def test_train_stops_at_check_run(small_train, monkeypatch):
         train(TrainConfig(epochs=1, iterations=1), small_train)
 
 
-def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
+def test_fewer_clusters_than_batch_identities_skips_iterations(small_train, monkeypatch):
+    monkeypatch.setattr(trainer, "plan_steps", lambda *args: pytest.fail("a plan was built"))
     # oracle labels give exactly the 10 generated identities
     config = TrainConfig(epochs=2, iterations=6, labels_mode="oracle",
                          batch=BatchSpec(n_identities=11))
@@ -191,6 +192,36 @@ def test_fewer_clusters_than_batch_identities_skips_iterations(small_train):
         assert r.cluster_count == 10
         assert r.skipped_iterations == config.iterations
         assert r.mean_total == 0.0
+
+
+@pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
+@pytest.mark.parametrize("iterations", [0, 1, 7, 8, 9, 17])
+def test_chunked_epochs_equal_the_per_step_loop(small_train, mode, iterations):
+    # iteration counts below, at and across the plan's chunk boundaries
+    config = TrainConfig(epochs=2, iterations=iterations, memory_mode=mode,
+                         labels_mode="oracle")
+    state, reference = init_state(config, small_train), init_state(config, small_train)
+    for _ in range(config.epochs):
+        run_epoch(state)
+        run_epoch_oracle(reference)
+    assert without_wall_time(state.reports) == reference.reports
+    assert state.opt.step == reference.opt.step == config.epochs * iterations
+    for got, want in ((state.pair.online, reference.pair.online),
+                      (state.pair.momentum, reference.pair.momentum),
+                      (state.opt.m, reference.opt.m), (state.opt.v, reference.opt.v)):
+        np.testing.assert_array_equal(got.flat, want.flat)
+
+
+def test_an_epoch_holds_one_chunk_of_its_plan_at_a_time(small_train):
+    def epoch_peak(iterations):
+        state = init_state(TrainConfig(iterations=iterations, labels_mode="oracle"), small_train)
+        return traced_peak(run_epoch, state)[0]
+
+    spec = TrainConfig().batch
+    # the stacked perturbed and clean float64 rows of one chunk of 8 steps;
+    # a plan of all 160 steps would hold 20 times as much
+    chunk_bytes = 8 * 2 * spec.n_identities * spec.n_instances * small_train.dim * 8
+    assert epoch_peak(160) - epoch_peak(16) < chunk_bytes
 
 
 @pytest.mark.parametrize("key, value", [
