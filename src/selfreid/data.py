@@ -12,10 +12,25 @@ optional, but a ``# format`` line must read ``selfreid-embeddings v1``,
 and ``# dim``, ``# count`` and ``# cameras`` lines must match the records.
 Lines end at ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
 
-Loading is one streaming pass over fixed blocks of _BLOCK_BYTES bytes.
-Each block is cut after its last line end, the rest carried to the next,
-so no character and no line end is split; it is decoded on its own, and
-a byte that is not UTF-8 is reported at its offset in the whole file.
+Loading reads fixed blocks of _BLOCK_BYTES bytes. Each block is cut after
+its last line end, the rest carried to the next, so no character and no
+line end is split; it is decoded on its own, and a byte that is not UTF-8
+is reported at its offset in the whole file.
+
+A load takes one of two paths. First it reads the leading header and
+blank lines, takes the width from the first record and hands each block's
+record lines to one call of numpy's C text reader (``np.loadtxt``), as a
+table of three int64 ids and the features. A file takes this path when
+every record line is ASCII; every id, identity and camera is a decimal
+integer in int64 range that the reader takes (no ``?``, no digit-group
+underscores); every record has the first one's width; no ``#`` line
+follows a record; and the file passes every check below. Any other file
+is read again from the top by the line pass, which alone names a fault,
+so what a load returns or reports does not depend on the first path; its
+first block is not read twice when that block already sent the file to
+the line pass. Training splits whose identities are all ``?``, as real
+unlabeled data has, take the line pass and keep its cost.
+
 The line pass splits each record line once, for its id, identity and
 camera, which take Python's int() syntax. It stops at a line that is not
 a record, before a record with an integer out of int64 range and after
@@ -35,13 +50,14 @@ rounds as float() does, and floats are written with repr, so a
 save/load round trip is bit-exact.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SelfReidError
-from .linalg import require_finite
+from .linalg import normalize_rows, require_finite
 
 FORMAT_NAME = "selfreid-embeddings"
 FORMAT_VERSION = 1
@@ -119,11 +135,6 @@ class EmbeddingDataset:
                                 f"distinct ids from {cams[0]} to {cams[-1]}")
 
 
-def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    raw = rng.normal(size=(n, d))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
 def generate_synthetic(spec: SyntheticSpec):
     """Build disjoint train/query/gallery splits from one seeded draw.
 
@@ -137,9 +148,9 @@ def generate_synthetic(spec: SyntheticSpec):
         warnings.warn(f"dim={spec.dim} is too small to separate identities reliably",
                       UserWarning, stacklevel=2)
     rng = np.random.default_rng([spec.seed, 0x5EED])
-    centers = spec.dispersion * _unit_rows(rng, spec.n_identities, spec.dim)
+    centers = spec.dispersion * normalize_rows(rng.normal(size=(spec.n_identities, spec.dim)))
     # camera style: a fixed offset direction per camera, norm sigma_camera
-    offsets = spec.sigma_camera * _unit_rows(rng, spec.n_cameras, spec.dim)
+    offsets = spec.sigma_camera * normalize_rows(rng.normal(size=(spec.n_cameras, spec.dim)))
 
     def draw_split(per_cell: int, noise_scale: float, first_id: int) -> EmbeddingDataset:
         # rows run identity-major, then camera, then sample within the cell
@@ -242,13 +253,101 @@ def text_blocks(path):
 
 def load_dataset(path) -> EmbeddingDataset:
     """Read and check a split file; a fault names the path and, for a fault
-    on a line, the first line at fault."""
+    on a line, the first line at fault.
+
+    Two steps. `_load_tables` reads a clean file in one C-reader call per
+    block: every record line ASCII, with decimal int64 ids, identities and
+    cameras, the first record's width and no ``#`` line after it, and every
+    check passed. Any other file goes to the line pass, `_load_lines`, from
+    the top, so the arrays, the messages and their order are the line
+    pass's. An all-``?`` training split fails the first step at its first
+    record and costs what the line pass alone does.
+    """
+    blocks = text_blocks(path)
+    head = list(itertools.islice(blocks, 1))
+    dataset, read = _load_tables(path, itertools.chain(head, blocks))
+    if dataset is None:  # a file its first block settles is read once
+        # the line pass drops the first block once past it: an exhausted
+        # list iterator lets go of its list
+        blocks = itertools.chain(iter(head), blocks) if read <= 1 else text_blocks(path)
+        del head
+        dataset = _load_lines(path, blocks)
+    return dataset
+
+
+def _header_fault(line: str, header: dict):
+    """Read a stripped ``#`` line into `header`; the fault if it is a
+    ``# format`` line for another format, else None."""
+    parts = line[1:].split()
+    if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
+        return f"header {line!r} is not '# format {FORMAT_NAME} v{FORMAT_VERSION}'"
+    if len(parts) >= 2:
+        header[parts[0]] = parts[1:]
+
+
+def _load_tables(path, blocks):
+    """(dataset, number of blocks read): the checked dataset, parsed in one
+    C-reader call per block of `blocks`, or None if a block does not parse
+    that way or a check fails.
+
+    The leading header and blank lines are read by the line pass's rule and
+    the first record sets the width. Record lines must be ASCII: numpy's
+    integer reader misreads some other characters as digits.
+    """
+    header, ids, features = {}, [], []
+    dtype = None
+    read = 0
+    for read, (_, lines) in enumerate(blocks, start=1):
+        if dtype is None:
+            for start, line in enumerate(lines):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    break
+                if line and _header_fault(line, header):
+                    return None, read
+            else:
+                continue
+            width = len(line.split()) - 3
+            if width < 1:
+                return None, read
+            dtype = [("ids", np.int64, (3,)), ("features", np.float64, (width,))]
+            lines = lines[start:]
+        if not all(map(str.isascii, lines)):
+            return None, read
+        if not any(map(str.strip, lines)):  # numpy warns on a block of blank lines
+            continue
+        try:
+            # numpy 1.x reads an integer from float text such as "12.0" with a
+            # DeprecationWarning; int() and the line pass reject it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None, read
+        ids.append(table["ids"])
+        features.append(table["features"])
+        del table
+    if not features:
+        return None, read
+    sample_ids, identities, cameras = np.concatenate(ids).T.copy()
+    del ids  # views that, like `table`, would keep the blocks' tables
+    features = np.concatenate(features)  # the tables go with the old list
+    try:
+        return _checked_dataset(path, header, sample_ids, identities, cameras, features), read
+    except SelfReidError:
+        return None, read
+
+
+def _load_lines(path, blocks) -> EmbeddingDataset:
+    """The line pass over `blocks`, the file's from the top: each record
+    line split in Python, each block's feature texts parsed in one call; see
+    the module docstring."""
     header = {}
     records, features = [], []  # per block: (4, m) int64 rows and (m, dim) features
     seen = set()
     width = None
     stop = None  # (line number, reason) of the first line at fault
-    for first, lines in text_blocks(path):
+    for first, lines in blocks:
         if stop:  # the rest is only decoded: a UTF-8 fault anywhere comes first
             continue
         rows, texts = [], []  # id, identity, camera and line number; feature text
@@ -257,13 +356,10 @@ def load_dataset(path) -> EmbeddingDataset:
             if not line:
                 continue
             if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["format"] and parts[1:] != [FORMAT_NAME, f"v{FORMAT_VERSION}"]:
-                    stop = lineno, (f"header {line!r} is not "
-                                    f"'# format {FORMAT_NAME} v{FORMAT_VERSION}'")
+                reason = _header_fault(line, header)
+                if reason:
+                    stop = lineno, reason
                     break
-                if len(parts) >= 2:
-                    header[parts[0]] = parts[1:]
                 continue
             fields = line.split(None, 3)
             if len(fields) < 4:
@@ -310,6 +406,14 @@ def load_dataset(path) -> EmbeddingDataset:
     sample_ids, identities, cameras, linenos = np.concatenate(records, axis=1)
     del records
     features = np.concatenate(features)
+    return _checked_dataset(path, header, sample_ids, identities, cameras, features, linenos)
+
+
+def _checked_dataset(path, header, sample_ids, identities, cameras, features,
+                     linenos=None) -> EmbeddingDataset:
+    """The dataset of the records, once the header's dim, count and cameras
+    match them, every feature is finite and `validate` passes; a
+    non-finite feature is named by linenos[row]."""
     declared = {}
     for key in ("dim", "count", "cameras"):
         if key in header:
@@ -318,6 +422,7 @@ def load_dataset(path) -> EmbeddingDataset:
             except ValueError:
                 raise SelfReidError(f"{path}: header {key} {header[key][0]!r} is not "
                                     f"an integer") from None
+    width = features.shape[1]
     if declared.get("dim", width) != width:
         raise SelfReidError(f"{path}: header dim {declared['dim']} != record dim {width}")
     if declared.get("count", len(features)) != len(features):

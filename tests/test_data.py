@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,111 @@ def test_fault_on_the_last_line_needs_one_bulk_parse(tmp_path, monkeypatch, last
     with pytest.raises(SelfReidError, match=re.escape(f"{path}:201: {message}")):
         load_dataset(path)
     assert len(calls) == -(-path.stat().st_size // 1000) and sum(calls) == parsed
+
+
+@pytest.fixture
+def line_passes(monkeypatch):
+    """The number of times a load ran the line pass, which it runs only for
+    a file the one-call path does not take."""
+    calls = []
+    load_lines = data._load_lines
+    monkeypatch.setattr(data, "_load_lines",
+                        lambda *args: calls.append(args[0]) or load_lines(*args))
+    return calls
+
+
+def test_generated_splits_take_the_one_call_path(tmp_path, line_passes):
+    for name, split in zip(("train", "query", "gallery"), generate_synthetic(SyntheticSpec())):
+        path = tmp_path / f"{name}.txt"
+        save_dataset(split, path)
+        assert load_outcome(load_dataset, path) == load_outcome(load_dataset_oracle, path)
+    assert line_passes == []
+
+
+# Record texts and the path each takes: "tables" for one C-reader call per
+# block, "lines" for the line pass.
+PATH_CASES = {
+    "signed and zero-padded ids": ("+7 007 0 0.5\n-0 +1 1 0.25\n", "tables"),
+    "unknown identities": ("0 ? 0 0.5\n1 ? 1 0.25\n", "lines"),
+    "digit-group underscore id": ("1_0 1 0 0.5\n", "lines"),
+    "float-form id": ("12.0 1 0 0.5\n", "lines"),
+    "exponent id": ("0 1 0 0.5\n1e1 1 0 0.25\n", "lines"),
+    "Arabic-Indic digit id": ("٣ 1 0 0.5\n", "lines"),
+    # numpy's integer reader takes "1Ǿ" for 472; int() rejects it
+    "non-ASCII letter in an id": ("0 1 0 0.5\n1Ǿ 1 0 0.25\n", "lines"),
+    "no-break spaces between fields": ("0\u00a01\u00a00\u00a00.5\n", "lines"),
+    "\\x1c between fields": ("0\x1c1\x1c0\x1c0.5 0.25\n1 1 1 0.5\x1c0.25\n", "tables"),
+    "tabs": ("0\t1\t0\t0.5\t0.25\n1\t1\t1\t0.5\t0.25\n", "tables"),
+    "CRLF line ends": ("# dim 1\r\n0 1 0 0.5\r\n1 1 1 0.25\r\n", "tables"),
+    "whitespace-only lines": ("0 1 0 0.5\n   \n\t\x0b\n1 1 1 0.25\n\n", "tables"),
+    "# line after records": ("0 1 0 0.5\n# note\n1 1 1 0.25\n", "lines"),
+    "header after blank lines": ("\n  \n# format selfreid-embeddings v1\n0 1 0 0.5\n", "tables"),
+    "foreign format": ("# format other v1\n0 1 0 0.5\n", "lines"),
+    "short first record": ("0 1 0\n", "lines"),
+    "no records": ("# dim 1\n\n", "lines"),
+    "header count mismatch": ("# count 3\n0 1 0 0.5\n1 1 1 0.25\n", "lines"),
+    "non-finite feature": ("0 1 0 0.5\n1 1 1 nan\n", "lines"),
+    "repeated id": ("0 1 0 0.5\n0 1 1 0.25\n", "lines"),
+    # numpy warns that blank lines alone "contained no data"; the tests run
+    # with warnings as errors
+    "header-only first block": ("# format selfreid-embeddings v1\n# dim 1\n\n0 1 0 0.5\n",
+                                "tables"),
+    "blank block": ("0 1 0 0.5\n" + " \n" * 20 + "1 1 1 0.25\n", "tables"),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [16, data._BLOCK_BYTES])  # 16: one record a block
+@pytest.mark.parametrize("case", PATH_CASES)
+def test_each_file_takes_one_path_and_loads_as_the_reference(tmp_path, monkeypatch,
+                                                             line_passes, case, block_bytes):
+    text, path_taken = PATH_CASES[case]
+    path = tmp_path / "split.txt"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    assert load_outcome(load_dataset, path) == load_outcome(load_dataset_oracle, path)
+    assert len(line_passes) == (path_taken == "lines")
+
+
+def test_float_form_ids_a_numpy_1_reader_takes_go_to_the_line_pass(tmp_path, monkeypatch,
+                                                                   line_passes):
+    # numpy 1.x reads "12.0" as an int64 with a DeprecationWarning; int()
+    # rejects it. This reader does the same, and the warning is shown only
+    # once the loader turns it into an error itself.
+    loadtxt = np.loadtxt
+
+    def numpy_1_loadtxt(lines, dtype, **kwargs):
+        if dtype is not np.float64 and any("12.0" in line for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            lines = [line.replace("12.0", "12") for line in lines]
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    path = tmp_path / "split.txt"
+    path.write_text("0 1 0 0.5\n12.0 1 1 0.25\n")
+    monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        outcome = load_outcome(load_dataset, path)
+    assert outcome == f"{path}:2: invalid literal for int() with base 10: '12.0'"
+    assert len(line_passes) == 1
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda fields: fields[:4] + ["abc"], "could not convert string to float: 'abc'"),
+    (lambda fields: ["7"] + fields[1:], "repeated sample id 7"),
+    (lambda fields: fields + ["0.5"], "dimension 3 != 2 from earlier records"),
+])
+def test_fault_several_blocks_in_is_named_by_the_line_pass(tmp_path, monkeypatch,
+                                                           line_passes, fault, message):
+    lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)]
+    lines[190] = " ".join(fault(lines[190].split()))
+    path = tmp_path / "split.txt"
+    path.write_text("# format selfreid-embeddings v1\n" + "\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 1000)
+    assert path.read_text().index(lines[190]) > 3 * 1000  # in the fourth block
+    outcome = load_outcome(load_dataset, path)
+    assert outcome == load_outcome(load_dataset_oracle, path) == f"{path}:192: {message}"
+    assert len(line_passes) == 1
 
 
 def test_non_utf8_file_rejected(tmp_path):
@@ -480,6 +586,13 @@ SPLICES = [b"\n", b"\r", b"\r\n", b" ", b"\t", b"#", b"?", b"0", b"-", b"1e", b"
            "\x85".encode()]
 
 
+# Ids that int() and numpy's integer reader read alike, one reads and the
+# other does not, or they read differently; and whitespace between fields
+# that numpy splits on as Python does, or that only the line pass takes.
+ID_TOKENS = ["+7", "007", "-0", "12.0", "1e1", "1_0", "\u0663", "1\u01fe", "?"]
+FIELD_SPACES = ["\t", "  ", "\x0b", "\x1c", "\u00a0", "\u2028", "\u3000", "\x85"]
+
+
 def load_outcome(load, path):
     """The message of the SelfReidError `load(path)` raises, or the bytes of
     the arrays it returns."""
@@ -497,7 +610,19 @@ def load_outcome(load, path):
 def test_block_reader_matches_whole_file_reference_property(split_path, block_bytes,
                                                             dataset, draws):
     save_dataset(dataset, split_path)
-    raw = bytearray(split_path.read_bytes())
+    lines = split_path.read_text().split("\n")
+    records = [i for i, line in enumerate(lines) if line[:1] not in ("", "#")]
+    for _ in range(draws.draw(st.integers(0, 2))):  # tokens that decide the path taken
+        record = draws.draw(st.sampled_from(records))
+        fields = lines[record].split(" ", 3)
+        if draws.draw(st.booleans()):
+            fields[draws.draw(st.integers(0, 2))] = draws.draw(st.sampled_from(ID_TOKENS))
+            lines[record] = " ".join(fields)
+        else:
+            at = draws.draw(st.integers(1, 3))
+            space = draws.draw(st.sampled_from(FIELD_SPACES))
+            lines[record] = " ".join(fields[:at]) + space + " ".join(fields[at:])
+    raw = bytearray("\n".join(lines).encode())
     for _ in range(draws.draw(st.integers(0, 4))):
         at = draws.draw(st.integers(0, len(raw)))
         edit = draws.draw(st.sampled_from(["insert", "replace", "delete", "repeat", "cut"]))
