@@ -17,40 +17,36 @@ its last line end, the rest carried to the next, so no character and no
 line end is split; it is decoded on its own, and a byte that is not UTF-8
 is reported at its offset in the whole file.
 
-A load takes one of two paths. First it reads the leading header and
-blank lines, takes the width from the first record and hands each block's
-record lines to one call of numpy's C text reader (``np.loadtxt``), as a
-table of three int64 ids and the features. A file takes this path when
-every record line is ASCII; every id, identity and camera is a decimal
-integer in int64 range that the reader takes (no ``?``, no digit-group
-underscores); every record has the first one's width; no ``#`` line
-follows a record; and the file passes every check below. Any other file
-is read again from the top by the line pass, which alone names a fault,
-so what a load returns or reports does not depend on the first path; its
-first block is not read twice when that block already sent the file to
-the line pass. Training splits whose identities are all ``?``, as real
-unlabeled data has, take the line pass and keep its cost.
+Each block's record lines are parsed in one call of numpy's C text
+reader (``np.loadtxt``), as a table of three int64 ids and the features;
+the first record sets the width. int() reads the ids (``?`` is an unknown
+identity), so they take its syntax, long zero-padded ids and non-ASCII
+digits included, and ``#`` lines anywhere are read into the header. Only
+when a block does not parse, or a ``#`` line names another format, is the
+file walked again from the top, line by line, to name the first line at
+fault; the walk keeps no records.
 
-The line pass splits each record line once, for its id, identity and
-camera, which take Python's int() syntax. It stops at a line that is not
-a record, before a record with an integer out of int64 range and after
-one that repeats an id. One call of numpy's C text reader
-(``np.loadtxt``) then parses the feature text of every record the block
-kept; only if that fails, or its width differs from earlier blocks', does
-a slow scan report the first record whose features do not parse or
-change width. So the first line at fault is reported, and within a
-record the faults rank: out of range, bad float, wrong width, repeated
-id. A fault in the UTF-8 encoding outranks them all, so the blocks after
-a stop are still decoded. The blocks' arrays are joined at the end: a
-load holds the features twice at most and a few blocks of text, never
-the whole file. The reader takes decimal and exponent forms, ``inf`` and
-``nan`` (which the finiteness check then rejects), but not the
-digit-group underscores or non-ASCII digits that float() also takes. It
-rounds as float() does, and floats are written with repr, so a
-save/load round trip is bit-exact.
+The walk splits each record line once, for its id, identity and camera.
+It stops at a line that is not a record, before a record with an integer
+out of int64 range and after one that repeats an id. One C-reader call
+then parses the feature text of every record the block kept; only if that
+fails, or its width differs from earlier blocks', does a slow scan report
+the first record whose features do not parse or change width. So the
+first line at fault is reported, and within a record the faults rank: out
+of range, bad float, wrong width, repeated id. A fault in the UTF-8
+encoding outranks them all, so the blocks after a stop are still decoded.
+A repeated id in a file whose blocks all parse, and the whole-file checks,
+are reported by the table pass in the walk's words; it looks up a record's
+line only to name it in such a fault.
+
+The blocks' tables are joined at the end: a load holds the features twice
+at most and a few blocks of text, never the whole file. The reader takes
+decimal and exponent forms, ``inf`` and ``nan`` (which the finiteness
+check then rejects), but not the digit-group underscores or non-ASCII
+digits that float() also takes. It rounds as float() does, and floats are
+written with repr, so a save/load round trip is bit-exact.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -255,23 +251,14 @@ def load_dataset(path) -> EmbeddingDataset:
     """Read and check a split file; a fault names the path and, for a fault
     on a line, the first line at fault.
 
-    Two steps. `_load_tables` reads a clean file in one C-reader call per
-    block: every record line ASCII, with decimal int64 ids, identities and
-    cameras, the first record's width and no ``#`` line after it, and every
-    check passed. Any other file goes to the line pass, `_load_lines`, from
-    the top, so the arrays, the messages and their order are the line
-    pass's. An all-``?`` training split fails the first step at its first
-    record and costs what the line pass alone does.
+    `_load_tables` builds the dataset in one C-reader call per block. Only
+    when a block does not parse, or a ``#`` line names another format, does
+    `_first_fault` walk the file again from the top to name the line.
     """
-    blocks = text_blocks(path)
-    head = list(itertools.islice(blocks, 1))
-    dataset, read = _load_tables(path, itertools.chain(head, blocks))
-    if dataset is None:  # a file its first block settles is read once
-        # the line pass drops the first block once past it: an exhausted
-        # list iterator lets go of its list
-        blocks = itertools.chain(iter(head), blocks) if read <= 1 else text_blocks(path)
-        del head
-        dataset = _load_lines(path, blocks)
+    dataset = _load_tables(path)
+    if dataset is None:
+        lineno, reason = _first_fault(path)
+        raise SelfReidError(f"{path}:{lineno}: {reason}")
     return dataset
 
 
@@ -285,78 +272,79 @@ def _header_fault(line: str, header: dict):
         header[parts[0]] = parts[1:]
 
 
-def _load_tables(path, blocks):
-    """(dataset, number of blocks read): the checked dataset, parsed in one
-    C-reader call per block of `blocks`, or None if a block does not parse
-    that way or a check fails.
+def _load_tables(path):
+    """The checked dataset, its record lines parsed in one C-reader call per
+    block, with the ids read by int(); None if a line is at fault: a block
+    does not parse, or a ``#`` line names another format.
 
-    The leading header and blank lines are read by the line pass's rule and
-    the first record sets the width. Record lines must be ASCII: numpy's
-    integer reader misreads some other characters as digits.
+    The first record sets the width. A repeated id and the whole-file checks
+    fail here, in the order and words of the line walk.
     """
     header, ids, features = {}, [], []
     dtype = None
-    read = 0
-    for read, (_, lines) in enumerate(blocks, start=1):
-        if dtype is None:
-            for start, line in enumerate(lines):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    break
-                if line and _header_fault(line, header):
-                    return None, read
-            else:
-                continue
-            width = len(line.split()) - 3
-            if width < 1:
-                return None, read
-            dtype = [("ids", np.int64, (3,)), ("features", np.float64, (width,))]
-            lines = lines[start:]
-        if not all(map(str.isascii, lines)):
-            return None, read
-        if not any(map(str.strip, lines)):  # numpy warns on a block of blank lines
+    for _, lines in text_blocks(path):
+        records = []
+        for line in lines:
+            line = line.strip()
+            if line.startswith("#"):
+                if _header_fault(line, header):
+                    return None
+            elif line:
+                records.append(line)
+        if not records:
             continue
+        if dtype is None:
+            width = len(records[0].split()) - 3
+            if width < 1:
+                return None
+            dtype = [("ids", np.int64, (3,)), ("features", np.float64, (width,))]
         try:
-            # numpy 1.x reads an integer from float text such as "12.0" with a
-            # DeprecationWarning; int() and the line pass reject it
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            return None, read
+            table = np.loadtxt(records, dtype=dtype, comments=None, ndmin=1, converters={
+                0: int, 1: lambda field: UNKNOWN_IDENTITY if field == "?" else int(field),
+                2: int})
+        except ValueError:
+            return None
         ids.append(table["ids"])
         features.append(table["features"])
         del table
     if not features:
-        return None, read
+        raise SelfReidError(f"{path}: no records")
     sample_ids, identities, cameras = np.concatenate(ids).T.copy()
     del ids  # views that, like `table`, would keep the blocks' tables
     features = np.concatenate(features)  # the tables go with the old list
-    try:
-        return _checked_dataset(path, header, sample_ids, identities, cameras, features), read
-    except SelfReidError:
-        return None, read
+    _, first = np.unique(sample_ids, return_index=True)
+    if len(first) < len(sample_ids):
+        repeated = np.ones(len(sample_ids), dtype=bool)
+        repeated[first] = False
+        row = np.argmax(repeated)
+        raise SelfReidError(f"{path}:{_record_lines(path)[row]}: repeated sample id "
+                            f"{sample_ids[row]}")
+    return _checked_dataset(path, header, sample_ids, identities, cameras, features)
 
 
-def _load_lines(path, blocks) -> EmbeddingDataset:
-    """The line pass over `blocks`, the file's from the top: each record
-    line split in Python, each block's feature texts parsed in one call; see
-    the module docstring."""
-    header = {}
-    records, features = [], []  # per block: (4, m) int64 rows and (m, dim) features
+def _record_lines(path):
+    """The number of each record's line, looked up for a fault the C reader
+    cannot name."""
+    return [lineno for first, lines in text_blocks(path)
+            for lineno, line in enumerate(lines, start=first)
+            if line.strip()[:1] not in ("", "#")]
+
+
+def _first_fault(path):
+    """(line number, reason) of the first line at fault, walking the file
+    from the top; see the module docstring."""
     seen = set()
     width = None
-    stop = None  # (line number, reason) of the first line at fault
+    stop = None
+    blocks = text_blocks(path)
     for first, lines in blocks:
-        if stop:  # the rest is only decoded: a UTF-8 fault anywhere comes first
-            continue
-        rows, texts = [], []  # id, identity, camera and line number; feature text
+        linenos, texts = [], []  # of the records the block keeps
         for lineno, line in enumerate(lines, start=first):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                reason = _header_fault(line, header)
+                reason = _header_fault(line, {})
                 if reason:
                     stop = lineno, reason
                     break
@@ -378,42 +366,33 @@ def _load_lines(path, blocks) -> EmbeddingDataset:
                                     in (("sample id", sample_id), ("identity", identity),
                                         ("camera", camera)) if not -2**63 <= value < 2**63)
                 break
-            rows.append((sample_id, identity, camera, lineno))
+            linenos.append(lineno)
             texts.append(fields[3])
             if sample_id in seen:  # kept, so a fault in its features comes first
                 stop = lineno, f"repeated sample id {sample_id}"
                 break
             seen.add(sample_id)
-        if not texts:
-            continue
-        try:
-            block = _read_floats(texts)
-        except ValueError:
-            block = None
-        if block is None or block.shape[1] != (width or block.shape[1]):
-            # the faulty record is at or before the stop line, so it wins
-            index, reason = _first_faulty_record(texts, width)
-            stop = rows[index][3], reason
-            continue
-        width = block.shape[1]
-        records.append(np.array(rows, dtype=np.int64).T)
-        features.append(block)
-    del seen
-    if stop:
-        raise SelfReidError(f"{path}:{stop[0]}: {stop[1]}")
-    if not features:
-        raise SelfReidError(f"{path}: no records")
-    sample_ids, identities, cameras, linenos = np.concatenate(records, axis=1)
-    del records
-    features = np.concatenate(features)
-    return _checked_dataset(path, header, sample_ids, identities, cameras, features, linenos)
+        if texts:
+            try:
+                block = _read_floats(texts)
+            except ValueError:
+                block = None
+            if block is None or block.shape[1] != (width or block.shape[1]):
+                # the faulty record is at or before the stop line, so it wins
+                index, reason = _first_faulty_record(texts, width)
+                stop = linenos[index], reason
+            else:
+                width = block.shape[1]
+        if stop:
+            for _ in blocks:  # the rest is only decoded: a UTF-8 fault anywhere comes first
+                pass
+            return stop
 
 
-def _checked_dataset(path, header, sample_ids, identities, cameras, features,
-                     linenos=None) -> EmbeddingDataset:
+def _checked_dataset(path, header, sample_ids, identities, cameras,
+                     features) -> EmbeddingDataset:
     """The dataset of the records, once the header's dim, count and cameras
-    match them, every feature is finite and `validate` passes; a
-    non-finite feature is named by linenos[row]."""
+    match them, every feature is finite and `validate` passes."""
     declared = {}
     for key in ("dim", "count", "cameras"):
         if key in header:
@@ -428,7 +407,8 @@ def _checked_dataset(path, header, sample_ids, identities, cameras, features,
     if declared.get("count", len(features)) != len(features):
         raise SelfReidError(f"{path}: header count {declared['count']} != "
                             f"{len(features)} records")
-    require_finite(features, f"{path}:", linenos)
+    if not np.isfinite(features).all():
+        require_finite(features, f"{path}:", _record_lines(path))
     dataset = EmbeddingDataset(sample_ids, identities, cameras, features)
     dataset.validate(f"{path}: ")
     if declared.get("cameras", dataset.n_cameras) != dataset.n_cameras:

@@ -1,6 +1,5 @@
 import hashlib
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -167,32 +166,34 @@ def test_first_faulty_line_is_reported(tmp_path, text, message):
     ("99999999999999999999 1 0 0.25 0.5", 200,
      "sample id 99999999999999999999 is out of range for int64"),
 ])
-def test_fault_on_the_last_line_needs_one_bulk_parse(tmp_path, monkeypatch, last, parsed,
-                                                     message):
+def test_fault_on_the_last_line_needs_one_bulk_parse(tmp_path, monkeypatch, line_passes,
+                                                     last, parsed, message):
     # Records are parsed one by one only when a block's bulk parse fails; a
     # repeated id, a short record or an out-of-range id after clean
-    # records is found with one parse per block.
+    # records is found with one C-reader call per block in each pass. The
+    # pass that names the fault, the only one for a repeated id, parses
+    # `parsed` rows.
     lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)] + [last]
     path = tmp_path / "split.txt"
     path.write_text("\n".join(lines) + "\n")
     calls = []
-    read_floats = data._read_floats
-    monkeypatch.setattr(data, "_read_floats",
-                        lambda texts: calls.append(len(texts)) or read_floats(texts))
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda lines, **kw: calls.append(len(lines)) or loadtxt(lines, **kw))
     monkeypatch.setattr(data, "_BLOCK_BYTES", 1000)
     with pytest.raises(SelfReidError, match=re.escape(f"{path}:201: {message}")):
         load_dataset(path)
-    assert len(calls) == -(-path.stat().st_size // 1000) and sum(calls) == parsed
+    blocks = -(-path.stat().st_size // 1000)
+    assert len(calls) == blocks * (1 + len(line_passes)) and sum(calls[-blocks:]) == parsed
 
 
 @pytest.fixture
 def line_passes(monkeypatch):
-    """The number of times a load ran the line pass, which it runs only for
-    a file the one-call path does not take."""
+    """The paths a load ran the fault namer on, which it runs only for a
+    file with a line the C reader does not parse."""
     calls = []
-    load_lines = data._load_lines
-    monkeypatch.setattr(data, "_load_lines",
-                        lambda *args: calls.append(args[0]) or load_lines(*args))
+    first_fault = data._first_fault
+    monkeypatch.setattr(data, "_first_fault", lambda path: calls.append(path) or first_fault(path))
     return calls
 
 
@@ -204,30 +205,56 @@ def test_generated_splits_take_the_one_call_path(tmp_path, line_passes):
     assert line_passes == []
 
 
-# Record texts and the path each takes: "tables" for one C-reader call per
-# block, "lines" for the line pass.
+@pytest.mark.parametrize("identities", ["last", "all"])
+def test_unlabeled_splits_are_read_once(tmp_path, monkeypatch, line_passes, identities):
+    # A split whose only "?" is on its last line, or whose identities are
+    # all "?", is built by the C reader in one read of the file.
+    train, _, _ = generate_synthetic(SyntheticSpec(n_identities=60))
+    if identities == "all":
+        train.identities[:] = UNKNOWN_IDENTITY
+    else:
+        train.identities[-1] = UNKNOWN_IDENTITY
+    path = tmp_path / "train.txt"
+    save_dataset(train, path)
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 1000)
+    reads = []
+    blocks = data.text_blocks
+    monkeypatch.setattr(data, "text_blocks", lambda path: reads.append(path) or blocks(path))
+    assert load_outcome(load_dataset, path) == load_outcome(load_dataset_oracle, path)
+    assert len(reads) == 1 and line_passes == []
+
+
+# Record texts and the path each takes: "tables" when the C reader builds
+# the dataset or names the fault, "lines" when the line walk names it.
 PATH_CASES = {
     "signed and zero-padded ids": ("+7 007 0 0.5\n-0 +1 1 0.25\n", "tables"),
-    "unknown identities": ("0 ? 0 0.5\n1 ? 1 0.25\n", "lines"),
-    "digit-group underscore id": ("1_0 1 0 0.5\n", "lines"),
+    "unknown identities": ("0 ? 0 0.5\n1 ? 1 0.25\n", "tables"),
+    "digit-group underscore id": ("1_0 1 0 0.5\n", "tables"),
     "float-form id": ("12.0 1 0 0.5\n", "lines"),
     "exponent id": ("0 1 0 0.5\n1e1 1 0 0.25\n", "lines"),
-    "Arabic-Indic digit id": ("٣ 1 0 0.5\n", "lines"),
-    # numpy's integer reader takes "1Ǿ" for 472; int() rejects it
+    "Arabic-Indic digit id": ("٣ 1 0 0.5\n", "tables"),
+    # int() reads the ids; numpy's integer reader would take "1Ǿ" for 472
     "non-ASCII letter in an id": ("0 1 0 0.5\n1Ǿ 1 0 0.25\n", "lines"),
-    "no-break spaces between fields": ("0\u00a01\u00a00\u00a00.5\n", "lines"),
+    "no-break spaces between fields": ("0\u00a01\u00a00\u00a00.5\n", "tables"),
+    # a fixed-width text field such as U64 would cut the long id short
+    "? beside a long zero-padded id, 1_0 and ٣": (
+        "0" * 70 + "7 ? 0 0.5\n1_0 ? 1 0.25\n٣ 1 0 0.75\n", "tables"),
+    "? beside an out-of-range id": ("0 ? 0 0.5\n99999999999999999999 ? 1 0.25\n", "lines"),
+    "? as a sample id": ("0 1 0 0.5\n? 1 1 0.25\n", "lines"),
+    "? as a camera": ("0 1 0 0.5\n1 1 ? 0.25\n", "lines"),
     "\\x1c between fields": ("0\x1c1\x1c0\x1c0.5 0.25\n1 1 1 0.5\x1c0.25\n", "tables"),
     "tabs": ("0\t1\t0\t0.5\t0.25\n1\t1\t1\t0.5\t0.25\n", "tables"),
     "CRLF line ends": ("# dim 1\r\n0 1 0 0.5\r\n1 1 1 0.25\r\n", "tables"),
     "whitespace-only lines": ("0 1 0 0.5\n   \n\t\x0b\n1 1 1 0.25\n\n", "tables"),
-    "# line after records": ("0 1 0 0.5\n# note\n1 1 1 0.25\n", "lines"),
+    "# line after records": ("0 1 0 0.5\n# note\n1 1 1 0.25\n", "tables"),
+    "header line after records": ("0 1 0 0.5\n1 1 1 0.25\n# count 3\n", "tables"),
     "header after blank lines": ("\n  \n# format selfreid-embeddings v1\n0 1 0 0.5\n", "tables"),
     "foreign format": ("# format other v1\n0 1 0 0.5\n", "lines"),
     "short first record": ("0 1 0\n", "lines"),
-    "no records": ("# dim 1\n\n", "lines"),
-    "header count mismatch": ("# count 3\n0 1 0 0.5\n1 1 1 0.25\n", "lines"),
-    "non-finite feature": ("0 1 0 0.5\n1 1 1 nan\n", "lines"),
-    "repeated id": ("0 1 0 0.5\n0 1 1 0.25\n", "lines"),
+    "no records": ("# dim 1\n\n", "tables"),
+    "header count mismatch": ("# count 3\n0 1 0 0.5\n1 1 1 0.25\n", "tables"),
+    "non-finite feature": ("0 1 0 0.5\n1 1 1 nan\n", "tables"),
+    "repeated id": ("0 1 0 0.5\n0 1 1 0.25\n", "tables"),
     # numpy warns that blank lines alone "contained no data"; the tests run
     # with warnings as errors
     "header-only first block": ("# format selfreid-embeddings v1\n# dim 1\n\n0 1 0 0.5\n",
@@ -248,30 +275,6 @@ def test_each_file_takes_one_path_and_loads_as_the_reference(tmp_path, monkeypat
     assert len(line_passes) == (path_taken == "lines")
 
 
-def test_float_form_ids_a_numpy_1_reader_takes_go_to_the_line_pass(tmp_path, monkeypatch,
-                                                                   line_passes):
-    # numpy 1.x reads "12.0" as an int64 with a DeprecationWarning; int()
-    # rejects it. This reader does the same, and the warning is shown only
-    # once the loader turns it into an error itself.
-    loadtxt = np.loadtxt
-
-    def numpy_1_loadtxt(lines, dtype, **kwargs):
-        if dtype is not np.float64 and any("12.0" in line for line in lines):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning)
-            lines = [line.replace("12.0", "12") for line in lines]
-        return loadtxt(lines, dtype=dtype, **kwargs)
-
-    path = tmp_path / "split.txt"
-    path.write_text("0 1 0 0.5\n12.0 1 1 0.25\n")
-    monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        outcome = load_outcome(load_dataset, path)
-    assert outcome == f"{path}:2: invalid literal for int() with base 10: '12.0'"
-    assert len(line_passes) == 1
-
-
 @pytest.mark.parametrize("fault, message", [
     (lambda fields: fields[:4] + ["abc"], "could not convert string to float: 'abc'"),
     (lambda fields: ["7"] + fields[1:], "repeated sample id 7"),
@@ -287,7 +290,8 @@ def test_fault_several_blocks_in_is_named_by_the_line_pass(tmp_path, monkeypatch
     assert path.read_text().index(lines[190]) > 3 * 1000  # in the fourth block
     outcome = load_outcome(load_dataset, path)
     assert outcome == load_outcome(load_dataset_oracle, path) == f"{path}:192: {message}"
-    assert len(line_passes) == 1
+    # all of a repeated id's blocks parse, so the C reader's pass names it
+    assert len(line_passes) == (not message.startswith("repeated"))
 
 
 def test_non_utf8_file_rejected(tmp_path):
@@ -586,10 +590,11 @@ SPLICES = [b"\n", b"\r", b"\r\n", b" ", b"\t", b"#", b"?", b"0", b"-", b"1e", b"
            "\x85".encode()]
 
 
-# Ids that int() and numpy's integer reader read alike, one reads and the
-# other does not, or they read differently; and whitespace between fields
-# that numpy splits on as Python does, or that only the line pass takes.
-ID_TOKENS = ["+7", "007", "-0", "12.0", "1e1", "1_0", "\u0663", "1\u01fe", "?"]
+# Ids that int() reads or rejects, among them some that numpy's integer
+# reader reads otherwise and one too long for a 64-character text field;
+# and whitespace between fields, ASCII or not.
+ID_TOKENS = ["+7", "007", "-0", "0" * 70 + "7", "12.0", "1e1", "1_0", "\u0663", "1\u01fe",
+             "?"]
 FIELD_SPACES = ["\t", "  ", "\x0b", "\x1c", "\u00a0", "\u2028", "\u3000", "\x85"]
 
 
