@@ -21,23 +21,18 @@ Each block's record lines are parsed in one call of numpy's C text
 reader (``np.loadtxt``), as a table of three int64 ids and the features;
 the first record sets the width. int() reads the ids (``?`` is an unknown
 identity), so they take its syntax, long zero-padded ids and non-ASCII
-digits included, and ``#`` lines anywhere are read into the header. Only
-when a block does not parse, or a ``#`` line names another format, is the
-file walked again from the top, line by line, to name the first line at
-fault; the walk keeps no records.
+digits included, and ``#`` lines anywhere are read into the header.
 
-The walk splits each record line once, for its id, identity and camera.
-It stops at a line that is not a record, before a record with an integer
-out of int64 range and after one that repeats an id. One C-reader call
-then parses the feature text of every record the block kept; only if that
-fails, or its width differs from earlier blocks', does a slow scan report
-the first record whose features do not parse or change width. So the
-first line at fault is reported, and within a record the faults rank: out
-of range, bad float, wrong width, repeated id. A fault in the UTF-8
-encoding outranks them all, so the blocks after a stop are still decoded.
-A repeated id in a file whose blocks all parse, and the whole-file checks,
-are reported by the table pass in the walk's words; it looks up a record's
-line only to name it in such a fault.
+A block fails when it does not parse, when it holds a ``# format`` line
+for another format, or when the file's first record is short. Its fault
+is named in the same pass. A repeated id among the earlier blocks' records
+comes first. Otherwise only the failing block is walked line by line, from
+the earlier blocks' ids and width, to the first line at fault; within a
+record the faults rank: out of range, bad float, wrong width, repeated id.
+The later blocks are then only decoded, so a fault in the UTF-8 encoding
+outranks them all. A repeated id in a file whose blocks all parse, and the
+whole-file checks, fail once every block is read. Only a repeated id or a
+non-finite feature takes a second read, which looks up the record's line.
 
 The blocks' tables are joined at the end: a load holds the features twice
 at most and a few blocks of text, never the whole file. The reader takes
@@ -185,35 +180,6 @@ def save_dataset(dataset: EmbeddingDataset, path) -> None:
                      f"{int(dataset.cameras[i])} {coords}\n")
 
 
-def _read_floats(texts) -> np.ndarray:
-    """One float64 row per text, parsed by numpy's C reader, which rounds
-    as float() does."""
-    return np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
-
-
-def _is_float(token: str) -> bool:
-    try:
-        _read_floats([token])
-    except ValueError:
-        return False
-    return True
-
-
-def _first_faulty_record(texts, width):
-    """(index, reason) of the first record whose features, parsed on their
-    own, do not parse or differ from `width` (the first record's if None);
-    None if no record's do."""
-    for index, text in enumerate(texts):
-        try:
-            features = _read_floats([text])
-        except ValueError:
-            token = next(token for token in text.split() if not _is_float(token))
-            return index, f"could not convert string to float: {token!r}"
-        width = width or features.shape[1]
-        if features.shape[1] != width:
-            return index, f"dimension {features.shape[1]} != {width} from earlier records"
-
-
 def text_blocks(path):
     """Yield (number of the first line, lines) for each block of a UTF-8
     text file, its lines split where text-mode reading would end them. A
@@ -251,15 +217,44 @@ def load_dataset(path) -> EmbeddingDataset:
     """Read and check a split file; a fault names the path and, for a fault
     on a line, the first line at fault.
 
-    `_load_tables` builds the dataset in one C-reader call per block. Only
-    when a block does not parse, or a ``#`` line names another format, does
-    `_first_fault` walk the file again from the top to name the line.
+    Each block's record lines are parsed in one C-reader call. Only a block
+    that fails is walked line by line, by `_line_fault`, once the earlier
+    blocks' ids are checked; see the module docstring.
     """
-    dataset = _load_tables(path)
-    if dataset is None:
-        lineno, reason = _first_fault(path)
-        raise SelfReidError(f"{path}:{lineno}: {reason}")
-    return dataset
+    header, ids, features = {}, [], []
+    width = None
+    blocks = text_blocks(path)
+    for first, lines in blocks:
+        records, table = [], None
+        for line in lines:
+            line = line.strip()
+            if line.startswith("#"):
+                if _header_fault(line, header):
+                    break  # the block fails
+            elif line:
+                records.append(line)
+        else:
+            if not records:
+                continue
+            table = _read_table(records, width)
+        if table is None:
+            earlier = np.concatenate(ids)[:, 0] if ids else np.empty(0, np.int64)
+            _require_unique(path, earlier)
+            lineno, reason = _line_fault(first, lines, set(earlier.tolist()), width)
+            for _ in blocks:  # the rest is only decoded: a UTF-8 fault anywhere comes first
+                pass
+            raise SelfReidError(f"{path}:{lineno}: {reason}")
+        width = table["features"].shape[1]
+        ids.append(table["ids"])
+        features.append(table["features"])
+        del table
+    if not features:
+        raise SelfReidError(f"{path}: no records")
+    sample_ids, identities, cameras = np.concatenate(ids).T.copy()
+    del ids  # views that, like `table`, would keep the blocks' tables
+    features = np.concatenate(features)  # the tables go with the old list
+    _require_unique(path, sample_ids)
+    return _checked_dataset(path, header, sample_ids, identities, cameras, features)
 
 
 def _header_fault(line: str, header: dict):
@@ -272,46 +267,60 @@ def _header_fault(line: str, header: dict):
         header[parts[0]] = parts[1:]
 
 
-def _load_tables(path):
-    """The checked dataset, its record lines parsed in one C-reader call per
-    block, with the ids read by int(); None if a line is at fault: a block
-    does not parse, or a ``#`` line names another format.
+def _read_table(records, width):
+    """The records as a table of three int64 ids, read by int(), and `width`
+    features (the first record's if None), in one C-reader call; None if
+    they do not parse so."""
+    width = width or len(records[0].split()) - 3
+    if width < 1:
+        return None
+    try:
+        return np.loadtxt(records, comments=None, ndmin=1, dtype=[
+            ("ids", np.int64, (3,)), ("features", np.float64, (width,))], converters={
+            0: int, 1: lambda field: UNKNOWN_IDENTITY if field == "?" else int(field), 2: int})
+    except ValueError:
+        return None
 
-    The first record sets the width. A repeated id and the whole-file checks
-    fail here, in the order and words of the line walk.
-    """
-    header, ids, features = {}, [], []
-    dtype = None
-    for _, lines in text_blocks(path):
-        records = []
-        for line in lines:
-            line = line.strip()
-            if line.startswith("#"):
-                if _header_fault(line, header):
-                    return None
-            elif line:
-                records.append(line)
-        if not records:
+
+def _line_fault(first, lines, seen, width):
+    """(line number, reason) of the first line at fault in a block whose
+    lines start at line `first`; `seen` holds the earlier blocks' sample ids
+    and `width` their records' width, None if no record came before."""
+    for lineno, line in enumerate(lines, start=first):
+        line = line.strip()
+        if line.startswith("#") and (reason := _header_fault(line, {})):
+            return lineno, reason
+        if line[:1] in ("", "#"):
             continue
-        if dtype is None:
-            width = len(records[0].split()) - 3
-            if width < 1:
-                return None
-            dtype = [("ids", np.int64, (3,)), ("features", np.float64, (width,))]
+        fields = line.split(None, 3)
+        if len(fields) < 4:
+            return lineno, "record needs id, identity, camera and features"
         try:
-            table = np.loadtxt(records, dtype=dtype, comments=None, ndmin=1, converters={
-                0: int, 1: lambda field: UNKNOWN_IDENTITY if field == "?" else int(field),
-                2: int})
+            values = (int(fields[0]), UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1]),
+                      int(fields[2]))
+        except ValueError as exc:
+            return lineno, str(exc)
+        for name, value in zip(("sample id", "identity", "camera"), values):
+            if not -2**63 <= value < 2**63:
+                return lineno, f"{name} {value} is out of range for int64"
+        try:
+            row = np.loadtxt([fields[3]], dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
-            return None
-        ids.append(table["ids"])
-        features.append(table["features"])
-        del table
-    if not features:
-        raise SelfReidError(f"{path}: no records")
-    sample_ids, identities, cameras = np.concatenate(ids).T.copy()
-    del ids  # views that, like `table`, would keep the blocks' tables
-    features = np.concatenate(features)  # the tables go with the old list
+            for token in fields[3].split():  # the first that does not parse alone
+                try:
+                    np.loadtxt([token], dtype=np.float64, comments=None)
+                except ValueError:
+                    return lineno, f"could not convert string to float: {token!r}"
+        width = width or row.shape[1]
+        if row.shape[1] != width:
+            return lineno, f"dimension {row.shape[1]} != {width} from earlier records"
+        if values[0] in seen:
+            return lineno, f"repeated sample id {values[0]}"
+        seen.add(values[0])
+
+
+def _require_unique(path, sample_ids):
+    """Fail naming the first record whose id an earlier record has."""
     _, first = np.unique(sample_ids, return_index=True)
     if len(first) < len(sample_ids):
         repeated = np.ones(len(sample_ids), dtype=bool)
@@ -319,7 +328,6 @@ def _load_tables(path):
         row = np.argmax(repeated)
         raise SelfReidError(f"{path}:{_record_lines(path)[row]}: repeated sample id "
                             f"{sample_ids[row]}")
-    return _checked_dataset(path, header, sample_ids, identities, cameras, features)
 
 
 def _record_lines(path):
@@ -328,65 +336,6 @@ def _record_lines(path):
     return [lineno for first, lines in text_blocks(path)
             for lineno, line in enumerate(lines, start=first)
             if line.strip()[:1] not in ("", "#")]
-
-
-def _first_fault(path):
-    """(line number, reason) of the first line at fault, walking the file
-    from the top; see the module docstring."""
-    seen = set()
-    width = None
-    stop = None
-    blocks = text_blocks(path)
-    for first, lines in blocks:
-        linenos, texts = [], []  # of the records the block keeps
-        for lineno, line in enumerate(lines, start=first):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                reason = _header_fault(line, {})
-                if reason:
-                    stop = lineno, reason
-                    break
-                continue
-            fields = line.split(None, 3)
-            if len(fields) < 4:
-                stop = lineno, "record needs id, identity, camera and features"
-                break
-            try:
-                sample_id = int(fields[0])
-                identity = UNKNOWN_IDENTITY if fields[1] == "?" else int(fields[1])
-                camera = int(fields[2])
-            except ValueError as exc:
-                stop = lineno, str(exc)
-                break
-            if not (-2**63 <= sample_id < 2**63 and -2**63 <= identity < 2**63
-                    and -2**63 <= camera < 2**63):
-                stop = lineno, next(f"{name} {value} is out of range for int64" for name, value
-                                    in (("sample id", sample_id), ("identity", identity),
-                                        ("camera", camera)) if not -2**63 <= value < 2**63)
-                break
-            linenos.append(lineno)
-            texts.append(fields[3])
-            if sample_id in seen:  # kept, so a fault in its features comes first
-                stop = lineno, f"repeated sample id {sample_id}"
-                break
-            seen.add(sample_id)
-        if texts:
-            try:
-                block = _read_floats(texts)
-            except ValueError:
-                block = None
-            if block is None or block.shape[1] != (width or block.shape[1]):
-                # the faulty record is at or before the stop line, so it wins
-                index, reason = _first_faulty_record(texts, width)
-                stop = linenos[index], reason
-            else:
-                width = block.shape[1]
-        if stop:
-            for _ in blocks:  # the rest is only decoded: a UTF-8 fault anywhere comes first
-                pass
-            return stop
 
 
 def _checked_dataset(path, header, sample_ids, identities, cameras,

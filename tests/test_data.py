@@ -168,32 +168,93 @@ def test_first_faulty_line_is_reported(tmp_path, text, message):
 ])
 def test_fault_on_the_last_line_needs_one_bulk_parse(tmp_path, monkeypatch, line_passes,
                                                      last, parsed, message):
-    # Records are parsed one by one only when a block's bulk parse fails; a
-    # repeated id, a short record or an out-of-range id after clean
-    # records is found with one C-reader call per block in each pass. The
-    # pass that names the fault, the only one for a repeated id, parses
-    # `parsed` rows.
+    # Each block is parsed once, in bulk. Only the block that does not parse
+    # has its records parsed again, one by one, up to the faulty record,
+    # whose fault is found before its features. So each of the `parsed`
+    # records that parse is parsed once, and a repeated id after clean
+    # blocks is found with the bulk calls alone.
     lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)] + [last]
     path = tmp_path / "split.txt"
     path.write_text("\n".join(lines) + "\n")
-    calls = []
+    calls = []  # (rows, whether they parsed) of each C-reader call
     loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt",
-                        lambda lines, **kw: calls.append(len(lines)) or loadtxt(lines, **kw))
+
+    def counted(lines, **kw):
+        try:
+            table = loadtxt(lines, **kw)
+        except ValueError:
+            calls.append((len(lines), False))
+            raise
+        calls.append((len(lines), True))
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", counted)
     monkeypatch.setattr(data, "_BLOCK_BYTES", 1000)
     with pytest.raises(SelfReidError, match=re.escape(f"{path}:201: {message}")):
         load_dataset(path)
     blocks = -(-path.stat().st_size // 1000)
-    assert len(calls) == blocks * (1 + len(line_passes)) and sum(calls[-blocks:]) == parsed
+    bulk, single = calls[:blocks], calls[blocks:]
+    repeated = message.startswith("repeated")
+    assert [ok for _, ok in bulk] == [True] * (blocks - 1) + [repeated]
+    assert sum(rows for rows, _ in bulk) == 201 and len(line_passes) == (not repeated)
+    assert single == [(1, True)] * (0 if repeated else bulk[-1][0] - 1)
+    assert sum(rows for rows, ok in calls if ok) == parsed
+
+
+@pytest.mark.parametrize("last, message", [
+    ("999 1 0 0.25 abc", "could not convert string to float: 'abc'"),
+    ("999 1 0", "record needs id, identity, camera and features"),
+    ("999 1 -99999999999999999999 0.25 0.5",
+     "camera -99999999999999999999 is out of range for int64"),
+    ("# format selfreid-embeddings v2",
+     "header '# format selfreid-embeddings v2' is not '# format selfreid-embeddings v1'"),
+])
+def test_fault_on_the_last_line_is_named_in_one_read(tmp_path, monkeypatch, line_passes,
+                                                     last, message):
+    lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)] + [last]
+    path = tmp_path / "split.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 1000)
+    reads = []
+    blocks = data.text_blocks
+    monkeypatch.setattr(data, "text_blocks", lambda path: reads.append(path) or blocks(path))
+    outcome = load_outcome(load_dataset, path)
+    assert outcome == load_outcome(load_dataset_oracle, path) == f"{path}:201: {message}"
+    assert len(reads) == 1 and len(line_passes) == 1
+
+
+@pytest.mark.parametrize("faults, message", [
+    # a repeat in a block that parses comes before a fault in a later block
+    ({10: "3 1 1 0.25 0.5", 160: "160 1 1 0.25 abc"}, "11: repeated sample id 3"),
+    ({10: "10 1 1 0.25 abc", 160: "3 1 1 0.25 0.5"},
+     "11: could not convert string to float: 'abc'"),
+    # the block that does not parse repeats an id of the first block
+    ({150: "3 1 1 0.25 0.5", 160: "160 1 1 0.25 abc"}, "151: repeated sample id 3"),
+])
+def test_faults_in_two_blocks_name_the_first(tmp_path, monkeypatch, line_passes, faults,
+                                             message):
+    lines = [f"{i} {i % 5} {i % 3} 0.25 0.5" for i in range(200)]
+    for line, text in faults.items():
+        lines[line] = text
+    path = tmp_path / "split.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 1000)
+    offsets = np.cumsum([0] + [len(line) + 1 for line in lines])
+    assert offsets[11] < 1000 and 2000 < offsets[150] and offsets[161] < 3000  # blocks 1 and 3
+    outcome = load_outcome(load_dataset, path)
+    assert outcome == load_outcome(load_dataset_oracle, path) == f"{path}:{message}"
+    # the earlier blocks' repeat is named before the failing block is walked
+    assert len(line_passes) == (message != "11: repeated sample id 3")
 
 
 @pytest.fixture
 def line_passes(monkeypatch):
-    """The paths a load ran the fault namer on, which it runs only for a
-    file with a line the C reader does not parse."""
+    """The first line of each block a load walked line by line, which it
+    does only for a block whose records the C reader does not parse."""
     calls = []
-    first_fault = data._first_fault
-    monkeypatch.setattr(data, "_first_fault", lambda path: calls.append(path) or first_fault(path))
+    line_fault = data._line_fault
+    monkeypatch.setattr(data, "_line_fault",
+                        lambda first, *rest: calls.append(first) or line_fault(first, *rest))
     return calls
 
 
