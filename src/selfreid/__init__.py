@@ -45,7 +45,7 @@ from .rerank import (
     generate_pseudo_labels,
     jaccard_distance_matrix,
 )
-from .sampling import BatchSpec, IdentityBatch, PerturbationConfig, perturb, sample_pk_batch
+from .sampling import BatchSpec, PerturbationConfig, perturb, sample_pk_batch
 from .trainer import EpochReport, TrainConfig, evaluate_encoder, extract_bank, train
 
 __version__ = "0.1.0"

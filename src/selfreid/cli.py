@@ -192,6 +192,8 @@ def cmd_sweep_eps(args) -> int:
         raise SelfReidError(f"--eps-grid needs comma-separated numbers, "
                             f"got {args.eps_grid!r}") from None
     dataset = load_dataset(args.data)
+    if len(dataset) < 2:  # so 1 record: load_dataset rejects a file of none
+        raise SelfReidError(f"{args.data}: {len(dataset)} record; sweep-eps re-ranks at least 2")
     configs = [ClusterConfig(k1=args.k1, k2=args.k2, eps=eps, min_samples=args.min_samples)
                for eps in eps_grid]
     for config in configs:  # fail before re-ranking

@@ -1,15 +1,17 @@
 """Identity-balanced mini-batches and the feature-space augmentation.
 
-Batches hold n_identities pseudo identities with n_instances samples
-each. The augmentation perturbs feature vectors directly: isotropic
-noise, coordinate dropout (the stand-in for erasing) and an occasional
-re-drawn camera-style offset. Dropout zeroes round(dropout * d)
-coordinates of every row: those whose keys in its step's uniform
-(rows, d) draw are the row's smallest, so each row loses a uniformly
-random subset. `perturb` augments several steps' batches in one call,
-each from its own step seed, and bit for bit as one call per step would.
-The encoder re-normalizes afterwards, so perturbed rows are
-intentionally left unnormalized.
+Both work on a chunk of steps, each step drawing from its own seed.
+`sample_pk_batch` draws every step's batch of n_identities pseudo
+identities with n_instances samples each, as (steps, rows) arrays of
+dataset indices and labels. `perturb` augments the steps' gathered rows,
+a (steps, rows, d) array, in place: isotropic noise, coordinate dropout
+(the stand-in for erasing) and an occasional re-drawn camera-style
+offset. Dropout zeroes round(dropout * d) coordinates of every row: those
+whose keys in its step's uniform (rows, d) draw are the row's smallest,
+so each row loses a uniformly random subset. A chunk's steps come out
+bit for bit as one call per step would give them. The encoder
+re-normalizes afterwards, so perturbed rows are intentionally left
+unnormalized.
 """
 
 from dataclasses import dataclass, field
@@ -39,13 +41,6 @@ class BatchSpec:
 
 
 @dataclass
-class IdentityBatch:
-    indices: np.ndarray  # (n_identities * n_instances,) dataset indices
-    labels: np.ndarray   # pseudo label per entry
-    cameras: np.ndarray  # camera id per entry
-
-
-@dataclass
 class PerturbationConfig:
     noise_sigma: float = field(default=0.1, metadata={"help": "augmentation noise scale"})
     dropout: float = field(default=0.15, metadata={"help": "augmentation dropout fraction"})
@@ -65,28 +60,32 @@ class PerturbationConfig:
             raise SelfReidError(f"restyle_scale must be finite and >= 0, got {self.restyle_scale}")
 
 
-def sample_pk_batch(assignment: ClusterAssignment, cameras: np.ndarray,
-                    spec: BatchSpec, rng_seed) -> IdentityBatch:
-    """Draw an identity-balanced batch of inlier indices.
+def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,
+                    step_seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Identity-balanced batches of inlier indices for len(step_seeds) steps:
+    (indices, labels), each of shape (steps, n_identities * n_instances).
 
+    Step j draws from its own `np.random.default_rng(step_seeds[j])`.
     Identities are drawn without replacement. Within an identity,
     members are drawn without replacement when the cluster is large
     enough, with replacement otherwise (clusters can shrink below
     n_instances after outlier exclusion).
     """
     spec.validate()
-    cameras = np.asarray(cameras, dtype=np.int64)
     if assignment.cluster_count < spec.n_identities:
         raise SelfReidError(
             f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
-    rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
-    members = [assignment.members_of(int(label)) for label in chosen]
-    indices = np.concatenate([
-        m[rng.choice(m.size, size=spec.n_instances, replace=m.size < spec.n_instances)]
-        for m in members])
-    return IdentityBatch(indices=indices, labels=np.repeat(chosen, spec.n_instances),
-                         cameras=cameras[indices])
+    indices = np.empty((len(step_seeds), spec.n_identities, spec.n_instances), dtype=np.int64)
+    labels = np.empty_like(indices)
+    for step, seed in enumerate(step_seeds):
+        rng = np.random.default_rng(seed)
+        chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
+        labels[step] = chosen[:, None]
+        for picks, label in zip(indices[step], chosen):
+            m = assignment.members_of(int(label))
+            picks[:] = m[rng.choice(m.size, size=spec.n_instances,
+                                    replace=m.size < spec.n_instances)]
+    return indices.reshape(len(step_seeds), -1), labels.reshape(len(step_seeds), -1)
 
 
 def estimate_camera_offsets(features: np.ndarray, cameras: np.ndarray) -> np.ndarray:
@@ -102,16 +101,15 @@ def estimate_camera_offsets(features: np.ndarray, cameras: np.ndarray) -> np.nda
 
 
 def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
-            cameras: np.ndarray, camera_offsets: np.ndarray) -> np.ndarray:
-    """Strong feature-space augmentation of the batches of len(step_seeds)
-    steps, stacked; deterministic given the seeds.
+            cameras: np.ndarray, camera_offsets: np.ndarray) -> None:
+    """Strong feature-space augmentation, in place, of the (steps, rows, d)
+    float64 `features`: row block j is step j's batch, and `cameras` its
+    (steps, rows) camera ids. Deterministic given the seeds.
 
-    The rows are len(step_seeds) equal groups, group j being step j's
-    batch. Group j draws from its own `np.random.default_rng(step_seeds[j])`:
-    its noise, dropout keys, restyle coins and restyle targets, in that
-    order. So each group's output is the one-seed call's output for it
-    alone, and a one-batch call passes a one-seed list. Rows that do not
-    split evenly into the groups are a SelfReidError.
+    Step j draws from its own `np.random.default_rng(step_seeds[j])`: its
+    noise, dropout keys, restyle coins and restyle targets, in that order.
+    So each step's rows come out as a one-step call on them alone would
+    leave them. A seed count other than the step count is a SelfReidError.
 
     The restyle step moves a row from its own camera's style offset to a
     uniformly drawn other camera's (the difference scaled by
@@ -119,37 +117,31 @@ def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
     restyle leaves every row as it is.
     """
     config.validate()
-    features = np.asarray(features, dtype=np.float64)
-    out = features.copy()
-    n, d = out.shape
-    steps = len(step_seeds)
-    if steps == 0 or n % steps:
-        raise SelfReidError(f"{n} rows do not split into {steps} equal step batches")
-    rows = n // steps
+    steps, rows, d = features.shape
+    if len(step_seeds) != steps:
+        raise SelfReidError(f"{len(step_seeds)} step seeds for {steps} step batches")
     n_drop = int(round(config.dropout * d))
     n_cams = len(camera_offsets)
     restyling = config.restyle_prob > 0 and n_cams > 1
-    keys = np.empty((n, d))
-    coins = np.empty(n)
-    targets = np.empty(n, dtype=np.int64)
+    keys = np.empty((steps, rows, d))
+    coins = np.empty((steps, rows))
+    targets = np.empty((steps, rows), dtype=np.int64)
     for step, seed in enumerate(step_seeds):
-        group = slice(step * rows, (step + 1) * rows)
         rng = np.random.default_rng(seed)
         if config.noise_sigma > 0:
-            out[group] += rng.normal(0.0, config.noise_sigma, size=(rows, d))
+            features[step] += rng.normal(0.0, config.noise_sigma, size=(rows, d))
         if n_drop > 0:
-            rng.random(out=keys[group])
+            rng.random(out=keys[step])
         if restyling:
-            rng.random(out=coins[group])
-            targets[group] = rng.integers(0, n_cams - 1, size=rows)
+            rng.random(out=coins[step])
+            targets[step] = rng.integers(0, n_cams - 1, size=rows)
     if n_drop > 0:
         # each row drops the columns of its n_drop smallest uniform keys
-        dropped = np.argpartition(keys, n_drop - 1, axis=1)[:, :n_drop]
-        np.put_along_axis(out, dropped, 0.0, axis=1)
+        dropped = np.argpartition(keys, n_drop - 1, axis=2)[..., :n_drop]
+        np.put_along_axis(features, dropped, 0.0, axis=2)
     if restyling:
         # shift each selected row to a uniformly drawn other camera
-        picked = np.flatnonzero(coins < config.restyle_prob)
-        own = np.asarray(cameras, dtype=np.int64)[picked]
+        picked = np.nonzero(coins < config.restyle_prob)
+        own = cameras[picked]
         other = targets[picked] + (targets[picked] >= own)
-        out[picked] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
-    return out
+        features[picked] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])

@@ -4,16 +4,17 @@
 up-front rules), plus a loop of `run_epoch` on the one `TrainState` that holds
 the run's splits and epoch reports. Each epoch encodes the whole training set
 with the momentum encoder, re-clusters it into pseudo identities, rebuilds the
-proxy memory, then runs its steps in chunks of `_PLAN_STEPS`. For each chunk
-`plan_steps` draws every step's batch, gathers the chunk's rows once and
-augments them in one `perturb` call, each step from its own seeds, into one
-array of the steps' perturbed rows stacked on their clean ones. The epoch
-holds one chunk's plan at a time, so its memory does not grow with the
-iteration count. `train_iteration` then makes a step's two encoder passes on
-its view of that array: the online encoder on the perturbed rows, and the
-momentum encoder once over the stacked rows (its output is split back into
-the two views). It combines the losses (`batch_loss`), backpropagates into
-the online encoder, and EMA-updates the momentum twin.
+proxy memory, then runs its steps in chunks of `_PLAN_STEPS`. A chunk is three
+arrays with one row per step, from `plan_steps`: the batches' pseudo labels and
+cameras, drawn in one `sample_pk_batch` call, and the encoder inputs. Those are
+the batches' rows gathered twice over, the first copy perturbed in place by one
+`perturb` call, so each step's perturbed rows sit on its clean ones. Each step
+draws from its own seeds. The epoch holds one chunk at a time, so its memory
+does not grow with the iteration count. `train_iteration` makes a step's two
+encoder passes on its row of the inputs: the online encoder on the perturbed
+rows, the momentum encoder once over both (its output is split back into the
+two views). It combines the losses (`batch_loss`), backpropagates into the
+online encoder, and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
 labels, proxies and batches within an epoch depend only on the
@@ -63,7 +64,6 @@ from .proxies import ProxyMemory, build_proxies
 from .rerank import ClusterAssignment, ClusterConfig, generate_pseudo_labels
 from .sampling import (
     BatchSpec,
-    IdentityBatch,
     PerturbationConfig,
     estimate_camera_offsets,
     perturb,
@@ -239,50 +239,51 @@ def extract_bank(pair: EncoderPair, features: np.ndarray) -> np.ndarray:
     return forward(pair.momentum, features).out
 
 
-def batch_loss(cfg: TrainConfig, memory: ProxyMemory, batch: IdentityBatch, feats: np.ndarray,
-               momentum_aug: np.ndarray, momentum_clean: np.ndarray) -> LossBreakdown:
-    """A step's loss and its gradient in the online representations `feats`;
-    the momentum-encoder outputs and the proxies are held fixed."""
+def batch_loss(cfg: TrainConfig, memory: ProxyMemory, labels: np.ndarray, cameras: np.ndarray,
+               feats: np.ndarray, momentum_aug: np.ndarray,
+               momentum_clean: np.ndarray) -> LossBreakdown:
+    """A step's loss and its gradient in the online representations `feats` of
+    its batch; the momentum-encoder outputs and the proxies are held fixed."""
     tau = cfg.temperatures
-    agnostic = proxy_agnostic_loss(feats, batch.labels, memory.cluster_vectors, tau.agnostic)
+    agnostic = proxy_agnostic_loss(feats, labels, memory.cluster_vectors, tau.agnostic)
     if cfg.memory_mode == AWARE:
-        cross = cross_camera_loss_batch(feats, batch.cameras, batch.labels, memory,
-                                        tau.cross, cfg.n_neg)
+        cross = cross_camera_loss_batch(feats, cameras, labels, memory, tau.cross, cfg.n_neg)
     else:
         cross = (0.0, np.zeros_like(feats))
-    hard = hard_instance_loss(feats, momentum_aug, batch.labels, tau.hard)
+    hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard)
     dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft)
     return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
 
 
 def plan_steps(state: TrainState, assignment: ClusterAssignment,
-               iterations: range) -> tuple[list[IdentityBatch], np.ndarray]:
-    """The batches of steps `iterations` of epoch len(state.reports), and their
-    encoder inputs: row j of the (steps, 2 * batch rows, d) array holds step
-    j's perturbed rows stacked on its clean ones. One gather and one `perturb`
-    call serve every step, each step drawing from its own seeds."""
+               iterations: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps `iterations` of epoch len(state.reports): (labels, cameras, inputs).
+    Row j of each is step j's: its batch's (batch rows,) pseudo labels and
+    cameras, and its (2 * batch rows, d) encoder inputs, the perturbed rows
+    stacked on the clean ones. One draw, one gather and one `perturb` call
+    serve every step, each step drawing from its own seeds."""
     cfg, epoch, dataset = state.config, len(state.reports), state.dataset
-    batches = [sample_pk_batch(assignment, dataset.cameras, cfg.batch,
-                               [cfg.seed, epoch, iteration, _SEED_BATCH])
-               for iteration in iterations]
-    raw = dataset.features[np.concatenate([batch.indices for batch in batches])]
-    perturbed = perturb(raw, cfg.perturbation,
-                        [[cfg.seed, epoch, iteration, _SEED_PERTURB] for iteration in iterations],
-                        cameras=np.concatenate([batch.cameras for batch in batches]),
-                        camera_offsets=state.camera_offsets)
-    views = (perturbed.reshape(len(batches), -1, dataset.dim),
-             raw.reshape(len(batches), -1, dataset.dim))
-    return batches, np.concatenate(views, axis=1)
+    indices, labels = sample_pk_batch(
+        assignment, cfg.batch, [[cfg.seed, epoch, iteration, _SEED_BATCH]
+                                for iteration in iterations])
+    cameras = dataset.cameras[indices]
+    rows = np.concatenate((indices, indices), axis=1)
+    inputs = dataset.features[rows].astype(np.float64, copy=False)  # perturb adds floats
+    perturb(inputs[:, :indices.shape[1]], cfg.perturbation,
+            [[cfg.seed, epoch, iteration, _SEED_PERTURB] for iteration in iterations],
+            cameras, state.camera_offsets)
+    return labels, cameras, inputs
 
 
-def train_iteration(state: TrainState, memory: ProxyMemory, batch: IdentityBatch,
-                    inputs: np.ndarray) -> LossBreakdown:
+def train_iteration(state: TrainState, memory: ProxyMemory, labels: np.ndarray,
+                    cameras: np.ndarray, inputs: np.ndarray) -> LossBreakdown:
     """One step of epoch len(state.reports), against that epoch's proxy memory;
     `inputs` are the batch's perturbed rows stacked on its clean ones."""
-    cfg, rows = state.config, len(batch.indices)
+    cfg, rows = state.config, len(labels)
     online = forward(state.pair.online, inputs[:rows])
     momentum = forward(state.pair.momentum, inputs).out
-    breakdown = batch_loss(cfg, memory, batch, online.out, momentum[:rows], momentum[rows:])
+    breakdown = batch_loss(cfg, memory, labels, cameras, online.out, momentum[:rows],
+                           momentum[rows:])
 
     grads = backward(state.pair.online, online, breakdown.grads)
     optimizer_step(state.opt, state.pair.online, grads,
@@ -328,10 +329,9 @@ def run_epoch(state: TrainState) -> EpochReport:
     else:
         memory = build_proxies(bank, assignment, dataset.cameras)
         for first in range(0, cfg.iterations, _PLAN_STEPS):
-            batches, inputs = plan_steps(
-                state, assignment, range(first, min(first + _PLAN_STEPS, cfg.iterations)))
-            for batch, step_inputs in zip(batches, inputs):
-                breakdown = train_iteration(state, memory, batch, step_inputs)
+            chunk = range(first, min(first + _PLAN_STEPS, cfg.iterations))
+            for step in zip(*plan_steps(state, assignment, chunk)):
+                breakdown = train_iteration(state, memory, *step)
                 for term in _LOSS_TERMS:
                     sums[term] += getattr(breakdown, term)
                 steps += 1

@@ -15,9 +15,12 @@ as pairs. And
 once, decoded, split and parsed in one piece, which the block reader
 must match in every array and message. `perturb_oracle` is the
 augmentation of one batch from one seed, which each step's rows of a
-many-step `perturb` call must match bit for bit; and `run_epoch_oracle`
-runs an epoch's steps one at a time on the package's own step functions,
-which the trainer's chunked plan must match bit for bit.
+many-step `perturb` call must match bit for bit. `pk_batch_oracle` is the
+batch draw of one step from one seed, which each step's row of a many-step
+`sample_pk_batch` call must match. And `run_epoch_oracle` runs an epoch's
+steps one at a time, each on those two one-seed draws and the package's
+own step functions, which the trainer's chunked plan must match bit for
+bit.
 """
 
 import math
@@ -33,7 +36,6 @@ from selfreid.data import FORMAT_NAME, FORMAT_VERSION, UNKNOWN_IDENTITY, Embeddi
 from selfreid.encoder import backward, effective_lr, ema_update, forward, optimizer_step
 from selfreid.errors import SelfReidError
 from selfreid.proxies import build_proxies
-from selfreid.sampling import sample_pk_batch
 
 
 def traced_peak(fn, *args):
@@ -626,12 +628,29 @@ def perturb_oracle(features, config, rng_seed, cameras, camera_offsets):
     return out
 
 
+def pk_batch_oracle(assignment, spec, rng_seed):
+    """`sample_pk_batch` of one step from one seed, as it was before it took
+    one seed per step: (indices, labels), each of n_identities * n_instances
+    entries."""
+    spec.validate()
+    if assignment.cluster_count < spec.n_identities:
+        raise SelfReidError(
+            f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
+    rng = np.random.default_rng(rng_seed)
+    chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
+    members = [assignment.members_of(int(label)) for label in chosen]
+    indices = np.concatenate([
+        m[rng.choice(m.size, size=spec.n_instances, replace=m.size < spec.n_instances)]
+        for m in members])
+    return indices, np.repeat(chosen, spec.n_instances)
+
+
 def run_epoch_oracle(state) -> None:
     """Epoch len(state.reports) of a `labels_mode = oracle` run, one step at a
-    time: per step a batch, a gather, a one-seed `perturb_oracle`, the
-    perturbed rows stacked on the clean ones, two forwards, `batch_loss`,
-    backward, Adam and EMA. Appends the epoch's report, with wall_time 0.0
-    and no evaluation."""
+    time: per step a one-seed `pk_batch_oracle`, a gather, a one-seed
+    `perturb_oracle`, the perturbed rows stacked on the clean ones, two
+    forwards, `batch_loss`, backward, Adam and EMA. Appends the epoch's
+    report, with wall_time 0.0 and no evaluation."""
     cfg, dataset, epoch = state.config, state.dataset, len(state.reports)
     bank = trainer.extract_bank(state.pair, dataset.features)
     _, labels = np.unique(dataset.identities, return_inverse=True)
@@ -640,15 +659,15 @@ def run_epoch_oracle(state) -> None:
     if assignment.cluster_count >= cfg.batch.n_identities:
         memory = build_proxies(bank, assignment, dataset.cameras)
         for iteration in range(cfg.iterations):
-            batch = sample_pk_batch(assignment, dataset.cameras, cfg.batch,
-                                    [cfg.seed, epoch, iteration, trainer._SEED_BATCH])
-            raw = dataset.features[batch.indices]
+            indices, batch_labels = pk_batch_oracle(
+                assignment, cfg.batch, [cfg.seed, epoch, iteration, trainer._SEED_BATCH])
+            raw, cameras = dataset.features[indices], dataset.cameras[indices]
             perturbed = perturb_oracle(raw, cfg.perturbation,
                                        [cfg.seed, epoch, iteration, trainer._SEED_PERTURB],
-                                       batch.cameras, state.camera_offsets)
+                                       cameras, state.camera_offsets)
             online = forward(state.pair.online, perturbed)
             momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
-            breakdown = trainer.batch_loss(cfg, memory, batch, online.out,
+            breakdown = trainer.batch_loss(cfg, memory, batch_labels, cameras, online.out,
                                            momentum[:len(raw)], momentum[len(raw):])
             grads = backward(state.pair.online, online, breakdown.grads)
             optimizer_step(state.opt, state.pair.online, grads,

@@ -558,6 +558,15 @@ def test_sweep_eps_checks_k_as_given_before_clamping(train_files, tmp_path, monk
     assert "error: need k1 >= k2 >= 1, got k1=5 k2=8" in capsys.readouterr().err
 
 
+def test_sweep_eps_rejects_a_one_record_split_before_reranking(train_files, tmp_path,
+                                                               monkeypatch, capsys):
+    path = tmp_path / "split.txt"
+    save_rows(load_dataset(train_files["data"]), slice(0, 1), path)
+    monkeypatch.setattr(cli, "jaccard_distance_matrix", None)  # fails if re-ranking starts
+    assert cli.main(["sweep-eps", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: 1 record; sweep-eps re-ranks at least 2\n"
+
+
 def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, capsys):
     # 9 clusters at the default k1 from the untrained encoder, so every epoch trains
     splits = generate_synthetic(SyntheticSpec(n_identities=10, samples_per_cell=4, dim=16,

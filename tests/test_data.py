@@ -708,3 +708,13 @@ def test_block_reader_matches_whole_file_reference_property(split_path, block_by
         patch.setattr(data, "_BLOCK_BYTES", block_bytes)
         assert load_outcome(load_dataset, split_path) == \
             load_outcome(load_dataset_oracle, split_path)
+
+
+def test_load_differential_tool_finds_no_difference(monkeypatch, capsys):
+    # tests/load_differential.py, which pytest does not collect, on a small draw
+    # against the oracle; the tool sets data._BLOCK_BYTES for each load
+    import load_differential
+
+    monkeypatch.setattr(data, "_BLOCK_BYTES", data._BLOCK_BYTES)
+    assert load_differential.main(["--seeds", "0", "--files", "30"]) == 0
+    assert "\n0 differences\n" in capsys.readouterr().out

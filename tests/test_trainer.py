@@ -10,7 +10,7 @@ from selfreid.linalg import normalize_rows
 from selfreid.proxies import build_proxies
 from selfreid.rerank import OUTLIER, ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
-from selfreid.sampling import BatchSpec, IdentityBatch
+from selfreid.sampling import BatchSpec
 from selfreid import trainer
 from selfreid.trainer import (
     AGNOSTIC,
@@ -212,6 +212,18 @@ def test_chunked_epochs_equal_the_per_step_loop(small_train, mode, iterations):
         np.testing.assert_array_equal(got.flat, want.flat)
 
 
+def test_integer_features_train_as_their_float64_values(small_train):
+    # the chunk's rows are augmented in place, so they must be gathered as floats
+    counts = dataclasses.replace(small_train,
+                                 features=np.round(small_train.features * 100).astype(np.int64))
+    floats = dataclasses.replace(counts, features=counts.features.astype(np.float64))
+    config = TrainConfig(epochs=2, iterations=9, labels_mode="oracle")
+    _, got = train(config, counts)
+    _, want = train(config, floats)
+    assert without_wall_time(got) == without_wall_time(want)
+    assert [r.skipped_iterations for r in got] == [0, 0]
+
+
 def test_an_epoch_holds_one_chunk_of_its_plan_at_a_time(small_train):
     def epoch_peak(iterations):
         state = init_state(TrainConfig(iterations=iterations, labels_mode="oracle"), small_train)
@@ -271,8 +283,7 @@ def test_step_gradient_matches_finite_differences(mode):
     rng = np.random.default_rng(7)
     params = init_params(5, 4, 3, rng)
     inputs = rng.normal(size=(8, 5))
-    batch = IdentityBatch(indices=np.arange(8), labels=np.repeat(np.arange(4), 2),
-                          cameras=rng.integers(0, 3, size=8))
+    labels, cameras = np.repeat(np.arange(4), 2), rng.integers(0, 3, size=8)
     bank_labels = np.repeat(np.arange(5), 3)
     memory = build_proxies(normalize_rows(rng.normal(size=(15, 3))),
                            ClusterAssignment(bank_labels, 5), np.tile(np.arange(3), 5))
@@ -280,7 +291,8 @@ def test_step_gradient_matches_finite_differences(mode):
     momentum_clean = normalize_rows(rng.normal(size=(8, 3)))
 
     def step_loss(feats):
-        return trainer.batch_loss(cfg, memory, batch, feats, momentum_aug, momentum_clean)
+        return trainer.batch_loss(cfg, memory, labels, cameras, feats, momentum_aug,
+                                  momentum_clean)
 
     fwd = forward(params, inputs)
     breakdown = step_loss(fwd.out)
