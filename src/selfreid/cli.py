@@ -26,6 +26,7 @@ a line of the N labels.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -232,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    spec = SyntheticSpec()
-    for flag, field in GENERATE_FLAGS.items():
-        default = getattr(spec, field)
-        gen.add_argument(f"--{flag}", type=type(default), default=default)
+    spec_fields = {f.name: f for f in dataclasses.fields(SyntheticSpec)}
+    for flag, name in GENERATE_FLAGS.items():
+        f = spec_fields[name]
+        gen.add_argument(f"--{flag}", type=type(f.default), default=f.default,
+                         help=f"{f.metadata['help']} (default: {f.default})")
     gen.add_argument("--out-dir", default="data")
     gen.set_defaults(func=cmd_generate)
 
@@ -283,14 +285,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return status
+    except (SelfReidError, MemoryError, BrokenPipeError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # Python's signal docs: exit flushes again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except SelfReidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

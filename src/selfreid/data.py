@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import SelfReidError
 from .linalg import normalize_rows, require_finite
+from .settings import Settings, setting
 
 FORMAT_NAME = "selfreid-embeddings"
 FORMAT_VERSION = 1
@@ -63,26 +64,16 @@ GALLERY_PER_CELL = 2
 
 
 @dataclass
-class SyntheticSpec:
-    n_identities: int = 20
-    n_cameras: int = 4
-    samples_per_cell: int = 8  # training samples per (identity, camera)
-    dim: int = 64
-    dispersion: float = 1.0    # identity-center radius
-    sigma_identity: float = 0.08  # per-coordinate sample noise
-    sigma_camera: float = 0.8     # norm of each camera's style offset
-    eval_noise_factor: float = 1.5  # query/gallery noise vs training noise
-    seed: int = 0
-
-    def validate(self) -> None:
-        if min(self.n_identities, self.n_cameras, self.samples_per_cell, self.dim) < 1:
-            raise SelfReidError("all synthetic counts must be >= 1")
-        for name in ("dispersion", "sigma_identity", "sigma_camera", "eval_noise_factor"):
-            value = getattr(self, name)
-            if not (value >= 0 and np.isfinite(value)):
-                raise SelfReidError(f"{name} must be finite and >= 0, got {value}")
-        if self.seed < 0:
-            raise SelfReidError(f"seed must be >= 0, got {self.seed}")
+class SyntheticSpec(Settings):
+    n_identities: int = setting(20, "identities", "[1, inf)")
+    n_cameras: int = setting(4, "cameras", "[1, inf)")
+    samples_per_cell: int = setting(8, "training samples per (identity, camera)", "[1, inf)")
+    dim: int = setting(64, "feature dimension", "[1, inf)")
+    dispersion: float = setting(1.0, "identity-center radius", "[0, inf)")
+    sigma_identity: float = setting(0.08, "per-coordinate sample noise", "[0, inf)")
+    sigma_camera: float = setting(0.8, "norm of each camera's style offset", "[0, inf)")
+    eval_noise_factor: float = setting(1.5, "query/gallery noise vs training noise", "[0, inf)")
+    seed: int = setting(0, "generator seed", "[0, inf)")
 
 
 @dataclass

@@ -15,50 +15,40 @@ constants. The trainer feeds these gradients back through the encoder.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SelfReidError
 from .linalg import softmax_rows
 from .proxies import ProxyMemory
+from .settings import Settings, setting
 
 
 @dataclass
-class Temperatures:
-    agnostic: float = field(default=0.5,
-                            metadata={"help": "cluster-proxy softmax temperature"})
-    cross: float = field(default=0.07, metadata={"help": "cross-camera proxy temperature"})
-    hard: float = field(default=0.1, metadata={"help": "hard-instance temperature"})
-    soft: float = field(default=0.4, metadata={"help": "consistency temperature"})
+class Temperatures(Settings):
+    key_prefix = "tau_"
 
-    def validate(self) -> None:
-        for name in ("agnostic", "cross", "hard", "soft"):
-            value = getattr(self, name)
-            if not (0 < value < np.inf):
-                raise SelfReidError(f"temperature tau_{name} must be finite and > 0, got {value}")
+    agnostic: float = setting(0.5, "cluster-proxy softmax temperature", "(0, inf)")
+    cross: float = setting(0.07, "cross-camera proxy temperature", "(0, inf)")
+    hard: float = setting(0.1, "hard-instance temperature", "(0, inf)")
+    soft: float = setting(0.4, "consistency temperature", "(0, inf)")
 
 
 @dataclass
-class LossWeights:
+class LossWeights(Settings):
     """Weights of the two instance terms; zero disables a term."""
 
-    hard: float = field(default=1.0, metadata={"help": "hard-instance loss weight"})
-    soft: float = field(default=10.0, metadata={"help": "consistency loss weight"})
+    key_prefix = "lambda_"
 
-    def validate(self) -> None:
-        for name in ("hard", "soft"):
-            value = getattr(self, name)
-            if not (0 <= value < np.inf):
-                raise SelfReidError(f"loss weight lambda_{name} must be finite and >= 0, "
-                                    f"got {value}")
+    hard: float = setting(1.0, "hard-instance loss weight", "[0, inf)")
+    soft: float = setting(10.0, "consistency loss weight", "[0, inf)")
 
 
 @dataclass
 class LossBreakdown:
     agnostic: float
     cross: float
-    proxy: float
     hard: float
     soft: float
     total: float
@@ -240,9 +230,9 @@ def total_loss(agnostic, cross, hard, soft, weights: LossWeights) -> LossBreakdo
     for name, (value, _) in parts.items():
         if not math.isfinite(value):
             raise SelfReidError(f"component {name} is {value}")
-    proxy_value = agnostic[0] + 0.5 * cross[0]
-    total_value = proxy_value + weights.hard * hard[0] + weights.soft * soft[0]
+    total_value = (agnostic[0] + 0.5 * cross[0]
+                   + weights.hard * hard[0] + weights.soft * soft[0])
     grads = (agnostic[1] + 0.5 * cross[1]
              + weights.hard * hard[1] + weights.soft * soft[1])
-    return LossBreakdown(agnostic=agnostic[0], cross=cross[0], proxy=proxy_value,
-                         hard=hard[0], soft=soft[0], total=total_value, grads=grads)
+    return LossBreakdown(agnostic=agnostic[0], cross=cross[0], hard=hard[0], soft=soft[0],
+                         total=total_value, grads=grads)

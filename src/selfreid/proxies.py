@@ -24,15 +24,13 @@ class ProxyMemory:
 
     Cluster rows are indexed by cluster id. Camera rows hold one proxy per
     (cluster, camera) cell with members, ordered by cluster, then camera,
-    ascending; the camera counts of a cluster add up to its cluster count.
+    ascending.
     """
 
     cluster_vectors: np.ndarray     # (clusters, d), unit rows
-    cluster_counts: np.ndarray      # (clusters,)
     camera_cluster_ids: np.ndarray  # (cells,)
     camera_ids: np.ndarray          # (cells,)
     camera_vectors: np.ndarray      # (cells, d), unit rows
-    camera_counts: np.ndarray       # (cells,)
 
 
 def _normalized_means(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -71,8 +69,6 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
     cell_starts = np.concatenate(([0], np.flatnonzero(new_cell) + 1))
     return ProxyMemory(
         cluster_vectors=cluster_vectors,
-        cluster_counts=cluster_counts,
         camera_cluster_ids=cell_labels[cell_starts],
         camera_ids=cell_cameras[cell_starts],
-        camera_vectors=_normalized_means(bank[cells], cell_starts),
-        camera_counts=np.diff(cell_starts, append=len(cells)))
+        camera_vectors=_normalized_means(bank[cells], cell_starts))

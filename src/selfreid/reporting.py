@@ -7,8 +7,10 @@ metrics CSV byte for byte: floats are serialized with repr, which
 round-trips float64 exactly.
 
 The flat config keys, their types, defaults and help text are read off
-the TrainConfig dataclass fields by config_fields(); nothing here lists
-them again.
+the TrainConfig dataclass fields by config_fields(), the key prefixes off
+its group classes; nothing here lists them again. Nor does anything here
+check a value's range: TrainConfig.validate does, from each field's
+declared allowed values (see settings).
 """
 
 import dataclasses
@@ -32,13 +34,12 @@ def config_fields(cls=TrainConfig, prefix="", path=()):
     """Yield (flat key, attribute path, leaf field) for every config leaf.
 
     Walks the dataclass fields in declaration order. A field whose type
-    is a dataclass is a group: its leaves are flattened under the group's
-    metadata "prefix" (none by default).
+    is a dataclass is a group: its leaves are flattened under the group
+    class's key_prefix.
     """
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.type):
-            yield from config_fields(f.type, prefix + f.metadata.get("prefix", ""),
-                                     path + (f.name,))
+            yield from config_fields(f.type, prefix + f.type.key_prefix, path + (f.name,))
         else:
             yield prefix + f.name, path + (f.name,), f
 

@@ -21,7 +21,7 @@ keeps those within the threshold. The pairs take 12 bytes each, and
 DBSCAN's own arrays are O(1) per pair.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -29,26 +29,19 @@ import numpy as np
 
 from .errors import SelfReidError
 from .linalg import require_finite
+from .settings import Settings, setting
 
 OUTLIER = -1
 
 
 @dataclass
-class ClusterConfig:
+class ClusterConfig(Settings):
     """Neighborhood sizes for re-ranking and DBSCAN thresholds."""
 
-    k1: int = field(default=30, metadata={"help": "reciprocal neighborhood size"})
-    k2: int = field(default=6, metadata={"help": "local query expansion size"})
-    eps: float = field(default=0.55, metadata={"help": "DBSCAN distance threshold"})
-    min_samples: int = field(default=4, metadata={"help": "DBSCAN minimum cluster size"})
-
-    def validate(self) -> None:
-        if not (self.k1 >= self.k2 >= 1):
-            raise SelfReidError(f"need k1 >= k2 >= 1, got k1={self.k1} k2={self.k2}")
-        if not (0.0 < self.eps < 1.0):
-            raise SelfReidError(f"need 0 < eps < 1, got {self.eps}")
-        if self.min_samples < 1:
-            raise SelfReidError(f"need min_samples >= 1, got {self.min_samples}")
+    k1: int = setting(30, "reciprocal neighborhood size", "[1, inf)")
+    k2: int = setting(6, "local query expansion size", "[1, k1]")
+    eps: float = setting(0.55, "DBSCAN distance threshold", "(0, 1)")
+    min_samples: int = setting(4, "DBSCAN minimum cluster size", "[1, inf)")
 
     def neighborhoods(self, n: int) -> tuple[int, int]:
         """(k1, k2) clamped to n - 1, the most neighbors a bank of n rows has."""

@@ -14,50 +14,33 @@ re-normalizes afterwards, so perturbed rows are intentionally left
 unnormalized.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SelfReidError
 from .rerank import ClusterAssignment
+from .settings import Settings, setting
 
 
 @dataclass
-class BatchSpec:
+class BatchSpec(Settings):
     """Identities per batch and instances per identity.
 
     Both must be at least 2: hardest-positive mining needs a second
     positive, and the instance loss needs at least one negative identity.
     """
 
-    n_identities: int = field(default=8, metadata={"help": "pseudo identities per batch"})
-    n_instances: int = field(default=4, metadata={"help": "instances per identity"})
-
-    def validate(self) -> None:
-        if self.n_identities < 2 or self.n_instances < 2:
-            raise SelfReidError(
-                f"need n_identities >= 2 and n_instances >= 2, got "
-                f"({self.n_identities}, {self.n_instances})")
+    n_identities: int = setting(8, "pseudo identities per batch", "[2, inf)")
+    n_instances: int = setting(4, "instances per identity", "[2, inf)")
 
 
 @dataclass
-class PerturbationConfig:
-    noise_sigma: float = field(default=0.1, metadata={"help": "augmentation noise scale"})
-    dropout: float = field(default=0.15, metadata={"help": "augmentation dropout fraction"})
-    restyle_prob: float = field(
-        default=0.5, metadata={"help": "augmentation camera-restyle probability"})
-    restyle_scale: float = field(
-        default=1.0, metadata={"help": "augmentation camera-restyle offset scale"})
-
-    def validate(self) -> None:
-        if not (0 <= self.noise_sigma < np.inf):
-            raise SelfReidError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise SelfReidError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not (0.0 <= self.restyle_prob <= 1.0):
-            raise SelfReidError(f"restyle_prob must be in [0, 1], got {self.restyle_prob}")
-        if not (0 <= self.restyle_scale < np.inf):
-            raise SelfReidError(f"restyle_scale must be finite and >= 0, got {self.restyle_scale}")
+class PerturbationConfig(Settings):
+    noise_sigma: float = setting(0.1, "augmentation noise scale", "[0, inf)")
+    dropout: float = setting(0.15, "augmentation dropout fraction", "[0, 1)")
+    restyle_prob: float = setting(0.5, "augmentation camera-restyle probability", "[0, 1]")
+    restyle_scale: float = setting(1.0, "augmentation camera-restyle offset scale", "[0, inf)")
 
 
 def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,

@@ -69,6 +69,7 @@ from .sampling import (
     perturb,
     sample_pk_batch,
 )
+from .settings import Settings, setting
 
 log = logging.getLogger(__name__)
 
@@ -94,67 +95,38 @@ MEMORY_MODES = (AWARE, AGNOSTIC)
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Settings):
     """Every run setting, grouped by the stage that reads it.
 
     The fields are the single source of the flat config keys used by
-    config files, manifests and `selfreid train` flags (see reporting):
-    each leaf field's metadata["help"] is its --help text, and a group
-    field's metadata["prefix"] is prepended to its leaves' names (so
-    temperatures.cross is tau_cross). Keys follow declaration order.
+    config files, manifests and `selfreid train` flags (see reporting).
+    Each leaf is a `setting`: its help is its --help text, and its allowed
+    values are what `validate` accepts. A group is a Settings class whose
+    key_prefix is prepended to its leaves' names (so temperatures.cross
+    is tau_cross). Keys follow declaration order.
     """
 
-    epochs: int = field(default=20, metadata={"help": "training epochs"})
-    iterations: int = field(default=50, metadata={"help": "iterations per epoch"})
+    epochs: int = setting(20, "training epochs", "[1, inf)")
+    iterations: int = setting(50, "iterations per epoch", "[0, inf)")
     batch: BatchSpec = field(default_factory=BatchSpec)
-    temperatures: Temperatures = field(default_factory=Temperatures,
-                                       metadata={"prefix": "tau_"})
-    weights: LossWeights = field(default_factory=LossWeights, metadata={"prefix": "lambda_"})
+    temperatures: Temperatures = field(default_factory=Temperatures)
+    weights: LossWeights = field(default_factory=LossWeights)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
-    alpha: float = field(default=0.999, metadata={"help": "EMA momentum coefficient"})
-    base_lr: float = field(default=0.00035, metadata={"help": "optimizer learning rate"})
-    warmup_epochs: int = field(default=10, metadata={"help": "linear warmup epochs"})
-    weight_decay: float = field(default=0.0005, metadata={"help": "decoupled weight decay"})
-    memory_mode: str = field(default=AWARE, metadata={
-        "help": "aware | agnostic (agnostic drops the cross-camera loss)"})
-    n_neg: int = field(default=50, metadata={
-        "help": "nearest negative proxies in the cross-camera loss"})
-    hidden_dim: int = field(default=128, metadata={"help": "encoder hidden width"})
-    out_dim: int = field(default=32, metadata={"help": "embedding dimension"})
-    seed: int = field(default=0, metadata={"help": "master seed"})
-    labels_mode: str = field(default="pseudo",
-                             metadata={"help": "pseudo | oracle (ground-truth labels)"})
-    checkpoint_every: int = field(default=0, metadata={
-        "help": "checkpoint interval in epochs (0 = off)"})
-    eval_every: int = field(default=0, metadata={
-        "help": "evaluation interval in epochs (0 = final only)"})
-
-    def validate(self) -> None:
-        if self.epochs < 1 or self.iterations < 0:
-            raise SelfReidError("need epochs >= 1 and iterations >= 0")
-        self.batch.validate()
-        self.temperatures.validate()
-        self.weights.validate()
-        self.cluster.validate()
-        self.perturbation.validate()
-        if self.memory_mode not in MEMORY_MODES:
-            raise SelfReidError(f"unknown memory_mode {self.memory_mode!r}")
-        if self.n_neg < 1:
-            raise SelfReidError(f"need n_neg >= 1, got {self.n_neg}")
-        if self.hidden_dim < 1 or self.out_dim < 1:
-            raise SelfReidError(f"need hidden_dim >= 1 and out_dim >= 1, got "
-                                f"({self.hidden_dim}, {self.out_dim})")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
-        for name in ("base_lr", "weight_decay"):
-            if not (0 <= getattr(self, name) < np.inf):
-                raise SelfReidError(f"need {name} >= 0 and finite, got {getattr(self, name)}")
-        for name in ("warmup_epochs", "checkpoint_every", "eval_every", "seed"):
-            if not (getattr(self, name) >= 0):
-                raise SelfReidError(f"need {name} >= 0, got {getattr(self, name)}")
-        if self.labels_mode not in ("pseudo", "oracle"):
-            raise SelfReidError(f"unknown labels_mode {self.labels_mode!r}")
+    alpha: float = setting(0.999, "EMA momentum coefficient", "[0, 1]")
+    base_lr: float = setting(0.00035, "optimizer learning rate", "[0, inf)")
+    warmup_epochs: int = setting(10, "linear warmup epochs", "[0, inf)")
+    weight_decay: float = setting(0.0005, "decoupled weight decay", "[0, inf)")
+    memory_mode: str = setting(
+        AWARE, "aware | agnostic (agnostic drops the cross-camera loss)", MEMORY_MODES)
+    n_neg: int = setting(50, "nearest negative proxies in the cross-camera loss", "[1, inf)")
+    hidden_dim: int = setting(128, "encoder hidden width", "[1, inf)")
+    out_dim: int = setting(32, "embedding dimension", "[1, inf)")
+    seed: int = setting(0, "master seed", "[0, inf)")
+    labels_mode: str = setting("pseudo", "pseudo | oracle (ground-truth labels)",
+                               ("pseudo", "oracle"))
+    checkpoint_every: int = setting(0, "checkpoint interval in epochs (0 = off)", "[0, inf)")
+    eval_every: int = setting(0, "evaluation interval in epochs (0 = final only)", "[0, inf)")
 
 
 @dataclass

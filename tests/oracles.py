@@ -20,7 +20,9 @@ batch draw of one step from one seed, which each step's row of a many-step
 `sample_pk_batch` call must match. And `run_epoch_oracle` runs an epoch's
 steps one at a time, each on those two one-seed draws and the package's
 own step functions, which the trainer's chunked plan must match bit for
-bit.
+bit. `settings_oracle` holds the settings classes' hand-written range
+rules, from before each field declared its allowed values, which the
+declarations must match value for value.
 """
 
 import math
@@ -32,10 +34,18 @@ from scipy.sparse import csc_array, csr_array
 from scipy.spatial.distance import cdist
 
 from selfreid import rerank, trainer
-from selfreid.data import FORMAT_NAME, FORMAT_VERSION, UNKNOWN_IDENTITY, EmbeddingDataset
+from selfreid.data import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    UNKNOWN_IDENTITY,
+    EmbeddingDataset,
+    SyntheticSpec,
+)
 from selfreid.encoder import backward, effective_lr, ema_update, forward, optimizer_step
 from selfreid.errors import SelfReidError
+from selfreid.losses import LossWeights, Temperatures
 from selfreid.proxies import build_proxies
+from selfreid.sampling import BatchSpec, PerturbationConfig
 
 
 def traced_peak(fn, *args):
@@ -133,14 +143,12 @@ def proxies_oracle(bank, labels, cameras, cluster_count: int) -> dict:
         members = np.flatnonzero(labels == a)
         mean = bank[members].mean(axis=0)
         tables["cluster_vectors"].append(mean / np.linalg.norm(mean))
-        tables["cluster_counts"].append(len(members))
         for b in sorted(set(cameras[members].tolist())):
             cell = [i for i in members if cameras[i] == b]
             mean = bank[cell].mean(axis=0)
             tables["camera_cluster_ids"].append(a)
             tables["camera_ids"].append(b)
             tables["camera_vectors"].append(mean / np.linalg.norm(mean))
-            tables["camera_counts"].append(len(cell))
     return {key: np.array(values) for key, values in tables.items()}
 
 
@@ -688,3 +696,106 @@ def run_epoch_oracle(state) -> None:
         mean_cross=mean("cross"), mean_hard=mean("hard"), mean_soft=mean("soft"),
         mean_total=mean("total"), mean_kl=mean("soft"), wall_time=0.0,
         skipped_iterations=cfg.iterations - len(steps)))
+
+
+# --- settings: the hand-written range rules -----------------------------------
+# Each body is the validate() its class had, verbatim but for the group calls.
+
+_MEMORY_MODES = ("aware", "agnostic")
+
+
+def _train_config_rules(self) -> None:
+    if self.epochs < 1 or self.iterations < 0:
+        raise SelfReidError("need epochs >= 1 and iterations >= 0")
+    _batch_spec_rules(self.batch)
+    _temperatures_rules(self.temperatures)
+    _loss_weights_rules(self.weights)
+    _cluster_config_rules(self.cluster)
+    _perturbation_config_rules(self.perturbation)
+    if self.memory_mode not in _MEMORY_MODES:
+        raise SelfReidError(f"unknown memory_mode {self.memory_mode!r}")
+    if self.n_neg < 1:
+        raise SelfReidError(f"need n_neg >= 1, got {self.n_neg}")
+    if self.hidden_dim < 1 or self.out_dim < 1:
+        raise SelfReidError(f"need hidden_dim >= 1 and out_dim >= 1, got "
+                            f"({self.hidden_dim}, {self.out_dim})")
+    if not 0.0 <= self.alpha <= 1.0:
+        raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
+    for name in ("base_lr", "weight_decay"):
+        if not (0 <= getattr(self, name) < np.inf):
+            raise SelfReidError(f"need {name} >= 0 and finite, got {getattr(self, name)}")
+    for name in ("warmup_epochs", "checkpoint_every", "eval_every", "seed"):
+        if not (getattr(self, name) >= 0):
+            raise SelfReidError(f"need {name} >= 0, got {getattr(self, name)}")
+    if self.labels_mode not in ("pseudo", "oracle"):
+        raise SelfReidError(f"unknown labels_mode {self.labels_mode!r}")
+
+
+def _batch_spec_rules(self) -> None:
+    if self.n_identities < 2 or self.n_instances < 2:
+        raise SelfReidError(
+            f"need n_identities >= 2 and n_instances >= 2, got "
+            f"({self.n_identities}, {self.n_instances})")
+
+
+def _temperatures_rules(self) -> None:
+    for name in ("agnostic", "cross", "hard", "soft"):
+        value = getattr(self, name)
+        if not (0 < value < np.inf):
+            raise SelfReidError(f"temperature tau_{name} must be finite and > 0, got {value}")
+
+
+def _loss_weights_rules(self) -> None:
+    for name in ("hard", "soft"):
+        value = getattr(self, name)
+        if not (0 <= value < np.inf):
+            raise SelfReidError(f"loss weight lambda_{name} must be finite and >= 0, "
+                                f"got {value}")
+
+
+def _cluster_config_rules(self) -> None:
+    if not (self.k1 >= self.k2 >= 1):
+        raise SelfReidError(f"need k1 >= k2 >= 1, got k1={self.k1} k2={self.k2}")
+    if not (0.0 < self.eps < 1.0):
+        raise SelfReidError(f"need 0 < eps < 1, got {self.eps}")
+    if self.min_samples < 1:
+        raise SelfReidError(f"need min_samples >= 1, got {self.min_samples}")
+
+
+def _perturbation_config_rules(self) -> None:
+    if not (0 <= self.noise_sigma < np.inf):
+        raise SelfReidError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+    if not (0.0 <= self.dropout < 1.0):
+        raise SelfReidError(f"dropout must be in [0, 1), got {self.dropout}")
+    if not (0.0 <= self.restyle_prob <= 1.0):
+        raise SelfReidError(f"restyle_prob must be in [0, 1], got {self.restyle_prob}")
+    if not (0 <= self.restyle_scale < np.inf):
+        raise SelfReidError(f"restyle_scale must be finite and >= 0, got {self.restyle_scale}")
+
+
+def _synthetic_spec_rules(self) -> None:
+    if min(self.n_identities, self.n_cameras, self.samples_per_cell, self.dim) < 1:
+        raise SelfReidError("all synthetic counts must be >= 1")
+    for name in ("dispersion", "sigma_identity", "sigma_camera", "eval_noise_factor"):
+        value = getattr(self, name)
+        if not (value >= 0 and np.isfinite(value)):
+            raise SelfReidError(f"{name} must be finite and >= 0, got {value}")
+    if self.seed < 0:
+        raise SelfReidError(f"seed must be >= 0, got {self.seed}")
+
+
+_SETTINGS_RULES = {
+    trainer.TrainConfig: _train_config_rules, BatchSpec: _batch_spec_rules,
+    Temperatures: _temperatures_rules, LossWeights: _loss_weights_rules,
+    rerank.ClusterConfig: _cluster_config_rules,
+    PerturbationConfig: _perturbation_config_rules, SyntheticSpec: _synthetic_spec_rules,
+}
+
+
+def settings_oracle(settings) -> bool:
+    """Whether the hand-written rules of the settings' class reject it."""
+    try:
+        _SETTINGS_RULES[type(settings)](settings)
+    except SelfReidError:
+        return True
+    return False

@@ -285,8 +285,8 @@ def test_ablate_rejects_splits_without_cross_camera_match(train_files, monkeypat
     assert no_cross_camera_match(train_files) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, message", [("generate", "seed must be >= 0, got -1"),
-                                              ("train", "need seed >= 0, got -1")],
+@pytest.mark.parametrize("command, message", [("generate", "need seed in [0, inf), got -1"),
+                                              ("train", "need seed in [0, inf), got -1")],
                          ids=["generate", "train"])
 def test_negative_seed_is_rejected_before_writing(train_files, tmp_path, capsys, command,
                                                   message):
@@ -323,7 +323,7 @@ def test_train_rejects_query_or_gallery_alone_before_writing(train_files, tmp_pa
 def test_train_rejects_non_finite_config_float_before_writing(train_files, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(train_files, out_dir, *TINY_RUN, "--base-lr", "inf") == 1
-    assert "error: need base_lr >= 0 and finite, got inf" in capsys.readouterr().err
+    assert "error: need base_lr in [0, inf), got inf" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -424,6 +424,42 @@ def test_directory_as_data_file_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
     assert "usage: " in err
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep-eps"])
+def test_closed_stdout_is_an_error_not_a_usage_error(train_files, tmp_path, command):
+    # stdout is a pipe whose read end is closed before the command writes to it
+    argv = {"generate": ["--ids", "4", "--dim", "8", "--out-dir", str(tmp_path / "out")],
+            "sweep-eps": ["--data", train_files["data"]]}[command]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "selfreid", command, *argv], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.stderr.decode() == "error: [Errno 32] Broken pipe\n"
+    assert result.returncode == 1
+
+
+@pytest.mark.parametrize("raised, message", [
+    (MemoryError("Unable to allocate 5.82 TiB for an array with shape (8, 100000000000) and "
+                 "data type float64"),
+     "error: Unable to allocate 5.82 TiB for an array with shape (8, 100000000000) and "
+     "data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_error_line(train_files, tmp_path, monkeypatch, capsys, raised,
+                                         message):
+    def train(*args, **kwargs):  # as `--hidden-dim 100000000000` fails, without allocating
+        raise raised
+
+    monkeypatch.setattr(cli, "train", train)
+    assert run_train(train_files, tmp_path / "run", *TINY_RUN) == 1
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("command", [["-c", "import selfreid"], ["-m", "selfreid", "--help"]],
@@ -555,7 +591,7 @@ def test_sweep_eps_checks_k_as_given_before_clamping(train_files, tmp_path, monk
     monkeypatch.setattr(cli, "jaccard_distance_matrix", None)  # fails if re-ranking starts
     assert cli.main(["sweep-eps", "--data", str(tmp_path / "split.txt"),
                      "--k1", "5", "--k2", "8"]) == 1
-    assert "error: need k1 >= k2 >= 1, got k1=5 k2=8" in capsys.readouterr().err
+    assert "error: need k2 in [1, k1], got 8" in capsys.readouterr().err
 
 
 def test_sweep_eps_rejects_a_one_record_split_before_reranking(train_files, tmp_path,

@@ -521,7 +521,7 @@ def test_validate_rejects_record_arrays_that_do_not_line_up(name, value, message
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
 def test_spec_rejects_scale_that_is_not_finite_and_non_negative(name, value):
     with pytest.raises(SelfReidError, match=re.escape(
-            f"{name} must be finite and >= 0, got {value}")):
+            f"need {name} in [0, inf), got {value!r}")):
         generate_synthetic(SyntheticSpec(**{name: value}))
 
 

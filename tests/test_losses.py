@@ -232,11 +232,10 @@ def cross_cases(draw):
     rows = st.integers(0, pool - 1)
     p = len(cells)
     memory = ProxyMemory(
-        cluster_vectors=np.empty((0, 4)), cluster_counts=np.empty(0),
+        cluster_vectors=np.empty((0, 4)),
         camera_cluster_ids=np.array([c for c, _ in cells]),
         camera_ids=np.array([b for _, b in cells]),
-        camera_vectors=GRID[draw(st.lists(rows, min_size=p, max_size=p), label="proxies")],
-        camera_counts=np.ones(p, dtype=np.int64))
+        camera_vectors=GRID[draw(st.lists(rows, min_size=p, max_size=p), label="proxies")])
     n = draw(st.integers(1, 6), label="anchors")
     feats = GRID[draw(st.lists(rows, min_size=n, max_size=n), label="feats")]
     labels = np.array(draw(st.lists(st.integers(0, n_clusters - 1), min_size=n, max_size=n)))
@@ -565,7 +564,7 @@ def test_total_loss_arithmetic():
     weights = LossWeights(hard=1.0, soft=10.0)
     breakdown = total_loss((0.6, zero_grads()), (0.8, zero_grads()),
                            (2.0, zero_grads()), (3.0, zero_grads()), weights)
-    assert breakdown.proxy == pytest.approx(0.6 + 0.5 * 0.8)
+    assert breakdown.agnostic + 0.5 * breakdown.cross == pytest.approx(0.6 + 0.5 * 0.8)
     assert breakdown.total == pytest.approx(1.0 + 2.0 + 30.0)
 
 
@@ -580,7 +579,7 @@ def test_total_loss_baseline_reduction():
     weights = LossWeights(hard=0.0, soft=0.0)
     breakdown = total_loss((1.3, zero_grads()), (0.4, zero_grads()),
                            (9.0, zero_grads()), (7.0, zero_grads()), weights)
-    assert breakdown.total == pytest.approx(breakdown.proxy)
+    assert breakdown.total == pytest.approx(breakdown.agnostic + 0.5 * breakdown.cross)
 
 
 def test_total_loss_gradient_linearity():

@@ -34,23 +34,11 @@ def test_singleton_camera_proxy_equals_member():
     np.testing.assert_allclose(memory.camera_vectors[lone[0]], bank[2], atol=1e-12)
 
 
-def test_camera_counts_partition_cluster_counts():
-    rng = np.random.default_rng(1)
-    labels = np.repeat([0, 1, 2], 8)
-    cameras = np.tile([0, 0, 0, 0, 1, 1, 1, 1], 3)
-    bank = normalize_rows(rng.normal(size=(24, 6)))
-    memory = build_proxies(bank, make_assignment(labels), cameras)
-    for a in range(3):
-        rows = memory.camera_cluster_ids == a
-        assert memory.camera_counts[rows].sum() == memory.cluster_counts[a]
-
-
 def test_outliers_are_excluded():
     rng = np.random.default_rng(2)
     bank = normalize_rows(rng.normal(size=(6, 4)))
     labels = np.array([0, 0, 0, OUTLIER, OUTLIER, 0])
     memory = build_proxies(bank, make_assignment(labels), np.zeros(6, int))
-    assert memory.cluster_counts[0] == 4
     expected = normalize_rows(bank[[0, 1, 2, 5]].mean(axis=0)[None, :])[0]
     np.testing.assert_allclose(memory.cluster_vectors[0], expected, atol=1e-12)
 
@@ -80,7 +68,6 @@ def test_proxies_order_independent():
                              cameras[perm])
     np.testing.assert_allclose(base.cluster_vectors, permuted.cluster_vectors,
                                atol=1e-12)
-    np.testing.assert_array_equal(base.cluster_counts, permuted.cluster_counts)
 
 
 def test_cluster_proxy_is_count_weighted_camera_mean():
@@ -130,7 +117,7 @@ def test_build_proxies_matches_loop_oracle(case):
     bank, assignment, cameras = case
     memory = build_proxies(bank, assignment, cameras)
     expected = proxies_oracle(bank, assignment.labels, cameras, assignment.cluster_count)
-    for name in ("cluster_counts", "camera_cluster_ids", "camera_ids", "camera_counts"):
+    for name in ("camera_cluster_ids", "camera_ids"):
         np.testing.assert_array_equal(getattr(memory, name), expected[name], err_msg=name)
     for name in ("cluster_vectors", "camera_vectors"):
         np.testing.assert_allclose(getattr(memory, name), expected[name], rtol=0,
