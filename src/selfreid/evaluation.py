@@ -5,12 +5,15 @@ its camera are removed (the standard junk filter), the rest are ranked
 by cosine similarity, and a query counts as valid only if at least one
 cross-camera true match survives the filter.
 
-Rank rule: an item ranks ahead of another when its similarity is
-higher, or equal with a lower gallery index. A relevant item's rank is
+Rank rule: an item ranks ahead of another when its computed similarity
+is higher, or equal with a lower gallery index. A relevant item's rank is
 one plus the number of kept items ahead of it; AP averages (relevant
 items up to it) / rank over a query's relevant items, and rank-k counts
 queries whose first relevant item has rank <= k. Queries are ranked in
 blocks of _BLOCK_CELLS // gallery rows, so memory is O(block x gallery).
+BLAS picks a block's kernel for its edge columns by its rows, so equal
+gallery rows may differ in the last bit: _BLOCK_CELLS fixes the bits,
+and ties are ties of computed values.
 """
 
 from dataclasses import dataclass
@@ -115,8 +118,8 @@ def evaluate(queries: RetrievalSet, gallery: RetrievalSet) -> EvalReport:
     aps, first_ranks = [], []
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
-        # a one-row product goes through gemv, whose sums differ from gemm's in
-        # the last bit, even between equal gallery rows: multiply two or more
+        # a one-row product goes through gemv, whose sums can differ from
+        # gemm's in the last bit: multiply two rows or more
         sims = queries.embeddings[np.resize(block, max(2, len(block)))] @ gallery.embeddings.T
         order = np.argsort(-sims[:len(block)], axis=1, kind="stable")
         same_id = gallery.identities[order] == queries.identities[block, None]

@@ -112,7 +112,9 @@ class JaccardPairs(NamedTuple):
 
 
 # Rows of one distance block, and the most rows of one min-sum block. A
-# distance block holds _BLOCK_ROWS x n floats.
+# distance block holds _BLOCK_ROWS x n floats. BLAS picks a block's kernel
+# for its edge columns (OpenBLAS 0.3.31, Haswell: the last n % 8) by its
+# height, so _BLOCK_ROWS fixes the last bits unless 8 divides n.
 _BLOCK_ROWS = 64
 # A min-sum block also ends once its rows add up to _BLOCK_PAIRS * n
 # (row, partner, column) triples, so that its temporaries grow with n
@@ -160,11 +162,8 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _distances(features: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of the original distance 1 - cosine, self-distance zero.
-
-    A block of two rows or more is bit-equal to the same rows of the full
-    product `features @ features.T`.
-    """
+    """Rows start:stop of the original distance 1 - cosine, self-distance
+    zero, with the last bits of a block of these rows (see _BLOCK_ROWS)."""
     block = features[start:stop] @ features.T
     np.subtract(1.0, block, out=block)
     block[np.arange(stop - start), np.arange(start, stop)] = 0.0
@@ -319,44 +318,38 @@ def _pair_blocks(weights: _Weights) -> tuple[np.ndarray, list]:
                             np.split(entries, bounds[:-1])))
 
 
-def _block_min_sum(weights: _Weights, suffix: np.ndarray, entries: np.ndarray,
-                   start: int, stop: int) -> np.ndarray:
-    """sum_c min(v_pc, v_qc) for rows p in start:stop and columns q > p,
-    as a (stop - start, n - start) array whose column j is q = start + j.
-
-    `entries` are the block's weight entries in column order, and one
-    `np.bincount` adds every cell's minima in that order. Cells with
-    q <= p stay zero.
-    """
-    width = len(weights.indptr) - 1 - start
-    counts = suffix[entries]
-    partners = np.repeat(entries + 1 - (np.cumsum(counts) - counts), counts)
-    partners += np.arange(len(partners))
-    cells = np.repeat((weights.indices[entries].astype(np.int64) - start) * width - start, counts)
-    cells += weights.indices[partners]
-    minima = np.repeat(weights.data[entries], counts)
-    np.minimum(minima, weights.data[partners], out=minima)
-    del partners
-    return np.bincount(cells, minima, minlength=(stop - start) * width).reshape(-1, width)
-
-
-def _block_pairs(weights: _Weights, row_sums: np.ndarray, suffix: np.ndarray,
-                 entries: np.ndarray, start: int, stop: int,
-                 max_distance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Jaccard distances of rows p in start:stop to the columns q > p,
-    those at or below max_distance: each row's count, their int32
-    columns, ascending within a row, and their values."""
-    min_sum = _block_min_sum(weights, suffix, entries, start, stop)
-    dist = np.add(row_sums[start:stop, None], row_sums[None, start:])  # max_sum, then the distance
-    dist -= min_sum
-    np.divide(min_sum, dist, out=dist)
-    del min_sum
-    np.subtract(1.0, dist, out=dist)
-    np.maximum(dist, 0.0, out=dist)  # <= 1 already, as min_sum >= 0
-    # Cells with q <= p have no min-sum and read 1.0, above max_distance (< 1).
-    cells, counts, cols = _row_cells(dist <= max_distance)
-    cols += start
-    return counts, cols, dist.ravel()[cells]
+def _pair_distances(weights: _Weights, max_distance: float):
+    """Step 6 of `jaccard_distance_matrix` on the blocks of `_pair_blocks`:
+    each block's rows' pair counts, int32 columns and distances. A block
+    deletes its temporaries before the next one starts."""
+    n = len(weights.indptr) - 1
+    row_sums = np.bincount(weights.indices, weights.data, minlength=n)
+    suffix, blocks = _pair_blocks(weights)
+    for start, stop, entries in blocks:
+        width = n - start  # column j of the block is q = start + j
+        counts = suffix[entries]
+        partners = np.repeat(entries + 1 - (np.cumsum(counts) - counts), counts)
+        partners += np.arange(len(partners))
+        cells = np.repeat((weights.indices[entries].astype(np.int64) - start) * width - start,
+                          counts)
+        cells += weights.indices[partners]
+        minima = np.repeat(weights.data[entries], counts)
+        np.minimum(minima, weights.data[partners], out=minima)
+        del partners
+        min_sum = np.bincount(cells, minima, minlength=(stop - start) * width).reshape(-1, width)
+        del counts, cells, minima
+        dist = np.add(row_sums[start:stop, None], row_sums[start:])  # max_sum, then the distance
+        dist -= min_sum
+        np.divide(min_sum, dist, out=dist)
+        del min_sum
+        np.subtract(1.0, dist, out=dist)
+        np.maximum(dist, 0.0, out=dist)  # <= 1 already, as min_sum >= 0
+        # Cells with q <= p have no min-sum and read 1.0, above max_distance (< 1).
+        cells, counts, cols = _row_cells(dist <= max_distance)
+        cols += start
+        values = dist.ravel()[cells]
+        del dist, cells
+        yield counts, cols, values
 
 
 def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
@@ -391,11 +384,7 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
         raise SelfReidError(f"need 0 <= max_distance < 1, got {max_distance}")
 
     weights = _weight_vectors(features, k1, k2)
-    row_sums = np.bincount(weights.indices, weights.data, minlength=n)
-    suffix, blocks = _pair_blocks(weights)
-    above, cols, values = map(np.concatenate, zip(*[
-        _block_pairs(weights, row_sums, suffix, entries, start, stop, max_distance)
-        for start, stop, entries in blocks]))
+    above, cols, values = map(np.concatenate, zip(*_pair_distances(weights, max_distance)))
     return JaccardPairs(np.concatenate(([0], np.cumsum(above))), cols, values, max_distance)
 
 

@@ -460,6 +460,8 @@ def test_out_of_memory_is_one_error_line(train_files, tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "train", train)
     assert run_train(train_files, tmp_path / "run", *TINY_RUN) == 1
     assert capsys.readouterr().err == message
+    # The manifest is written before training, metrics.csv only after it.
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.txt"]
 
 
 @pytest.mark.parametrize("command", [["-c", "import selfreid"], ["-m", "selfreid", "--help"]],

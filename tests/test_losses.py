@@ -285,6 +285,55 @@ def test_cross_property_gradient_matches_finite_differences(case, seed):
     np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7 * term)
 
 
+def wide_case(rng, pool):
+    """Far more proxies than anchors: 60 clusters x 4 cameras = 240 camera
+    proxies, each one of the first `pool` GRID rows, so rows repeat, and
+    a 32-row P x K batch of 8 clusters x 4 GRID rows."""
+    memory = ProxyMemory(
+        cluster_vectors=np.empty((0, 4)),
+        camera_cluster_ids=np.repeat(np.arange(60), 4),
+        camera_ids=np.tile(np.arange(4), 60),
+        camera_vectors=GRID[rng.integers(0, pool, size=240)])
+    feats = GRID[rng.integers(0, pool, size=32)]
+    labels = np.repeat(rng.choice(60, size=8, replace=False), 4)
+    return feats, rng.integers(0, 4, size=32), labels, memory
+
+
+def boundary_gaps(feats, labels, memory, n_neg):
+    """Each anchor's gap between its n_neg-th and next most similar
+    other-cluster proxy."""
+    sims = feats @ memory.camera_vectors.T
+    return np.array([np.subtract(*np.sort(sims[i, memory.camera_cluster_ids != labels[i]])
+                                 [::-1][n_neg - 1:n_neg + 1]) for i in range(len(labels))])
+
+
+@pytest.mark.parametrize("pool", [6, 20, len(GRID)])
+@pytest.mark.parametrize("tau", [0.07, 0.5])
+def test_cross_wide_table_matches_oracle(pool, tau):
+    feats, cameras, labels, memory = wide_case(np.random.default_rng(pool), pool)
+    # Repeated rows tie several keys at every anchor's 50th.
+    assert np.all(boundary_gaps(feats, labels, memory, 50) == 0.0)
+    assert_near_oracle(feats, cameras, labels, memory, tau, 50)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_wide_table_gradient_matches_finite_differences(seed):
+    rng = np.random.default_rng(700 + seed)
+    feats, cameras, labels, memory = wide_case(rng, 20)
+    feats = feats + 0.05 * rng.normal(size=feats.shape)
+    # Off the grid, the keys tied at the 50th are repeats of one proxy row,
+    # which the finite-difference step moves together; distinct rows there
+    # stay apart by more than the step.
+    gaps = boundary_gaps(feats, labels, memory, 50)
+    assert np.any(gaps == 0.0) and np.all((gaps == 0.0) | (gaps > 1e-3))
+    assert_near_oracle(feats, cameras, labels, memory, 0.07, 50)
+    _, analytic = cross_camera_loss_batch(feats, cameras, labels, memory, 0.07, 50)
+    fd = finite_difference(
+        lambda f: cross_camera_loss_batch(f, cameras, labels, memory, 0.07, 50)[0],
+        feats.copy())
+    np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7 / 0.07)
+
+
 # --- hard instance loss ---------------------------------------------------------
 
 def angle_vec(theta):

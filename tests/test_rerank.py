@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -252,6 +253,21 @@ def test_pair_blocks_keep_int32_suffixes_and_entry_lists():
     # column meet once, and no entry meets itself.
     members = np.diff(weights.indptr)
     assert suffix.sum() == np.sum(members * (members - 1) // 2)
+
+
+# sha256 of the pairs' indptr, indices and data at k1 = 30, k2 = 6 and every
+# distance below 1, with OpenBLAS 0.3.31 (Haswell kernels): a refactor of
+# re-ranking keeps these bytes. n = 641 ends in a 65-row block, whose edge
+# column BLAS sums with other kernels; another BLAS may change the bits.
+@pytest.mark.parametrize("n, digest", [
+    (640, "ee2c732e4d041d33d91e7de685d6cd48e4b7ebce3a2e6fbbc5ae0912676574ba"),
+    (1920, "d23bd79ddefb10e3869772849ca19c937763b1534d24c2258f5f9bcb56bb59fe"),
+    (641, "9eb961eb1feb9dedbc95c8b2c6b1d868d1d575686de4055a853202d304545045"),
+])
+def test_jaccard_pairs_keep_their_bytes(n, digest):
+    bank = blob_bank(np.random.default_rng(13), -(-n // 32), 32, 32, spread=0.15)[:n]
+    pairs = jaccard_distance_matrix(bank, 30, 6, EVERY)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in pairs[:3])).hexdigest() == digest
 
 
 def test_jaccard_symmetric_zero_diag_unit_range():

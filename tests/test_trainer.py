@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,3 +303,23 @@ def test_step_gradient_matches_finite_differences(mode):
         fd = finite_difference(lambda _: step_loss(forward(params, inputs).out).total,
                                getattr(params, name))
         assert max_rel_err(getattr(analytic, name), fd) < 1e-5, name
+
+
+@pytest.mark.parametrize("flags, identical", [([], True), (["--set", "lambda_soft=0"], False)],
+                         ids=["same-src", "lambda_soft=0"])
+def test_quality_differential_tool(monkeypatch, capsys, flags, identical):
+    # tests/quality_differential.py, which pytest does not collect, on one
+    # small spec and one seed, against a second copy of this same src
+    import quality_differential
+
+    monkeypatch.setattr(quality_differential, "SPECS",
+                        {"tiny": ({"n_identities": 10}, {"epochs": 2})})
+    src = Path(trainer.__file__).resolve().parent.parent
+    assert quality_differential.main(["--seeds", "0", "--other-src", str(src), *flags]) == 0
+    out = capsys.readouterr().out
+    assert "varied: the split seed" in out
+    assert f"with byte-identical metrics.csv: {int(identical)}\n" in out
+    summary = out.split("difference (other - this): mean, min, max\n")[1].splitlines()
+    assert [line.split()[0] for line in summary] == list(quality_differential.COMPARED)
+    differences = [float(x) for line in summary for x in line.split()[1:]]
+    assert all(d == 0.0 for d in differences) == identical
