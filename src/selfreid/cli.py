@@ -5,11 +5,12 @@ metrics CSV + manifest), eval (retrieval metrics for a checkpoint),
 ablate (loss-term grid in both memory modes) and sweep-eps (cluster
 counts across DBSCAN thresholds on a fixed bank).
 
-generate takes one flag per GENERATE_FLAGS entry, which names the
-SyntheticSpec field it sets; the field's default gives the flag's type
-and default. train and ablate take one --<key> flag per config key
-(reporting.config_fields, with '_' written '-'), except that ablate's
-grid sets memory_mode, lambda_hard and lambda_soft itself. A run's
+A settings flag takes its type, help and default off its field
+(`Settings.leaves()`). generate has one per GENERATE_FLAGS entry, which
+names the SyntheticSpec field it sets, sweep-eps one per ClusterConfig
+key but eps. train and ablate have one --<key> per TrainConfig key ('_'
+written '-'), absent as None, except that ablate's grid sets
+memory_mode, lambda_hard and lambda_soft itself. A run's
 config is the TrainConfig defaults, overridden in turn by
 --from-manifest, --config and the flags. train and ablate check their
 inputs with trainer.check_run, the one home of a run's up-front rules,
@@ -26,7 +27,6 @@ a line of the N labels.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -69,17 +69,15 @@ GENERATE_FLAGS = {"ids": "n_identities", "cameras": "n_cameras",
                   "sigma-cam": "sigma_camera", "seed": "seed"}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = reporting.config_to_dict(TrainConfig())
-    for key, _, f in reporting.config_fields():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=f.type,
-                            default=None, metavar=f.type.__name__.upper(),
-                            help=f"{f.metadata['help']} (default: {defaults[key]})")
+def _add_setting_flag(parser: argparse.ArgumentParser, name: str, f, **kwargs) -> None:
+    """--<name> ('_' written '-') for the settings field `f`."""
+    parser.add_argument(f"--{name.replace('_', '-')}", type=f.type,
+                        help=f"{f.metadata['help']} (default: {f.default})", **kwargs)
 
 
 def _given_flags(args) -> dict:
     """Config values given on the command line; absent flags are None."""
-    return {key: getattr(args, key) for key, _, _ in reporting.config_fields()
+    return {key: getattr(args, key) for key, _, _ in TrainConfig.leaves()
             if getattr(args, key, None) is not None}
 
 
@@ -124,7 +122,7 @@ def cmd_train(args) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     reporting.write_keyvalue(os.path.join(out_dir, "manifest.txt"),
-                             {**reporting.config_to_dict(config),
+                             {**config.values(),
                               **{key: path for key, path in paths.items() if path}},
                              header="training run manifest")
 
@@ -144,6 +142,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.append_csv:  # fail before evaluating
+        reporting.require_metrics_csv(args.append_csv)
     pair, _ = load_checkpoint(args.checkpoint)
     query, gallery = load_dataset(args.query), load_dataset(args.gallery)
     require_input_width(f"checkpoint {args.checkpoint}", pair.online.w1.shape[0],
@@ -233,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    spec_fields = {f.name: f for f in dataclasses.fields(SyntheticSpec)}
-    for flag, name in GENERATE_FLAGS.items():
-        f = spec_fields[name]
-        gen.add_argument(f"--{flag}", type=type(f.default), default=f.default,
-                         help=f"{f.metadata['help']} (default: {f.default})")
+    spec = {key: f for key, _, f in SyntheticSpec.leaves()}
+    for flag, key in GENERATE_FLAGS.items():
+        _add_setting_flag(gen, flag, spec[key], default=spec[key].default)
     gen.add_argument("--out-dir", default="data")
     gen.set_defaults(func=cmd_generate)
 
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out-dir", default="run")
     tr.add_argument("--config", help="key=value config file")
     tr.add_argument("--from-manifest", help="re-run an earlier manifest exactly")
-    _add_config_flags(tr)
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -256,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--query", required=True)
     ev.add_argument("--gallery", required=True)
     ev.add_argument("--out", help="write the report as key=value text")
-    ev.add_argument("--append-csv", help="append an eval row to a metrics CSV")
+    ev.add_argument("--append-csv", help="append an eval row to a run's metrics.csv, or "
+                    "start a new one at a missing or empty path; any other file is an error")
     ev.set_defaults(func=cmd_eval)
 
     ab = sub.add_parser("ablate", help="loss-term grid in both memory modes")
@@ -264,17 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--query", required=True)
     ab.add_argument("--gallery", required=True)
     ab.add_argument("--out", help="write the comparison table as CSV")
-    _add_config_flags(ab)
     ab.set_defaults(func=cmd_ablate)
+    for command in (tr, ab):  # the config flags, after each command's own
+        for key, _, f in TrainConfig.leaves():
+            _add_setting_flag(command, key, f, default=None, metavar=f.type.__name__.upper())
 
     sw = sub.add_parser("sweep-eps", help="cluster counts across DBSCAN thresholds")
-    cluster = ClusterConfig()
     sw.add_argument("--data", required=True)
     sw.add_argument("--checkpoint", help="encoder checkpoint; fresh encoder if omitted")
     sw.add_argument("--eps-grid", default=",".join(str(e) for e in EPS_GRID))
-    sw.add_argument("--k1", type=int, default=cluster.k1)
-    sw.add_argument("--k2", type=int, default=cluster.k2)
-    sw.add_argument("--min-samples", type=int, default=cluster.min_samples)
+    for key, _, f in ClusterConfig.leaves():
+        if key != "eps":  # --eps-grid
+            _add_setting_flag(sw, key, f, default=f.default)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--dump", help="debug dump of the upper-triangle distance pairs and labels")
     sw.set_defaults(func=cmd_sweep_eps)

@@ -6,16 +6,13 @@ the run's file paths, so re-running from a manifest reproduces the
 metrics CSV byte for byte: floats are serialized with repr, which
 round-trips float64 exactly.
 
-The flat config keys, their types, defaults and help text are read off
-the TrainConfig dataclass fields by config_fields(), the key prefixes off
-its group classes; nothing here lists them again. Nor does anything here
+The flat config keys and their types are read off `TrainConfig.leaves()`
+(see settings); nothing here lists them again. Nor does anything here
 check a value's range: TrainConfig.validate does, from each field's
-declared allowed values (see settings).
+declared allowed values.
 """
 
-import dataclasses
 import functools
-import os
 
 from .data import text_blocks
 from .errors import SelfReidError
@@ -28,24 +25,6 @@ METRICS_COLUMNS = ("epoch", "n_clusters", "n_outliers", "L_agnostic", "L_cross",
 # Keys of removed loss variants, which older manifests and config files
 # hold -> the value that selected the kept recipe (any other is an error).
 RETIRED_KEYS = {"hard_negatives": "all", "consistency_variant": "kl_clean"}
-
-
-def config_fields(cls=TrainConfig, prefix="", path=()):
-    """Yield (flat key, attribute path, leaf field) for every config leaf.
-
-    Walks the dataclass fields in declaration order. A field whose type
-    is a dataclass is a group: its leaves are flattened under the group
-    class's key_prefix.
-    """
-    for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.type):
-            yield from config_fields(f.type, prefix + f.type.key_prefix, path + (f.name,))
-        else:
-            yield prefix + f.name, path + (f.name,), f
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return {key: functools.reduce(getattr, path, cfg) for key, path, _ in config_fields()}
 
 
 def config_values(values: dict, source: str = "") -> dict:
@@ -61,7 +40,7 @@ def config_values(values: dict, source: str = "") -> dict:
             raise SelfReidError(f"{where}config key {key} = {values[key]}: that variant "
                                 f"was removed; only {key} = {kept} remains")
     values = {key: value for key, value in values.items() if key not in RETIRED_KEYS}
-    types = {key: f.type for key, _, f in config_fields()}
+    types = {key: f.type for key, _, f in TrainConfig.leaves()}
     unknown = sorted(set(values) - set(types))
     if unknown:
         raise SelfReidError(f"{where}unknown config keys: {unknown}")
@@ -79,7 +58,7 @@ def config_from_dict(values: dict) -> TrainConfig:
     """A validated TrainConfig: the defaults overridden by `values`."""
     typed = config_values(values)
     cfg = TrainConfig()
-    for key, path, _ in config_fields():
+    for key, path, _ in TrainConfig.leaves():
         if key in typed:
             setattr(functools.reduce(getattr, path[:-1], cfg), path[-1], typed[key])
     cfg.validate()
@@ -144,11 +123,25 @@ def write_metrics_csv(path, reports) -> None:
             fh.write(_metrics_row(report) + "\n")
 
 
+def require_metrics_csv(path) -> bool:
+    """True if `path` is missing or empty, False if it starts with the header; else an error."""
+    header = (",".join(METRICS_COLUMNS) + "\n").encode()
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline(len(header) + 1)
+    except FileNotFoundError:
+        first = b""
+    if first not in (b"", header):
+        raise SelfReidError(f"{path} is not a metrics CSV (its first line is not the "
+                            f"metrics.csv header): give a run's metrics.csv or a new path")
+    return not first
+
+
 def append_eval_row(path, evaluation) -> None:
-    """Append an evaluation-only row (training columns blank)."""
-    exists = os.path.exists(path)
+    """Append an evaluation-only row (training columns blank) to a metrics CSV."""
+    new = require_metrics_csv(path)
     with open(path, "a") as fh:
-        if not exists:
+        if new:
             fh.write(",".join(METRICS_COLUMNS) + "\n")
         cells = [""] * METRICS_COLUMNS.index("mAP") + _retrieval_cells(evaluation)
         fh.write(",".join(cells) + "\n")

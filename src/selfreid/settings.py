@@ -3,11 +3,12 @@
 `setting(default, help, allowed)` declares a field. `allowed` is a tuple
 of choices or an interval such as "[0, 1)" or "(0, inf)", parsed once,
 here; a bound is a number or the name of an earlier field ("[1, k1]").
-The one `Settings.validate()` checks the fields in declaration order, a
-group (a Settings field) by its own rules in place, so the first bad key
-in manifest order is named: `need <key> in <allowed>, got <value!r>`. A
-key is the class's `key_prefix` (say "tau_") plus the field name, as
-config files and CLI flags spell it, also when a group is checked alone.
+A field typed by a Settings class is a group. `Settings.leaves()`, the one
+walk over the fields, names each leaf by its flat key: the class's
+`key_prefix` (say "tau_") plus the field name, as config files, manifests
+and CLI flags spell it, also for a group on its own. `validate()` checks
+the leaves in that order, so the first bad key in manifest order is named:
+`need <key> in <allowed>, got <value!r>`.
 """
 
 import functools
@@ -18,7 +19,6 @@ from .errors import SelfReidError
 
 _LOWER = {"[": operator.le, "(": operator.lt}
 _UPPER = {"]": operator.le, ")": operator.lt}
-_fields = functools.cache(fields)  # a settings class's fields, looked up once
 
 
 def _bound(text: str):
@@ -53,11 +53,21 @@ class Settings:
 
     key_prefix = ""
 
+    @classmethod
+    @functools.cache
+    def leaves(cls) -> tuple:
+        """(flat key, attribute path, field) per leaf, in order; a group's leaves in its place."""
+        return tuple((cls.key_prefix + key, (f.name, *path), leaf) for f in fields(cls)
+                     for key, path, leaf in (f.type.leaves() if issubclass(f.type, Settings)
+                                             else [(f.name, (), f)]))
+
+    def values(self) -> dict:
+        """The flat key -> value dict, in declaration order."""
+        return {key: functools.reduce(getattr, path, self) for key, path, _ in self.leaves()}
+
     def validate(self) -> None:
-        for f in _fields(type(self)):
-            value = getattr(self, f.name)
-            if isinstance(value, Settings):
-                value.validate()
-            elif not f.metadata["allows"](self, value):
-                raise SelfReidError(f"need {self.key_prefix}{f.name} in "
-                                    f"{f.metadata['allowed']}, got {value!r}")
+        for key, (*groups, name), f in self.leaves():
+            holder = functools.reduce(getattr, groups, self)
+            value = getattr(holder, name)
+            if not f.metadata["allows"](holder, value):
+                raise SelfReidError(f"need {key} in {f.metadata['allowed']}, got {value!r}")

@@ -98,12 +98,9 @@ MEMORY_MODES = (AWARE, AGNOSTIC)
 class TrainConfig(Settings):
     """Every run setting, grouped by the stage that reads it.
 
-    The fields are the single source of the flat config keys used by
-    config files, manifests and `selfreid train` flags (see reporting).
-    Each leaf is a `setting`: its help is its --help text, and its allowed
-    values are what `validate` accepts. A group is a Settings class whose
-    key_prefix is prepended to its leaves' names (so temperatures.cross
-    is tau_cross). Keys follow declaration order.
+    Its leaves (see settings) are the flat keys of config files, manifests
+    and `selfreid train` flags, in declaration order; a group's key_prefix
+    comes before its leaves' names (so temperatures.cross is tau_cross).
     """
 
     epochs: int = setting(20, "training epochs", "[1, inf)")

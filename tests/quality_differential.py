@@ -5,7 +5,9 @@ Trains this package and another copy of it (say, the parent commit's
 `--set key=value` config overrides applied to the other side, on the
 benchmark's workloads (`WORKLOADS` in bench/run.py: recipe-640 and
 cluster-1920). Each run draws its synthetic splits from one split seed
-of --seeds, the `SyntheticSpec` seed; the training seed stays 0.
+of --seeds, the `SyntheticSpec` seed, and trains at one training seed of
+--train-seeds (default 0), the `TrainConfig` seed: every pair of the two
+is run.
 
 It prints one row per run: the final mAP and rank-1, every epoch's
 cluster count, the pairwise precision and recall of the last epoch's
@@ -21,6 +23,8 @@ a checkout of the other package under, say, /tmp/parent:
     PYTHONPATH=src python tests/quality_differential.py --seeds 0-4 \\
         --other-src /tmp/parent/src
     PYTHONPATH=src python tests/quality_differential.py --seeds 0-4 --set restyle_prob=0
+    PYTHONPATH=src python tests/quality_differential.py --seeds 0 --train-seeds 0-2 \\
+        --other-src /tmp/parent/src
 """
 
 import argparse
@@ -98,6 +102,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-4"),
                         help="split seeds, A-B (inclusive) or A")
+    parser.add_argument("--train-seeds", type=seed_range, default=seed_range("0"),
+                        help="training seeds (TrainConfig.seed), A-B (inclusive) or A")
     parser.add_argument("--other-src", type=Path, help="the `src` of the package to compare")
     parser.add_argument("--set", dest="overrides", type=override, action="append", default=[],
                         metavar="KEY=VALUE", help="a config override for the other side")
@@ -107,20 +113,23 @@ def main(argv=None) -> int:
     other = sys.modules["other_selfreid"] if args.other_src else selfreid
     overrides = dict(args.overrides)
     side = f"{args.other_src or 'this src'}" + "".join(f", {k}={v}" for k, v in overrides.items())
-    seeds = args.seeds
+    seeds, train_seeds = args.seeds, args.train_seeds
     print(f"this src -> {side}; varied: the split seed (SyntheticSpec.seed) over "
-          f"{seeds.start}-{seeds.stop - 1}; training seed 0")
+          f"{seeds.start}-{seeds.stop - 1} and the training seed (TrainConfig.seed) over "
+          f"{train_seeds.start}-{train_seeds.stop - 1}")
     pairs = []
     for name, (spec, config) in SPECS.items():
         for seed in seeds:
-            this = train_run(selfreid, spec, config, seed)
-            that = train_run(other, spec, {**config, **overrides}, seed)
-            pairs.append((this, that))
-            same = "identical" if this["csv"] == that["csv"] else "different"
-            print(f"{name} split seed {seed}: " + ", ".join(
-                paired(key, this, that) for key in ("mAP", "rank1", "clusters", "precision",
-                                                    "recall", "skipped"))
-                  + f", metrics.csv {same}")
+            for train_seed in train_seeds:
+                trained = {**config, "seed": train_seed}
+                this = train_run(selfreid, spec, trained, seed)
+                that = train_run(other, spec, {**trained, **overrides}, seed)
+                pairs.append((this, that))
+                same = "identical" if this["csv"] == that["csv"] else "different"
+                print(f"{name} split seed {seed} training seed {train_seed}: " + ", ".join(
+                    paired(key, this, that) for key in ("mAP", "rank1", "clusters",
+                                                        "precision", "recall", "skipped"))
+                      + f", metrics.csv {same}")
     identical = sum(this["csv"] == that["csv"] for this, that in pairs)
     print(f"runs: {len(pairs)}, with byte-identical metrics.csv: {identical}")
     print("difference (other - this): mean, min, max")

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ from selfreid.data import (
 )
 from selfreid.encoder import init_optimizer, init_pair, load_checkpoint, save_checkpoint
 from selfreid.errors import SelfReidError
-from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS, config_to_dict, read_keyvalue
+from selfreid.reporting import METRICS_COLUMNS, RETIRED_KEYS, read_keyvalue
 from selfreid.rerank import ClusterConfig, dbscan, jaccard_distance_matrix
 from selfreid.trainer import TrainConfig, evaluate_encoder, extract_bank, init_state, train
 
@@ -378,6 +379,43 @@ def test_eval_writes_report_and_appends_metrics_row(train_files, tmp_path, capsy
     assert appended[:METRICS_COLUMNS.index("mAP")] == [""] * METRICS_COLUMNS.index("mAP")
 
 
+@pytest.mark.parametrize("held", [None, "", ",".join(METRICS_COLUMNS) + "\n"],
+                         ids=["missing", "empty", "header-only"])
+def test_eval_appends_to_a_new_or_empty_metrics_csv_with_its_header(eval_files, tmp_path,
+                                                                    capsys, held):
+    metrics = tmp_path / "metrics.csv"
+    if held is not None:
+        metrics.write_text(held)
+    assert cli.main(["eval", "--checkpoint", eval_files["checkpoint"], "--query",
+                     eval_files["query"], "--gallery", eval_files["gallery"],
+                     "--append-csv", str(metrics)]) == 0
+    report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    row = [""] * METRICS_COLUMNS.index("mAP") + [report[key] for key in ("mAP", "rank1",
+                                                                         "rank5", "rank10")]
+    assert metrics.read_text() == ",".join(METRICS_COLUMNS) + "\n" + ",".join(row) + "\n"
+
+
+@pytest.mark.parametrize("held", [b"hello\n", b"hello", b"epoch,n_clusters\n1,2\n",
+                                  ",".join(METRICS_COLUMNS).encode() + b",extra\n",
+                                  b"\n" + ",".join(METRICS_COLUMNS).encode() + b"\n",
+                                  b"\xff\xfe\x00binary"],
+                         ids=["text", "no-newline", "other-csv", "wider-header", "blank-first",
+                              "binary"])
+def test_eval_refuses_to_append_to_a_file_that_is_not_a_metrics_csv(eval_files, tmp_path,
+                                                                    monkeypatch, capsys, held):
+    monkeypatch.setattr(cli, "load_checkpoint", None)  # fails if loading starts
+    target, out = tmp_path / "notes.txt", tmp_path / "eval.txt"
+    target.write_bytes(held)
+    assert cli.main(["eval", "--checkpoint", eval_files["checkpoint"], "--query",
+                     eval_files["query"], "--gallery", eval_files["gallery"],
+                     "--out", str(out), "--append-csv", str(target)]) == 1
+    assert capsys.readouterr().err == (f"error: {target} is not a metrics CSV (its first line "
+                                       f"is not the metrics.csv header): give a run's "
+                                       f"metrics.csv or a new path\n")
+    assert target.read_bytes() == held
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--eps-grid", "a,b"], "--eps-grid"),
     (["--eps-grid", "0.5,1.5"], "eps"),
@@ -509,6 +547,37 @@ def test_generate_keeps_its_flag_names_types_and_defaults(capsys):
         assert (type(given[dest]), given[dest]) == (kind, kind("3")), flag
 
 
+# each command's settings flags -> their fields, the flags its parser requires, and
+# whether an absent flag parses to its field's default (or to None)
+SPEC_LEAVES = {key: f for key, _, f in SyntheticSpec.leaves()}
+SETTINGS_FLAGS = {
+    "train": ({key: f for key, _, f in TrainConfig.leaves()}, [], False),
+    "ablate": ({key: f for key, _, f in TrainConfig.leaves()},
+               ["--data", "d", "--query", "q", "--gallery", "g"], False),
+    "generate": ({flag: SPEC_LEAVES[key] for flag, key in cli.GENERATE_FLAGS.items()}, [], True),
+    "sweep-eps": ({key: f for key, _, f in ClusterConfig.leaves() if key != "eps"},
+                  ["--data", "d"], True),
+}
+
+
+@pytest.mark.parametrize("command", SETTINGS_FLAGS)
+def test_every_settings_flag_matches_its_field(command):
+    fields, required, defaulted = SETTINGS_FLAGS[command]
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction)).choices[command]
+    absent = vars(parser.parse_args([command, *required]))
+    for name, f in fields.items():
+        flag, dest = "--" + name.replace("_", "-"), name.replace("-", "_")
+        action = sub._option_string_actions[flag]
+        assert (action.type, action.help) == (
+            f.type, f"{f.metadata['help']} (default: {f.default})"), flag
+        assert absent[dest] == (f.default if defaulted else None), flag
+        text = {int: "3", float: "0.25", str: str(f.default)}[f.type]
+        given = getattr(parser.parse_args([command, *required, flag, text]), dest)
+        assert (type(given), given) == (f.type, f.type(text)), flag
+
+
 def test_generate_flags_set_their_spec_fields(tmp_path, capsys):
     spec = SyntheticSpec(n_identities=3, n_cameras=2, samples_per_cell=2, dim=8, dispersion=1.5,
                          sigma_identity=0.05, sigma_camera=0.4, seed=7)
@@ -632,7 +701,7 @@ def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, c
     assert len(lines) - 1 == len(runs) == len(variants) == 8
     query, gallery = load_dataset(paths["query"]), load_dataset(paths["gallery"])
     for line, (mode, name, weights), (config, pair, reports) in zip(lines[1:], variants, runs):
-        values = config_to_dict(config)
+        values = config.values()
         assert values["memory_mode"] == mode and weights.items() <= values.items()
         assert [r.skipped_iterations for r in reports] == [0, 0]
         ev = reports[-1].evaluation

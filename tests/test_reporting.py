@@ -8,14 +8,13 @@ from selfreid.errors import SelfReidError
 from selfreid.reporting import (
     RETIRED_KEYS,
     config_from_dict,
-    config_to_dict,
     config_values,
     read_keyvalue,
     write_keyvalue,
 )
 from selfreid.trainer import TrainConfig
 
-# write_keyvalue(config_to_dict(TrainConfig())) as written while the keys were
+# write_keyvalue(TrainConfig().values()) as written while the keys were
 # still listed by hand: the same keys, order and repr floats must come out.
 DEFAULT_MANIFEST = """\
 epochs = 20
@@ -56,7 +55,7 @@ STRING_CHOICES = {"memory_mode": "agnostic", "labels_mode": "oracle"}
 
 def non_default_values():
     values = {}
-    for key, value in config_to_dict(TrainConfig()).items():
+    for key, value in TrainConfig().values().items():
         if isinstance(value, str):
             values[key] = STRING_CHOICES[key]
         elif isinstance(value, int):
@@ -68,23 +67,27 @@ def non_default_values():
 
 def test_default_manifest_is_pinned(tmp_path):
     path = tmp_path / "manifest.txt"
-    write_keyvalue(path, config_to_dict(TrainConfig()))
+    write_keyvalue(path, TrainConfig().values())
     assert path.read_text() == DEFAULT_MANIFEST
+
+
+def test_train_config_leaves_are_the_pinned_manifest_keys_in_order():
+    assert [key for key, _, _ in TrainConfig.leaves()] == list(PINNED)
 
 
 def test_every_key_round_trips_with_a_non_default_value(tmp_path):
     values = non_default_values()
-    defaults = config_to_dict(TrainConfig())
+    defaults = TrainConfig().values()
     assert all(values[key] != defaults[key] for key in defaults)
     cfg = config_from_dict(values)
-    assert config_to_dict(cfg) == values
+    assert cfg.values() == values
     assert (cfg.batch.n_instances, cfg.temperatures.cross, cfg.weights.soft,
             cfg.cluster.eps, cfg.perturbation.dropout) == (
         values["n_instances"], values["tau_cross"], values["lambda_soft"],
         values["eps"], values["dropout"])
     path = tmp_path / "config.txt"
     write_keyvalue(path, values)
-    assert config_to_dict(config_from_dict(read_keyvalue(path))) == values
+    assert config_from_dict(read_keyvalue(path)).values() == values
 
 
 @pytest.mark.parametrize("block_bytes", [5, data._BLOCK_BYTES])

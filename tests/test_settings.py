@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from selfreid.data import SyntheticSpec, generate_synthetic
 from selfreid.errors import SelfReidError
 from selfreid.losses import LossWeights, Temperatures, total_loss
-from selfreid.reporting import config_fields
 from selfreid.rerank import ClusterConfig
 from selfreid.settings import Settings
 from selfreid.trainer import TrainConfig
@@ -36,7 +35,7 @@ VALUES = {
 }
 
 # (key, the settings object that holds it, field) for a fresh TrainConfig and SyntheticSpec
-TRAIN_KEYS = list(config_fields())
+TRAIN_KEYS = list(TrainConfig.leaves())
 SPEC_FIELDS = dataclasses.fields(SyntheticSpec)
 
 
@@ -96,6 +95,25 @@ def test_every_key_declares_allowed_values_that_its_default_passes(key, settings
     assert isinstance(settings, Settings)
     assert f.metadata.keys() >= {"help", "allowed", "allows"}, f"{key} declares no rule"
     assert f.metadata["allows"](settings, f.default), f"{key}'s default is not allowed"
+
+
+@pytest.mark.parametrize("group, keys", [
+    (Temperatures, ["tau_agnostic", "tau_cross", "tau_hard", "tau_soft"]),
+    (LossWeights, ["lambda_hard", "lambda_soft"]),
+], ids=["temperatures", "weights"])
+def test_a_group_alone_yields_its_prefixed_keys(group, keys):
+    assert [key for key, _, _ in group.leaves()] == keys
+    assert list(group().values()) == keys
+
+
+@pytest.mark.parametrize("settings", [TrainConfig(), SyntheticSpec(), Temperatures()],
+                         ids=["train", "spec", "temperatures"])
+def test_each_leaf_path_reaches_the_attribute_it_names(settings):
+    for key, path, f in type(settings).leaves():
+        assert path[-1] == f.name, key
+        assert f in dataclasses.fields(holder(settings, path)), key
+        assert functools.reduce(getattr, path, settings) == f.default, key
+    assert settings.values() == {key: f.default for key, _, f in type(settings).leaves()}
 
 
 def test_the_first_bad_key_in_manifest_order_is_named():

@@ -305,11 +305,12 @@ def test_step_gradient_matches_finite_differences(mode):
         assert max_rel_err(getattr(analytic, name), fd) < 1e-5, name
 
 
-@pytest.mark.parametrize("flags, identical", [([], True), (["--set", "lambda_soft=0"], False)],
-                         ids=["same-src", "lambda_soft=0"])
-def test_quality_differential_tool(monkeypatch, capsys, flags, identical):
+@pytest.mark.parametrize("flags, runs, identical", [
+    ([], 1, True), (["--set", "lambda_soft=0"], 1, False), (["--train-seeds", "0-1"], 2, True),
+], ids=["same-src", "lambda_soft=0", "train-seeds"])
+def test_quality_differential_tool(monkeypatch, capsys, flags, runs, identical):
     # tests/quality_differential.py, which pytest does not collect, on one
-    # small spec and one seed, against a second copy of this same src
+    # small spec and one split seed, against a second copy of this same src
     import quality_differential
 
     monkeypatch.setattr(quality_differential, "SPECS",
@@ -317,8 +318,11 @@ def test_quality_differential_tool(monkeypatch, capsys, flags, identical):
     src = Path(trainer.__file__).resolve().parent.parent
     assert quality_differential.main(["--seeds", "0", "--other-src", str(src), *flags]) == 0
     out = capsys.readouterr().out
-    assert "varied: the split seed" in out
-    assert f"with byte-identical metrics.csv: {int(identical)}\n" in out
+    assert f"varied: the split seed (SyntheticSpec.seed) over 0-0 and the training seed " \
+        f"(TrainConfig.seed) over 0-{runs - 1}\n" in out
+    assert [line.split(":")[0] for line in out.splitlines()[1:runs + 1]] == \
+        [f"tiny split seed 0 training seed {seed}" for seed in range(runs)]
+    assert f"runs: {runs}, with byte-identical metrics.csv: {runs * identical}\n" in out
     summary = out.split("difference (other - this): mean, min, max\n")[1].splitlines()
     assert [line.split()[0] for line in summary] == list(quality_differential.COMPARED)
     differences = [float(x) for line in summary for x in line.split()[1:]]
