@@ -24,7 +24,6 @@ from .errors import SelfReidError
 from .evaluation import EvalReport, RetrievalSet, evaluate
 from .linalg import normalize_rows, softmax_rows
 from .losses import (
-    ConsistencyDistributions,
     LossBreakdown,
     LossWeights,
     Temperatures,

@@ -29,6 +29,7 @@ a line of the N labels.
 import argparse
 import os
 import sys
+import warnings
 
 from . import reporting
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
@@ -280,11 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        with warnings.catch_warnings():  # each shown as one line, without its source
+            warnings.showwarning = _print_warning
+            status = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
         return status
     except (SelfReidError, MemoryError, BrokenPipeError) as exc:

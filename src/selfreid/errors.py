@@ -6,7 +6,8 @@ value at fault, and what was expected. The CLI prints it and exits 1.
 The only other deliberate raise is `selfreid train`'s FileNotFoundError
 when no training data is given. The CLI maps it, like every OSError from
 opening a path (a missing file, a directory), to exit code 2. A closed
-stdout and a MemoryError print one error line and exit 1.
+stdout and a MemoryError print one error line and exit 1. A warning prints
+as one `warning:` line, and the command goes on.
 """
 
 

@@ -55,21 +55,6 @@ class LossBreakdown:
     grads: np.ndarray  # d(total)/d(online representations), (N, d)
 
 
-@dataclass
-class ConsistencyDistributions:
-    """Row-stochastic prediction (P) and target (Q) matrices.
-
-    Rows are anchors, columns the batch instances. The augmented
-    momentum batch P compares against and the temperature are kept so
-    the loss can chain gradients back to the online representations.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    momentum_aug: np.ndarray
-    temperature: float
-
-
 def proxy_agnostic_loss(feats: np.ndarray, labels: np.ndarray,
                         proxy_vectors: np.ndarray, tau: float):
     """Softmax log loss of each anchor against all cluster proxies.
@@ -190,8 +175,9 @@ def hard_instance_loss(feats: np.ndarray, momentum: np.ndarray,
 
 
 def consistency_distributions(feats: np.ndarray, momentum_aug: np.ndarray,
-                              momentum_clean: np.ndarray, tau: float) -> ConsistencyDistributions:
-    """Prediction and target distributions over the batch instances.
+                              momentum_clean: np.ndarray, tau: float):
+    """Prediction and target distributions over the batch instances: (P, Q),
+    row-stochastic, rows the anchors and columns the batch instances.
 
     P compares the online augmented anchors with the augmented momentum
     batch; the target Q compares the clean momentum anchors with the
@@ -202,25 +188,27 @@ def consistency_distributions(feats: np.ndarray, momentum_aug: np.ndarray,
     momentum_clean = np.asarray(momentum_clean, dtype=np.float64)
     if not (feats.shape == momentum_aug.shape == momentum_clean.shape):
         raise SelfReidError("augmented and clean batches must align")
-    p = softmax_rows(feats @ momentum_aug.T, tau)
-    q = softmax_rows(momentum_clean @ momentum_clean.T, tau)
-    return ConsistencyDistributions(p=p, q=q, momentum_aug=momentum_aug, temperature=tau)
+    return (softmax_rows(feats @ momentum_aug.T, tau),
+            softmax_rows(momentum_clean @ momentum_clean.T, tau))
 
 
-def soft_consistency_loss(dists: ConsistencyDistributions):
-    """Anchor-averaged D_KL(P || Q); gradients through P only."""
-    p = dists.p
-    log_ratio = np.log(p) - np.log(dists.q)
+def soft_consistency_loss(feats: np.ndarray, momentum_aug: np.ndarray,
+                          momentum_clean: np.ndarray, tau: float):
+    """Anchor-averaged D_KL(P || Q) of `consistency_distributions`;
+    gradients through P only."""
+    momentum_aug = np.asarray(momentum_aug, dtype=np.float64)
+    p, q = consistency_distributions(feats, momentum_aug, momentum_clean, tau)
+    log_ratio = np.log(p) - np.log(q)
     per_anchor = (p * log_ratio).sum(axis=1)
     # Through the softmax, d/ds_ij = p * (g - sum(p * g)) / tau with g = dKL/dP
     # = log_ratio; the +1 from d(p log p) is constant across j and drops out.
-    ds = p * (log_ratio - per_anchor[:, None]) / dists.temperature
-    return float(per_anchor.mean()), ds @ dists.momentum_aug / p.shape[0]
+    ds = p * (log_ratio - per_anchor[:, None]) / tau
+    return float(per_anchor.mean()), ds @ momentum_aug / p.shape[0]
 
 
-def kl_value(dists: ConsistencyDistributions) -> float:
+def kl_value(p: np.ndarray, q: np.ndarray) -> float:
     """D_KL(P || Q) alone, without the gradient."""
-    return float((dists.p * (np.log(dists.p) - np.log(dists.q))).sum(axis=1).mean())
+    return float((p * (np.log(p) - np.log(q))).sum(axis=1).mean())
 
 
 def total_loss(agnostic, cross, hard, soft, weights: LossWeights) -> LossBreakdown:

@@ -33,11 +33,17 @@ class ProxyMemory:
     camera_vectors: np.ndarray      # (cells, d), unit rows
 
 
-def _normalized_means(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _normalized_means(rows: np.ndarray, starts: np.ndarray, name) -> np.ndarray:
     """Unit-norm mean of each run rows[starts[i]:starts[i + 1]] (the last
-    run ends at the end of rows); every run must be non-empty."""
+    run ends at the end of rows); every run must be non-empty. A run whose
+    mean is the zero vector has no direction: the error names it name(i)."""
     counts = np.diff(starts, append=len(rows))
-    return normalize_rows(np.add.reduceat(rows, starts, axis=0) / counts[:, None])
+    means = np.add.reduceat(rows, starts, axis=0) / counts[:, None]
+    zero = np.flatnonzero(~means.any(axis=1))
+    if zero.size:
+        raise SelfReidError(f"the momentum embeddings of {name(zero[0])} cancel: their mean is "
+                            f"the zero vector, so it has no proxy (try a larger out_dim)")
+    return normalize_rows(means)
 
 
 def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
@@ -59,7 +65,8 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
         raise SelfReidError(f"cluster ids {empty} of 0..{assignment.cluster_count - 1} "
                             f"have no members")
     members = order[starts[0]:starts[-1]]
-    cluster_vectors = _normalized_means(bank[members], starts[:-1] - starts[0])
+    cluster_vectors = _normalized_means(bank[members], starts[:-1] - starts[0],
+                                        lambda i: f"cluster {i}")
 
     # Stable: members keep index order inside each (cluster, camera) cell.
     labels = np.asarray(assignment.labels, dtype=np.int64)
@@ -67,8 +74,8 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
     cell_labels, cell_cameras = labels[cells], cameras[cells]
     new_cell = (np.diff(cell_labels) != 0) | (np.diff(cell_cameras) != 0)
     cell_starts = np.concatenate(([0], np.flatnonzero(new_cell) + 1))
+    cell_ids, cell_cams = cell_labels[cell_starts], cell_cameras[cell_starts]
     return ProxyMemory(
-        cluster_vectors=cluster_vectors,
-        camera_cluster_ids=cell_labels[cell_starts],
-        camera_ids=cell_cameras[cell_starts],
-        camera_vectors=_normalized_means(bank[cells], cell_starts))
+        cluster_vectors=cluster_vectors, camera_cluster_ids=cell_ids, camera_ids=cell_cams,
+        camera_vectors=_normalized_means(
+            bank[cells], cell_starts, lambda i: f"cluster {cell_ids[i]} under camera {cell_cams[i]}"))

@@ -2,9 +2,9 @@
 
 Both work on a chunk of steps, each step drawing from its own seed.
 `sample_pk_batch` draws every step's batch of n_identities pseudo
-identities with n_instances samples each, as (steps, rows) arrays of
-dataset indices and labels. `perturb` augments the steps' gathered rows,
-a (steps, rows, d) array, in place: isotropic noise, coordinate dropout
+identities with n_instances samples each, as a (steps, rows) array of
+dataset indices. `perturb` augments the steps' gathered rows, a
+(steps, rows, d) array, in place: isotropic noise, coordinate dropout
 (the stand-in for erasing) and an occasional re-drawn camera-style
 offset. Dropout zeroes round(dropout * d) coordinates of every row: those
 whose keys in its step's uniform (rows, d) draw are the row's smallest,
@@ -44,9 +44,10 @@ class PerturbationConfig(Settings):
 
 
 def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,
-                    step_seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Identity-balanced batches of inlier indices for len(step_seeds) steps:
-    (indices, labels), each of shape (steps, n_identities * n_instances).
+                    step_seeds) -> np.ndarray:
+    """Identity-balanced batches of inlier indices for len(step_seeds) steps,
+    of shape (steps, n_identities * n_instances); a row's labels are
+    assignment.labels of its indices.
 
     Step j draws from its own `np.random.default_rng(step_seeds[j])`.
     Identities are drawn without replacement. Within an identity,
@@ -59,16 +60,14 @@ def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,
         raise SelfReidError(
             f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
     indices = np.empty((len(step_seeds), spec.n_identities, spec.n_instances), dtype=np.int64)
-    labels = np.empty_like(indices)
     for step, seed in enumerate(step_seeds):
         rng = np.random.default_rng(seed)
         chosen = rng.choice(assignment.cluster_count, size=spec.n_identities, replace=False)
-        labels[step] = chosen[:, None]
         for picks, label in zip(indices[step], chosen):
             m = assignment.members_of(int(label))
             picks[:] = m[rng.choice(m.size, size=spec.n_instances,
                                     replace=m.size < spec.n_instances)]
-    return indices.reshape(len(step_seeds), -1), labels.reshape(len(step_seeds), -1)
+    return indices.reshape(len(step_seeds), -1)
 
 
 def estimate_camera_offsets(features: np.ndarray, cameras: np.ndarray) -> np.ndarray:

@@ -6,15 +6,15 @@ the run's splits and epoch reports. Each epoch encodes the whole training set
 with the momentum encoder, re-clusters it into pseudo identities, rebuilds the
 proxy memory, then runs its steps in chunks of `_PLAN_STEPS`. A chunk is three
 arrays with one row per step, from `plan_steps`: the batches' pseudo labels and
-cameras, drawn in one `sample_pk_batch` call, and the encoder inputs. Those are
-the batches' rows gathered twice over, the first copy perturbed in place by one
-`perturb` call, so each step's perturbed rows sit on its clean ones. Each step
-draws from its own seeds. The epoch holds one chunk at a time, so its memory
-does not grow with the iteration count. `train_iteration` makes a step's two
-encoder passes on its row of the inputs: the online encoder on the perturbed
-rows, the momentum encoder once over both (its output is split back into the
-two views). It combines the losses (`batch_loss`), backpropagates into the
-online encoder, and EMA-updates the momentum twin.
+cameras, read at the dataset indices one `sample_pk_batch` call draws, and the
+encoder inputs. Those are the batches' rows gathered twice over, the first copy
+perturbed in place by one `perturb` call, so each step's perturbed rows sit on
+its clean ones. Each step draws from its own seeds. The epoch holds one chunk at
+a time, so its memory does not grow with the iteration count. `train_iteration`
+makes a step's two encoder passes on its row of the inputs: the online encoder
+on the perturbed rows, the momentum encoder once over both (its output is split
+back into the two views). It combines the losses (`batch_loss`), backpropagates
+into the online encoder, and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
 labels, proxies and batches within an epoch depend only on the
@@ -22,6 +22,7 @@ epoch-start momentum encoder and the seed.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ from .losses import (
     LossBreakdown,
     LossWeights,
     Temperatures,
-    consistency_distributions,
+    consistency_distributions,  # unused here; bench/spans.py wraps it in this module by name
     cross_camera_loss_batch,
     hard_instance_loss,
     kl_value,  # unused here; bench/spans.py wraps it in this module by name
@@ -176,11 +177,16 @@ def require_input_width(encoder: str, width: int, *splits) -> None:
 
 def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, gallery=None,
               data_name="training data", query_name="query", gallery_name="gallery") -> None:
-    """A run's up-front rules, in order: valid config and training split; `query`
-    and `gallery` given together, of the training width, ready for evaluation;
-    oracle labels only with known identities. The messages name the splits."""
+    """A run's up-front rules, in order: valid config and training split; a dropout
+    that keeps an input coordinate; `query` and `gallery` given together, of the
+    training width, ready for evaluation; oracle labels only with known
+    identities. The messages name the splits."""
     config.validate()
     dataset.validate()
+    dropout = config.perturbation.dropout
+    if round(dropout * dataset.dim) >= dataset.dim:  # as perturb counts the dropped coordinates
+        raise SelfReidError(f"dropout = {dropout} zeroes all {dataset.dim} input coordinates of "
+                            f"{data_name}; need round(dropout * {dataset.dim}) < {dataset.dim}")
     require_paired_splits(query, gallery, query_name, gallery_name)
     if query is not None:
         require_input_width(f"the encoder trained on {data_name}", dataset.dim,
@@ -220,8 +226,13 @@ def batch_loss(cfg: TrainConfig, memory: ProxyMemory, labels: np.ndarray, camera
     else:
         cross = (0.0, np.zeros_like(feats))
     hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard)
-    dists = consistency_distributions(feats, momentum_aug, momentum_clean, tau.soft)
-    return total_loss(agnostic, cross, hard, soft_consistency_loss(dists), cfg.weights)
+    soft = soft_consistency_loss(feats, momentum_aug, momentum_clean, tau.soft)
+    for term, (value, _) in zip(_LOSS_TERMS, (agnostic, cross, hard, soft)):
+        if not math.isfinite(value):  # as total_loss would, but naming what to change
+            raise SelfReidError(f"component {term} is {value}; the run diverged: check "
+                                f"{tau.key_prefix}{term} = {getattr(tau, term)} and "
+                                f"base_lr = {cfg.base_lr}")
+    return total_loss(agnostic, cross, hard, soft, cfg.weights)
 
 
 def plan_steps(state: TrainState, assignment: ClusterAssignment,
@@ -232,10 +243,9 @@ def plan_steps(state: TrainState, assignment: ClusterAssignment,
     stacked on the clean ones. One draw, one gather and one `perturb` call
     serve every step, each step drawing from its own seeds."""
     cfg, epoch, dataset = state.config, len(state.reports), state.dataset
-    indices, labels = sample_pk_batch(
-        assignment, cfg.batch, [[cfg.seed, epoch, iteration, _SEED_BATCH]
-                                for iteration in iterations])
-    cameras = dataset.cameras[indices]
+    indices = sample_pk_batch(assignment, cfg.batch, [[cfg.seed, epoch, iteration, _SEED_BATCH]
+                                                      for iteration in iterations])
+    labels, cameras = assignment.labels[indices], dataset.cameras[indices]
     rows = np.concatenate((indices, indices), axis=1)
     inputs = dataset.features[rows].astype(np.float64, copy=False)  # perturb adds floats
     perturb(inputs[:, :indices.shape[1]], cfg.perturbation,
@@ -272,7 +282,8 @@ def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
 
 def run_epoch(state: TrainState) -> EpochReport:
     """Run epoch `len(state.reports)`, append its report and return it. Raises when
-    it ends a run of more than MAX_FAILED_EPOCHS epochs without clusters. Evaluates
+    it ends a run of more than MAX_FAILED_EPOCHS epochs without clusters, and
+    re-raises a step's SelfReidError naming the epoch and iteration. Evaluates
     on the state's query and gallery, if any, every `eval_every` epochs and the last."""
     start = time.perf_counter()
     cfg, dataset, reports = state.config, state.dataset, state.reports
@@ -297,13 +308,17 @@ def run_epoch(state: TrainState) -> EpochReport:
                     epoch, assignment.cluster_count, cfg.batch.n_identities)
     else:
         memory = build_proxies(bank, assignment, dataset.cameras)
-        for first in range(0, cfg.iterations, _PLAN_STEPS):
-            chunk = range(first, min(first + _PLAN_STEPS, cfg.iterations))
-            for step in zip(*plan_steps(state, assignment, chunk)):
-                breakdown = train_iteration(state, memory, *step)
-                for term in _LOSS_TERMS:
-                    sums[term] += getattr(breakdown, term)
-                steps += 1
+        with np.errstate(all="ignore"):  # a diverging step fails a finiteness check instead
+            for first in range(0, cfg.iterations, _PLAN_STEPS):
+                chunk = range(first, min(first + _PLAN_STEPS, cfg.iterations))
+                for step in zip(*plan_steps(state, assignment, chunk)):
+                    try:
+                        breakdown = train_iteration(state, memory, *step)
+                    except SelfReidError as exc:
+                        raise SelfReidError(f"epoch {epoch}, iteration {steps}: {exc}") from None
+                    for term in _LOSS_TERMS:
+                        sums[term] += getattr(breakdown, term)
+                    steps += 1
 
     means = {term: sums[term] / steps if steps else 0.0 for term in _LOSS_TERMS}
     report = EpochReport(

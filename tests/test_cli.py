@@ -321,6 +321,16 @@ def test_train_rejects_query_or_gallery_alone_before_writing(train_files, tmp_pa
     assert not out_dir.exists()
 
 
+def test_train_rejects_a_dropout_that_zeroes_every_input_before_writing(train_files, tmp_path,
+                                                                       capsys):
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, *TINY_RUN, "--dropout", "0.97") == 1
+    assert capsys.readouterr().err == (f"error: dropout = 0.97 zeroes all 16 input coordinates "
+                                       f"of {train_files['data']}; need round(dropout * 16) "
+                                       f"< 16\n")
+    assert not out_dir.exists()
+
+
 def test_train_rejects_non_finite_config_float_before_writing(train_files, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(train_files, out_dir, *TINY_RUN, "--base-lr", "inf") == 1
@@ -500,6 +510,33 @@ def test_out_of_memory_is_one_error_line(train_files, tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == message
     # The manifest is written before training, metrics.csv only after it.
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.txt"]
+
+
+def run_selfreid(*argv):
+    """`python -m selfreid *argv` in a fresh interpreter with Python's default
+    warning filters: the CompletedProcess, stdout and stderr as text."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "selfreid", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_warning_is_one_line(tmp_path):
+    out_dir = tmp_path / "out"
+    result = run_selfreid("generate", "--ids", "4", "--dim", "2", "--out-dir", str(out_dir))
+    assert result.stderr == "warning: dim=2 is too small to separate identities reliably\n"
+    assert result.returncode == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["gallery.txt", "query.txt",
+                                                         "train.txt"]
+
+
+def test_a_diverging_run_is_one_error_line(train_files, tmp_path):
+    result = run_selfreid("train", "--data", train_files["data"], "--out-dir",
+                          str(tmp_path / "run"), *TINY_RUN, "--tau-soft", "1e-300")
+    assert result.stderr == ("error: epoch 0, iteration 0: component soft is nan; the run "
+                             "diverged: check tau_soft = 1e-300 and base_lr = 0.00035\n")
+    assert result.returncode == 1
 
 
 @pytest.mark.parametrize("command", [["-c", "import selfreid"], ["-m", "selfreid", "--help"]],

@@ -466,9 +466,9 @@ def test_consistency_p_equals_q_without_perturbation():
     params = init_params(5, 4, 3, rng)
     batch = rng.normal(size=(6, 5))
     out = forward(params, batch).out  # same weights, same inputs for all roles
-    dists = consistency_distributions(out, out, out, tau=0.4)
-    np.testing.assert_allclose(dists.p, dists.q, atol=1e-9)
-    value, grads = soft_consistency_loss(dists)
+    p, q = consistency_distributions(out, out, out, tau=0.4)
+    np.testing.assert_allclose(p, q, atol=1e-9)
+    value, grads = soft_consistency_loss(out, out, out, tau=0.4)
     assert value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
@@ -477,8 +477,8 @@ def test_consistency_uniform_when_similarities_equal():
     n, d = 6, 4
     feats = np.tile(unit(np.ones(d)), (n, 1))
     m = np.tile(unit(np.ones(d)), (n, 1))
-    dists = consistency_distributions(feats, m, m, tau=0.4)
-    np.testing.assert_allclose(dists.p, 1.0 / n, atol=1e-12)
+    p, _ = consistency_distributions(feats, m, m, tau=0.4)
+    np.testing.assert_allclose(p, 1.0 / n, atol=1e-12)
 
 
 def test_consistency_rows_sum_to_one():
@@ -486,9 +486,9 @@ def test_consistency_rows_sum_to_one():
     feats, _ = random_batch(rng)
     m_aug = normalize_rows(rng.normal(size=feats.shape))
     m_clean = normalize_rows(rng.normal(size=feats.shape))
-    dists = consistency_distributions(feats, m_aug, m_clean, tau=0.4)
-    np.testing.assert_allclose(dists.p.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(dists.q.sum(axis=1), 1.0, atol=1e-9)
+    p, q = consistency_distributions(feats, m_aug, m_clean, tau=0.4)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_kl_two_point_pinned_value():
@@ -508,11 +508,9 @@ def test_consistency_chain_gradient_vs_finite_differences(seed):
     m_clean = normalize_rows(rng.normal(size=feats.shape))
 
     def value(f):
-        return soft_consistency_loss(
-            consistency_distributions(f, m_aug, m_clean, tau=0.4))[0]
+        return soft_consistency_loss(f, m_aug, m_clean, tau=0.4)[0]
 
-    _, analytic = soft_consistency_loss(
-        consistency_distributions(feats, m_aug, m_clean, tau=0.4))
+    _, analytic = soft_consistency_loss(feats, m_aug, m_clean, tau=0.4)
     fd = finite_difference(value, feats.copy())
     assert max_rel_err(analytic, fd) < 1e-4
 
@@ -523,8 +521,8 @@ def test_argmax_is_temperature_invariant():
     m = normalize_rows(rng.normal(size=feats.shape))
     proxies = normalize_rows(rng.normal(size=(6, 6)))
     for tau_a, tau_b in ((0.07, 0.5), (0.1, 0.4)):
-        pa = consistency_distributions(feats, m, m, tau=tau_a).p
-        pb = consistency_distributions(feats, m, m, tau=tau_b).p
+        pa, _ = consistency_distributions(feats, m, m, tau=tau_a)
+        pb, _ = consistency_distributions(feats, m, m, tau=tau_b)
         np.testing.assert_array_equal(pa.argmax(axis=1), pb.argmax(axis=1))
         from selfreid.linalg import softmax_rows
         sa = softmax_rows(feats @ proxies.T, tau_a)
@@ -597,8 +595,7 @@ def test_consistency_property_gradient_matches_finite_differences(case):
     feats, momentum_aug, momentum_clean, _, tau = case
 
     def loss(f):
-        return soft_consistency_loss(
-            consistency_distributions(f, momentum_aug, momentum_clean, tau))
+        return soft_consistency_loss(f, momentum_aug, momentum_clean, tau)
 
     assert_gradient_matches_fd(loss, feats, np.abs(momentum_aug).max() / tau)
 
@@ -657,9 +654,8 @@ def test_losses_non_negative():
         proxies = normalize_rows(r.normal(size=(5, 6)))
         assert proxy_agnostic_loss(feats, labels % 5, proxies, 0.5)[0] >= 0
         assert hard_instance_loss(feats, momentum, labels, 0.1)[0] >= 0
-        dists = consistency_distributions(feats, momentum, momentum, 0.4)
-        assert soft_consistency_loss(dists)[0] >= 0
-        assert kl_value(dists) >= 0
+        assert soft_consistency_loss(feats, momentum, momentum, 0.4)[0] >= 0
+        assert kl_value(*consistency_distributions(feats, momentum, momentum, 0.4)) >= 0
 
 
 # --- gradients through the encoder ------------------------------------------
@@ -680,8 +676,7 @@ def test_encoder_loss_composition_gradients(seed):
     def losses(f):
         out = [proxy_agnostic_loss(f, labels, proxies, 0.5),
                hard_instance_loss(f, m_aug, labels, 0.1),
-               soft_consistency_loss(
-                   consistency_distributions(f, m_aug, m_clean, 0.4))]
+               soft_consistency_loss(f, m_aug, m_clean, 0.4)]
         if seed % 2:  # odd seeds add the cross-camera loss
             out.append(cross_camera_loss_batch(f, cameras, labels, memory,
                                                0.07, 4))

@@ -94,6 +94,18 @@ def test_cluster_without_members_rejected():
         build_proxies(bank, assignment, np.zeros(4, int))
 
 
+@pytest.mark.parametrize("bank, labels, cameras, message", [
+    ([1, 1, 1, -1], [0, 0, 1, 1], [0, 1, 0, 1], "cluster 1"),
+    ([1, 1, 1, -1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 0, 1], "cluster 1 under camera 0"),
+], ids=["cluster", "camera cell"])
+def test_a_proxy_whose_members_cancel_is_named(bank, labels, cameras, message):
+    # 1-d embeddings, as out_dim = 1 gives: the named proxy's members are +1 and -1
+    with pytest.raises(SelfReidError, match=f"^the momentum embeddings of {message} cancel: "
+                                            f"their mean is the zero vector"):
+        build_proxies(np.array(bank, dtype=float)[:, None], make_assignment(labels),
+                      np.array(cameras))
+
+
 @st.composite
 def clustered_banks(draw):
     """A bank with labels covering 0..k-1 plus outliers, and camera ids.

@@ -29,8 +29,8 @@ def eight_cluster_assignment(per_cluster=5):
 
 def one_batch(assignment, spec, seed):
     """The (indices, labels) of a one-step `sample_pk_batch` draw from `seed`."""
-    indices, labels = sample_pk_batch(assignment, spec, [seed])
-    return indices[0], labels[0]
+    indices = sample_pk_batch(assignment, spec, [seed])[0]
+    return indices, assignment.labels[indices]
 
 
 def test_batch_shape_and_label_multiset():
@@ -89,8 +89,8 @@ def test_batches_deterministic_given_seed():
 
 
 def test_seeds_produce_distinct_batches():
-    indices, _ = sample_pk_batch(eight_cluster_assignment(per_cluster=10), BatchSpec(8, 4),
-                                 range(100))
+    indices = sample_pk_batch(eight_cluster_assignment(per_cluster=10), BatchSpec(8, 4),
+                              range(100))
     seen = {tuple(row) for row in indices}
     assert len(seen) >= 99
 
@@ -125,7 +125,8 @@ def test_many_step_draw_is_each_steps_one_seed_draw_stacked(steps):
     assignment = make_assignment(labels)
     spec = BatchSpec(5, 4)
     seeds = [[3, 1, step, 1] for step in range(steps)]
-    indices, batch_labels = sample_pk_batch(assignment, spec, seeds)
+    indices = sample_pk_batch(assignment, spec, seeds)
+    batch_labels = assignment.labels[indices]
     expected = [pk_batch_oracle(assignment, spec, seed) for seed in seeds]
     assert indices.shape == batch_labels.shape == (steps, 20)
     np.testing.assert_array_equal(indices, np.stack([i for i, _ in expected]))

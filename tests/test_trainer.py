@@ -8,16 +8,18 @@ from selfreid.data import UNKNOWN_IDENTITY, EmbeddingDataset, SyntheticSpec, gen
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
+from selfreid.losses import Temperatures
 from selfreid.proxies import build_proxies
 from selfreid.rerank import OUTLIER, ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
-from selfreid.sampling import BatchSpec
+from selfreid.sampling import BatchSpec, PerturbationConfig
 from selfreid import trainer
 from selfreid.trainer import (
     AGNOSTIC,
     AWARE,
     MAX_FAILED_EPOCHS,
     TrainConfig,
+    check_run,
     init_state,
     run_epoch,
     train,
@@ -58,6 +60,16 @@ def test_kl_diagnostic_reuses_the_kl_loss(small_train, monkeypatch):
     monkeypatch.setattr(trainer, "kl_value", None)  # fails if a step computes KL again
     _, reports = train(TrainConfig(epochs=1, iterations=3), small_train)
     assert reports[0].mean_kl == reports[0].mean_soft > 0
+
+
+def test_a_diverging_step_names_its_epoch_iteration_and_temperature(small_train):
+    # numpy's floating-point warnings are errors under this suite's settings, so a
+    # step that warned would fail with a RuntimeWarning instead
+    config = TrainConfig(epochs=1, iterations=3, temperatures=Temperatures(soft=1e-300))
+    with pytest.raises(SelfReidError, match=r"^epoch 0, iteration 0: component soft is nan; "
+                                            r"the run diverged: check tau_soft = 1e-300 and "
+                                            r"base_lr = 0.00035$"):
+        train(config, small_train)
 
 
 def test_all_outlier_epochs_abort(small_train):
@@ -171,6 +183,20 @@ def test_train_checks_query_and_gallery_before_the_first_epoch(train_fault, quer
     # init_state starts a run of run_epoch calls too (test_train_is_run_epoch_in_a_loop)
     with pytest.raises(SelfReidError, match=message):
         init_state(config, train_split, query, gallery)
+
+
+@pytest.mark.parametrize("dropout", [0.97, 0.96])
+def test_check_run_rejects_a_dropout_that_zeroes_every_input_coordinate(dropout):
+    # at dim 16, round(0.97 * 16) = 16 coordinates dropped, round(0.96 * 16) = 15
+    dataset = generate_synthetic(SyntheticSpec(n_identities=4, dim=16))[0]
+    config = TrainConfig(perturbation=PerturbationConfig(dropout=dropout))
+    if dropout == 0.96:
+        check_run(config, dataset)
+        return
+    with pytest.raises(SelfReidError, match=r"^dropout = 0.97 zeroes all 16 input coordinates "
+                                            r"of training data; need round\(dropout \* 16\) "
+                                            r"< 16$"):
+        check_run(config, dataset)
 
 
 def test_train_stops_at_check_run(small_train, monkeypatch):
