@@ -172,11 +172,6 @@ def backward(params: EncoderParams, fwd: ForwardPass,
 
 def ema_update(pair: EncoderPair, alpha: float) -> None:
     """In-place EMA: momentum <- alpha * momentum + (1 - alpha) * online."""
-    if not (0.0 <= alpha <= 1.0):
-        raise SelfReidError(f"alpha must be in [0, 1], got {alpha}")
-    for f in PARAM_FIELDS:
-        if getattr(pair.momentum, f).shape != getattr(pair.online, f).shape:
-            raise SelfReidError(f"parameter {f} shapes differ")
     mom = pair.momentum.flat
     mom *= alpha
     mom += (1.0 - alpha) * pair.online.flat

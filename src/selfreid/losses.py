@@ -14,7 +14,6 @@ only; momentum representations, proxies and target distributions are
 constants. The trainer feeds these gradients back through the encoder.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +90,6 @@ def cross_camera_loss_batch(feats: np.ndarray, cameras: np.ndarray,
     (anchor, positive) pair weighs 1 / (k_i * N). Anchors whose cluster
     lives in a single camera contribute zero, with zero gradient.
     """
-    if n_neg < 1:
-        raise SelfReidError(f"n_neg must be >= 1, got {n_neg}")
     feats = np.asarray(feats, dtype=np.float64)
     cameras = np.asarray(cameras, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -213,11 +210,6 @@ def kl_value(p: np.ndarray, q: np.ndarray) -> float:
 
 def total_loss(agnostic, cross, hard, soft, weights: LossWeights) -> LossBreakdown:
     """Exact weighted combination of the four component (value, grad) pairs."""
-    weights.validate()
-    parts = {"agnostic": agnostic, "cross": cross, "hard": hard, "soft": soft}
-    for name, (value, _) in parts.items():
-        if not math.isfinite(value):
-            raise SelfReidError(f"component {name} is {value}")
     total_value = (agnostic[0] + 0.5 * cross[0]
                    + weights.hard * hard[0] + weights.soft * soft[0])
     grads = (agnostic[1] + 0.5 * cross[1]

@@ -450,7 +450,6 @@ def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
     id among the core points within eps of it, so the output does not
     depend on a visiting order.
     """
-    config.validate()
     rows, cols = _checked_rows(pairs, config.eps), pairs.indices
     if config.eps < pairs.max_distance:  # sweep-eps reads pairs built at its largest eps
         within = pairs.data <= config.eps

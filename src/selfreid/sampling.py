@@ -55,7 +55,6 @@ def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,
     enough, with replacement otherwise (clusters can shrink below
     n_instances after outlier exclusion).
     """
-    spec.validate()
     if assignment.cluster_count < spec.n_identities:
         raise SelfReidError(
             f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
@@ -98,7 +97,6 @@ def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
     restyle_scale). With a single camera there is no other style, and
     restyle leaves every row as it is.
     """
-    config.validate()
     steps, rows, d = features.shape
     if len(step_seeds) != steps:
         raise SelfReidError(f"{len(step_seeds)} step seeds for {steps} step batches")

@@ -8,7 +8,8 @@ walk over the fields, names each leaf by its flat key: the class's
 `key_prefix` (say "tau_") plus the field name, as config files, manifests
 and CLI flags spell it, also for a group on its own. `validate()` checks
 the leaves in that order, so the first bad key in manifest order is named:
-`need <key> in <allowed>, got <value!r>`.
+`need <key> in <allowed>, got <value!r>`. A run's settings are checked
+once, at its boundary (`trainer.check_run`); the kernels trust them.
 """
 
 import functools

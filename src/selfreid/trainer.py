@@ -21,9 +21,9 @@ labels, proxies and batches within an epoch depend only on the
 epoch-start momentum encoder and the seed.
 """
 
-import logging
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +71,6 @@ from .sampling import (
     sample_pk_batch,
 )
 from .settings import Settings, setting
-
-log = logging.getLogger(__name__)
 
 # Sub-stream tags for deterministic seed derivation.
 _SEED_INIT = 0
@@ -218,7 +216,9 @@ def batch_loss(cfg: TrainConfig, memory: ProxyMemory, labels: np.ndarray, camera
                feats: np.ndarray, momentum_aug: np.ndarray,
                momentum_clean: np.ndarray) -> LossBreakdown:
     """A step's loss and its gradient in the online representations `feats` of
-    its batch; the momentum-encoder outputs and the proxies are held fixed."""
+    its batch; the momentum-encoder outputs and the proxies are held fixed.
+    A non-finite term or total is a SelfReidError naming the settings that
+    differ from their defaults."""
     tau = cfg.temperatures
     agnostic = proxy_agnostic_loss(feats, labels, memory.cluster_vectors, tau.agnostic)
     if cfg.memory_mode == AWARE:
@@ -227,12 +227,17 @@ def batch_loss(cfg: TrainConfig, memory: ProxyMemory, labels: np.ndarray, camera
         cross = (0.0, np.zeros_like(feats))
     hard = hard_instance_loss(feats, momentum_aug, labels, tau.hard)
     soft = soft_consistency_loss(feats, momentum_aug, momentum_clean, tau.soft)
-    for term, (value, _) in zip(_LOSS_TERMS, (agnostic, cross, hard, soft)):
-        if not math.isfinite(value):  # as total_loss would, but naming what to change
-            raise SelfReidError(f"component {term} is {value}; the run diverged: check "
-                                f"{tau.key_prefix}{term} = {getattr(tau, term)} and "
-                                f"base_lr = {cfg.base_lr}")
-    return total_loss(agnostic, cross, hard, soft, cfg.weights)
+    breakdown = total_loss(agnostic, cross, hard, soft, cfg.weights)
+    for term in _LOSS_TERMS:  # the four terms, then their weighted total
+        value = getattr(breakdown, term)
+        if not math.isfinite(value):
+            defaults = TrainConfig().values()
+            changed = [f"{key} = {now}" for key, now in cfg.values().items()
+                       if now != defaults[key]]
+            hint = (f"check the settings not at their defaults: {', '.join(changed)}"
+                    if changed else "every setting is at its default")
+            raise SelfReidError(f"{term} loss is {value}; the run diverged: {hint}")
+    return breakdown
 
 
 def plan_steps(state: TrainState, assignment: ClusterAssignment,
@@ -299,13 +304,13 @@ def run_epoch(state: TrainState) -> EpochReport:
     sums, steps = dict.fromkeys(_LOSS_TERMS, 0.0), 0
     if assignment.cluster_count == 0:
         failed = 1 + next((i for i, r in enumerate(reversed(reports)) if r.cluster_count), epoch)
-        log.warning("epoch %d: clustering found no inliers (%d consecutive)", epoch, failed)
+        warnings.warn(f"epoch {epoch}: clustering found no inliers ({failed} consecutive)")
         if failed > MAX_FAILED_EPOCHS:
             raise SelfReidError(f"no clusters for {failed} consecutive epochs; "
                                 f"check eps/min_samples against the data scale")
     elif assignment.cluster_count < cfg.batch.n_identities:
-        log.warning("epoch %d: %d clusters < %d identities per batch; skipping iterations",
-                    epoch, assignment.cluster_count, cfg.batch.n_identities)
+        warnings.warn(f"epoch {epoch}: {assignment.cluster_count} clusters < "
+                      f"{cfg.batch.n_identities} identities per batch; skipping iterations")
     else:
         memory = build_proxies(bank, assignment, dataset.cameras)
         with np.errstate(all="ignore"):  # a diverging step fails a finiteness check instead

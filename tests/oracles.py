@@ -8,7 +8,9 @@ vectors built with scipy.sparse products, which the package's numpy-only
 ones must match bit for bit; and `adam_oracle` and `ema_oracle`, the
 updates applied one weight array at a time, which the flat-buffer
 updates must match bit for bit. `traced_peak` is no oracle: it measures
-every memory bound in the tests the same way. Nor is `pairs_from_dense`:
+every memory bound in the tests the same way. Nor is `train_rejects`,
+which asserts that `train` refuses a setting before its first epoch.
+Nor is `pairs_from_dense`:
 it hands the upper triangle of the dense distance fixtures to `dbscan`
 as pairs. And
 `load_dataset_oracle` is the split-file loader on the whole file at
@@ -26,10 +28,12 @@ declarations must match value for value.
 """
 
 import math
+import re
 import tracemalloc
 from collections import defaultdict
 
 import numpy as np
+import pytest
 from scipy.sparse import csc_array, csr_array
 from scipy.spatial.distance import cdist
 
@@ -40,6 +44,7 @@ from selfreid.data import (
     UNKNOWN_IDENTITY,
     EmbeddingDataset,
     SyntheticSpec,
+    generate_synthetic,
 )
 from selfreid.encoder import backward, effective_lr, ema_update, forward, optimizer_step
 from selfreid.errors import SelfReidError
@@ -57,6 +62,14 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def train_rejects(monkeypatch, config, message: str) -> None:
+    """`train(config, ...)` fails with exactly `message` and runs no epoch."""
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    dataset = generate_synthetic(SyntheticSpec(n_identities=4))[0]
+    with pytest.raises(SelfReidError, match=f"^{re.escape(message)}$"):
+        trainer.train(config, dataset)
 
 
 def max_rel_err(actual: np.ndarray, reference: np.ndarray) -> float:

@@ -534,9 +534,45 @@ def test_a_warning_is_one_line(tmp_path):
 def test_a_diverging_run_is_one_error_line(train_files, tmp_path):
     result = run_selfreid("train", "--data", train_files["data"], "--out-dir",
                           str(tmp_path / "run"), *TINY_RUN, "--tau-soft", "1e-300")
-    assert result.stderr == ("error: epoch 0, iteration 0: component soft is nan; the run "
-                             "diverged: check tau_soft = 1e-300 and base_lr = 0.00035\n")
+    assert result.stderr == ("error: epoch 0, iteration 0: soft loss is nan; the run diverged: "
+                             "check the settings not at their defaults: epochs = 2, "
+                             "iterations = 3, n_identities = 4, tau_soft = 1e-300, k1 = 8, "
+                             "k2 = 3\n")
     assert result.returncode == 1
+
+
+@pytest.fixture(scope="module")
+def default_data(tmp_path_factory):
+    """The training split `selfreid generate` writes with its defaults."""
+    path = tmp_path_factory.mktemp("default") / "train.txt"
+    save_dataset(generate_synthetic(SyntheticSpec())[0], path)
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--weight-decay", "1e300"],
+     "epoch 0, iteration 2: agnostic loss is nan; the run diverged: check the settings not at "
+     "their defaults: weight_decay = 1e+300"),
+    (["--lambda-hard", "1e308", "--epochs", "2", "--iterations", "5"],
+     "epoch 0, iteration 0: total loss is inf; the run diverged: check the settings not at "
+     "their defaults: epochs = 2, iterations = 5, lambda_hard = 1e+308"),
+], ids=["weight-decay", "weighted-total"])
+def test_a_diverging_run_names_the_settings_off_their_defaults(default_data, tmp_path, flags,
+                                                               message):
+    result = run_selfreid("train", "--data", default_data, "--out-dir", str(tmp_path / "run"),
+                          *flags)
+    assert result.stderr == f"error: {message}\n"
+    assert result.returncode == 1
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.txt"]
+
+
+def test_each_skipping_epoch_is_one_warning_line(default_data, tmp_path):
+    # at out_dim 1 the bank forms 2 clusters, fewer than the 8 identities per batch
+    result = run_selfreid("train", "--data", default_data, "--out-dir", str(tmp_path / "run"),
+                          "--out-dim", "1", "--epochs", "3", "--iterations", "10")
+    assert result.stderr == "".join(f"warning: epoch {epoch}: 2 clusters < 8 identities per "
+                                    f"batch; skipping iterations\n" for epoch in range(3))
+    assert result.returncode == 0
 
 
 @pytest.mark.parametrize("command", [["-c", "import selfreid"], ["-m", "selfreid", "--help"]],
@@ -747,6 +783,8 @@ def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, c
         assert evaluate_encoder(pair, query, gallery) == ev
 
 
+# Python's default action for a UserWarning, so that cli.main prints them
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_ablate_rows_show_every_iteration_skipped(train_files, tmp_path, capsys):
     # the untrained encoder forms 3 clusters at the default k1, fewer than the
     # 8 identities per batch, so every variant skips all 2 x 3 iterations
@@ -757,7 +795,11 @@ def test_ablate_rows_show_every_iteration_skipped(train_files, tmp_path, capsys)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 8
     assert {(row[-2], row[-1]) for row in rows} == {("3", "6")}
-    assert capsys.readouterr().out.count("clusters 3 skipped iterations 6\n") == 8
+    printed = capsys.readouterr()
+    assert printed.out.count("clusters 3 skipped iterations 6\n") == 8
+    # the default action shows a message once; each variant repeats both
+    assert printed.err == "".join(f"warning: epoch {epoch}: 3 clusters < 8 identities per "
+                                  f"batch; skipping iterations\n" for epoch in range(2))
 
 
 def test_ablate_takes_train_config_flags(train_files, tmp_path, capsys):

@@ -23,6 +23,7 @@ from selfreid.encoder import (
     save_checkpoint,
 )
 from selfreid.errors import SelfReidError
+from selfreid.trainer import TrainConfig
 
 from oracles import (
     adam_oracle,
@@ -30,6 +31,7 @@ from oracles import (
     finite_difference,
     max_rel_err,
     scalar_forward,
+    train_rejects,
     write_version_1_checkpoint,
 )
 
@@ -193,10 +195,9 @@ def test_flat_adam_and_ema_are_bit_equal_to_per_field_updates():
                 np.testing.assert_array_equal(getattr(actual, f), getattr(expected, f))
 
 
-def test_ema_update_invalid_alpha():
-    pair = init_pair(3, 4, 2, np.random.default_rng(2))
-    with pytest.raises(SelfReidError, match=re.escape("alpha must be in [0, 1], got 1.5")):
-        ema_update(pair, 1.5)
+def test_ema_update_invalid_alpha(monkeypatch):
+    # ema_update trusts its caller; train checks alpha before the first step
+    train_rejects(monkeypatch, TrainConfig(alpha=1.5), "need alpha in [0, 1], got 1.5")
 
 
 def test_ema_closed_form_after_three_steps():

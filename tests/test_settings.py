@@ -6,19 +6,18 @@ import functools
 import math
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from selfreid.data import SyntheticSpec, generate_synthetic
 from selfreid.errors import SelfReidError
-from selfreid.losses import LossWeights, Temperatures, total_loss
+from selfreid.losses import LossWeights, Temperatures
 from selfreid.rerank import ClusterConfig
 from selfreid.settings import Settings
-from selfreid.trainer import TrainConfig
+from selfreid.trainer import TrainConfig, train
 
-from oracles import settings_oracle
+from oracles import settings_oracle, train_rejects
 
 # Every bound the rules name, each with its neighbours on either side.
 BOUNDS = (0.0, 1.0, 2.0)
@@ -141,10 +140,24 @@ def test_message_names_the_key_its_allowed_values_and_the_value(settings, messag
         settings.validate()
 
 
-def test_callers_that_check_a_group_alone_name_its_keys_as_the_cli_does():
-    grads = np.zeros((2, 3))
-    with pytest.raises(SelfReidError, match=re.escape("need lambda_hard in [0, inf), got -1.0")):
-        total_loss((1.0, grads), (1.0, grads), (1.0, grads), (1.0, grads),
-                   LossWeights(hard=-1.0))
+def test_train_checks_the_settings_once(monkeypatch):
+    dataset = generate_synthetic(SyntheticSpec(n_identities=10))[0]
+    checked, validate = [], Settings.validate
+
+    def counting(settings):
+        checked.append(type(settings).__name__)
+        validate(settings)
+
+    monkeypatch.setattr(Settings, "validate", counting)
+    # pseudo labels and steps in every epoch, so each kernel that took a group ran
+    _, reports = train(TrainConfig(epochs=2, iterations=10), dataset)
+    assert [r.skipped_iterations for r in reports] == [0, 0]
+    assert checked == ["TrainConfig"]
+
+
+def test_callers_that_check_a_group_alone_name_its_keys_as_the_cli_does(monkeypatch):
+    # total_loss trusts its caller; train checks the weights before the first step
+    train_rejects(monkeypatch, TrainConfig(weights=LossWeights(hard=-1.0)),
+                  "need lambda_hard in [0, inf), got -1.0")
     with pytest.raises(SelfReidError, match=re.escape("need sigma_camera in [0, inf), got nan")):
         generate_synthetic(SyntheticSpec(sigma_camera=math.nan))

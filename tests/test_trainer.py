@@ -8,7 +8,7 @@ from selfreid.data import UNKNOWN_IDENTITY, EmbeddingDataset, SyntheticSpec, gen
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
 from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
-from selfreid.losses import Temperatures
+from selfreid.losses import LossWeights, Temperatures
 from selfreid.proxies import build_proxies
 from selfreid.rerank import OUTLIER, ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
@@ -66,25 +66,61 @@ def test_a_diverging_step_names_its_epoch_iteration_and_temperature(small_train)
     # numpy's floating-point warnings are errors under this suite's settings, so a
     # step that warned would fail with a RuntimeWarning instead
     config = TrainConfig(epochs=1, iterations=3, temperatures=Temperatures(soft=1e-300))
-    with pytest.raises(SelfReidError, match=r"^epoch 0, iteration 0: component soft is nan; "
-                                            r"the run diverged: check tau_soft = 1e-300 and "
-                                            r"base_lr = 0.00035$"):
+    with pytest.raises(SelfReidError, match=r"^epoch 0, iteration 0: soft loss is nan; the run "
+                                            r"diverged: check the settings not at their "
+                                            r"defaults: epochs = 1, iterations = 3, "
+                                            r"tau_soft = 1e-300$"):
         train(config, small_train)
+
+
+def test_a_non_finite_weighted_total_stops_the_run(small_train):
+    # each term is finite; lambda_hard * L_hard overflows
+    config = TrainConfig(epochs=2, iterations=5, weights=LossWeights(hard=1e308))
+    with pytest.raises(SelfReidError, match=r"^epoch 0, iteration 0: total loss is inf; the run "
+                                            r"diverged: check the settings not at their "
+                                            r"defaults: epochs = 2, iterations = 5, "
+                                            r"lambda_hard = 1e\+308$"):
+        train(config, small_train)
+
+
+def test_batch_loss_rejects_non_finite(monkeypatch):
+    labels, cameras = np.repeat(np.arange(8), 4), np.tile(np.arange(4), 8)
+    feats = normalize_rows(np.random.default_rng(0).normal(size=(32, 6)))
+    memory = build_proxies(feats, ClusterAssignment(labels, 8), cameras)
+    monkeypatch.setattr(trainer, "hard_instance_loss",
+                        lambda feats, *args: (float("nan"), np.zeros_like(feats)))
+    with pytest.raises(SelfReidError, match="^hard loss is nan; the run diverged: every "
+                                            "setting is at its default$"):
+        trainer.batch_loss(TrainConfig(), memory, labels, cameras, feats, feats, feats)
+
+
+def warned(record) -> list[str]:
+    return [str(w.message) for w in record]
+
+
+def no_inliers(*epochs) -> list[str]:
+    """The warnings of epochs `epochs`, the first of a streak of failed epochs."""
+    return [f"epoch {epoch}: clustering found no inliers ({streak} consecutive)"
+            for streak, epoch in enumerate(epochs, 1)]
 
 
 def test_all_outlier_epochs_abort(small_train):
     # no sample can be a DBSCAN core point, so every epoch finds no cluster
     no_cores = ClusterConfig(min_samples=len(small_train) + 1)
-    _, reports = train(TrainConfig(epochs=MAX_FAILED_EPOCHS, iterations=4,
-                                   cluster=no_cores), small_train)
+    with pytest.warns(UserWarning) as record:
+        _, reports = train(TrainConfig(epochs=MAX_FAILED_EPOCHS, iterations=4,
+                                       cluster=no_cores), small_train)
+    assert warned(record) == no_inliers(*range(MAX_FAILED_EPOCHS))
     assert len(reports) == MAX_FAILED_EPOCHS
     for r in reports:
         assert (r.cluster_count, r.outlier_count) == (0, len(small_train))
         assert r.skipped_iterations == 4
-    with pytest.raises(SelfReidError, match=f"no clusters for {MAX_FAILED_EPOCHS + 1} consecutive "
-                                           "epochs; check eps/min_samples"):
+    with pytest.warns(UserWarning) as record, pytest.raises(
+            SelfReidError, match=f"no clusters for {MAX_FAILED_EPOCHS + 1} consecutive "
+                                 "epochs; check eps/min_samples"):
         train(TrainConfig(epochs=MAX_FAILED_EPOCHS + 1, iterations=4,
                           cluster=no_cores), small_train)
+    assert warned(record) == no_inliers(*range(MAX_FAILED_EPOCHS + 1))
 
 
 def test_zero_cluster_streak_resets_after_an_epoch_with_clusters(small_train, monkeypatch):
@@ -97,7 +133,9 @@ def test_zero_cluster_streak_resets_after_an_epoch_with_clusters(small_train, mo
         return generate(bank, config) if assignment is None else assignment
 
     monkeypatch.setattr(trainer, "generate_pseudo_labels", scripted)
-    _, reports = train(TrainConfig(epochs=5, iterations=2), small_train)
+    with pytest.warns(UserWarning) as record:
+        _, reports = train(TrainConfig(epochs=5, iterations=2), small_train)
+    assert warned(record) == no_inliers(0) + no_inliers(2, 3, 4)
     assert [r.cluster_count == 0 for r in reports] == [True, False, True, True, True]
     assert [r.skipped_iterations for r in reports] == [2, 0, 2, 2, 2]
 
@@ -118,8 +156,10 @@ def test_epoch_without_clusters_still_evaluates_and_checkpoints(tmp_path):
     train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=10))
     config = TrainConfig(epochs=2, iterations=3, cluster=ClusterConfig(min_samples=1000),
                          checkpoint_every=1)
-    _, reports = train(config, train_split, query=query, gallery=gallery,
-                       checkpoint_dir=tmp_path)
+    with pytest.warns(UserWarning) as record:
+        _, reports = train(config, train_split, query=query, gallery=gallery,
+                           checkpoint_dir=tmp_path)
+    assert warned(record) == no_inliers(0, 1)
     assert [r.cluster_count for r in reports] == [0, 0]
     assert reports[0].evaluation is None
     assert 0.0 < reports[-1].evaluation.mean_ap <= 1.0
@@ -214,7 +254,10 @@ def test_fewer_clusters_than_batch_identities_skips_iterations(small_train, monk
     # oracle labels give exactly the 10 generated identities
     config = TrainConfig(epochs=2, iterations=6, labels_mode="oracle",
                          batch=BatchSpec(n_identities=11))
-    _, reports = train(config, small_train)
+    with pytest.warns(UserWarning) as record:
+        _, reports = train(config, small_train)
+    assert warned(record) == [f"epoch {epoch}: 10 clusters < 11 identities per batch; "
+                              f"skipping iterations" for epoch in range(2)]
     for r in reports:
         assert r.cluster_count == 10
         assert r.skipped_iterations == config.iterations
