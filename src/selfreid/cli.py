@@ -170,17 +170,18 @@ def cmd_ablate(args) -> int:
     names = (args.data, args.query, args.gallery)
     dataset, query, gallery = (load_dataset(path) for path in names)
     check_run(reporting.config_from_dict(given), dataset, query, gallery, *names)
-    rows = ["memory_mode,variant,mAP,rank1,final_clusters,skipped_iterations"]
+    rows = ["memory_mode,variant,mAP,rank1,final_clusters"]
     for mode in MEMORY_MODES:
         for name, weights in ABLATION_VARIANTS:
             config = reporting.config_from_dict({**given, "memory_mode": mode, **weights})
-            _, reports = train(config, dataset, query, gallery)
+            try:
+                _, reports = train(config, dataset, query, gallery)
+            except SelfReidError as exc:
+                raise SelfReidError(f"{mode} {name}: {exc}") from None
             final, ev = reports[-1], reports[-1].evaluation
-            skipped = sum(r.skipped_iterations for r in reports)
-            rows.append(f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{final.cluster_count},"
-                        f"{skipped}")
+            rows.append(f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{final.cluster_count}")
             print(f"{mode:9s} {name:11s} mAP {ev.mean_ap:.4f} R1 {ev.rank1:.4f} "
-                  f"clusters {final.cluster_count} skipped iterations {skipped}")
+                  f"clusters {final.cluster_count}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -52,12 +52,10 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
 
     Outliers are excluded. Members are summed in index order, and every
     mean is re-normalized onto the unit sphere so that proxy similarities
-    stay plain dot products.
+    stay plain dot products. The caller ensures at least one cluster.
     """
     bank = np.asarray(bank, dtype=np.float64)
     cameras = np.asarray(cameras, dtype=np.int64)
-    if assignment.cluster_count == 0:
-        raise SelfReidError("clustering produced no inlier clusters")
     order, starts = assignment.member_index
     cluster_counts = np.diff(starts)
     if np.any(cluster_counts == 0):

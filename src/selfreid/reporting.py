@@ -55,13 +55,12 @@ def config_values(values: dict, source: str = "") -> dict:
 
 
 def config_from_dict(values: dict) -> TrainConfig:
-    """A validated TrainConfig: the defaults overridden by `values`."""
+    """The TrainConfig defaults overridden by `values`, unchecked (check_run checks it)."""
     typed = config_values(values)
     cfg = TrainConfig()
     for key, path, _ in TrainConfig.leaves():
         if key in typed:
             setattr(functools.reduce(getattr, path[:-1], cfg), path[-1], typed[key])
-    cfg.validate()
     return cfg
 
 

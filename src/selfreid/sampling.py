@@ -53,11 +53,9 @@ def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,
     Identities are drawn without replacement. Within an identity,
     members are drawn without replacement when the cluster is large
     enough, with replacement otherwise (clusters can shrink below
-    n_instances after outlier exclusion).
+    n_instances after outlier exclusion). The caller ensures at least
+    n_identities clusters (trainer.run_epoch stops a run with fewer).
     """
-    if assignment.cluster_count < spec.n_identities:
-        raise SelfReidError(
-            f"{assignment.cluster_count} clusters < {spec.n_identities} identities/batch")
     indices = np.empty((len(step_seeds), spec.n_identities, spec.n_instances), dtype=np.int64)
     for step, seed in enumerate(step_seeds):
         rng = np.random.default_rng(seed)

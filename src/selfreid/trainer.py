@@ -3,18 +3,19 @@
 `train` is `init_state`, which runs `check_run` (the one home of a run's
 up-front rules), plus a loop of `run_epoch` on the one `TrainState` that holds
 the run's splits and epoch reports. Each epoch encodes the whole training set
-with the momentum encoder, re-clusters it into pseudo identities, rebuilds the
-proxy memory, then runs its steps in chunks of `_PLAN_STEPS`. A chunk is three
-arrays with one row per step, from `plan_steps`: the batches' pseudo labels and
-cameras, read at the dataset indices one `sample_pk_batch` call draws, and the
-encoder inputs. Those are the batches' rows gathered twice over, the first copy
-perturbed in place by one `perturb` call, so each step's perturbed rows sit on
-its clean ones. Each step draws from its own seeds. The epoch holds one chunk at
-a time, so its memory does not grow with the iteration count. `train_iteration`
-makes a step's two encoder passes on its row of the inputs: the online encoder
-on the perturbed rows, the momentum encoder once over both (its output is split
-back into the two views). It combines the losses (`batch_loss`), backpropagates
-into the online encoder, and EMA-updates the momentum twin.
+with the momentum encoder and re-clusters it into pseudo identities; fewer than
+a batch's identities stop the run. It rebuilds the proxy memory, then runs its
+steps in chunks of `_PLAN_STEPS`. A chunk is three arrays with one row per
+step, from `plan_steps`: the batches' pseudo labels and cameras, read at the
+dataset indices one `sample_pk_batch` call draws, and the encoder inputs.
+Those are the batches' rows gathered twice over, the first copy perturbed in
+place by one `perturb` call, so each step's perturbed rows sit on its clean
+ones. Each step draws from its own seeds. The epoch holds one chunk at a time,
+so its memory does not grow with the iteration count. `train_iteration` makes
+a step's two encoder passes on its row of the inputs: the online encoder on
+the perturbed rows, the momentum encoder once over both (its output is split
+back into the two views). It combines the losses (`batch_loss`),
+backpropagates into the online encoder, and EMA-updates the momentum twin.
 
 Everything downstream of the master seed is deterministic: pseudo
 labels, proxies and batches within an epoch depend only on the
@@ -23,7 +24,6 @@ epoch-start momentum encoder and the seed.
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +76,6 @@ from .settings import Settings, setting
 _SEED_INIT = 0
 _SEED_BATCH = 1
 _SEED_PERTURB = 2
-
-MAX_FAILED_EPOCHS = 3
 
 # Steps whose batches and augmentations one `plan_steps` call draws. The
 # plan of one chunk is all an epoch holds of it at a time.
@@ -137,7 +135,7 @@ class EpochReport:
     mean_total: float
     mean_kl: float
     wall_time: float
-    skipped_iterations: int = 0
+    skipped_iterations: int = 0  # always 0: an epoch runs every step or stops the run
     evaluation: EvalReport | None = None
 
 
@@ -286,10 +284,12 @@ def evaluate_encoder(pair: EncoderPair, query: EmbeddingDataset,
 
 
 def run_epoch(state: TrainState) -> EpochReport:
-    """Run epoch `len(state.reports)`, append its report and return it. Raises when
-    it ends a run of more than MAX_FAILED_EPOCHS epochs without clusters, and
-    re-raises a step's SelfReidError naming the epoch and iteration. Evaluates
-    on the state's query and gallery, if any, every `eval_every` epochs and the last."""
+    """Run epoch `len(state.reports)`, append its report and return it. An epoch
+    with fewer clusters than a batch's identities could run no step, and every
+    later one would re-cluster the same bank, so it stops the run with a
+    SelfReidError naming the settings to change. A step's SelfReidError is
+    re-raised naming the epoch and iteration. Evaluates on the state's query and
+    gallery, if any, every `eval_every` epochs and the last."""
     start = time.perf_counter()
     cfg, dataset, reports = state.config, state.dataset, state.reports
     epoch = len(reports)
@@ -297,33 +297,30 @@ def run_epoch(state: TrainState) -> EpochReport:
     if cfg.labels_mode == "oracle":  # ground-truth identities, all known (check_run)
         _, labels = np.unique(dataset.identities, return_inverse=True)
         assignment = ClusterAssignment(labels.astype(np.int64), int(labels.max()) + 1)
+        hint = "the training data's identities are its clusters (labels_mode = oracle)"
     else:
         assignment = generate_pseudo_labels(bank, cfg.cluster)
+        hint = "change eps, min_samples or k1 for more clusters"
+    if assignment.cluster_count < cfg.batch.n_identities:
+        outliers = f" ({assignment.outlier_count} outliers)" if not assignment.cluster_count else ""
+        raise SelfReidError(f"epoch {epoch}: {assignment.cluster_count} clusters{outliers} < "
+                            f"{cfg.batch.n_identities} identities per batch, so no step can "
+                            f"run; {hint}, or lower n_identities")
 
     # each term summed in step order (np.mean's pairwise sum has other bits)
     sums, steps = dict.fromkeys(_LOSS_TERMS, 0.0), 0
-    if assignment.cluster_count == 0:
-        failed = 1 + next((i for i, r in enumerate(reversed(reports)) if r.cluster_count), epoch)
-        warnings.warn(f"epoch {epoch}: clustering found no inliers ({failed} consecutive)")
-        if failed > MAX_FAILED_EPOCHS:
-            raise SelfReidError(f"no clusters for {failed} consecutive epochs; "
-                                f"check eps/min_samples against the data scale")
-    elif assignment.cluster_count < cfg.batch.n_identities:
-        warnings.warn(f"epoch {epoch}: {assignment.cluster_count} clusters < "
-                      f"{cfg.batch.n_identities} identities per batch; skipping iterations")
-    else:
-        memory = build_proxies(bank, assignment, dataset.cameras)
-        with np.errstate(all="ignore"):  # a diverging step fails a finiteness check instead
-            for first in range(0, cfg.iterations, _PLAN_STEPS):
-                chunk = range(first, min(first + _PLAN_STEPS, cfg.iterations))
-                for step in zip(*plan_steps(state, assignment, chunk)):
-                    try:
-                        breakdown = train_iteration(state, memory, *step)
-                    except SelfReidError as exc:
-                        raise SelfReidError(f"epoch {epoch}, iteration {steps}: {exc}") from None
-                    for term in _LOSS_TERMS:
-                        sums[term] += getattr(breakdown, term)
-                    steps += 1
+    memory = build_proxies(bank, assignment, dataset.cameras)
+    with np.errstate(all="ignore"):  # a diverging step fails a finiteness check instead
+        for first in range(0, cfg.iterations, _PLAN_STEPS):
+            chunk = range(first, min(first + _PLAN_STEPS, cfg.iterations))
+            for step in zip(*plan_steps(state, assignment, chunk)):
+                try:
+                    breakdown = train_iteration(state, memory, *step)
+                except SelfReidError as exc:
+                    raise SelfReidError(f"epoch {epoch}, iteration {steps}: {exc}") from None
+                for term in _LOSS_TERMS:
+                    sums[term] += getattr(breakdown, term)
+                steps += 1
 
     means = {term: sums[term] / steps if steps else 0.0 for term in _LOSS_TERMS}
     report = EpochReport(
@@ -332,7 +329,7 @@ def run_epoch(state: TrainState) -> EpochReport:
         mean_agnostic=means["agnostic"], mean_cross=means["cross"], mean_hard=means["hard"],
         # the soft loss is D_KL(P || Q), so it is also the KL diagnostic
         mean_soft=means["soft"], mean_kl=means["soft"], mean_total=means["total"],
-        wall_time=time.perf_counter() - start, skipped_iterations=cfg.iterations - steps)
+        wall_time=time.perf_counter() - start)
     due = cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0
     if state.query is not None and (due or epoch == cfg.epochs - 1):
         report.evaluation = evaluate_encoder(state.pair, state.query, state.gallery)

@@ -677,25 +677,24 @@ def run_epoch_oracle(state) -> None:
     _, labels = np.unique(dataset.identities, return_inverse=True)
     assignment = rerank.ClusterAssignment(labels.astype(np.int64), int(labels.max()) + 1)
     steps = []
-    if assignment.cluster_count >= cfg.batch.n_identities:
-        memory = build_proxies(bank, assignment, dataset.cameras)
-        for iteration in range(cfg.iterations):
-            indices, batch_labels = pk_batch_oracle(
-                assignment, cfg.batch, [cfg.seed, epoch, iteration, trainer._SEED_BATCH])
-            raw, cameras = dataset.features[indices], dataset.cameras[indices]
-            perturbed = perturb_oracle(raw, cfg.perturbation,
-                                       [cfg.seed, epoch, iteration, trainer._SEED_PERTURB],
-                                       cameras, state.camera_offsets)
-            online = forward(state.pair.online, perturbed)
-            momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
-            breakdown = trainer.batch_loss(cfg, memory, batch_labels, cameras, online.out,
-                                           momentum[:len(raw)], momentum[len(raw):])
-            grads = backward(state.pair.online, online, breakdown.grads)
-            optimizer_step(state.opt, state.pair.online, grads,
-                           effective_lr(cfg.base_lr, cfg.warmup_epochs, epoch),
-                           cfg.weight_decay)
-            ema_update(state.pair, cfg.alpha)
-            steps.append(breakdown)
+    memory = build_proxies(bank, assignment, dataset.cameras)
+    for iteration in range(cfg.iterations):
+        indices, batch_labels = pk_batch_oracle(
+            assignment, cfg.batch, [cfg.seed, epoch, iteration, trainer._SEED_BATCH])
+        raw, cameras = dataset.features[indices], dataset.cameras[indices]
+        perturbed = perturb_oracle(raw, cfg.perturbation,
+                                   [cfg.seed, epoch, iteration, trainer._SEED_PERTURB],
+                                   cameras, state.camera_offsets)
+        online = forward(state.pair.online, perturbed)
+        momentum = forward(state.pair.momentum, np.concatenate((perturbed, raw))).out
+        breakdown = trainer.batch_loss(cfg, memory, batch_labels, cameras, online.out,
+                                       momentum[:len(raw)], momentum[len(raw):])
+        grads = backward(state.pair.online, online, breakdown.grads)
+        optimizer_step(state.opt, state.pair.online, grads,
+                       effective_lr(cfg.base_lr, cfg.warmup_epochs, epoch),
+                       cfg.weight_decay)
+        ema_update(state.pair, cfg.alpha)
+        steps.append(breakdown)
 
     def mean(term):
         total = 0.0
@@ -707,8 +706,7 @@ def run_epoch_oracle(state) -> None:
         epoch=epoch, cluster_count=assignment.cluster_count,
         outlier_count=assignment.outlier_count, mean_agnostic=mean("agnostic"),
         mean_cross=mean("cross"), mean_hard=mean("hard"), mean_soft=mean("soft"),
-        mean_total=mean("total"), mean_kl=mean("soft"), wall_time=0.0,
-        skipped_iterations=cfg.iterations - len(steps)))
+        mean_total=mean("total"), mean_kl=mean("soft"), wall_time=0.0))
 
 
 # --- settings: the hand-written range rules -----------------------------------

@@ -11,10 +11,10 @@ is run.
 
 It prints one row per run: the final mAP and rank-1, every epoch's
 cluster count, the pairwise precision and recall of the last epoch's
-pseudo labels (bench/quality.py), the skipped iterations, and whether the
-two sides' metrics.csv are byte-identical. A summary gives the mean, min
-and max of each paired difference, other side minus this one. The tool
-reports and gates nothing: it exits with status 0.
+pseudo labels (bench/quality.py), and whether the two sides' metrics.csv
+are byte-identical. A summary gives the mean, min and max of each paired
+difference, other side minus this one. The tool reports and gates nothing:
+it exits with status 0.
 
 Pytest does not collect this file. Run it from the repository root, with
 a checkout of the other package under, say, /tmp/parent:
@@ -45,7 +45,7 @@ from run import WORKLOADS  # noqa: E402
 # name -> (SyntheticSpec fields, TrainConfig keys)
 SPECS = {name: (workload.spec, workload.config) for name, workload in WORKLOADS.items()}
 # The per-run values whose paired differences the summary gives.
-COMPARED = ("mAP", "rank1", "final_clusters", "precision", "recall", "skipped")
+COMPARED = ("mAP", "rank1", "final_clusters", "precision", "recall")
 
 
 def seed_range(text: str) -> range:
@@ -89,7 +89,7 @@ def train_run(package, spec: dict, config: dict, seed: int) -> dict:
     clusters = [report.cluster_count for report in reports]
     return {"mAP": reports[-1].evaluation.mean_ap, "rank1": reports[-1].evaluation.rank1,
             "clusters": clusters, "final_clusters": clusters[-1], "precision": precision,
-            "recall": recall, "skipped": sum(r.skipped_iterations for r in reports), "csv": csv}
+            "recall": recall, "csv": csv}
 
 
 def paired(key: str, this: dict, other: dict) -> str:
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
                 same = "identical" if this["csv"] == that["csv"] else "different"
                 print(f"{name} split seed {seed} training seed {train_seed}: " + ", ".join(
                     paired(key, this, that) for key in ("mAP", "rank1", "clusters",
-                                                        "precision", "recall", "skipped"))
+                                                        "precision", "recall"))
                       + f", metrics.csv {same}")
     identical = sum(this["csv"] == that["csv"] for this, that in pairs)
     print(f"runs: {len(pairs)}, with byte-identical metrics.csv: {identical}")

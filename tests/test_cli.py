@@ -566,13 +566,21 @@ def test_a_diverging_run_names_the_settings_off_their_defaults(default_data, tmp
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.txt"]
 
 
-def test_each_skipping_epoch_is_one_warning_line(default_data, tmp_path):
-    # at out_dim 1 the bank forms 2 clusters, fewer than the 8 identities per batch
-    result = run_selfreid("train", "--data", default_data, "--out-dir", str(tmp_path / "run"),
-                          "--out-dim", "1", "--epochs", "3", "--iterations", "10")
-    assert result.stderr == "".join(f"warning: epoch {epoch}: 2 clusters < 8 identities per "
-                                    f"batch; skipping iterations\n" for epoch in range(3))
-    assert result.returncode == 0
+def test_an_epoch_that_cannot_fill_a_batch_is_one_error_line(default_data, tmp_path):
+    for flags, found in (
+            # at out_dim 1 the bank forms 2 clusters, fewer than the 8 identities per batch
+            ([], "2 clusters"),
+            # no sample has 10000 neighbours within eps, so none is a DBSCAN core point
+            (["--min-samples", "10000"], "0 clusters (640 outliers)")):
+        out_dir = tmp_path / found.split()[0]
+        result = run_selfreid("train", "--data", default_data, "--out-dir", str(out_dir),
+                              "--out-dim", "1", "--epochs", "3", "--iterations", "10",
+                              "--eval-every", "1", *flags)
+        assert result.stderr == (f"error: epoch 0: {found} < 8 identities per batch, so no "
+                                 f"step can run; change eps, min_samples or k1 for more "
+                                 f"clusters, or lower n_identities\n")
+        assert result.returncode == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.txt"]
 
 
 @pytest.mark.parametrize("command", [["-c", "import selfreid"], ["-m", "selfreid", "--help"]],
@@ -768,7 +776,7 @@ def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, c
                      "--gallery", paths["gallery"], "--epochs", "2", "--iterations", "2",
                      "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "memory_mode,variant,mAP,rank1,final_clusters,skipped_iterations"
+    assert lines[0] == "memory_mode,variant,mAP,rank1,final_clusters"
     variants = [(mode, name, weights) for mode in cli.MEMORY_MODES
                 for name, weights in cli.ABLATION_VARIANTS]
     assert len(lines) - 1 == len(runs) == len(variants) == 8
@@ -776,43 +784,38 @@ def test_ablate_out_rows_are_each_runs_final_evaluation(tmp_path, monkeypatch, c
     for line, (mode, name, weights), (config, pair, reports) in zip(lines[1:], variants, runs):
         values = config.values()
         assert values["memory_mode"] == mode and weights.items() <= values.items()
-        assert [r.skipped_iterations for r in reports] == [0, 0]
         ev = reports[-1].evaluation
-        assert line == (f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},"
-                        f"{reports[-1].cluster_count},0")
+        assert line == f"{mode},{name},{ev.mean_ap!r},{ev.rank1!r},{reports[-1].cluster_count}"
         assert evaluate_encoder(pair, query, gallery) == ev
 
 
-# Python's default action for a UserWarning, so that cli.main prints them
-@pytest.mark.filterwarnings("default::UserWarning")
-def test_ablate_rows_show_every_iteration_skipped(train_files, tmp_path, capsys):
+def test_ablate_names_the_variant_whose_epoch_cannot_fill_a_batch(train_files, tmp_path,
+                                                                  capsys):
     # the untrained encoder forms 3 clusters at the default k1, fewer than the
-    # 8 identities per batch, so every variant skips all 2 x 3 iterations
+    # 8 identities per batch, so the first variant stops at its first epoch
     out = tmp_path / "ablate.csv"
     assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
                      "--gallery", train_files["gallery"], "--epochs", "2", "--iterations", "3",
-                     "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 8
-    assert {(row[-2], row[-1]) for row in rows} == {("3", "6")}
+                     "--out", str(out)]) == 1
     printed = capsys.readouterr()
-    assert printed.out.count("clusters 3 skipped iterations 6\n") == 8
-    # the default action shows a message once; each variant repeats both
-    assert printed.err == "".join(f"warning: epoch {epoch}: 3 clusters < 8 identities per "
-                                  f"batch; skipping iterations\n" for epoch in range(2))
+    assert printed.out == ""
+    assert printed.err == ("error: aware baseline: epoch 0: 3 clusters < 8 identities per "
+                           "batch, so no step can run; change eps, min_samples or k1 for more "
+                           "clusters, or lower n_identities\n")
+    assert not out.exists()
 
 
 def test_ablate_takes_train_config_flags(train_files, tmp_path, capsys):
     # At k1 = 8 the untrained encoder forms enough clusters for batches of
-    # 4 identities, so no iteration is skipped where the defaults skip all.
+    # 4 identities, where the defaults' 3 clusters stop the run.
     out = tmp_path / "ablate.csv"
     assert cli.main(["ablate", "--data", train_files["data"], "--query", train_files["query"],
                      "--gallery", train_files["gallery"], "--epochs", "2", "--iterations", "3",
                      "--k1", "8", "--n-identities", "4", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 8
-    assert {row[-1] for row in rows} == {"0"}
-    assert capsys.readouterr().out.count("skipped iterations 0\n") == 8
+    assert all(int(row[-1]) >= 4 for row in rows)
+    assert len(capsys.readouterr().out.splitlines()) == 8
 
 
 @pytest.mark.parametrize("flags, keys, dropped", [

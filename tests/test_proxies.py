@@ -43,12 +43,6 @@ def test_outliers_are_excluded():
     np.testing.assert_allclose(memory.cluster_vectors[0], expected, atol=1e-12)
 
 
-def test_no_clusters_raises():
-    bank = np.eye(3)
-    with pytest.raises(SelfReidError, match="clustering produced no inlier clusters"):
-        build_proxies(bank, make_assignment([OUTLIER] * 3), np.zeros(3, int))
-
-
 def test_one_member_cluster_proxy_is_member():
     rng = np.random.default_rng(3)
     bank = normalize_rows(rng.normal(size=(5, 8)))

@@ -68,12 +68,6 @@ def test_small_cluster_duplicates_an_index():
     assert len(set(int(i) for i in chosen)) < 4
 
 
-def test_insufficient_clusters_raises():
-    assignment = make_assignment(np.repeat([0, 1], 4))
-    with pytest.raises(SelfReidError, match="2 clusters < 3 identities/batch"):
-        sample_pk_batch(assignment, BatchSpec(3, 2), [0])
-
-
 def test_batch_spec_validation():
     with pytest.raises(SelfReidError):
         BatchSpec(1, 4).validate()

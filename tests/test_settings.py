@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selfreid.data import SyntheticSpec, generate_synthetic
+from selfreid import cli
+from selfreid.data import SyntheticSpec, generate_synthetic, save_dataset
 from selfreid.errors import SelfReidError
 from selfreid.losses import LossWeights, Temperatures
 from selfreid.rerank import ClusterConfig
@@ -140,7 +141,7 @@ def test_message_names_the_key_its_allowed_values_and_the_value(settings, messag
         settings.validate()
 
 
-def test_train_checks_the_settings_once(monkeypatch):
+def test_train_checks_the_settings_once(monkeypatch, tmp_path, capsys):
     dataset = generate_synthetic(SyntheticSpec(n_identities=10))[0]
     checked, validate = [], Settings.validate
 
@@ -151,8 +152,16 @@ def test_train_checks_the_settings_once(monkeypatch):
     monkeypatch.setattr(Settings, "validate", counting)
     # pseudo labels and steps in every epoch, so each kernel that took a group ran
     _, reports = train(TrainConfig(epochs=2, iterations=10), dataset)
-    assert [r.skipped_iterations for r in reports] == [0, 0]
+    assert [r.cluster_count for r in reports] == [17, 17]
     assert checked == ["TrainConfig"]
+    # building the config checks nothing: cmd_train's check_run refuses a bad
+    # value before the manifest is written, and train's check_run is its own
+    checked.clear()
+    save_dataset(dataset, tmp_path / "train.txt")
+    assert cli.main(["train", "--data", str(tmp_path / "train.txt"), "--out-dir",
+                     str(tmp_path / "run"), "--epochs", "2", "--iterations", "10"]) == 0
+    assert capsys.readouterr().out.endswith("cluster counts [17, 17]\n")
+    assert checked == ["TrainConfig"] * 2
 
 
 def test_callers_that_check_a_group_alone_name_its_keys_as_the_cli_does(monkeypatch):

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from selfreid.data import UNKNOWN_IDENTITY, EmbeddingDataset, SyntheticSpec, generate_synthetic
-from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
+from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params, load_checkpoint
 from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.losses import LossWeights, Temperatures
 from selfreid.proxies import build_proxies
-from selfreid.rerank import OUTLIER, ClusterAssignment, ClusterConfig
+from selfreid.rerank import ClusterAssignment, ClusterConfig
 from selfreid.reporting import config_from_dict
 from selfreid.sampling import BatchSpec, PerturbationConfig
 from selfreid import trainer
 from selfreid.trainer import (
     AGNOSTIC,
     AWARE,
-    MAX_FAILED_EPOCHS,
     TrainConfig,
     check_run,
     init_state,
@@ -94,50 +93,16 @@ def test_batch_loss_rejects_non_finite(monkeypatch):
         trainer.batch_loss(TrainConfig(), memory, labels, cameras, feats, feats, feats)
 
 
-def warned(record) -> list[str]:
-    return [str(w.message) for w in record]
-
-
-def no_inliers(*epochs) -> list[str]:
-    """The warnings of epochs `epochs`, the first of a streak of failed epochs."""
-    return [f"epoch {epoch}: clustering found no inliers ({streak} consecutive)"
-            for streak, epoch in enumerate(epochs, 1)]
-
-
-def test_all_outlier_epochs_abort(small_train):
-    # no sample can be a DBSCAN core point, so every epoch finds no cluster
+def test_all_outlier_epochs_abort(small_train, monkeypatch):
+    # no sample can be a DBSCAN core point, so epoch 0 finds no cluster
+    monkeypatch.setattr(trainer, "build_proxies", lambda *args: pytest.fail("proxies built"))
     no_cores = ClusterConfig(min_samples=len(small_train) + 1)
-    with pytest.warns(UserWarning) as record:
-        _, reports = train(TrainConfig(epochs=MAX_FAILED_EPOCHS, iterations=4,
-                                       cluster=no_cores), small_train)
-    assert warned(record) == no_inliers(*range(MAX_FAILED_EPOCHS))
-    assert len(reports) == MAX_FAILED_EPOCHS
-    for r in reports:
-        assert (r.cluster_count, r.outlier_count) == (0, len(small_train))
-        assert r.skipped_iterations == 4
-    with pytest.warns(UserWarning) as record, pytest.raises(
-            SelfReidError, match=f"no clusters for {MAX_FAILED_EPOCHS + 1} consecutive "
-                                 "epochs; check eps/min_samples"):
-        train(TrainConfig(epochs=MAX_FAILED_EPOCHS + 1, iterations=4,
-                          cluster=no_cores), small_train)
-    assert warned(record) == no_inliers(*range(MAX_FAILED_EPOCHS + 1))
-
-
-def test_zero_cluster_streak_resets_after_an_epoch_with_clusters(small_train, monkeypatch):
-    generate = trainer.generate_pseudo_labels
-    no_clusters = ClusterAssignment(np.full(len(small_train), OUTLIER), 0)
-    script = iter([no_clusters, None, no_clusters, no_clusters, no_clusters])
-
-    def scripted(bank, config):
-        assignment = next(script)
-        return generate(bank, config) if assignment is None else assignment
-
-    monkeypatch.setattr(trainer, "generate_pseudo_labels", scripted)
-    with pytest.warns(UserWarning) as record:
-        _, reports = train(TrainConfig(epochs=5, iterations=2), small_train)
-    assert warned(record) == no_inliers(0) + no_inliers(2, 3, 4)
-    assert [r.cluster_count == 0 for r in reports] == [True, False, True, True, True]
-    assert [r.skipped_iterations for r in reports] == [2, 0, 2, 2, 2]
+    for iterations in (4, 0):  # the rule holds whatever the step count
+        with pytest.raises(SelfReidError, match=(
+                rf"^epoch 0: 0 clusters \({len(small_train)} outliers\) < 8 identities per "
+                r"batch, so no step can run; change eps, min_samples or k1 for more clusters, "
+                r"or lower n_identities$")):
+            train(TrainConfig(epochs=3, iterations=iterations, cluster=no_cores), small_train)
 
 
 def test_train_is_run_epoch_in_a_loop():
@@ -152,19 +117,24 @@ def test_train_is_run_epoch_in_a_loop():
     np.testing.assert_array_equal(state.pair.momentum.w1, pair.momentum.w1)
 
 
-def test_epoch_without_clusters_still_evaluates_and_checkpoints(tmp_path):
+def test_a_run_that_fails_after_training_keeps_its_checkpoints(tmp_path, monkeypatch):
     train_split, query, gallery = generate_synthetic(SyntheticSpec(n_identities=10))
-    config = TrainConfig(epochs=2, iterations=3, cluster=ClusterConfig(min_samples=1000),
-                         checkpoint_every=1)
-    with pytest.warns(UserWarning) as record:
-        _, reports = train(config, train_split, query=query, gallery=gallery,
-                           checkpoint_dir=tmp_path)
-    assert warned(record) == no_inliers(0, 1)
-    assert [r.cluster_count for r in reports] == [0, 0]
-    assert reports[0].evaluation is None
-    assert 0.0 < reports[-1].evaluation.mean_ap <= 1.0
+    config = TrainConfig(epochs=4, iterations=3, checkpoint_every=1, eval_every=1)
+    pair, reports = train(dataclasses.replace(config, epochs=2), train_split, query, gallery)
+    assert [r.cluster_count for r in reports] == [17, 17]
+    # epochs 0 and 1 cluster the bank as before; epoch 2 finds 3 clusters
+    generate = trainer.generate_pseudo_labels
+    script = iter([generate, generate, lambda bank, config: ClusterAssignment(
+        np.arange(len(bank)) % 3, 3)])
+    monkeypatch.setattr(trainer, "generate_pseudo_labels",
+                        lambda bank, config: next(script)(bank, config))
+    with pytest.raises(SelfReidError, match=r"^epoch 2: 3 clusters < 8 identities per batch, "):
+        train(config, train_split, query=query, gallery=gallery, checkpoint_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "checkpoint_epoch000.npz", "checkpoint_epoch001.npz"]
+    # the trained epochs are those of an uninterrupted two-epoch run
+    np.testing.assert_array_equal(load_checkpoint(tmp_path / "checkpoint_epoch001.npz")[0]
+                                  .momentum.flat, pair.momentum.flat)
 
 
 @pytest.mark.parametrize("given, missing", [("query", "gallery"), ("gallery", "query")])
@@ -249,19 +219,22 @@ def test_train_stops_at_check_run(small_train, monkeypatch):
         train(TrainConfig(epochs=1, iterations=1), small_train)
 
 
-def test_fewer_clusters_than_batch_identities_skips_iterations(small_train, monkeypatch):
-    monkeypatch.setattr(trainer, "plan_steps", lambda *args: pytest.fail("a plan was built"))
+def test_fewer_clusters_than_batch_identities_stop_the_run(small_train, monkeypatch):
     # oracle labels give exactly the 10 generated identities
     config = TrainConfig(epochs=2, iterations=6, labels_mode="oracle",
                          batch=BatchSpec(n_identities=11))
-    with pytest.warns(UserWarning) as record:
-        _, reports = train(config, small_train)
-    assert warned(record) == [f"epoch {epoch}: 10 clusters < 11 identities per batch; "
-                              f"skipping iterations" for epoch in range(2)]
-    for r in reports:
-        assert r.cluster_count == 10
-        assert r.skipped_iterations == config.iterations
-        assert r.mean_total == 0.0
+    # as many clusters as a batch's identities fill it
+    _, reports = train(dataclasses.replace(config, batch=BatchSpec(n_identities=10)),
+                       small_train)
+    assert [r.cluster_count for r in reports] == [10, 10]
+    assert all(r.mean_total > 0 for r in reports)
+    monkeypatch.setattr(trainer, "build_proxies", lambda *args: pytest.fail("proxies built"))
+    for iterations in (6, 0):  # the rule holds whatever the step count
+        with pytest.raises(SelfReidError, match=(
+                r"^epoch 0: 10 clusters < 11 identities per batch, so no step can run; the "
+                r"training data's identities are its clusters \(labels_mode = oracle\), or "
+                r"lower n_identities$")):
+            train(dataclasses.replace(config, iterations=iterations), small_train)
 
 
 @pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
@@ -337,11 +310,13 @@ def test_an_epoch_holds_one_chunk_of_its_plan_at_a_time(small_train):
 ])
 def test_config_rejects_invalid_field(key, value):
     with pytest.raises(SelfReidError, match=key):
-        config_from_dict({key: value})
+        config_from_dict({key: value}).validate()
 
 
 def test_warmup_epochs_zero_is_valid():
-    assert config_from_dict({"warmup_epochs": 0}).warmup_epochs == 0
+    config = config_from_dict({"warmup_epochs": 0})
+    config.validate()
+    assert config.warmup_epochs == 0
 
 
 @pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
