@@ -157,13 +157,9 @@ def backward(params: EncoderParams, fwd: ForwardPass,
 
     output_gradient is dLoss/d(normalized embeddings); the normalization
     Jacobian is applied here, so losses can differentiate w.r.t. unit
-    vectors and stay ignorant of the encoder internals.
+    vectors and stay ignorant of the encoder internals. The caller passes
+    a float64 output_gradient of fwd.out's shape.
     """
-    output_gradient = np.asarray(output_gradient, dtype=np.float64)
-    if output_gradient.shape != fwd.out.shape:
-        raise SelfReidError(
-            f"output_gradient shape {output_gradient.shape} != {fwd.out.shape}")
-
     g_raw = normalize_rows_vjp(fwd.out, fwd.norms, output_gradient)
     g_pre = (g_raw @ params.w2.T) * (1.0 - fwd.hidden ** 2)
     return EncoderParams(w1=fwd.input.T @ g_pre, b1=g_pre.sum(axis=0),

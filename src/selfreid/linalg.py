@@ -36,11 +36,9 @@ def softmax_rows(sims: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax of each row of a similarity matrix.
 
     Uses max-subtraction: temperatures as low as 0.07 push logits to
-    +/-14, where naive exponentiation starts losing precision.
+    +/-14, where naive exponentiation starts losing precision. The caller
+    passes a float64 matrix and a temperature > 0 (check_run refuses others).
     """
-    if temperature <= 0:
-        raise SelfReidError(f"temperature must be > 0, got {temperature}")
-    sims = np.asarray(sims, dtype=np.float64)
     logits = sims / temperature
     logits = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(logits)

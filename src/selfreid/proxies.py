@@ -52,22 +52,17 @@ def build_proxies(bank: np.ndarray, assignment: ClusterAssignment,
 
     Outliers are excluded. Members are summed in index order, and every
     mean is re-normalized onto the unit sphere so that proxy similarities
-    stay plain dot products. The caller ensures at least one cluster.
+    stay plain dot products. The caller (trainer.run_epoch) passes a float64
+    bank and integer cameras, one row each per sample, and an assignment of
+    at least one cluster in which every cluster id has a member.
     """
-    bank = np.asarray(bank, dtype=np.float64)
-    cameras = np.asarray(cameras, dtype=np.int64)
     order, starts = assignment.member_index
-    cluster_counts = np.diff(starts)
-    if np.any(cluster_counts == 0):
-        empty = np.flatnonzero(cluster_counts == 0).tolist()
-        raise SelfReidError(f"cluster ids {empty} of 0..{assignment.cluster_count - 1} "
-                            f"have no members")
     members = order[starts[0]:starts[-1]]
     cluster_vectors = _normalized_means(bank[members], starts[:-1] - starts[0],
                                         lambda i: f"cluster {i}")
 
     # Stable: members keep index order inside each (cluster, camera) cell.
-    labels = np.asarray(assignment.labels, dtype=np.int64)
+    labels = assignment.labels
     cells = members[np.lexsort((cameras[members], labels[members]))]
     cell_labels, cell_cameras = labels[cells], cameras[cells]
     new_cell = (np.diff(cell_labels) != 0) | (np.diff(cell_cameras) != 0)

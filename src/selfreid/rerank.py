@@ -410,33 +410,6 @@ def _lowest_linked(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         root = hooked
 
 
-def _checked_rows(pairs: JaccardPairs, eps: float) -> np.ndarray:
-    """The row of each pair, once `pairs` is shown to be JaccardPairs of
-    distances in [0, max_distance] at pairs p < q, sorted by row and then
-    column, and eps is within its max_distance."""
-    if not isinstance(pairs, JaccardPairs):
-        raise SelfReidError(f"dbscan reads JaccardPairs, got {type(pairs).__name__}")
-    if not eps <= pairs.max_distance:
-        raise SelfReidError(f"eps={eps} is above the pairs' max_distance={pairs.max_distance}")
-    indptr, indices, data = pairs[:3]
-    if not (all(isinstance(a, np.ndarray) for a in pairs[:3])
-            and indptr.ndim == indices.ndim == 1 and len(indptr) and indptr.dtype.kind in "iu"
-            and indices.dtype.kind in "iu" and indices.shape == data.shape
-            and indptr[0] == 0 and indptr[-1] == len(indices) and np.all(np.diff(indptr) >= 0)):
-        raise SelfReidError("malformed pairs: indptr must rise from 0 to the number of "
-                            "pairs, and indices and data hold one value per pair")
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    if not (np.all((rows < indices) & (indices < n))
-            and np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))):
-        raise SelfReidError(f"pairs (p, q) need p < q < {n}, with q ascending within each row")
-    bad = np.flatnonzero(~((data >= 0.0) & (data <= pairs.max_distance)))
-    if len(bad):
-        raise SelfReidError(f"pair ({rows[bad[0]]}, {indices[bad[0]]}) is {data[bad[0]]}, "
-                            f"not a distance in [0, {pairs.max_distance}]")
-    return rows
-
-
 def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
     """DBSCAN over the pairs p < q of a precomputed distance matrix with
     a zero diagonal.
@@ -448,13 +421,19 @@ def dbscan(pairs: JaccardPairs, config: ClusterConfig) -> ClusterAssignment:
     components of the core points joined by within-eps links, numbered by
     their lowest core index. Each border point takes the lowest cluster
     id among the core points within eps of it, so the output does not
-    depend on a visiting order.
+    depend on a visiting order. The caller passes pairs that
+    `jaccard_distance_matrix` built, so only eps is checked: one above
+    max_distance would drop links silently.
     """
-    rows, cols = _checked_rows(pairs, config.eps), pairs.indices
+    if not config.eps <= pairs.max_distance:
+        raise SelfReidError(f"eps={config.eps} is above the pairs' "
+                            f"max_distance={pairs.max_distance}")
+    n = len(pairs.indptr) - 1
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(pairs.indptr))
+    cols = pairs.indices
     if config.eps < pairs.max_distance:  # sweep-eps reads pairs built at its largest eps
         within = pairs.data <= config.eps
         rows, cols = rows[within], cols[within]
-    n = len(pairs.indptr) - 1
     counts = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
     core = counts >= config.min_samples
     links = core[rows] & core[cols]
@@ -482,14 +461,12 @@ def generate_pseudo_labels(momentum_bank: np.ndarray,
     """Re-rank the momentum bank and cluster it into pseudo identities.
 
     Neighborhood sizes are clamped to n - 1 (ClusterConfig.neighborhoods) so
-    that small 2-D banks degrade gracefully (they end up all-outliers).
+    that small banks degrade gracefully (they end up all-outliers). The
+    caller passes a 2-D float64 bank of unit rows.
     """
-    bank = np.asarray(momentum_bank, dtype=np.float64)
-    if bank.ndim != 2:
-        raise SelfReidError(f"need a 2-D matrix of at least 2 samples, got shape {bank.shape}")
-    n = len(bank)
+    n = len(momentum_bank)
     if n < 2 or n < config.min_samples:
         return ClusterAssignment(labels=np.full(n, OUTLIER, dtype=np.int64),
                                  cluster_count=0)
-    pairs = jaccard_distance_matrix(bank, *config.neighborhoods(n), config.eps)
+    pairs = jaccard_distance_matrix(momentum_bank, *config.neighborhoods(n), config.eps)
     return dbscan(pairs, config)

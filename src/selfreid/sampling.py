@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SelfReidError
 from .rerank import ClusterAssignment
 from .settings import Settings, setting
 
@@ -88,7 +87,8 @@ def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
     Step j draws from its own `np.random.default_rng(step_seeds[j])`: its
     noise, dropout keys, restyle coins and restyle targets, in that order.
     So each step's rows come out as a one-step call on them alone would
-    leave them. A seed count other than the step count is a SelfReidError.
+    leave them. The caller (trainer.plan_steps) passes one seed per step and
+    (steps, rows) cameras aligned with the rows.
 
     The restyle step moves a row from its own camera's style offset to a
     uniformly drawn other camera's (the difference scaled by
@@ -96,8 +96,6 @@ def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
     restyle leaves every row as it is.
     """
     steps, rows, d = features.shape
-    if len(step_seeds) != steps:
-        raise SelfReidError(f"{len(step_seeds)} step seeds for {steps} step batches")
     n_drop = int(round(config.dropout * d))
     n_cams = len(camera_offsets)
     restyling = config.restyle_prob > 0 and n_cams > 1

@@ -176,7 +176,7 @@ def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, galler
     """A run's up-front rules, in order: valid config and training split; a dropout
     that keeps an input coordinate; `query` and `gallery` given together, of the
     training width, ready for evaluation; oracle labels only with known
-    identities. The messages name the splits."""
+    identities, at least a batch's. The messages name the splits."""
     config.validate()
     dataset.validate()
     dropout = config.perturbation.dropout
@@ -192,6 +192,11 @@ def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, galler
         require_known_identities(dataset.identities, data_name,
                                  "labels_mode = oracle trains on the identities as pseudo "
                                  "labels, so every one must be known")
+        count, needed = len(np.unique(dataset.identities)), config.batch.n_identities
+        if count < needed:
+            raise SelfReidError(f"{data_name} holds {count} identities < {needed} identities "
+                                f"per batch, and labels_mode = oracle trains on them as its "
+                                f"clusters; lower n_identities")
 
 
 def init_state(config: TrainConfig, dataset: EmbeddingDataset, query=None,
@@ -294,18 +299,17 @@ def run_epoch(state: TrainState) -> EpochReport:
     cfg, dataset, reports = state.config, state.dataset, state.reports
     epoch = len(reports)
     bank = extract_bank(state.pair, dataset.features)
-    if cfg.labels_mode == "oracle":  # ground-truth identities, all known (check_run)
+    if cfg.labels_mode == "oracle":  # ground-truth identities, known and enough (check_run)
         _, labels = np.unique(dataset.identities, return_inverse=True)
         assignment = ClusterAssignment(labels.astype(np.int64), int(labels.max()) + 1)
-        hint = "the training data's identities are its clusters (labels_mode = oracle)"
     else:
         assignment = generate_pseudo_labels(bank, cfg.cluster)
-        hint = "change eps, min_samples or k1 for more clusters"
     if assignment.cluster_count < cfg.batch.n_identities:
         outliers = f" ({assignment.outlier_count} outliers)" if not assignment.cluster_count else ""
         raise SelfReidError(f"epoch {epoch}: {assignment.cluster_count} clusters{outliers} < "
                             f"{cfg.batch.n_identities} identities per batch, so no step can "
-                            f"run; {hint}, or lower n_identities")
+                            f"run; change eps, min_samples or k1 for more clusters, or lower "
+                            f"n_identities")
 
     # each term summed in step order (np.mean's pairwise sum has other bits)
     sums, steps = dict.fromkeys(_LOSS_TERMS, 0.0), 0

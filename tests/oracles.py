@@ -12,7 +12,8 @@ every memory bound in the tests the same way. Nor is `train_rejects`,
 which asserts that `train` refuses a setting before its first epoch.
 Nor is `pairs_from_dense`:
 it hands the upper triangle of the dense distance fixtures to `dbscan`
-as pairs. And
+as pairs. `pairs_well_formed` is the format rule `dbscan` no longer
+checks, which every `jaccard_distance_matrix` result must pass. And
 `load_dataset_oracle` is the split-file loader on the whole file at
 once, decoded, split and parsed in one piece, which the block reader
 must match in every array and message. `perturb_oracle` is the
@@ -386,6 +387,31 @@ def pairs_from_dense(dist: np.ndarray, max_distance: float) -> rerank.JaccardPai
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(within, axis=1))))
     return rerank.JaccardPairs(indptr, np.nonzero(within)[1].astype(np.int32), dist[within],
                                max_distance)
+
+
+def pairs_well_formed(pairs) -> bool:
+    """Whether `pairs` holds what `dbscan` trusts `jaccard_distance_matrix`
+    to return: JaccardPairs of 1-D numpy arrays, integer indptr rising from
+    0 to the pair count, one integer column and one distance per pair, and
+    in each row p its columns q with p < q < n, ascending and each once,
+    with distances in [0, max_distance]. Row by row, in python lists."""
+    if not isinstance(pairs, rerank.JaccardPairs):
+        return False
+    indptr, indices, data = pairs[:3]
+    if not (all(isinstance(a, np.ndarray) and a.ndim == 1 for a in (indptr, indices, data))
+            and indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
+            and len(indices) == len(data)):
+        return False
+    bounds, n = indptr.tolist(), len(indptr) - 1
+    if not bounds or bounds[0] != 0 or bounds[-1] != len(indices) or bounds != sorted(bounds):
+        return False
+    for p in range(n):
+        cols = indices[bounds[p]:bounds[p + 1]].tolist()
+        dists = data[bounds[p]:bounds[p + 1]].tolist()
+        if (cols != sorted(set(cols)) or not all(p < q < n for q in cols)
+                or not all(0.0 <= x <= pairs.max_distance for x in dists)):
+            return False
+    return True
 
 
 def dbscan_oracle(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:

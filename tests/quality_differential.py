@@ -4,10 +4,12 @@ Trains this package and another copy of it (say, the parent commit's
 `src`, given with --other-src), or this package against itself with
 `--set key=value` config overrides applied to the other side, on the
 benchmark's workloads (`WORKLOADS` in bench/run.py: recipe-640 and
-cluster-1920). Each run draws its synthetic splits from one split seed
-of --seeds, the `SyntheticSpec` seed, and trains at one training seed of
---train-seeds (default 0), the `TrainConfig` seed: every pair of the two
-is run.
+cluster-1920) and on scaled-1920: cluster-1920's 60 identities over the
+default 20 epochs of 150 iterations, 2.5 passes over the rows an epoch
+as 50 iterations give at 640. Each run draws its synthetic splits from
+one split seed of --seeds, the `SyntheticSpec` seed, and trains at one
+training seed of --train-seeds (default 0), the `TrainConfig` seed:
+every pair of the two is run.
 
 It prints one row per run: the final mAP and rank-1, every epoch's
 cluster count, the pairwise precision and recall of the last epoch's
@@ -43,7 +45,8 @@ import quality  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
 # name -> (SyntheticSpec fields, TrainConfig keys)
-SPECS = {name: (workload.spec, workload.config) for name, workload in WORKLOADS.items()}
+SPECS = {**{name: (workload.spec, workload.config) for name, workload in WORKLOADS.items()},
+         "scaled-1920": ({"n_identities": 60}, {"iterations": 150})}
 # The per-run values whose paired differences the summary gives.
 COMPARED = ("mAP", "rank1", "final_clusters", "precision", "recall")
 

@@ -189,6 +189,17 @@ def test_train_oracle_labels_reject_unknown_identities_before_writing(train_file
     assert not (out_dir / "manifest.txt").exists()
 
 
+def test_train_oracle_labels_reject_fewer_identities_than_a_batch_before_writing(
+        train_files, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, *TINY_RUN, "--labels-mode", "oracle",
+                     "--n-identities", "11") == 1
+    assert capsys.readouterr().err == (
+        f"error: {train_files['data']} holds 10 identities < 11 identities per batch, and "
+        f"labels_mode = oracle trains on them as its clusters; lower n_identities\n")
+    assert not (out_dir / "manifest.txt").exists()
+
+
 def test_ablate_rejects_unknown_query_identities(train_files, monkeypatch, capsys):
     mark_unknown(train_files["query"], [1])
     monkeypatch.setattr(cli, "train", None)  # fails if a variant starts training

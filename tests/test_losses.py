@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,11 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfreid.encoder import PARAM_FIELDS, backward, forward, init_params
-from selfreid.errors import SelfReidError
 from selfreid.linalg import normalize_rows
 from selfreid.losses import (
     LossWeights,
-    Temperatures,
     consistency_distributions,
     cross_camera_loss_batch,
     hard_instance_loss,
@@ -66,11 +63,6 @@ def test_agnostic_identical_proxies_gives_log_count():
     np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
 
-def test_agnostic_missing_proxy():
-    with pytest.raises(SelfReidError, match=re.escape("labels [2] have no proxy")):
-        proxy_agnostic_loss(np.eye(2), [2], np.eye(2), tau=0.5)
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_agnostic_gradient_vs_finite_differences(seed):
     rng = np.random.default_rng(seed)
@@ -90,12 +82,12 @@ def test_cross_single_camera_cluster_contributes_zero():
     assignment = ClusterAssignment(labels=np.array([0, 0, 1, 1]), cluster_count=2)
     cameras = np.array([0, 0, 0, 1])  # cluster 0 lives in camera 0 only
     memory = build_proxies(bank, assignment, cameras)
-    value, grads = cross_camera_loss_batch(bank[:2], cameras[:2], [0, 0], memory,
+    value, grads = cross_camera_loss_batch(bank[:2], cameras[:2], np.array([0, 0]), memory,
                                            tau=0.07, n_neg=50)
     assert value == 0.0
     np.testing.assert_array_equal(grads, 0.0)
     # in a mixed batch the single-camera anchor's gradient row stays zero
-    _, grads = cross_camera_loss_batch(bank[[0, 2]], [0, 0], [0, 1], memory,
+    _, grads = cross_camera_loss_batch(bank[[0, 2]], np.array([0, 0]), np.array([0, 1]), memory,
                                        tau=0.07, n_neg=50)
     np.testing.assert_array_equal(grads[0], 0.0)
     assert np.any(grads[1] != 0.0)
@@ -107,7 +99,8 @@ def test_cross_pinned_value():
     assignment = ClusterAssignment(labels=np.array([0, 0, 1]), cluster_count=2)
     cameras = np.array([0, 1, 0])
     memory = build_proxies(bank, assignment, cameras)
-    value, _ = cross_camera_loss_batch(e1[None, :], [0], [0], memory,
+    zero = np.array([0])  # the anchor's camera and cluster
+    value, _ = cross_camera_loss_batch(e1[None, :], zero, zero, memory,
                                        tau=0.07, n_neg=50)
     assert value == pytest.approx(math.log1p(math.exp(-1 / 0.07)), rel=1e-9)
     assert value < 1e-6  # ~6e-7
@@ -169,9 +162,10 @@ def test_cross_tied_proxies_break_by_table_order():
     cameras = np.array([0, 1, 0, 1, 0])
     memory = build_proxies(bank, ClusterAssignment(labels, 3), cameras)
     first = int(np.flatnonzero(memory.camera_cluster_ids == 1)[0])
-    value, grads = cross_camera_loss_batch(e1[None, :], [0], [0], memory,
+    zero = np.array([0])  # the anchor's camera and cluster
+    value, grads = cross_camera_loss_batch(e1[None, :], zero, zero, memory,
                                            tau=0.07, n_neg=1)
-    assert_matches_oracle(e1[None, :], [0], [0], memory, tau=0.07, n_neg=1)
+    assert_matches_oracle(e1[None, :], zero, zero, memory, tau=0.07, n_neg=1)
     # recompute with the first tied row as the only negative
     negative = memory.camera_vectors[first]
     positive = e1
@@ -187,12 +181,11 @@ def test_cross_single_cluster_memory_has_no_negatives():
     rng = np.random.default_rng(5)
     memory = make_memory(rng, n_clusters=1, n_cams=3)
     feats = normalize_rows(rng.normal(size=(4, 6)))
-    value, grads = cross_camera_loss_batch(feats, [0, 1, 2, 0], [0, 0, 0, 0],
-                                           memory, tau=0.07, n_neg=5)
+    cameras, labels = np.array([0, 1, 2, 0]), np.zeros(4, dtype=np.int64)
+    value, grads = cross_camera_loss_batch(feats, cameras, labels, memory, tau=0.07, n_neg=5)
     assert value == 0.0
     np.testing.assert_array_equal(grads, 0.0)
-    assert_matches_oracle(feats, [0, 1, 2, 0], [0, 0, 0, 0], memory,
-                          tau=0.07, n_neg=5)
+    assert_matches_oracle(feats, cameras, labels, memory, tau=0.07, n_neg=5)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -398,13 +391,6 @@ def test_hard_loss_matches_scalar_oracle():
     value, _ = hard_instance_loss(feats, momentum, labels, tau=0.1)
     expected = scalar_hard_loss(feats, momentum, labels, 0.1)
     assert value == pytest.approx(expected, abs=1e-12)
-
-
-def test_hard_loss_single_identity_rejected():
-    rng = np.random.default_rng(4)
-    feats = normalize_rows(rng.normal(size=(4, 5)))
-    with pytest.raises(SelfReidError, match="batch holds a single pseudo identity"):
-        hard_instance_loss(feats, feats, np.zeros(4, int), tau=0.1)
 
 
 @pytest.mark.parametrize("seed", range(10))

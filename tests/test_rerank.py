@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from oracles import (
     dense_jaccard,
     jaccard_oracle,
     pairs_from_dense,
+    pairs_well_formed,
     partitions_equal,
     scipy_weight_vectors,
     traced_peak,
@@ -286,8 +286,6 @@ def test_jaccard_insufficient_samples():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda feats: dbscan(np.float64(0.5), ClusterConfig()),
-                 r"^dbscan reads JaccardPairs, got float64$", id="dbscan-scalar"),
     pytest.param(lambda feats: jaccard_distance_matrix(feats[0], 5, 2, 0.55),
                  r"^need a 2-D matrix of at least 2 samples, got shape \(8,\)$",
                  id="jaccard-1d"),
@@ -465,51 +463,70 @@ def with_pairs(pairs, **fields):
     return pairs._replace(**{name: np.array(value) for name, value in fields.items()})
 
 
+@pytest.mark.parametrize("fields, eps, message", [
+    pytest.param({}, 0.6, r"^eps=0.6 is above the pairs' max_distance=0.55$",
+                 id="eps-above-max-distance"),
+])
+def test_dbscan_rejects_malformed_pairs(fields, eps, message):
+    # dbscan trusts the pairs' format (test_jaccard_pairs_are_well_formed) and
+    # checks eps alone: pairs cut off below it would drop links silently
+    with pytest.raises(SelfReidError, match=message):
+        dbscan(with_pairs(four_points(), **fields), ClusterConfig(eps=eps))
+
+
 @pytest.mark.parametrize("indptr, indices", [
     pytest.param([0, 3, 5, 6, 6], [1, 2, 3, 2, 3, 2], id="diagonal"),  # (2, 2)
     pytest.param([0, 3, 5, 6, 7], [1, 2, 3, 2, 3, 3, 1], id="below-diagonal"),  # (3, 1)
 ])
-def test_dbscan_rejects_pairs_on_or_below_the_diagonal(indptr, indices):
+def test_pairs_well_formed_rejects_pairs_on_or_below_the_diagonal(indptr, indices):
     # The lower triangle is the upper one's mirror, and the diagonal is
     # zero, so neither is stored.
-    pairs = with_pairs(four_points(), indptr=indptr, indices=indices, data=np.zeros(len(indices)))
-    with pytest.raises(SelfReidError,
-                       match=r"^pairs \(p, q\) need p < q < 4, with q ascending within each row$"):
-        dbscan(pairs, ClusterConfig())
+    assert pairs_well_formed(four_points())
+    assert not pairs_well_formed(with_pairs(four_points(), indptr=indptr, indices=indices,
+                                            data=np.zeros(len(indices))))
 
 
 @pytest.mark.parametrize("cell, value", [((1, 2), np.nan), ((2, 3), np.inf), ((0, 1), 0.75),
                                          ((0, 3), -0.25)],
                          ids=["nan-off-diagonal", "inf-in-the-last-pair", "above-max-distance",
                               "negative"])
-def test_dbscan_names_a_non_finite_entry(cell, value):
+def test_pairs_well_formed_rejects_an_entry_that_is_no_distance(cell, value):
     pairs = four_points()
     data = pairs.data.copy()
     data[list(zip(*np.triu_indices(4, 1))).index(cell)] = value
-    with pytest.raises(SelfReidError, match=rf"^pair \({cell[0]}, {cell[1]}\) is "
-                                            rf"{value}, not a distance in \[0, 0.55\]$"):
-        dbscan(with_pairs(pairs, data=data), ClusterConfig())
+    assert not pairs_well_formed(with_pairs(pairs, data=data))
 
 
-@pytest.mark.parametrize("fields, eps, message", [
-    pytest.param({}, 0.6, r"^eps=0.6 is above the pairs' max_distance=0.55$",
-                 id="eps-above-max-distance"),
-    pytest.param({"indices": [2, 1, 3, 2, 3, 3]}, 0.55, "ascending within each row",
-                 id="unsorted-indices"),
-    pytest.param({"indices": [1, 1, 3, 2, 3, 3]}, 0.55, "ascending within each row",
-                 id="repeated-index"),
-    pytest.param({"indices": [1, 2, 4, 2, 3, 3]}, 0.55, "need p < q < 4", id="index-above-n"),
-    pytest.param({"indices": [-1, 2, 3, 2, 3, 3]}, 0.55, "need p < q < 4",
-                 id="negative-index"),
-    pytest.param({"indptr": [0, 3, 5, 5, 5]}, 0.55, "^malformed pairs", id="indptr-short"),
-    pytest.param({"indptr": [0, 5, 3, 6, 6]}, 0.55, "^malformed pairs", id="indptr-falls"),
-    pytest.param({"data": np.zeros(5)}, 0.55, "^malformed pairs", id="data-short"),
-    pytest.param({"indices": [1.0, 2, 3, 2, 3, 3]}, 0.55, "^malformed pairs",
-                 id="float-indices"),
+@pytest.mark.parametrize("fields", [
+    pytest.param({"indices": [2, 1, 3, 2, 3, 3]}, id="unsorted-indices"),
+    pytest.param({"indices": [1, 1, 3, 2, 3, 3]}, id="repeated-index"),
+    pytest.param({"indices": [1, 2, 4, 2, 3, 3]}, id="index-above-n"),
+    pytest.param({"indices": [-1, 2, 3, 2, 3, 3]}, id="negative-index"),
+    pytest.param({"indptr": [0, 3, 5, 5, 5]}, id="indptr-short"),
+    pytest.param({"indptr": [0, 5, 3, 6, 6]}, id="indptr-falls"),
+    pytest.param({"data": np.zeros(5)}, id="data-short"),
+    pytest.param({"indices": [1.0, 2, 3, 2, 3, 3]}, id="float-indices"),
 ])
-def test_dbscan_rejects_malformed_pairs(fields, eps, message):
-    with pytest.raises(SelfReidError, match=message):
-        dbscan(with_pairs(four_points(), **fields), ClusterConfig(eps=eps))
+def test_pairs_well_formed_rejects_malformed_pairs(fields):
+    assert not pairs_well_formed(with_pairs(four_points(), **fields))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_jaccard_pairs_are_well_formed(data):
+    # banks of exact duplicates, n = 641 (a one-row last block joins the
+    # block before it), and max_distance below and at the default eps
+    n = data.draw(st.one_of(st.integers(2, 40), st.just(641)), label="n")
+    pool = data.draw(st.integers(1, len(DYADIC)), label="pool")  # small: many duplicates
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    k1 = data.draw(st.integers(1, min(n - 1, 30)), label="k1")
+    k2 = data.draw(st.integers(1, k1), label="k2")
+    eps = ClusterConfig().eps
+    max_distance = data.draw(st.one_of(st.just(eps), st.floats(0.0, eps)), label="max_distance")
+    feats = DYADIC[np.random.default_rng(seed).integers(0, pool, size=n)]
+    pairs = jaccard_distance_matrix(feats, k1, k2, max_distance)
+    assert pairs_well_formed(pairs)
+    assert pairs.max_distance == max_distance
 
 
 def forty_blobs():
@@ -561,14 +578,6 @@ def test_pseudo_labels_tiny_bank_all_outliers():
     assignment = generate_pseudo_labels(bank, ClusterConfig(min_samples=4))
     assert assignment.cluster_count == 0
     assert np.all(assignment.labels == OUTLIER)
-
-
-@pytest.mark.parametrize("bank", [np.float64(0.5), np.ones((2, 20, 8))], ids=["0-d", "3-d"])
-def test_pseudo_labels_reject_a_bank_that_is_not_2d(bank):
-    # a 3-D bank with fewer rows than min_samples is no small bank to label all-outlier
-    with pytest.raises(SelfReidError, match=re.escape(
-            f"need a 2-D matrix of at least 2 samples, got shape {bank.shape}")):
-        generate_pseudo_labels(bank, ClusterConfig(min_samples=4))
 
 
 def test_neighborhoods_clamp_to_one_less_than_the_rows():

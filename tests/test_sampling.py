@@ -195,16 +195,6 @@ def test_many_step_perturb_is_each_steps_one_seed_perturb_stacked(steps, n_cams,
     np.testing.assert_array_equal(out, np.concatenate(expected))
 
 
-@pytest.mark.parametrize("steps, seeds", [(10, 3), (4, 0), (0, 1)])
-def test_perturb_rejects_a_seed_count_other_than_the_step_count(steps, seeds):
-    feats = np.random.default_rng(0).normal(size=(steps, 4, 8))
-    unchanged = feats.copy()
-    cameras = np.zeros((steps, 4), dtype=np.int64)
-    with pytest.raises(SelfReidError, match=f"^{seeds} step seeds for {steps} step batches$"):
-        perturb(feats, PerturbationConfig(), list(range(seeds)), cameras, np.zeros((2, 8)))
-    np.testing.assert_array_equal(feats, unchanged)
-
-
 def test_perturb_augments_a_view_of_the_stacked_chunk_in_place():
     # plan_steps perturbs the first half of each step's stacked rows
     rng = np.random.default_rng(4)

@@ -220,21 +220,31 @@ def test_train_stops_at_check_run(small_train, monkeypatch):
 
 
 def test_fewer_clusters_than_batch_identities_stop_the_run(small_train, monkeypatch):
-    # oracle labels give exactly the 10 generated identities
-    config = TrainConfig(epochs=2, iterations=6, labels_mode="oracle",
-                         batch=BatchSpec(n_identities=11))
+    # pseudo labels give 17 clusters at every epoch (test_small_run_pinned)
+    config = TrainConfig(epochs=2, iterations=6, batch=BatchSpec(n_identities=18))
     # as many clusters as a batch's identities fill it
-    _, reports = train(dataclasses.replace(config, batch=BatchSpec(n_identities=10)),
+    _, reports = train(dataclasses.replace(config, batch=BatchSpec(n_identities=17)),
                        small_train)
-    assert [r.cluster_count for r in reports] == [10, 10]
+    assert [r.cluster_count for r in reports] == [17, 17]
     assert all(r.mean_total > 0 for r in reports)
     monkeypatch.setattr(trainer, "build_proxies", lambda *args: pytest.fail("proxies built"))
     for iterations in (6, 0):  # the rule holds whatever the step count
         with pytest.raises(SelfReidError, match=(
-                r"^epoch 0: 10 clusters < 11 identities per batch, so no step can run; the "
-                r"training data's identities are its clusters \(labels_mode = oracle\), or "
-                r"lower n_identities$")):
+                r"^epoch 0: 17 clusters < 18 identities per batch, so no step can run; change "
+                r"eps, min_samples or k1 for more clusters, or lower n_identities$")):
             train(dataclasses.replace(config, iterations=iterations), small_train)
+
+
+def test_oracle_labels_with_fewer_identities_than_a_batch_stop_at_check_run(small_train,
+                                                                            monkeypatch):
+    # oracle labels make the 10 generated identities every epoch's clusters
+    config = TrainConfig(labels_mode="oracle", batch=BatchSpec(n_identities=11))
+    check_run(dataclasses.replace(config, batch=BatchSpec(n_identities=10)), small_train)
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    with pytest.raises(SelfReidError, match=(
+            r"^training data holds 10 identities < 11 identities per batch, and labels_mode = "
+            r"oracle trains on them as its clusters; lower n_identities$")):
+        train(config, small_train)
 
 
 @pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
@@ -277,6 +287,69 @@ def test_an_epoch_holds_one_chunk_of_its_plan_at_a_time(small_train):
     # a plan of all 160 steps would hold 20 times as much
     chunk_bytes = 8 * 2 * spec.n_identities * spec.n_instances * small_train.dim * 8
     assert epoch_peak(160) - epoch_peak(16) < chunk_bytes
+
+
+@pytest.mark.parametrize("labels_mode", ["pseudo", "oracle"])
+def test_the_trainer_builds_what_the_step_kernels_trust(small_train, monkeypatch, labels_mode):
+    # The step's kernels check none of these (see their docstrings): the
+    # trainer's epochs must meet them on every call, across two chunks.
+    built = []  # each epoch's cluster count
+
+    def build_proxies(bank, assignment, cameras):
+        assert bank.dtype == np.float64 and bank.shape[0] == len(cameras)
+        # every cluster id of 0..cluster_count-1 has a member
+        inliers = assignment.labels[assignment.labels >= 0]
+        np.testing.assert_array_equal(np.unique(inliers), np.arange(assignment.cluster_count))
+        built.append(assignment.cluster_count)
+
+    def labelled(feats, labels):
+        assert feats.dtype == np.float64 and labels.dtype == np.int64
+        assert labels.shape == feats.shape[:1]
+        assert 0 <= labels.min() and labels.max() < built[-1]
+        assert len(np.unique(labels)) >= 2
+
+    def proxy_agnostic_loss(feats, labels, proxy_vectors, tau):
+        labelled(feats, labels)
+        assert len(proxy_vectors) == built[-1]
+
+    def cross_camera_loss_batch(feats, cameras, labels, memory, tau, n_neg):
+        labelled(feats, labels)
+        assert cameras.shape == labels.shape
+
+    def hard_instance_loss(feats, momentum, labels, tau):
+        labelled(feats, labels)
+        assert momentum.shape == feats.shape
+
+    def soft_consistency_loss(feats, momentum_aug, momentum_clean, tau):
+        assert feats.shape == momentum_aug.shape == momentum_clean.shape
+        assert {a.dtype for a in (feats, momentum_aug, momentum_clean)} == {np.dtype(np.float64)}
+
+    def perturb(features, config, step_seeds, cameras, camera_offsets):
+        assert features.dtype == np.float64 and len(step_seeds) == len(features)
+        assert cameras.shape == features.shape[:2]
+
+    def backward(params, fwd, output_gradient):
+        assert output_gradient.dtype == np.float64 and output_gradient.shape == fwd.out.shape
+
+    checks = (build_proxies, proxy_agnostic_loss, cross_camera_loss_batch, hard_instance_loss,
+              soft_consistency_loss, perturb, backward)
+    calls = dict.fromkeys((check.__name__ for check in checks), 0)
+
+    def checked(check, kernel):
+        def call(*args):
+            check(*args)
+            calls[check.__name__] += 1
+            return kernel(*args)
+        return call
+
+    for check in checks:
+        monkeypatch.setattr(trainer, check.__name__,
+                            checked(check, getattr(trainer, check.__name__)))
+    train(TrainConfig(epochs=2, iterations=9, labels_mode=labels_mode), small_train)
+    # an epoch's 9 steps are two chunks, of 8 steps and of 1
+    assert calls == {"build_proxies": 2, "proxy_agnostic_loss": 18,
+                     "cross_camera_loss_batch": 18, "hard_instance_loss": 18,
+                     "soft_consistency_loss": 18, "perturb": 4, "backward": 18}
 
 
 @pytest.mark.parametrize("key, value", [
