@@ -61,6 +61,7 @@ _BLOCK_BYTES = 256 * 1024
 # Fresh draws per (identity, camera) cell for the held-out splits.
 QUERY_PER_CELL = 1
 GALLERY_PER_CELL = 2
+EVAL_NOISE_FACTOR = 1.5  # their noise scale, as a multiple of sigma_identity
 
 
 @dataclass
@@ -72,7 +73,6 @@ class SyntheticSpec(Settings):
     dispersion: float = setting(1.0, "identity-center radius", "[0, inf)")
     sigma_identity: float = setting(0.08, "per-coordinate sample noise", "[0, inf)")
     sigma_camera: float = setting(0.8, "norm of each camera's style offset", "[0, inf)")
-    eval_noise_factor: float = setting(1.5, "query/gallery noise vs training noise", "[0, inf)")
     seed: int = setting(0, "generator seed", "[0, inf)")
 
 
@@ -121,8 +121,8 @@ def generate_synthetic(spec: SyntheticSpec):
     """Build disjoint train/query/gallery splits from one seeded draw.
 
     Every sample is center + camera offset + noise. Query and gallery
-    use fresh (and by default noisier) draws around the same centers
-    and offsets, so the task is cross-camera retrieval of the
+    use fresh draws, EVAL_NOISE_FACTOR times noisier, around the same
+    centers and offsets, so the task is cross-camera retrieval of the
     training-time identities under test-time distribution shift.
     """
     spec.validate()
@@ -149,7 +149,7 @@ def generate_synthetic(spec: SyntheticSpec):
         )
 
     train = draw_split(spec.samples_per_cell, spec.sigma_identity, 0)
-    eval_noise = spec.sigma_identity * spec.eval_noise_factor
+    eval_noise = spec.sigma_identity * EVAL_NOISE_FACTOR
     query = draw_split(QUERY_PER_CELL, eval_noise, len(train))
     gallery = draw_split(GALLERY_PER_CELL, eval_noise, len(train) + len(query))
     return train, query, gallery

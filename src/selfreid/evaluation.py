@@ -91,9 +91,12 @@ def require_evaluable(queries, gallery, query_name: str = "query",
 
 
 def _check_aligned(queries: RetrievalSet, gallery: RetrievalSet) -> None:
-    """Reject a set whose arrays differ in length or whose embeddings are
-    not finite, or embeddings of two widths."""
+    """Reject a set whose embeddings are not a finite 2-D array or whose
+    arrays differ in length, or embeddings of two widths."""
     for name, split in (("query", queries), ("gallery", gallery)):
+        if np.ndim(split.embeddings) != 2:
+            raise SelfReidError(f"{name}: embeddings must be 2-D (rows x dims), "
+                                f"got shape {np.shape(split.embeddings)}")
         for field in ("identities", "cameras"):
             if len(getattr(split, field)) != len(split.embeddings):
                 raise SelfReidError(f"{name}: {len(split.embeddings)} embeddings but "

@@ -14,8 +14,10 @@ ZERO_NORM_TOL = 1e-300
 
 
 def normalize_rows(mat: np.ndarray) -> np.ndarray:
-    """Scale each row of a feature matrix to unit L2 norm."""
+    """Scale each row of a 2-D feature matrix to unit L2 norm."""
     mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2:
+        raise SelfReidError(f"need a 2-D matrix (rows x dims), got shape {mat.shape}")
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)) or np.any(norms <= ZERO_NORM_TOL):
         raise SelfReidError("matrix contains a zero or non-finite row")

@@ -22,9 +22,10 @@ METRICS_COLUMNS = ("epoch", "n_clusters", "n_outliers", "L_agnostic", "L_cross",
                    "L_h_ins", "L_s_ins", "L_total", "mean_KL", "mAP",
                    "rank1", "rank5", "rank10")
 
-# Keys of removed loss variants, which older manifests and config files
-# hold -> the value that selected the kept recipe (any other is an error).
-RETIRED_KEYS = {"hard_negatives": "all", "consistency_variant": "kl_clean"}
+# Keys of removed settings, which older manifests and config files hold ->
+# the value that gives the kept behaviour (any other is an error).
+RETIRED_KEYS = {"hard_negatives": "all", "consistency_variant": "kl_clean",
+                "restyle_scale": "1.0", "hidden_dim": "128"}
 
 
 def config_values(values: dict, source: str = "") -> dict:

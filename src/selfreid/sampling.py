@@ -39,7 +39,6 @@ class PerturbationConfig(Settings):
     noise_sigma: float = setting(0.1, "augmentation noise scale", "[0, inf)")
     dropout: float = setting(0.15, "augmentation dropout fraction", "[0, 1)")
     restyle_prob: float = setting(0.5, "augmentation camera-restyle probability", "[0, 1]")
-    restyle_scale: float = setting(1.0, "augmentation camera-restyle offset scale", "[0, inf)")
 
 
 def sample_pk_batch(assignment: ClusterAssignment, spec: BatchSpec,
@@ -90,10 +89,9 @@ def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
     leave them. The caller (trainer.plan_steps) passes one seed per step and
     (steps, rows) cameras aligned with the rows.
 
-    The restyle step moves a row from its own camera's style offset to a
-    uniformly drawn other camera's (the difference scaled by
-    restyle_scale). With a single camera there is no other style, and
-    restyle leaves every row as it is.
+    The restyle step moves a row by the full difference from its own
+    camera's style offset to a uniformly drawn other camera's. With a single
+    camera there is no other style, and restyle leaves every row as it is.
     """
     steps, rows, d = features.shape
     n_drop = int(round(config.dropout * d))
@@ -120,4 +118,4 @@ def perturb(features: np.ndarray, config: PerturbationConfig, step_seeds,
         picked = np.nonzero(coins < config.restyle_prob)
         own = cameras[picked]
         other = targets[picked] + (targets[picked] >= own)
-        features[picked] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
+        features[picked] += camera_offsets[other] - camera_offsets[own]

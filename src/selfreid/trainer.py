@@ -49,6 +49,7 @@ from .evaluation import (
     require_evaluable,
     require_known_identities,
 )
+from .linalg import require_finite
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -76,6 +77,8 @@ from .settings import Settings, setting
 _SEED_INIT = 0
 _SEED_BATCH = 1
 _SEED_PERTURB = 2
+
+HIDDEN_DIM = 128  # the encoder's hidden width; 256 trains alike (ROADMAP item 14)
 
 # Steps whose batches and augmentations one `plan_steps` call draws. The
 # plan of one chunk is all an epoch holds of it at a time.
@@ -114,7 +117,6 @@ class TrainConfig(Settings):
     memory_mode: str = setting(
         AWARE, "aware | agnostic (agnostic drops the cross-camera loss)", MEMORY_MODES)
     n_neg: int = setting(50, "nearest negative proxies in the cross-camera loss", "[1, inf)")
-    hidden_dim: int = setting(128, "encoder hidden width", "[1, inf)")
     out_dim: int = setting(32, "embedding dimension", "[1, inf)")
     seed: int = setting(0, "master seed", "[0, inf)")
     labels_mode: str = setting("pseudo", "pseudo | oracle (ground-truth labels)",
@@ -173,12 +175,14 @@ def require_input_width(encoder: str, width: int, *splits) -> None:
 
 def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, gallery=None,
               data_name="training data", query_name="query", gallery_name="gallery") -> None:
-    """A run's up-front rules, in order: valid config and training split; a dropout
-    that keeps an input coordinate; `query` and `gallery` given together, of the
-    training width, ready for evaluation; oracle labels only with known
-    identities, at least a batch's. The messages name the splits."""
+    """A run's up-front rules, in order: valid config and training split, its
+    features finite; a dropout that keeps an input coordinate; `query` and
+    `gallery` given together, of the training width, finite, ready for
+    evaluation; oracle labels only with known identities, at least a batch's.
+    The messages name the splits."""
     config.validate()
     dataset.validate()
+    require_finite(dataset.features, f"{data_name}: row ")
     dropout = config.perturbation.dropout
     if round(dropout * dataset.dim) >= dataset.dim:  # as perturb counts the dropped coordinates
         raise SelfReidError(f"dropout = {dropout} zeroes all {dataset.dim} input coordinates of "
@@ -187,6 +191,8 @@ def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, galler
     if query is not None:
         require_input_width(f"the encoder trained on {data_name}", dataset.dim,
                             (query_name, query), (gallery_name, gallery))
+        for name, split in ((query_name, query), (gallery_name, gallery)):
+            require_finite(split.features, f"{name}: row ")
         require_evaluable(query, gallery, query_name, gallery_name)
     if config.labels_mode == "oracle":
         require_known_identities(dataset.identities, data_name,
@@ -204,7 +210,7 @@ def init_state(config: TrainConfig, dataset: EmbeddingDataset, query=None,
     """The run before its first epoch (untrained encoders, no reports), after check_run."""
     check_run(config, dataset, query, gallery)
     rng = np.random.default_rng([config.seed, _SEED_INIT])
-    pair = init_pair(dataset.dim, config.hidden_dim, config.out_dim, rng)
+    pair = init_pair(dataset.dim, HIDDEN_DIM, config.out_dim, rng)
     return TrainState(config=config, dataset=dataset, query=query, gallery=gallery,
                       camera_offsets=estimate_camera_offsets(dataset.features, dataset.cameras),
                       pair=pair, opt=init_optimizer(pair.online))

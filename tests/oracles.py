@@ -671,7 +671,7 @@ def perturb_oracle(features, config, rng_seed, cameras, camera_offsets):
         rows = np.flatnonzero(restyle)
         own = np.asarray(cameras, dtype=np.int64)[rows]
         other = targets[rows] + (targets[rows] >= own)
-        out[rows] += config.restyle_scale * (camera_offsets[other] - camera_offsets[own])
+        out[rows] += camera_offsets[other] - camera_offsets[own]
     return out
 
 
@@ -736,7 +736,8 @@ def run_epoch_oracle(state) -> None:
 
 
 # --- settings: the hand-written range rules -----------------------------------
-# Each body is the validate() its class had, verbatim but for the group calls.
+# Each body is the validate() its class had, verbatim but for the group calls
+# and the rules of the settings since removed.
 
 _MEMORY_MODES = ("aware", "agnostic")
 
@@ -753,9 +754,8 @@ def _train_config_rules(self) -> None:
         raise SelfReidError(f"unknown memory_mode {self.memory_mode!r}")
     if self.n_neg < 1:
         raise SelfReidError(f"need n_neg >= 1, got {self.n_neg}")
-    if self.hidden_dim < 1 or self.out_dim < 1:
-        raise SelfReidError(f"need hidden_dim >= 1 and out_dim >= 1, got "
-                            f"({self.hidden_dim}, {self.out_dim})")
+    if self.out_dim < 1:
+        raise SelfReidError(f"need out_dim >= 1, got {self.out_dim}")
     if not 0.0 <= self.alpha <= 1.0:
         raise SelfReidError(f"need 0 <= alpha <= 1, got {self.alpha}")
     for name in ("base_lr", "weight_decay"):
@@ -806,14 +806,12 @@ def _perturbation_config_rules(self) -> None:
         raise SelfReidError(f"dropout must be in [0, 1), got {self.dropout}")
     if not (0.0 <= self.restyle_prob <= 1.0):
         raise SelfReidError(f"restyle_prob must be in [0, 1], got {self.restyle_prob}")
-    if not (0 <= self.restyle_scale < np.inf):
-        raise SelfReidError(f"restyle_scale must be finite and >= 0, got {self.restyle_scale}")
 
 
 def _synthetic_spec_rules(self) -> None:
     if min(self.n_identities, self.n_cameras, self.samples_per_cell, self.dim) < 1:
         raise SelfReidError("all synthetic counts must be >= 1")
-    for name in ("dispersion", "sigma_identity", "sigma_camera", "eval_noise_factor"):
+    for name in ("dispersion", "sigma_identity", "sigma_camera"):
         value = getattr(self, name)
         if not (value >= 0 and np.isfinite(value)):
             raise SelfReidError(f"{name} must be finite and >= 0, got {value}")

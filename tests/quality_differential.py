@@ -16,7 +16,8 @@ cluster count, the pairwise precision and recall of the last epoch's
 pseudo labels (bench/quality.py), and whether the two sides' metrics.csv
 are byte-identical. A summary gives the mean, min and max of each paired
 difference, other side minus this one. The tool reports and gates nothing:
-it exits with status 0.
+it exits with status 0. A --set override that the other side's config
+refuses is a usage error (status 2), found before anything trains.
 
 Pytest does not collect this file. Run it from the repository root, with
 a checkout of the other package under, say, /tmp/parent:
@@ -115,6 +116,12 @@ def main(argv=None) -> int:
         load_package(args.other_src)
     other = sys.modules["other_selfreid"] if args.other_src else selfreid
     overrides = dict(args.overrides)
+    other_reporting = importlib.import_module(f"{other.__name__}.reporting")
+    for _, config in SPECS.values():  # every override is checked before the first run
+        try:
+            other_reporting.config_from_dict({**config, **overrides}).validate()
+        except other.SelfReidError as exc:
+            parser.error(f"--set: {exc}")
     side = f"{args.other_src or 'this src'}" + "".join(f", {k}={v}" for k, v in overrides.items())
     seeds, train_seeds = args.seeds, args.train_seeds
     print(f"this src -> {side}; varied: the split seed (SyntheticSpec.seed) over "

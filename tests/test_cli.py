@@ -25,8 +25,9 @@ from selfreid.trainer import TrainConfig, evaluate_encoder, extract_bank, init_s
 
 from oracles import write_version_1_checkpoint
 
-# A run's manifest.txt and metrics.csv, written before the hard_negatives and
-# consistency_variant keys were retired (the manifest still holds both) by
+# A run's manifest.txt and metrics.csv, written before the hard_negatives,
+# consistency_variant, restyle_scale and hidden_dim keys were retired (the
+# manifest still holds all four) by
 #   selfreid generate --ids 10 --samples-per-cell 4 --dim 16 --out-dir data
 #   selfreid train --data data/train.txt --query data/query.txt \
 #       --gallery data/gallery.txt --out-dir run --epochs 3 --iterations 4 \
@@ -234,6 +235,18 @@ def test_earlier_manifest_reruns_to_the_same_metrics(train_files, tmp_path):
 
     assert config_lines(out_dir / "manifest.txt", cli.MANIFEST_PATHS) == \
         config_lines(earlier, cli.MANIFEST_PATHS + tuple(RETIRED_KEYS))
+
+
+def test_train_rejects_a_manifest_with_a_retired_key_off_its_kept_value(train_files, tmp_path,
+                                                                        capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text((EARLIER_RUN / "manifest.txt").read_text().replace(
+        "hidden_dim = 128\n", "hidden_dim = 256\n"))
+    out_dir = tmp_path / "run"
+    assert run_train(train_files, out_dir, "--from-manifest", str(manifest)) == 1
+    assert capsys.readouterr().err == (f"error: {manifest}: config key hidden_dim = 256: that "
+                                       f"variant was removed; only hidden_dim = 128 remains\n")
+    assert not out_dir.exists()
 
 
 @pytest.fixture
@@ -513,7 +526,7 @@ def test_closed_stdout_is_an_error_not_a_usage_error(train_files, tmp_path, comm
 ], ids=["numpy", "bare"])
 def test_out_of_memory_is_one_error_line(train_files, tmp_path, monkeypatch, capsys, raised,
                                          message):
-    def train(*args, **kwargs):  # as `--hidden-dim 100000000000` fails, without allocating
+    def train(*args, **kwargs):  # as `--out-dim 100000000000` fails, without allocating
         raise raised
 
     monkeypatch.setattr(cli, "train", train)

@@ -516,8 +516,7 @@ def test_validate_rejects_record_arrays_that_do_not_line_up(name, value, message
         EmbeddingDataset(**{**arrays, name: value}).validate("path: ")
 
 
-@pytest.mark.parametrize("name", ["dispersion", "sigma_identity", "sigma_camera",
-                                  "eval_noise_factor"])
+@pytest.mark.parametrize("name", ["dispersion", "sigma_identity", "sigma_camera"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
 def test_spec_rejects_scale_that_is_not_finite_and_non_negative(name, value):
     with pytest.raises(SelfReidError, match=re.escape(

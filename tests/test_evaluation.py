@@ -221,15 +221,17 @@ def test_one_query_per_block_gives_the_one_block_report(monkeypatch):
     ((3, 5), (6, 5), 3, "gallery: 6 embeddings but 3 identities"),
     ((4, 5), (3, 5), 3, "query: 4 embeddings but 3 identities"),
     ((3, 5), (3, 5), 2, "query: 3 embeddings but 2 cameras"),
+    ((3,), (3, 5), 3, "query: embeddings must be 2-D (rows x dims), got shape (3,)"),
+    ((3, 5), (3, 5, 1), 3, "gallery: embeddings must be 2-D (rows x dims), got shape (3, 5, 1)"),
 ], ids=["widths", "fewer-gallery-rows", "more-gallery-rows", "more-query-rows",
-        "fewer-query-cameras"])
+        "fewer-query-cameras", "1-d-query", "3-d-gallery"])
 def test_misaligned_sets_rejected(query_shape, gallery_shape, query_cameras, message):
+    # unnormalized: the sets are refused before any similarity is taken
     rng = np.random.default_rng(7)
     ids, cams = np.array([1, 2, 3]), np.array([0, 1, 2])
-    queries = RetrievalSet(normalize_rows(rng.normal(size=query_shape)), ids,
-                           cams[:query_cameras])
-    gallery = RetrievalSet(normalize_rows(rng.normal(size=gallery_shape)), ids, cams[::-1])
-    with pytest.raises(SelfReidError, match=f"^{message}$"):
+    queries = RetrievalSet(rng.normal(size=query_shape), ids, cams[:query_cameras])
+    gallery = RetrievalSet(rng.normal(size=gallery_shape), ids, cams[::-1])
+    with pytest.raises(SelfReidError, match=f"^{re.escape(message)}$"):
         evaluate(queries, gallery)
 
 

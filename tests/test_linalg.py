@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,13 @@ def test_l2_normalize_identity_case():
 def test_l2_normalize_zero_vector_raises():
     with pytest.raises(SelfReidError, match="matrix contains a zero or non-finite row"):
         normalize_rows([[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1-d", "3-d"])
+def test_normalize_rows_rejects_an_array_that_is_not_2d(shape):
+    with pytest.raises(SelfReidError, match=re.escape(
+            f"need a 2-D matrix (rows x dims), got shape {shape}")):
+        normalize_rows(np.ones(shape))
 
 
 def test_normalize_rows_unit_norms():

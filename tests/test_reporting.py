@@ -34,14 +34,12 @@ min_samples = 4
 noise_sigma = 0.1
 dropout = 0.15
 restyle_prob = 0.5
-restyle_scale = 1.0
 alpha = 0.999
 base_lr = 0.00035
 warmup_epochs = 10
 weight_decay = 0.0005
 memory_mode = aware
 n_neg = 50
-hidden_dim = 128
 out_dim = 32
 seed = 0
 labels_mode = pseudo
@@ -128,7 +126,8 @@ def test_wrong_type_rejected(key, value):
 
 
 @pytest.mark.parametrize("key, value", [("hard_negatives", "hardest"),
-                                        ("consistency_variant", "strong_strong")])
+                                        ("consistency_variant", "strong_strong"),
+                                        ("hidden_dim", "256"), ("restyle_scale", "0.5")])
 def test_retired_key_with_a_removed_variant_rejected(key, value):
     with pytest.raises(SelfReidError, match=re.escape(
             f"old.txt: config key {key} = {value}: that variant was removed; "

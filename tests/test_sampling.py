@@ -163,7 +163,7 @@ def test_dropout_zeroes_exact_count():
 def test_perturb_deterministic():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(8, 32))
-    config = PerturbationConfig(0.1, 0.15, 0.5, 0.3)
+    config = PerturbationConfig(0.1, 0.15, 0.5)
     a = perturbed(feats, config, step_seeds=[(9, 9)], **two_camera_styles(feats))
     b = perturbed(feats, config, step_seeds=[(9, 9)], **two_camera_styles(feats))
     np.testing.assert_array_equal(a, b)
@@ -172,7 +172,7 @@ def test_perturb_deterministic():
 def test_perturb_changes_input():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(8, 32))
-    out = perturbed(feats, PerturbationConfig(0.1, 0.15, 0.5, 0.3), step_seeds=[10],
+    out = perturbed(feats, PerturbationConfig(0.1, 0.15, 0.5), step_seeds=[10],
                     **two_camera_styles(feats))
     assert not np.array_equal(out, feats)
 
@@ -187,7 +187,7 @@ def test_many_step_perturb_is_each_steps_one_seed_perturb_stacked(steps, n_cams,
     feats = rng.normal(size=(steps * 32, 64))
     cameras = np.arange(len(feats)) % n_cams
     offsets = estimate_camera_offsets(feats, cameras)
-    config = PerturbationConfig(noise, dropout, restyle, restyle_scale=0.7)
+    config = PerturbationConfig(noise, dropout, restyle)
     seeds = [[3, 1, step, 2] for step in range(steps)]
     out = perturbed(feats, config, seeds, cameras, offsets)
     expected = [perturb_oracle(feats[rows], config, seed, cameras[rows], offsets)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,19 @@ def test_oracle_labels_with_fewer_identities_than_a_batch_stop_at_check_run(smal
         train(config, small_train)
 
 
+@pytest.mark.parametrize("name", ["training data", "query", "gallery"])
+def test_a_non_finite_feature_in_any_split_stops_at_check_run(monkeypatch, name):
+    splits = dict(zip(("training data", "query", "gallery"),
+                      generate_synthetic(SyntheticSpec(n_identities=4))))
+    splits[name].features[3, 2] = np.nan
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarnings included
+        with pytest.raises(SelfReidError, match=(
+                f"^{name}: row 3: feature 2 is nan, not a finite number$")):
+            train(TrainConfig(), *splits.values())
+
+
 @pytest.mark.parametrize("mode", [AWARE, AGNOSTIC])
 @pytest.mark.parametrize("iterations", [0, 1, 7, 8, 9, 17])
 def test_chunked_epochs_equal_the_per_step_loop(small_train, mode, iterations):
@@ -356,7 +370,6 @@ def test_the_trainer_builds_what_the_step_kernels_trust(small_train, monkeypatch
     ("memory_mode", "bogus"),
     ("n_neg", 0),
     ("hard_negatives", "bogus"),
-    ("hidden_dim", 0),
     ("out_dim", 0),
     ("alpha", -0.1),
     ("alpha", 1.5),
@@ -371,12 +384,10 @@ def test_the_trainer_builds_what_the_step_kernels_trust(small_train, monkeypatch
     ("base_lr", -1.0),
     ("weight_decay", float("nan")),
     ("weight_decay", -0.1),
-    ("restyle_scale", float("nan")),
-    ("restyle_scale", -1.0),
     ("noise_sigma", float("nan")),
     *((key, float("inf")) for key in ("base_lr", "weight_decay", "lambda_hard", "lambda_soft",
                                       "tau_agnostic", "tau_cross", "tau_hard", "tau_soft",
-                                      "noise_sigma", "restyle_scale")),
+                                      "noise_sigma")),
     ("warmup_epochs", -1),
     ("checkpoint_every", -1),
     ("eval_every", -5),
@@ -444,3 +455,20 @@ def test_quality_differential_tool(monkeypatch, capsys, flags, runs, identical):
     assert [line.split()[0] for line in summary] == list(quality_differential.COMPARED)
     differences = [float(x) for line in summary for x in line.split()[1:]]
     assert all(d == 0.0 for d in differences) == identical
+
+
+@pytest.mark.parametrize("other_src", [False, True], ids=["this-src", "other-src"])
+def test_quality_differential_checks_every_override_before_training(monkeypatch, capsys,
+                                                                    other_src):
+    import quality_differential
+
+    src = Path(trainer.__file__).resolve().parent.parent
+    flags = ["--other-src", str(src)] if other_src else []
+    monkeypatch.setattr(quality_differential, "train_run",
+                        lambda *args: pytest.fail("a run trained"))
+    with pytest.raises(SystemExit) as exit_info:
+        quality_differential.main(["--seeds", "0", *flags, "--set", "restyle_scale=0.5"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --set: config key restyle_scale = 0.5: that variant was removed; "
+        "only restyle_scale = 1.0 remains\n")
