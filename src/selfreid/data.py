@@ -97,7 +97,9 @@ class EmbeddingDataset:
         return int(self.cameras.max()) + 1 if len(self) else 0
 
     def validate(self, where: str = "") -> None:
-        """Check the records; `where` (say "path: ") prefixes each message."""
+        """The rule for every split, in order: 2-D features; 1-D sample ids, identities
+        and cameras, one per row; a record; unique sample ids; cameras 0..C-1; finite
+        features. `where` (say "path: ") prefixes each message."""
         if self.features.ndim != 2:
             raise SelfReidError(f"{where}features must be 2-D (records x dims), "
                                 f"got shape {self.features.shape}")
@@ -115,6 +117,7 @@ class EmbeddingDataset:
         if cams[0] != 0 or cams[-1] != len(cams) - 1:
             raise SelfReidError(f"{where}camera ids must be dense 0..C-1, got {len(cams)} "
                                 f"distinct ids from {cams[0]} to {cams[-1]}")
+        require_finite(self.features, f"{where}row ")
 
 
 def generate_synthetic(spec: SyntheticSpec):
@@ -156,8 +159,8 @@ def generate_synthetic(spec: SyntheticSpec):
 
 
 def save_dataset(dataset: EmbeddingDataset, path) -> None:
-    dataset.validate()
-    require_finite(dataset.features, f"{path}: row ")
+    """Write a split that passes `validate`, else name `path` and write nothing."""
+    dataset.validate(f"{path}: ")
     with open(path, "w") as fh:
         fh.write(f"# format {FORMAT_NAME} v{FORMAT_VERSION}\n")
         fh.write(f"# dim {dataset.dim}\n")

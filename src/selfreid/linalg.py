@@ -27,9 +27,9 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
 def require_finite(features: np.ndarray, where: str, rows=None) -> None:
     """Fail at the first non-finite feature, naming its row as `where` +
     rows[row], or `where` + row without `rows`."""
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        row, col = bad[0]
+    finite = np.isfinite(features)
+    if not finite.all():  # argwhere only on the error path: it costs 10x the scan
+        row, col = np.argwhere(~finite)[0]
         raise SelfReidError(f"{where}{row if rows is None else rows[row]}: feature {col} is "
                             f"{features[row, col]}, not a finite number")
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SelfReidError
 from .linalg import require_finite
-from .settings import Settings, setting
+from .settings import Settings, require_type, setting
 
 OUTLIER = -1
 
@@ -378,6 +378,8 @@ def jaccard_distance_matrix(features: np.ndarray, k1: int, k2: int,
     if features.ndim != 2 or (n := len(features)) < 2:
         raise SelfReidError(f"need a 2-D matrix of at least 2 samples, got shape {features.shape}")
     require_finite(features, "re-ranking features: row ")
+    require_type("k1", k1, int)
+    require_type("k2", k2, int)
     if not 1 <= k2 <= k1 < n:
         raise SelfReidError(f"k1={k1}, k2={k2} must be < n={n} with 1 <= k2 <= k1")
     if not 0.0 <= max_distance < 1.0:

@@ -7,12 +7,14 @@ A field typed by a Settings class is a group. `Settings.leaves()`, the one
 walk over the fields, names each leaf by its flat key: the class's
 `key_prefix` (say "tau_") plus the field name, as config files, manifests
 and CLI flags spell it, also for a group on its own. `validate()` checks
-the leaves in that order, so the first bad key in manifest order is named:
-`need <key> in <allowed>, got <value!r>`. A run's settings are checked
-once, at its boundary (`trainer.check_run`); the kernels trust them.
+the leaves in that order, so the first bad key in manifest order is named,
+each by its type (`require_type`) and then by `need <key> in <allowed>, got
+<value!r>`. A run's settings are checked once, at its boundary
+(`trainer.check_run`); the kernels trust them.
 """
 
 import functools
+import numbers
 import operator
 from dataclasses import field, fields
 
@@ -20,6 +22,16 @@ from .errors import SelfReidError
 
 _LOWER = {"[": operator.le, "(": operator.lt}
 _UPPER = {"]": operator.le, ")": operator.lt}
+# A leaf's declared type -> the values it takes (a bool is neither an int nor a float).
+_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a float"), str: (str, "a str")}
+
+
+def require_type(key: str, value, kind: type) -> None:
+    """Reject a `value` of `key` that is not a `kind` (int, float or str): an int
+    takes a Python or numpy integer, a float any real number, ints included."""
+    accepted, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise SelfReidError(f"need {key} to be {name}, got {value!r}")
 
 
 def _bound(text: str):
@@ -70,5 +82,6 @@ class Settings:
         for key, (*groups, name), f in self.leaves():
             holder = functools.reduce(getattr, groups, self)
             value = getattr(holder, name)
+            require_type(key, value, f.type)
             if not f.metadata["allows"](holder, value):
                 raise SelfReidError(f"need {key} in {f.metadata['allowed']}, got {value!r}")

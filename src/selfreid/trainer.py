@@ -49,7 +49,6 @@ from .evaluation import (
     require_evaluable,
     require_known_identities,
 )
-from .linalg import require_finite
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -175,24 +174,22 @@ def require_input_width(encoder: str, width: int, *splits) -> None:
 
 def check_run(config: TrainConfig, dataset: EmbeddingDataset, query=None, gallery=None,
               data_name="training data", query_name="query", gallery_name="gallery") -> None:
-    """A run's up-front rules, in order: valid config and training split, its
-    features finite; a dropout that keeps an input coordinate; `query` and
-    `gallery` given together, of the training width, finite, ready for
-    evaluation; oracle labels only with known identities, at least a batch's.
-    The messages name the splits."""
+    """A run's up-front rules, in order: a valid config and training split (a split passes
+    EmbeddingDataset.validate); a dropout that keeps an input coordinate; `query` and
+    `gallery` given together, valid splits of the training width, ready for evaluation;
+    oracle labels only with known identities, at least a batch's. Messages name the splits."""
     config.validate()
-    dataset.validate()
-    require_finite(dataset.features, f"{data_name}: row ")
+    dataset.validate(f"{data_name}: ")
     dropout = config.perturbation.dropout
     if round(dropout * dataset.dim) >= dataset.dim:  # as perturb counts the dropped coordinates
         raise SelfReidError(f"dropout = {dropout} zeroes all {dataset.dim} input coordinates of "
                             f"{data_name}; need round(dropout * {dataset.dim}) < {dataset.dim}")
     require_paired_splits(query, gallery, query_name, gallery_name)
     if query is not None:
+        for name, split in ((query_name, query), (gallery_name, gallery)):
+            split.validate(f"{name}: ")
         require_input_width(f"the encoder trained on {data_name}", dataset.dim,
                             (query_name, query), (gallery_name, gallery))
-        for name, split in ((query_name, query), (gallery_name, gallery)):
-            require_finite(split.features, f"{name}: row ")
         require_evaluable(query, gallery, query_name, gallery_name)
     if config.labels_mode == "oracle":
         require_known_identities(dataset.identities, data_name,

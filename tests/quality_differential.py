@@ -11,10 +11,12 @@ one split seed of --seeds, the `SyntheticSpec` seed, and trains at one
 training seed of --train-seeds (default 0), the `TrainConfig` seed:
 every pair of the two is run.
 
-It prints one row per run: the final mAP and rank-1, every epoch's
-cluster count, the pairwise precision and recall of the last epoch's
-pseudo labels (bench/quality.py), and whether the two sides' metrics.csv
-are byte-identical. A summary gives the mean, min and max of each paired
+Its header line gives each side's package size in lines, as
+`wc -l <src>/selfreid/*.py` counts them. Then it prints one row per run:
+the final mAP and rank-1, every epoch's cluster count, the pairwise
+precision and recall of the last epoch's pseudo labels
+(bench/quality.py), and whether the two sides' metrics.csv are
+byte-identical. A summary gives the mean, min and max of each paired
 difference, other side minus this one. The tool reports and gates nothing:
 it exits with status 0. A --set override that the other side's config
 refuses is a usage error (status 2), found before anything trains.
@@ -96,6 +98,12 @@ def train_run(package, spec: dict, config: dict, seed: int) -> dict:
             "recall": recall, "csv": csv}
 
 
+def package_lines(package) -> int:
+    """The newlines in the package's modules, as `wc -l selfreid/*.py` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in Path(package.__file__).parent.glob("*.py"))
+
+
 def paired(key: str, this: dict, other: dict) -> str:
     if isinstance(this[key], float):
         return f"{key} {this[key]:.4f} -> {other[key]:.4f}"
@@ -122,11 +130,12 @@ def main(argv=None) -> int:
             other_reporting.config_from_dict({**config, **overrides}).validate()
         except other.SelfReidError as exc:
             parser.error(f"--set: {exc}")
-    side = f"{args.other_src or 'this src'}" + "".join(f", {k}={v}" for k, v in overrides.items())
+    side = (f"{args.other_src or 'this src'} ({package_lines(other)} lines)"
+            + "".join(f", {k}={v}" for k, v in overrides.items()))
     seeds, train_seeds = args.seeds, args.train_seeds
-    print(f"this src -> {side}; varied: the split seed (SyntheticSpec.seed) over "
-          f"{seeds.start}-{seeds.stop - 1} and the training seed (TrainConfig.seed) over "
-          f"{train_seeds.start}-{train_seeds.stop - 1}")
+    print(f"this src ({package_lines(selfreid)} lines) -> {side}; varied: the split seed "
+          f"(SyntheticSpec.seed) over {seeds.start}-{seeds.stop - 1} and the training seed "
+          f"(TrainConfig.seed) over {train_seeds.start}-{train_seeds.stop - 1}")
     pairs = []
     for name, (spec, config) in SPECS.items():
         for seed in seeds:

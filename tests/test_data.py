@@ -495,6 +495,16 @@ def test_save_rejects_non_finite_feature_before_opening_the_file(tmp_path, value
     assert not path.exists()
 
 
+def test_save_names_the_path_of_a_split_whose_arrays_do_not_line_up(tmp_path):
+    train = generate_synthetic(SyntheticSpec(n_identities=2))[0]
+    path = tmp_path / "out.txt"
+    message = f"{path}: cameras must be 1-D with one entry per feature row (64), got shape (63,)"
+    with pytest.raises(SelfReidError, match=f"^{re.escape(message)}$"):
+        save_dataset(EmbeddingDataset(train.sample_ids, train.identities, train.cameras[:-1],
+                                      train.features), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("features", np.zeros(4), "features must be 2-D (records x dims), got shape (4,)"),
     ("features", np.zeros((4, 2, 1)),
@@ -514,6 +524,16 @@ def test_validate_rejects_record_arrays_that_do_not_line_up(name, value, message
     EmbeddingDataset(**arrays).validate()
     with pytest.raises(SelfReidError, match=re.escape(f"path: {message}")):
         EmbeddingDataset(**{**arrays, name: value}).validate("path: ")
+
+
+def test_validate_checks_finiteness_last():
+    arrays = {"sample_ids": np.arange(4), "identities": np.array([0, 0, 1, 1]),
+              "cameras": np.array([1, 2, 1, 2]), "features": np.ones((4, 2))}
+    arrays["features"][2, 1] = np.nan
+    with pytest.raises(SelfReidError, match=r"^path: camera ids must be dense 0\.\.C-1"):
+        EmbeddingDataset(**arrays).validate("path: ")
+    with pytest.raises(SelfReidError, match="^path: row 2: feature 1 is nan, not a finite number$"):
+        EmbeddingDataset(**{**arrays, "cameras": arrays["cameras"] - 1}).validate("path: ")
 
 
 @pytest.mark.parametrize("name", ["dispersion", "sigma_identity", "sigma_camera"])

@@ -298,6 +298,10 @@ def test_jaccard_insufficient_samples():
                  r"^k1=0, k2=0 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k1-zero"),
     pytest.param(lambda feats: jaccard_distance_matrix(feats, 3, 5, 0.55),
                  r"^k1=3, k2=5 must be < n=20 with 1 <= k2 <= k1$", id="jaccard-k2-above-k1"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 5.0, 2, 0.55),
+                 r"^need k1 to be an int, got 5\.0$", id="jaccard-k1-float"),
+    pytest.param(lambda feats: jaccard_distance_matrix(feats, 5, True, 0.55),
+                 r"^need k2 to be an int, got True$", id="jaccard-k2-bool"),
     # at 1.0 the pairs would be every pair, and the dense view could not
     # tell a missing pair from a distance of 1
     *[pytest.param(lambda feats, m=m: jaccard_distance_matrix(feats, 5, 2, m),

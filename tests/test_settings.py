@@ -6,6 +6,7 @@ import functools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from selfreid.data import SyntheticSpec, generate_synthetic, save_dataset
 from selfreid.errors import SelfReidError
 from selfreid.losses import LossWeights, Temperatures
 from selfreid.rerank import ClusterConfig
+from selfreid.sampling import BatchSpec
 from selfreid.settings import Settings
 from selfreid.trainer import TrainConfig, train
 
@@ -139,6 +141,43 @@ def test_the_first_bad_key_in_manifest_order_is_named():
 def test_message_names_the_key_its_allowed_values_and_the_value(settings, message):
     with pytest.raises(SelfReidError, match=f"^{re.escape(message)}$"):
         settings.validate()
+
+
+@pytest.mark.parametrize("config, message", [
+    (TrainConfig(epochs=1.5), "need epochs to be an int, got 1.5"),
+    (TrainConfig(iterations=2.5), "need iterations to be an int, got 2.5"),
+    (TrainConfig(cluster=ClusterConfig(k1=30.0)), "need k1 to be an int, got 30.0"),
+    (TrainConfig(cluster=ClusterConfig(k1="30")), "need k1 to be an int, got '30'"),
+    (TrainConfig(batch=BatchSpec(n_instances=4.0)), "need n_instances to be an int, got 4.0"),
+    (TrainConfig(seed=0.5), "need seed to be an int, got 0.5"),
+    (TrainConfig(epochs=True), "need epochs to be an int, got True"),
+    (TrainConfig(alpha=True), "need alpha to be a float, got True"),
+    (TrainConfig(temperatures=Temperatures(cross="0.07")),
+     "need tau_cross to be a float, got '0.07'"),
+    (TrainConfig(memory_mode=1), "need memory_mode to be a str, got 1"),
+    # leaf by leaf: an earlier key's range comes before a later key's type
+    (TrainConfig(epochs=0, iterations=2.5), "need epochs in [1, inf), got 0"),
+], ids=["epochs", "iterations", "k1-float", "k1-str", "n_instances", "seed", "bool-int",
+        "bool-float", "str-float", "int-str", "range-first"])
+def test_train_rejects_a_setting_of_the_wrong_type_before_the_first_epoch(monkeypatch, config,
+                                                                           message):
+    train_rejects(monkeypatch, config, message)
+
+
+def test_an_int_setting_takes_numpy_integers_and_a_float_setting_any_real_number():
+    TrainConfig(epochs=np.int64(3), cluster=ClusterConfig(k1=np.int32(20)), alpha=1,
+                base_lr=np.float32(0.001), weight_decay=np.int64(0)).validate()
+    SyntheticSpec(n_identities=np.uint8(4), dispersion=2).validate()
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("n_identities", 2.5, "need n_identities to be an int, got 2.5"),
+    ("seed", False, "need seed to be an int, got False"),
+    ("sigma_camera", "0.8", "need sigma_camera to be a float, got '0.8'"),
+])
+def test_generate_rejects_a_spec_field_of_the_wrong_type(name, value, message):
+    with pytest.raises(SelfReidError, match=f"^{re.escape(message)}$"):
+        generate_synthetic(SyntheticSpec(**{name: value}))
 
 
 def test_train_checks_the_settings_once(monkeypatch, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 from pathlib import Path
 
@@ -165,6 +166,12 @@ def other_width(split):
     return dataclasses.replace(split, features=split.features[:, :10])
 
 
+def non_finite(split):
+    features = split.features.copy()
+    features[5, 1] = np.inf
+    return dataclasses.replace(split, features=features)
+
+
 @pytest.mark.parametrize("train_fault, query_fault, gallery_fault, message", [
     (None, unknown_identities, None,
      "^query: 24 of 24 records have unknown identity \\?; evaluation needs known identities$"),
@@ -175,11 +182,13 @@ def other_width(split):
     (None, only_camera_zero, only_camera_zero,
      "^no query in query has a record of its identity from another camera in gallery; "
      "evaluation needs one$"),
+    # every split's own rule (EmbeddingDataset.validate) before the rules across splits
+    (None, other_width, non_finite, "^gallery: row 5: feature 1 is inf, not a finite number$"),
     (unknown_identities, None, None,
      "^training data: 192 of 192 records have unknown identity \\?; labels_mode = oracle "
      "trains on the identities as pseudo labels, so every one must be known$"),
 ], ids=["unknown-query", "narrow-query", "narrow-gallery", "no-cross-camera-match",
-        "oracle-unknown-train"])
+        "narrow-query-non-finite-gallery", "oracle-unknown-train"])
 def test_train_checks_query_and_gallery_before_the_first_epoch(train_fault, query_fault,
                                                                gallery_fault, message,
                                                                monkeypatch):
@@ -194,6 +203,52 @@ def test_train_checks_query_and_gallery_before_the_first_epoch(train_fault, quer
     # init_state starts a run of run_epoch calls too (test_train_is_run_epoch_in_a_loop)
     with pytest.raises(SelfReidError, match=message):
         init_state(config, train_split, query, gallery)
+
+
+# A fault in a split's records -> the message after "<split name>: ", for a split of n rows.
+SPLIT_FAULTS = {
+    "features-1d": (lambda s: dataclasses.replace(s, features=s.features[:, 0]),
+                    "features must be 2-D (records x dims), got shape ({n},)"),
+    "features-3d": (lambda s: dataclasses.replace(s, features=s.features[..., None]),
+                    "features must be 2-D (records x dims), got shape ({n}, 64, 1)"),
+    "cameras-short": (lambda s: dataclasses.replace(s, cameras=s.cameras[:-1]),
+                      "cameras must be 1-D with one entry per feature row ({n}), got shape "
+                      "({n_short},)"),
+    "identities-long": (lambda s: dataclasses.replace(s, identities=np.append(s.identities, 0)),
+                        "identities must be 1-D with one entry per feature row ({n}), got shape "
+                        "({n_long},)"),
+    "cameras-2d": (lambda s: dataclasses.replace(s, cameras=s.cameras[:, None]),
+                   "cameras must be 1-D with one entry per feature row ({n}), got shape ({n}, 1)"),
+    "sample-ids-short": (lambda s: dataclasses.replace(s, sample_ids=s.sample_ids[:-1]),
+                         "sample_ids must be 1-D with one entry per feature row ({n}), got shape "
+                         "({n_short},)"),
+    "sample-ids-repeated": (lambda s: dataclasses.replace(s, sample_ids=s.sample_ids * 0),
+                            "sample ids are not unique"),
+    "cameras-not-dense": (lambda s: dataclasses.replace(s, cameras=s.cameras + 1),
+                          "camera ids must be dense 0..C-1, got 4 distinct ids from 1 to 4"),
+    # the width rule comes after the record rule
+    "narrow-and-cameras-short": (lambda s: other_width(dataclasses.replace(
+                                     s, cameras=s.cameras[:-1])),
+                                 "cameras must be 1-D with one entry per feature row ({n}), got "
+                                 "shape ({n_short},)"),
+}
+
+
+@pytest.mark.parametrize("fault", SPLIT_FAULTS)
+@pytest.mark.parametrize("name", ["training data", "query", "gallery"])
+def test_every_split_passes_validate_before_the_first_epoch(name, fault, monkeypatch):
+    splits = dict(zip(("training data", "query", "gallery"),
+                      generate_synthetic(SyntheticSpec(n_identities=4))))
+    n = len(splits[name])
+    spoil, message = SPLIT_FAULTS[fault]
+    splits[name] = spoil(splits[name])
+    message = f"^{re.escape(f'{name}: ' + message.format(n=n, n_short=n - 1, n_long=n + 1))}$"
+    config = TrainConfig(epochs=1, iterations=1, batch=BatchSpec(n_identities=2))
+    monkeypatch.setattr(trainer, "run_epoch", lambda *args: pytest.fail("an epoch ran"))
+    with pytest.raises(SelfReidError, match=message):
+        train(config, *splits.values())
+    with pytest.raises(SelfReidError, match=message):
+        init_state(config, *splits.values())
 
 
 @pytest.mark.parametrize("dropout", [0.97, 0.96])
@@ -446,6 +501,9 @@ def test_quality_differential_tool(monkeypatch, capsys, flags, runs, identical):
     src = Path(trainer.__file__).resolve().parent.parent
     assert quality_differential.main(["--seeds", "0", "--other-src", str(src), *flags]) == 0
     out = capsys.readouterr().out
+    lines = sum(len(path.read_text().splitlines()) for path in (src / "selfreid").glob("*.py"))
+    override = ", lambda_soft=0" if "--set" in flags else ""
+    assert out.startswith(f"this src ({lines} lines) -> {src} ({lines} lines){override}; ")
     assert f"varied: the split seed (SyntheticSpec.seed) over 0-0 and the training seed " \
         f"(TrainConfig.seed) over 0-{runs - 1}\n" in out
     assert [line.split(":")[0] for line in out.splitlines()[1:runs + 1]] == \
